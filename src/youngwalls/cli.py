@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``table``      print a counting table (grid for 2-index sequences,
-                 long form for 3-index ones), optionally cached as JSON
+                 long form for 3-index ones)
 * ``verify``     run named identity checks from a registry (``--check all``)
 * ``series``     print D_k coefficients by one of the three routes
 * ``oracle``     compare a recurrence value against brute-force enumeration
@@ -11,26 +11,24 @@ Subcommands:
                  fixtures bundled; live fetch optional)
 * ``asym``       asymptotic estimate vs exact value, log-space error
 
-Exit codes: 0 success, 1 a verification or comparison failed, 2 usage
-error, 3 capacity exceeded.  Integers in JSON are decimal strings so no
-consumer ever rounds them.
+Exit codes: 0 success, 1 a verification or comparison failed (or a value
+that an identity makes integral came out otherwise), 2 usage error, 3
+capacity exceeded.  Integers in JSON are decimal strings so no consumer
+ever rounds them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import urllib.request
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from pathlib import Path
 from typing import Callable, TextIO
 
 from . import closed_forms, poset_lab, series_engine, tree_child, wall_tables
-from .exact_arith import binomial, double_factorial, factorial
+from .exact_arith import NotIntegralError, binomial, double_factorial, factorial
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -42,7 +40,7 @@ Cell = tuple[tuple[int, ...], int]
 
 @dataclass
 class RunConfig:
-    """Parsed invocation, normalized (env cache override applied)."""
+    """Parsed invocation, normalized."""
 
     command: str
     seq: str | None = None
@@ -56,7 +54,6 @@ class RunConfig:
     order: int | None = None
     method: str = "recurrence"
     fmt: str = "csv"
-    cache_dir: str | None = None
     oeis: str | None = None
     map_name: str | None = None
     offline: bool = False
@@ -68,7 +65,7 @@ class RunConfig:
         cfg = RunConfig(command=args.command)
         for name in (
             "seq", "nmax", "kmax", "mmax", "n", "k", "m", "dk", "order",
-            "method", "oeis", "offline", "check", "diag", "cache_dir",
+            "method", "oeis", "offline", "check", "diag",
         ):
             if hasattr(args, name):
                 setattr(cfg, name, getattr(args, name))
@@ -76,9 +73,6 @@ class RunConfig:
             cfg.fmt = args.format
         if hasattr(args, "map"):
             cfg.map_name = getattr(args, "map")
-        env_dir = os.environ.get("WALLS_CACHE_DIR")
-        if env_dir:
-            cfg.cache_dir = env_dir
         return cfg
 
 
@@ -141,13 +135,14 @@ def _table_cells(cfg: RunConfig) -> list[Cell]:
         if cfg.k is not None or cfg.diag:
             raise _Usage("slices are only available for 2-index sequences")
         mmax = cfg.mmax if cfg.mmax is not None else nmax
-        cells = []
-        for n in range(nmax + 1):
-            for m in range(mmax + 1):
-                top = m + 1 if cfg.kmax is None else min(m + 1, cfg.kmax)
-                for k in range(top + 1):
-                    cells.append(((n, m, k), wall_tables.omega(n, m, k)))
-        return cells
+        kmax = cfg.kmax if cfg.kmax is not None else mmax + 1
+        block = wall_tables.omega_block(nmax, mmax, kmax)
+        return [
+            ((n, m, k), v)
+            for n, row in enumerate(block)
+            for m, cell in enumerate(row)
+            for k, v in enumerate(cell)
+        ]
 
     raise _Usage(f"unknown sequence {seq!r}")
 
@@ -180,34 +175,8 @@ def _render_cells(cfg: RunConfig, cells: list[Cell], out: TextIO) -> None:
         print(sep.join(str(i) for i in idx) + sep + str(v), file=out)
 
 
-def _cache_path(cfg: RunConfig) -> Path | None:
-    if not cfg.cache_dir:
-        return None
-    parts = [cfg.seq, f"n{cfg.nmax}"]
-    if cfg.kmax is not None:
-        parts.append(f"kmax{cfg.kmax}")
-    if cfg.mmax is not None:
-        parts.append(f"mmax{cfg.mmax}")
-    if cfg.k is not None:
-        parts.append(f"k{cfg.k}")
-    if cfg.diag:
-        parts.append("diag")
-    return Path(cfg.cache_dir) / ("-".join(parts) + ".json")
-
-
 def run_table(cfg: RunConfig, out: TextIO) -> int:
-    path = _cache_path(cfg)
-    cells: list[Cell] | None = None
-    if path is not None and path.exists():
-        doc = json.loads(path.read_text())
-        cells = [(tuple(entry[:-1]), int(entry[-1])) for entry in doc["cells"]]
-    if cells is None:
-        cells = _table_cells(cfg)
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            doc = {"seq": cfg.seq, "cells": [[*idx, str(v)] for idx, v in cells]}
-            path.write_text(json.dumps(doc) + "\n")
-    _render_cells(cfg, cells, out)
+    _render_cells(cfg, _table_cells(cfg), out)
     return EXIT_OK
 
 
@@ -286,6 +255,8 @@ def _fixture_bfile(oeis_id: str) -> str:
 
 
 def _fetch_bfile(oeis_id: str) -> str:
+    import urllib.request  # only the online crosscheck pays for http and ssl
+
     url = f"https://oeis.org/{oeis_id}/b{oeis_id[1:]}.txt"
     with urllib.request.urlopen(url, timeout=10) as resp:
         return resp.read().decode()
@@ -684,7 +655,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="emit the 1-D slice at this k")
     p.add_argument("--diag", action="store_true", help="emit the diagonal slice")
     p.add_argument("--format", default="csv", choices=["csv", "text", "json", "bfile"])
-    p.add_argument("--cache-dir", dest="cache_dir")
 
     p = sub.add_parser("verify", help="run identity checks")
     p.add_argument("--check", required=True, help="registry name, or 'all'")
@@ -733,6 +703,12 @@ def main(argv: list[str] | None = None, out: TextIO | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     cfg = RunConfig.from_args(args)
+    # counts run to thousands of digits; lift the decimal conversion limit
+    # (absent before 3.10.7) for this call only
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _RUNNERS[cfg.command](cfg, out)
     except _Usage as exc:
@@ -744,6 +720,12 @@ def main(argv: list[str] | None = None, out: TextIO | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NotIntegralError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Everything here is built from one family of rational coefficients gamma_k.
 The k-th gamma is fixed by requiring that the double-factorial expansion of
 a(n, k) stays consistent when n shrinks to the degenerate corner, which
 gives a self-referential sum that we simply solve for gamma_k.  All closed
-forms return exact values; the integer-valued ones assert integrality
+forms return exact values; the integer-valued ones check integrality
 before converting.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .exact_arith import ExactRational, Nat, binomial, double_factorial, factorial
+from .exact_arith import ExactRational, Nat, binomial, double_factorial, exact_int, factorial
 
 _GAMMA: list[Fraction] = [Fraction(1)]
 
@@ -50,8 +50,7 @@ def a_closed(n: int, k: int) -> Nat:
     acc = Fraction(0)
     for i in range(k + 1):
         acc += gamma(k - i) * Fraction(double_factorial(2 * n + k + i - 1), factorial(i))
-    assert acc.denominator == 1, (n, k, acc)
-    return int(acc)
+    return exact_int(acc, where=("a_closed", n, k))
 
 
 def a_diag(n: int) -> Nat:
@@ -67,9 +66,7 @@ def b_closed(n: int, k: int) -> Nat:
     acc = Fraction(0)
     for i in range(k + 1):
         acc += gamma(k - i) * Fraction(double_factorial(2 * n + k + i - 1), factorial(i))
-    acc *= scale
-    assert acc.denominator == 1, (n, k, acc)
-    return int(acc)
+    return exact_int(acc * scale, where=("b_closed", n, k))
 
 
 def omega_init(m: int, k: int) -> ExactRational:

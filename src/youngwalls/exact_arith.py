@@ -13,6 +13,10 @@ Nat = int
 ExactRational = Fraction
 
 
+class NotIntegralError(ArithmeticError):
+    """An exact value that an identity makes integral came out otherwise."""
+
+
 def factorial(n: int) -> Nat:
     """n! for n >= 0."""
     if n < 0:
@@ -28,11 +32,12 @@ def double_factorial(m: int) -> Nat:
     """
     if m < -1:
         raise ValueError(f"double factorial undefined for {m}")
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
+    j = (m + 1) // 2
+    if m % 2:
+        # (2j-1)!! = (2j)! / (2^j j!)
+        return math.perm(2 * j, j) >> j
+    # (2j)!! = 2^j j!
+    return math.factorial(j) << j
 
 
 def binomial(n: int, k: int) -> Nat:
@@ -53,3 +58,16 @@ def rat(num: int, den: int = 1) -> ExactRational:
     if den == 0:
         raise ValueError("zero denominator")
     return Fraction(num, den)
+
+
+def exact_int(num: int | Fraction, den: int = 1, where: object = None) -> Nat:
+    """num / den as an int, raising NotIntegralError unless it is one.
+
+    Every integrality and divisibility invariant goes through here, so the
+    check also runs under ``python -O``.  ``where`` names the cell in the
+    error message.
+    """
+    quot, rem = divmod(num, den)
+    if rem:
+        raise NotIntegralError(f"value at {where} is not an integer")
+    return int(quot)

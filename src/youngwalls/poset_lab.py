@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import wall_tables
-from .exact_arith import Nat, binomial, factorial
+from .exact_arith import Nat, binomial, exact_int, factorial
 
 CAPACITY = 24
 
@@ -165,9 +165,8 @@ def count_linear_extensions(p: Poset, capacity: int = CAPACITY) -> Nat:
                 key = mask | bit
                 nxt[key] = nxt.get(key, 0) + ways
         level = nxt
-    (full, total), = level.items()
-    assert full == (1 << p.size) - 1
-    return total
+    # after p.size steps the only ideal left is the whole poset
+    return level[(1 << p.size) - 1]
 
 
 def forest_hook_count(p: Poset) -> Nat:
@@ -195,9 +194,7 @@ def forest_hook_count(p: Poset) -> Nat:
     denom = 1
     for w in weight:
         denom *= w
-    count, rem = divmod(factorial(p.size), denom)
-    assert rem == 0
-    return count
+    return exact_int(factorial(p.size), denom, ("forest_hook_count", p.size))
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +291,7 @@ def f_closed(n: int, k: int) -> Nat:
     num = 1
     for t in range(n - k + 1, n + k + 1):
         num *= t
-    count, rem = divmod(num, 2**k * factorial(k))
-    assert rem == 0
-    return count
+    return exact_int(num, 2**k * factorial(k), ("f_closed", n, k))
 
 
 def f_sum(n: int, k: int) -> Nat:
@@ -412,8 +407,7 @@ def b_monster(n: int, k: int) -> Nat:
                     * factorial(n - j - s)
                 )
                 acc -= Fraction(num, den) * wall_tables.b(n - j, m)
-    assert acc.denominator == 1, (n, k, acc)
-    return int(acc)
+    return exact_int(acc, where=("b_monster", n, k))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import math
 from fractions import Fraction
 
 from . import closed_forms, wall_tables
-from .exact_arith import Nat, binomial, double_factorial, factorial
+from .exact_arith import Nat, binomial, double_factorial, exact_int, factorial
+from .wall_tables import _RowTable
 
 
 def _check_domain(n: int, k: int) -> None:
@@ -23,15 +24,13 @@ def _check_domain(n: int, k: int) -> None:
 def tc(n: int, k: int) -> Nat:
     """tc(n, k) = n!/(n-k)! * a(n-1, k), the normative route."""
     _check_domain(n, k)
-    return factorial(n) // factorial(n - k) * wall_tables.a_rec(n - 1, k)
+    return math.perm(n, k) * wall_tables.a_rec(n - 1, k)
 
 
 def tc_via_b(n: int, k: int) -> Nat:
     """tc(n, k) = n! b(n-1, k) / 2^(n-k-1); the power of two must divide."""
     _check_domain(n, k)
-    count, rem = divmod(factorial(n) * wall_tables.b(n - 1, k), 2 ** (n - k - 1))
-    assert rem == 0, (n, k)
-    return count
+    return exact_int(factorial(n) * wall_tables.b(n - 1, k), 2 ** (n - k - 1), ("tc_via_b", n, k))
 
 
 def tc_rec(n: int, k: int) -> Nat:
@@ -43,26 +42,20 @@ def tc_rec(n: int, k: int) -> Nat:
     n - k is checked exact.  Self-contained: never consults the other routes.
     """
     _check_domain(n, k)
-    return _tc_rec_memo(n, k)
+    return _TC_REC.row(n, k)[k]
 
 
-def _tc_rec_memo(n: int, k: int) -> Nat:
-    if k < 0 or k >= n:
-        return 0
-    if n == 1:
-        return 1
-    got = _TC_REC.get((n, k))
-    if got is None:
-        rhs = (n + 1 - k) * (n - k) * _tc_rec_memo(n, k - 1) + n * (2 * n + k - 3) * _tc_rec_memo(
-            n - 1, k
-        )
-        got, rem = divmod(rhs, n - k)
-        assert rem == 0, (n, k)
-        _TC_REC[(n, k)] = got
-    return got
+def _tc_rec_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
+    if n == 1 and not row:
+        row.append(1)
+    for k in range(len(row), min(n - 1, width) + 1):
+        left = row[k - 1] if k else 0
+        below = prev[k] if k < n - 1 else 0
+        rhs = (n + 1 - k) * (n - k) * left + n * (2 * n + k - 3) * below
+        row.append(exact_int(rhs, n - k, ("tc_rec", n, k)))
 
 
-_TC_REC: dict[tuple[int, int], int] = {}
+_TC_REC = _RowTable(_tc_rec_row)
 
 
 def tc_sum(n: int, k: int) -> Nat:
@@ -72,26 +65,21 @@ def tc_sum(n: int, k: int) -> Nat:
 
     also self-contained and seeded by tc(1, 0) = 1."""
     _check_domain(n, k)
-    return _tc_sum_memo(n, k)
+    return _TC_SUM.row(n, k)[k]
 
 
-def _tc_sum_memo(n: int, k: int) -> Nat:
-    if k < 0 or k >= n:
-        return 0
-    if n == 1:
-        return 1
-    got = _TC_SUM.get((n, k))
-    if got is None:
-        rhs = 0
-        for i in range(k + 1):
-            rhs += n * (2 * n + i - 3) * factorial(n - 1 - i) * _tc_sum_memo(n - 1, i)
-        got, rem = divmod(rhs, factorial(n - k))
-        assert rem == 0, (n, k)
-        _TC_SUM[(n, k)] = got
-    return got
+def _tc_sum_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
+    if n == 1 and not row:
+        row.append(1)
+    for k in range(len(row), min(n - 1, width) + 1):
+        # tc(n-1, i) vanishes at i = n-1, so the sum stops at n-2
+        rhs = sum(
+            n * (2 * n + i - 3) * factorial(n - 1 - i) * prev[i] for i in range(min(k, n - 2) + 1)
+        )
+        row.append(exact_int(rhs, factorial(n - k), ("tc_sum", n, k)))
 
 
-_TC_SUM: dict[tuple[int, int], int] = {}
+_TC_SUM = _RowTable(_tc_sum_row)
 
 
 def tc_chain(k: int, m: int) -> Nat:
@@ -100,7 +88,7 @@ def tc_chain(k: int, m: int) -> Nat:
         sum_{l=0}^{m} (l+2) [prod_{i=l+1}^{m} (1 + k/(i+1)) (2i+3k-1)] tc(k+l+1, k-1)
 
     where the lower-level values come from the normative route.  The
-    rational product is asserted integral at the end.
+    rational product is checked integral at the end.
     """
     if k < 1 or m < 0:
         raise ValueError(f"need k >= 1 and m >= 0, got ({k}, {m})")
@@ -111,8 +99,7 @@ def tc_chain(k: int, m: int) -> Nat:
         total += (ell + 2) * prod * tc(k + ell + 1, k - 1)
         factor = (1 + Fraction(k, ell + 1)) * (2 * ell + 3 * k - 1)
         prod *= factor
-    assert total.denominator == 1, (k, m, total)
-    return int(total)
+    return exact_int(total, where=("tc_chain", k, m))
 
 
 def tc_closed(n: int, k: int) -> Nat:
@@ -127,9 +114,7 @@ def tc_closed(n: int, k: int) -> Nat:
     acc = Fraction(0)
     for i in range(k + 1):
         acc += binomial(k, i) * double_factorial(2 * n + 2 * k - i - 3) * closed_forms.delta(i)
-    acc *= binomial(n, k)
-    assert acc.denominator == 1, (n, k, acc)
-    return int(acc)
+    return exact_int(acc * binomial(n, k), where=("tc_closed", n, k))
 
 
 def tc_asym_log(n: int, k: int) -> float:

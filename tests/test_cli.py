@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from youngwalls import cli
+from youngwalls import cli, tree_child
+from youngwalls.exact_arith import NotIntegralError
 
 from conftest import TABLE_A, TABLE_B
 
@@ -98,29 +99,32 @@ def test_k_and_diag_conflict():
     assert code == 2
 
 
-def test_cache_round_trip(tmp_path):
-    args = ("table", "--seq", "a", "--nmax", "5", "--cache-dir", str(tmp_path))
-    code1, text1 = run_cli(*args)
-    cache_file = tmp_path / "a-n5.json"
-    assert code1 == 0 and cache_file.exists()
-    code2, text2 = run_cli(*args)
-    assert code2 == 0 and text2 == text1
-    # the second run really came from the file: poison it and re-run
-    doc = json.loads(cache_file.read_text())
-    doc["cells"][0][-1] = "999"
-    cache_file.write_text(json.dumps(doc))
-    _, poisoned = run_cli(*args)
-    assert poisoned.splitlines()[0] == "999"
+def test_cache_dir_is_unknown_flag(tmp_path):
+    code, _ = run_cli("table", "--seq", "a", "--nmax", "5", "--cache-dir", str(tmp_path))
+    assert code == 2
 
 
-def test_cache_env_var_wins(tmp_path, monkeypatch):
-    env_dir = tmp_path / "env"
-    flag_dir = tmp_path / "flag"
-    monkeypatch.setenv("WALLS_CACHE_DIR", str(env_dir))
-    code, _ = run_cli("table", "--seq", "b", "--nmax", "3", "--cache-dir", str(flag_dir))
+def test_table_prints_integers_past_the_digit_limit():
+    before = sys.get_int_max_str_digits()
+    code, text = run_cli("table", "--seq", "tc", "--nmax", "1500", "--k", "2", "--format", "bfile")
     assert code == 0
-    assert (env_dir / "b-n3.json").exists()
-    assert not flag_dir.exists()
+    assert sys.get_int_max_str_digits() == before
+    lines = text.splitlines()
+    assert len(lines) == 1498
+    sys.set_int_max_str_digits(0)
+    try:
+        for line in (lines[0], lines[1], lines[700], lines[-1]):
+            n, value = map(int, line.split())
+            assert value == tree_child.tc_closed(n, 2), n
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_table_omega_deep_column():
+    code, text = run_cli("table", "--seq", "omega", "--nmax", "1200", "--mmax", "0", "--kmax", "0")
+    assert code == 0
+    # omega(n, 0, 0) = b3_hook(n, 0) = 1
+    assert text.splitlines() == [f"{n},0,0,1" for n in range(1201)]
 
 
 def test_series_recurrence_route():
@@ -231,6 +235,36 @@ def test_unknown_command_is_usage_error():
 def test_missing_required_flag_is_usage_error():
     code, _ = run_cli("table", "--nmax", "3")
     assert code == 2
+
+
+def test_not_integral_maps_to_exit_1(monkeypatch, capsys):
+    def broken(n, k):
+        raise NotIntegralError("value at ('b_cor_rec', 0, 0) is not an integer")
+
+    monkeypatch.setattr(cli.wall_tables, "b_cor_rec", broken)
+    code, _ = run_cli("verify", "--check", "cor-rec")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_invariants_checked_under_optimize():
+    snippet = (
+        "from fractions import Fraction\n"
+        "from youngwalls.exact_arith import NotIntegralError, exact_int\n"
+        "try:\n"
+        "    exact_int(Fraction(1, 2))\n"
+        "except NotIntegralError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", snippet], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "raised\n"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "youngwalls.cli", "verify", "--check", "cor-rec"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "cor-rec: PASS (n <= 20)\n"
 
 
 def test_console_entry_point_runs():

@@ -36,6 +36,11 @@ def test_six_routes_agree():
                 assert tcn.tc_chain(k, n - k - 1) == want, ("chain", n, k)
 
 
+def test_self_contained_routes_deep_column():
+    # depth 1500 raised RecursionError when the routes recursed
+    assert tcn.tc_rec(1500, 2) == tcn.tc_sum(1500, 2) == tcn.tc(1500, 2)
+
+
 def test_zero_reticulations_is_double_factorial():
     # binary trees: (2n-3)!! labelled topologies
     for n in range(2, 16):

@@ -133,7 +133,22 @@ def test_table_values_are_stable():
 
 def test_memo_handles_sparse_far_request():
     table = wt.CountTable2()
-    # beyond the dense threshold: exercises the dict fallback
+    # a far row first: the fill stops at column 1, then reads are plain indexing
     far = table.value(600, 1)
     assert far == table.value(600, 0) + (2 * 600 + 1 - 1) * table.value(599, 1)
     assert far == table.value(600, 1)
+
+
+def test_cells_asked_out_of_order():
+    table = wt.CountTable2()
+    # a far column first (grows n), then a larger k at small n (widens the
+    # filled rows), then the whole reference triangle
+    assert table.value(40, 1) == wt.a_rec(40, 1)
+    assert table.value(5, 4) == TABLE_A[5][4]
+    for n, row in TABLE_A.items():
+        assert [table.value(n, k) for k in range(n + 1)] == row
+
+
+def test_b_cor_rec_deep_column():
+    # depth 1500 raised RecursionError when the route recursed
+    assert 2**1498 * wt.a_rec(1500, 2) == factorial(1499) * wt.b_cor_rec(1500, 2)
