@@ -1,7 +1,9 @@
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,9 @@ def run_cli(*argv):
 
 def grid_csv(table):
     return "".join(",".join(str(v) for v in table[n]) + "\n" for n in sorted(table))
+
+
+TABLE_SEQS = ("a", "b", "b3", "omega", "tc", "f", "ftilde", "u")
 
 
 def test_table_a_matches_reference():
@@ -168,6 +173,69 @@ def test_verify_unknown_check():
     assert code == 2
 
 
+@pytest.mark.parametrize("name", sorted(cli.CHECKS))
+def test_registry_identity_holds(name):
+    ok, detail = cli.CHECKS[name].run()
+    assert ok, detail
+
+
+def test_check_stops_at_first_failing_cell():
+    visited = []
+
+    def holds(n, k):
+        visited.append((n, k))
+        return (n, k) != (2, 1)
+
+    check = cli.Check("fails once", {"nmax": 4}, "n <= {nmax}", cli._triangle, holds)
+    assert check.run() == (False, "fails at (2, 1)")
+    assert visited == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
+    assert check.run(nmax=1, kmax=7) == (True, "n <= 1")
+    assert check.run(nmax=None) == (False, "fails at (2, 1)")
+    one_index = cli.Check("fails at 5", {"top": 9}, "i <= {top}", cli._upto, lambda i: i != 5)
+    assert one_index.run() == (False, "fails at (5)")
+    assert one_index.run(top=4) == (True, "i <= 4")
+
+
+def test_verify_reports_the_first_failing_cell(monkeypatch):
+    a_alt = cli.wall_tables.a_alt
+    monkeypatch.setattr(cli.wall_tables, "a_alt", lambda n, k: a_alt(n, k) + ((n, k) == (3, 2)))
+    code, text = run_cli("verify", "--check", "a-alt")
+    assert code == 1
+    assert text == "a-alt: FAIL (fails at (3, 2))\n"
+    code, text = run_cli("verify", "--check", "all", "--nmax", "6", "--kmax", "3", "--order", "8")
+    assert code == 1
+    lines = text.splitlines()
+    assert [line.split(":")[0] for line in lines] == sorted(cli.CHECKS)
+    assert [line for line in lines if ": PASS (" not in line] == ["a-alt: FAIL (fails at (3, 2))"]
+
+
+# every count or bound flag, by command: a valid argv and the flags to make negative
+NEGATIVE_BOUNDS = {
+    **{
+        seq: (["table", "--seq", seq, "--nmax", "3"], ("--nmax", "--kmax", "--mmax", "--k"))
+        for seq in TABLE_SEQS
+    },
+    "verify": (["verify", "--check", "a-alt"], ("--nmax", "--kmax", "--order")),
+    "series": (["series", "--dk", "1", "--order", "3"], ("--dk", "--order")),
+    "oracle": (
+        ["oracle", "--seq", "b3", "--n", "3", "--m", "2", "--k", "1"],
+        ("--n", "--m", "--k"),
+    ),
+    "asym": (["asym", "--n", "5", "--k", "1"], ("--n", "--k")),
+    "crosscheck": (["crosscheck", "--map", "b-k0", "--offline"], ("--nmax",)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_BOUNDS))
+def test_negative_bound_is_usage_error(command, capsys):
+    base, flags = NEGATIVE_BOUNDS[command]
+    assert run_cli(*base)[0] == 0
+    capsys.readouterr()
+    for flag in flags:
+        assert run_cli(*base, flag, "-1") == (2, ""), flag
+        assert f"argument {flag}: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+
+
 def test_verify_all_lists_every_registered_check():
     code, text = run_cli(
         "verify", "--check", "all", "--nmax", "6", "--kmax", "3", "--order", "8"
@@ -177,6 +245,15 @@ def test_verify_all_lists_every_registered_check():
     assert len(lines) == len(cli.CHECKS)
     assert all(": PASS (" in line for line in lines)
     assert [line.split(":")[0] for line in lines] == sorted(cli.CHECKS)
+
+
+def test_readme_lists_every_registered_check():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### `verify`", 1)[1].split("\n### ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(names) == sorted(cli.CHECKS)
+    assert len(names) == len(set(names))
 
 
 def test_oracle_agreement():
@@ -258,13 +335,15 @@ def test_invariants_checked_under_optimize():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", snippet], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == "raised\n"
+    # every exact_int route of the registry, with asserts stripped
+    argv = ["verify", "--check", "all", "--nmax", "6", "--kmax", "3", "--order", "8"]
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "youngwalls.cli", "verify", "--check", "cor-rec"],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-O", "-m", "youngwalls.cli", *argv], capture_output=True, text=True
     )
-    assert proc.returncode == 0
-    assert proc.stdout == "cor-rec: PASS (n <= 20)\n"
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == sorted(cli.CHECKS)
+    assert all(": PASS (" in line for line in lines)
 
 
 def test_console_entry_point_runs():

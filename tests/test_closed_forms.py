@@ -18,15 +18,6 @@ def test_gamma_first_values():
         cf.gamma(-1)
 
 
-def test_gamma_defining_sum_vanishes():
-    for k in range(1, 41):
-        acc = sum(
-            cf.gamma(k - i) * Fraction(double_factorial(3 * k + i - 3), factorial(i))
-            for i in range(k + 1)
-        )
-        assert acc == 0, k
-
-
 def test_delta_values():
     assert [cf.delta(j) for j in range(4)] == [
         Fraction(1),
@@ -37,17 +28,9 @@ def test_delta_values():
 
 
 def test_a_closed_matches_recurrence():
-    for n in range(26):
-        for k in range(n + 1):
-            assert cf.a_closed(n, k) == wt.a_rec(n, k)
+    # the agreement with a_rec is the registry check closed-a
     with pytest.raises(ValueError):
         cf.a_closed(3, 4)
-
-
-def test_b_closed_matches_recurrence():
-    for n in range(26):
-        for k in range(n + 1):
-            assert cf.b_closed(n, k) == wt.b(n, k)
 
 
 def test_a_diag():
@@ -133,8 +116,6 @@ def test_omega_init_values_and_vanishing():
     assert cf.omega_init(1, 1) == 1
     assert cf.omega_init(2, 1) == 7
     assert cf.omega_init(3, 0) == 5
-    for k in range(1, 9):
-        assert cf.omega_init(k - 1, k) == 0
     with pytest.raises(ValueError):
         cf.omega_init(1, 3)
     with pytest.raises(ValueError):
@@ -152,10 +133,7 @@ def test_alpha_fixtures_and_domain():
 
 
 def test_lemma28_sum_vanishes():
-    for n in range(1, 9):
-        for k in range(1, 6):
-            for s in range(1, n + 1):
-                assert cf.lemma28_rhs(n, k, s, wt.omega) == 0, (n, k, s)
+    # the vanishing itself is the registry check lemma28
     with pytest.raises(ValueError):
         cf.lemma28_rhs(3, 2, 4, wt.omega)
 
@@ -173,9 +151,6 @@ def test_lemma28_single_step_expansion():
 
 
 def test_lemma29_identity():
-    for n in range(1, 9):
-        for k in range(1, 7):
-            for i in range(k + 1):
-                assert cf.lemma29_check(n, k, i), (n, k, i)
+    # the identity itself is the registry check lemma29
     with pytest.raises(ValueError):
         cf.lemma29_check(1, 0, 0)

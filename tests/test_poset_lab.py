@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from youngwalls import poset_lab as pl
 from youngwalls import wall_tables as wt
-from youngwalls.exact_arith import binomial, double_factorial, factorial
+from youngwalls.exact_arith import binomial, factorial
 
 
 def test_poset_validation():
@@ -93,17 +93,6 @@ def test_f_family_three_ways():
             assert brute == pl.f_closed(n, k) == pl.f_sum(n, k), (n, k)
 
 
-def test_f_recurrence_and_gf():
-    for n in range(1, 13):
-        for k in range(1, n + 1):
-            assert pl.f_closed(n, k) == pl.f_closed(n - 1, k) + (n + k - 1) * pl.f_closed(
-                n - 1, k - 1
-            )
-    for k in range(7):
-        for n in range(13):
-            assert pl.f_closed(n, k) == double_factorial(2 * k - 1) * binomial(n + k, 2 * k)
-
-
 def test_ftilde_family():
     assert pl.forest_hook_count(pl.build_Ftilde(2, [1])) == 6
     assert pl.ftilde(2, 1) == 18
@@ -140,12 +129,6 @@ def test_u_family_sums_to_transform():
             assert brute == pl.u_from_b(n, k), (n, k)
 
 
-def test_transforms_round_trip():
-    for n in range(9):
-        for k in range(n + 1):
-            assert pl.b_from_u(n, k) == wt.b(n, k), (n, k)
-
-
 def test_r_family_brute_matches_formula():
     for n in range(1, 5):
         for k in range(n + 1):
@@ -177,9 +160,7 @@ def test_decomposition_reproduces_b():
 
 
 def test_monster_recurrence():
-    for n in range(1, 13):
-        for k in range(n + 1):
-            assert pl.b_monster(n, k) == wt.b(n, k), (n, k)
+    # the agreement with b is the registry check monster
     with pytest.raises(ValueError):
         pl.b_monster(0, 0)
 
