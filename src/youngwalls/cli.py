@@ -12,9 +12,9 @@ Subcommands:
 * ``asym``       asymptotic estimate vs exact value, log-space error
 
 Exit codes: 0 success, 1 a verification or comparison failed (or a value
-that an identity makes integral came out otherwise), 2 usage error, 3
-capacity exceeded.  Integers in JSON are decimal strings so no consumer
-ever rounds them.
+that an identity makes integral came out otherwise), 2 usage error (also a
+``verify`` check whose bounds select no cell), 3 capacity exceeded.
+Integers in JSON are decimal strings so no consumer ever rounds them.
 """
 
 from __future__ import annotations
@@ -270,14 +270,20 @@ class Check:
     cells: Callable[..., Iterable[tuple[int, ...]]]
     holds: Callable[..., bool]
 
-    def run(self, **overrides: int | None) -> tuple[bool, str]:
-        """Visit the cells in order and stop at the first that fails."""
+    def run(self, **overrides: int | None) -> tuple[bool | None, str]:
+        """Visit the cells in order and stop at the first that fails.
+
+        Returns (False, "fails at (cell)") at the first failing cell, else
+        (True, domain), or (None, domain) when the domain holds no cell.
+        """
         bounds = dict(self.bounds)
         bounds.update((b, v) for b, v in overrides.items() if b in bounds and v is not None)
+        visited = 0
         for cell in self.cells(**bounds):
             if not self.holds(*cell):
                 return False, f"fails at ({', '.join(map(str, cell))})"
-        return True, self.domain.format(**bounds)
+            visited += 1
+        return (True if visited else None), self.domain.format(**bounds)
 
 
 def _upto(top: int, start: int = 0) -> Iterator[tuple[int]]:
@@ -491,13 +497,16 @@ def run_verify(args: argparse.Namespace, out: TextIO) -> int:
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise _Usage(f"unknown check {unknown[0]!r}; choose from {sorted(CHECKS)} or 'all'")
-    failed = 0
+    statuses = set()
     for name in names:
         ok, detail = CHECKS[name].run(nmax=args.nmax, kmax=args.kmax, order=args.order)
-        status = "PASS" if ok else "FAIL"
+        status = {True: "PASS", False: "FAIL", None: "EMPTY"}[ok]
         print(f"{name}: {status} ({detail})", file=out)
-        failed += not ok
-    return EXIT_OK if failed == 0 else EXIT_FAIL
+        statuses.add(status)
+    if "FAIL" in statuses:
+        return EXIT_FAIL
+    # a check whose bounds select no cell proved nothing
+    return EXIT_USAGE if "EMPTY" in statuses else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ Design notes that the individual docstrings lean on:
 * (1 - 4t)^(-alpha) is generated by the coefficient recurrence
   c_0 = 1, c_{n+1} = c_n * 4 (alpha + n) / (n + 1), which keeps half-integer
   exponents exact and radical-free.
+* Coefficients are stored as given, ints or Fractions, never converted.
+  The kernel chain and the table route therefore run in Z (every kernel
+  step multiplies by integers, subtracts or shifts, and each division by t
+  is checked exact), while the closed route runs in Q through
+  neg_pow_series.  Fraction(n) == n and str(Fraction(n)) == str(n), so
+  comparisons and printed text do not depend on the ring.
 """
 
 from __future__ import annotations
@@ -29,10 +35,6 @@ from .exact_arith import ExactRational, binomial, factorial
 Coeff = int | Fraction
 
 
-def _frac(v: Coeff) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
 @dataclass(frozen=True)
 class TSeries:
     """Univariate truncated series in t with exact coefficients.
@@ -42,13 +44,13 @@ class TSeries:
     series truncated to the shorter operand.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Coeff, ...]
 
     @staticmethod
     def make(values, order: int | None = None) -> "TSeries":
-        cs = [_frac(v) for v in values]
+        cs = list(values)
         if order is not None:
-            cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
+            cs = cs[: order + 1] + [0] * (order + 1 - len(cs))
         if not cs:
             raise ValueError("a series needs at least the constant term")
         return TSeries(tuple(cs))
@@ -76,13 +78,12 @@ class TSeries:
         return TSeries(tuple(-c for c in self.coeffs))
 
     def scale(self, c: Coeff) -> "TSeries":
-        f = _frac(c)
-        return TSeries(tuple(f * x for x in self.coeffs))
+        return TSeries(tuple(c * x for x in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, TSeries):
             n = min(self.order, other.order)
-            out = [Fraction(0)] * (n + 1)
+            out = [0] * (n + 1)
             for i, a in enumerate(self.coeffs[: n + 1]):
                 if not a:
                     continue
@@ -105,8 +106,8 @@ class TSeries:
             raise ValueError("shift_up needs j >= 0")
         n = len(self.coeffs)
         if j >= n:
-            return TSeries((Fraction(0),) * n)
-        return TSeries((Fraction(0),) * j + self.coeffs[: n - j])
+            return TSeries((0,) * n)
+        return TSeries((0,) * j + self.coeffs[: n - j])
 
     def divide_t(self, j: int = 1) -> "TSeries":
         """Divide by t^j.  The j lowest coefficients must vanish; the top of
@@ -116,7 +117,7 @@ class TSeries:
         if any(self.coeffs[:j]):
             raise ValueError(f"series not divisible by t^{j}")
         pad = min(j, len(self.coeffs))
-        return TSeries(self.coeffs[j:] + (Fraction(0),) * pad)
+        return TSeries(self.coeffs[j:] + (0,) * pad)
 
     def compose(self, inner: "TSeries") -> "TSeries":
         """Substitute a series with zero constant term for t (Horner scheme)."""
@@ -147,18 +148,18 @@ class XTSeries:
     (j, n) = (n' - m, m) holds b3(n', m, k).
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[Coeff, ...], ...]
 
     @staticmethod
     def make(rows, x_order: int | None = None, t_order: int | None = None) -> "XTSeries":
-        rs = [[_frac(v) for v in row] for row in rows]
+        rs = [list(row) for row in rows]
         if x_order is None:
             x_order = len(rs) - 1
         if t_order is None:
             t_order = max((len(r) for r in rs), default=1) - 1
         rs = rs[: x_order + 1] + [[] for _ in range(x_order + 1 - len(rs))]
         full = tuple(
-            tuple((r[: t_order + 1] + [Fraction(0)] * (t_order + 1 - len(r)))) for r in rs
+            tuple((r[: t_order + 1] + [0] * (t_order + 1 - len(r)))) for r in rs
         )
         return XTSeries(full)
 
@@ -178,7 +179,7 @@ class XTSeries:
     def t_order(self) -> int:
         return len(self.rows[0]) - 1
 
-    def entry(self, j: int, n: int) -> Fraction:
+    def entry(self, j: int, n: int) -> Coeff:
         return self.rows[j][n]
 
     def slice_x(self, j: int) -> TSeries:
@@ -199,8 +200,7 @@ class XTSeries:
         return self + other.scale(-1)
 
     def scale(self, c: Coeff) -> "XTSeries":
-        f = _frac(c)
-        return XTSeries(tuple(tuple(f * v for v in row) for row in self.rows))
+        return XTSeries(tuple(tuple(c * v for v in row) for row in self.rows))
 
     def t_derivative(self) -> "XTSeries":
         """Entrywise Euler operator t d/dt in the t variable."""
@@ -208,7 +208,7 @@ class XTSeries:
 
     def mul_x(self, j: int = 1) -> "XTSeries":
         """Multiply by x^j, keeping the rectangle (top rows fall off)."""
-        pad = tuple((Fraction(0),) * (self.t_order + 1) for _ in range(j))
+        pad = tuple((0,) * (self.t_order + 1) for _ in range(j))
         return XTSeries((pad + self.rows)[: self.x_order + 1])
 
     def mul_t(self, n: int = 1) -> "XTSeries":
@@ -251,7 +251,7 @@ def x2_series(order: int) -> TSeries:
 
 def neg_pow_series(alpha: Coeff, order: int) -> TSeries:
     """(1 - 4t)^(-alpha) for rational (possibly half-integer) alpha."""
-    a = _frac(alpha)
+    a = Fraction(alpha)
     cs = [Fraction(1)]
     for n in range(order):
         cs.append(cs[-1] * 4 * (a + n) / (n + 1))
@@ -349,7 +349,7 @@ def bk_solve(f_k: XTSeries, d_k: TSeries) -> XTSeries:
     working order W, slice j of the result is exact to t-order W - j.
     """
     t_order = min(f_k.t_order, d_k.order)
-    rows: list[tuple[Fraction, ...]] = [d_k.truncate(t_order).coeffs]
+    rows: list[tuple[Coeff, ...]] = [d_k.truncate(t_order).coeffs]
     zero = TSeries.zero(t_order)
     for j in range(1, f_k.x_order + 1):
         prev = TSeries(rows[j - 1])

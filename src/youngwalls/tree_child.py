@@ -71,12 +71,24 @@ def tc_sum(n: int, k: int) -> Nat:
 def _tc_sum_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
     if n == 1 and not row:
         row.append(1)
-    for k in range(len(row), min(n - 1, width) + 1):
+    start, top = len(row), min(n - 1, width)
+    if start > top:
+        return
+    # fact[v - low] = v! for the arguments the row needs, low <= v <= n
+    low = n - 1 - top
+    fact = [factorial(low)]
+    for v in range(low + 1, n + 1):
+        fact.append(fact[-1] * v)
+
+    def term(i: int) -> int:
+        return n * (2 * n + i - 3) * fact[n - 1 - i - low] * prev[i]
+
+    rhs = sum(term(i) for i in range(start))
+    for k in range(start, top + 1):
         # tc(n-1, i) vanishes at i = n-1, so the sum stops at n-2
-        rhs = sum(
-            n * (2 * n + i - 3) * factorial(n - 1 - i) * prev[i] for i in range(min(k, n - 2) + 1)
-        )
-        row.append(exact_int(rhs, factorial(n - k), ("tc_sum", n, k)))
+        if k <= n - 2:
+            rhs += term(k)
+        row.append(exact_int(rhs, fact[n - k - low], ("tc_sum", n, k)))
 
 
 _TC_SUM = _RowTable(_tc_sum_row)
@@ -87,19 +99,20 @@ def tc_chain(k: int, m: int) -> Nat:
 
         sum_{l=0}^{m} (l+2) [prod_{i=l+1}^{m} (1 + k/(i+1)) (2i+3k-1)] tc(k+l+1, k-1)
 
-    where the lower-level values come from the normative route.  The
-    rational product is checked integral at the end.
+    where the lower-level values come from the normative route.  The sum
+    runs in integers over the common denominator (m+1)!, with
+    prod (1 + k/(i+1)) = prod (i+1+k) * (l+1)!/(m+1)!, and is checked
+    divisible at the end.
     """
     if k < 1 or m < 0:
         raise ValueError(f"need k >= 1 and m >= 0, got ({k}, {m})")
-    total = Fraction(0)
-    prod = Fraction(1)
+    total = 0
+    num = 1
     # walk l downward so the product over i = l+1..m grows one factor at a time
     for ell in range(m, -1, -1):
-        total += (ell + 2) * prod * tc(k + ell + 1, k - 1)
-        factor = (1 + Fraction(k, ell + 1)) * (2 * ell + 3 * k - 1)
-        prod *= factor
-    return exact_int(total, where=("tc_chain", k, m))
+        total += (ell + 2) * num * factorial(ell + 1) * tc(k + ell + 1, k - 1)
+        num *= (ell + 1 + k) * (2 * ell + 3 * k - 1)
+    return exact_int(total, factorial(m + 1), ("tc_chain", k, m))
 
 
 def tc_closed(n: int, k: int) -> Nat:

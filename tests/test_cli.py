@@ -247,6 +247,22 @@ def test_verify_all_lists_every_registered_check():
     assert [line.split(":")[0] for line in lines] == sorted(cli.CHECKS)
 
 
+def test_verify_zero_cell_domain_is_empty_not_pass(monkeypatch):
+    code, text = run_cli("verify", "--check", "tc-routes", "--nmax", "0")
+    assert (code, text) == (2, "tc-routes: EMPTY (n <= 0, six routes)\n")
+    code, text = run_cli("verify", "--check", "all", "--nmax", "0")
+    assert code == 2
+    lines = text.splitlines()
+    assert [line.split(":")[0] for line in lines] == sorted(cli.CHECKS)
+    empty = [line.split(":")[0] for line in lines if ": EMPTY (" in line]
+    assert empty == ["b12", "f-rec", "lemma28", "lemma29", "monster", "tc-dfact", "tc-routes"]
+    assert all(": PASS (" in line for line in lines if line.split(":")[0] not in empty)
+    # a failure outranks an empty domain
+    a_alt = cli.wall_tables.a_alt
+    monkeypatch.setattr(cli.wall_tables, "a_alt", lambda n, k: a_alt(n, k) + 1)
+    assert run_cli("verify", "--check", "all", "--nmax", "0")[0] == 1
+
+
 def test_readme_lists_every_registered_check():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("### `verify`", 1)[1].split("\n### ", 1)[0]

@@ -37,6 +37,8 @@ def test_divide_t_requires_divisibility():
     assert s.divide_t(2).coeffs == (3, 4, 0, 0)
     with pytest.raises(ValueError):
         series([1, 2]).divide_t()
+    with pytest.raises(ValueError):
+        series([0, 3, 4]).divide_t(2)
 
 
 def test_shift_up_keeps_order():
@@ -58,9 +60,14 @@ def test_compose_needs_zero_constant_term():
         outer.compose(series([1, 1], order=6))
 
 
-small_series = st.lists(
-    st.integers(min_value=-9, max_value=9), min_size=1, max_size=6
-).map(lambda v: series(v, order=5))
+def series_of(coefficients):
+    return st.lists(coefficients, min_size=1, max_size=6).map(lambda v: series(v, order=5))
+
+
+# int-only series (the kernel chain's ring) and rational ones (the closed route's)
+small_series = series_of(st.integers(min_value=-9, max_value=9)) | series_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=6)
+)
 
 
 @settings(max_examples=60)
@@ -90,6 +97,14 @@ def test_dk_closed_reduces_at_k1():
     assert lhs == rhs
 
 
+def test_dk_closed_is_rational_and_matches_kernel():
+    for k in range(1, 5):
+        closed = se.dk_closed(k, 12)
+        # below t^(k-1) sit the zeros that shift_up pads in
+        assert all(type(c) is Fraction for c in closed.coeffs[k - 1 :])
+        assert closed == se.dk_kernel(k, 12)
+
+
 def test_dk_closed_rejects_zero():
     with pytest.raises(ValueError):
         se.dk_closed(0, 5)
@@ -99,6 +114,19 @@ def test_dk_kernel_examples():
     assert [int(c) for c in se.dk_kernel(2, 5).coeffs] == [0, 0, 7, 106, 1010, 7740]
     with pytest.raises(ValueError):
         se.dk_kernel(0, 5)
+
+
+def test_kernel_chain_stays_in_integers():
+    for k in range(7):
+        f, d, b = se.kernel_chain(k, 16)
+        assert all(type(c) is int for c in d.coeffs)
+        assert all(type(c) is int for xt in (f, b) for row in xt.rows for c in row)
+
+
+def test_int_and_fraction_coefficients_compare_and_print_alike():
+    ints, fracs = series([1, 2]), series([Fraction(1), Fraction(2)])
+    assert ints == fracs
+    assert ints.to_text() == fracs.to_text() == "1 2"
 
 
 def test_fk_next_entrywise_rule():
@@ -112,6 +140,7 @@ def test_fk_next_entrywise_rule():
 def test_bk_solve_checks_divisibility():
     bad_f = se.XTSeries.make([[0, 0], [1, 1]], 2, 1)  # forces a nonzero constant term
     d = se.catalan_series(1)
+    assert all(type(c) is int for row in bad_f.rows for c in row)
     with pytest.raises(ValueError):
         se.bk_solve(bad_f, d)
 
