@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +61,8 @@ def _table_cells(args: argparse.Namespace) -> list[Cell]:
     }
 
     if seq in two_index:
+        if seq == "tc" and args.diag:
+            raise _Usage("tc has no diagonal: its domain is k <= n-1")
         fn = two_index[seq]
         cells: list[Cell] = []
         for n in range(1 if seq in ("ftilde", "tc") else 0, nmax + 1):
@@ -244,11 +247,24 @@ def run_crosscheck(args: argparse.Namespace, out: TextIO) -> int:
 # asym command
 
 
+def _sci_from_log(log_value: float) -> str:
+    """exp(log_value) in the %.6e shape, for values past the float range."""
+    exponent, frac = divmod(log_value / math.log(10), 1)
+    mantissa = f"{10**frac:.6f}"
+    if mantissa == "10.000000":
+        mantissa, exponent = "1.000000", exponent + 1
+    return f"{mantissa}e{int(exponent):+03d}"
+
+
 def run_asym(args: argparse.Namespace, out: TextIO) -> int:
     est = tree_child.tc_asym(args.n, args.k)
+    if math.isfinite(est):
+        shown = f"{est:.6e}"
+    else:  # the estimate overflows a double long before its log does
+        shown = _sci_from_log(tree_child.tc_asym_log(args.n, args.k))
     exact = tree_child.tc(args.n, args.k)
     rel = tree_child.tc_asym_rel_error(args.n, args.k)
-    print(f"estimate={est:.6e} exact={exact} rel_error={rel:.3e}", file=out)
+    print(f"estimate={shown} exact={exact} rel_error={rel:.3e}", file=out)
     return EXIT_OK
 
 

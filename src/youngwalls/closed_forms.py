@@ -10,12 +10,21 @@ before converting.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable
 
-from .exact_arith import ExactRational, Nat, binomial, double_factorial, exact_int, factorial
+from .exact_arith import (
+    ExactRational, Nat, binomial, double_factorial, double_factorials, exact_int, factorial
+)
 
-_GAMMA: list[Fraction] = [Fraction(1)]
+# Per-k rows over their least common denominator, as (numerators, denominator):
+# _GAMMA_ROWS[k] holds gamma_{k-i} / i! for i = 0..k (so gamma_k itself is
+# entry 0), _DELTA_ROWS[k] holds delta_i for i = 0..k.  Rows are tuples, so
+# no caller can alter a cached one.
+IntRow = tuple[tuple[int, ...], int]
+_GAMMA_ROWS: list[IntRow] = [((1,), 1)]
+_DELTA_ROWS: list[IntRow] = [((1,), 1)]
 
 
 def gamma(k: int) -> ExactRational:
@@ -23,17 +32,13 @@ def gamma(k: int) -> ExactRational:
 
     gamma_0 = 1 and for k >= 1
         gamma_k = -(1 / (3k-3)!!) * sum_{i=1}^{k} gamma_{k-i} / i! * (3k+i-3)!!
-    First values: 1, -1, 1/6, 17/48.
+    First values: 1, -1, 1/6, 17/48.  The sum is solved in integers, over
+    the common denominator of its weights (see _gamma_row).
     """
     if k < 0:
         raise ValueError(f"gamma undefined for {k}")
-    while len(_GAMMA) <= k:
-        j = len(_GAMMA)
-        acc = Fraction(0)
-        for i in range(1, j + 1):
-            acc += _GAMMA[j - i] * Fraction(double_factorial(3 * j + i - 3), factorial(i))
-        _GAMMA.append(-acc / double_factorial(3 * j - 3))
-    return _GAMMA[k]
+    nums, den = _gamma_row(k)
+    return Fraction(nums[0], den)
 
 
 def delta(j: int) -> ExactRational:
@@ -42,15 +47,59 @@ def delta(j: int) -> ExactRational:
     return factorial(j) * gamma(j)
 
 
+def _gamma_row(k: int) -> IntRow:
+    """gamma_{k-i} / i! for i = 0..k as integer numerators over their least
+    common denominator.
+
+    Row j is built from row j-1: for i >= 1 its entry i is entry i-1 of row
+    j-1 divided by i, and those entries fix gamma_j, its entry 0.
+    """
+    while len(_GAMMA_ROWS) <= k:
+        j = len(_GAMMA_ROWS)
+        prev, den = _GAMMA_ROWS[-1]
+        # entries i >= 1 over den * lcm(1..j), then all over a further (3j-3)!!
+        scale = math.lcm(*range(1, j + 1))
+        tail = [c * (scale // i) for i, c in enumerate(prev, 1)]
+        inv = double_factorial(3 * j - 3)
+        head = -sum(c * d for c, d in zip(tail, double_factorials(3 * j - 2, 4 * j - 3)))
+        nums = [head, *(c * inv for c in tail)]
+        den *= scale * inv
+        least = math.gcd(den, *nums)
+        _GAMMA_ROWS.append((tuple(c // least for c in nums), den // least))
+    return _GAMMA_ROWS[k]
+
+
+def delta_row(k: int) -> IntRow:
+    """delta_0..delta_k as integer numerators N_i over D_k = lcm of their
+    denominators, so delta_i = N_i / D_k."""
+    while len(_DELTA_ROWS) <= k:
+        d = delta(len(_DELTA_ROWS))
+        prev, den = _DELTA_ROWS[-1]
+        common = math.lcm(den, d.denominator)
+        nums = (*(c * (common // den) for c in prev), d.numerator * (common // d.denominator))
+        _DELTA_ROWS.append((nums, common))
+    return _DELTA_ROWS[k]
+
+
+def _gamma_dfact_sum(m: int, k: int) -> tuple[int, int]:
+    """sum_{i=0}^{k} gamma_{k-i} / i! * (2m+k+i-1)!! as an integer numerator
+    and its denominator, that of _gamma_row(k); the quotient need not be
+    an integer."""
+    nums, den = _gamma_row(k)
+    dfact = double_factorials(2 * m + k - 1, 2 * m + 2 * k - 1)
+    return sum(c * d for c, d in zip(nums, dfact)), den
+
+
 def a_closed(n: int, k: int) -> Nat:
     """a(n, k) as a gamma-weighted sum of double factorials:
-    sum_{i=0}^{k} gamma_{k-i} / i! * (2n+k+i-1)!!."""
+    sum_{i=0}^{k} gamma_{k-i} / i! * (2n+k+i-1)!!.
+
+    The sum runs in integers over the common denominator of the weights
+    gamma_{k-i} / i!, and one exact_int checks that it divides the sum."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    acc = Fraction(0)
-    for i in range(k + 1):
-        acc += gamma(k - i) * Fraction(double_factorial(2 * n + k + i - 1), factorial(i))
-    return exact_int(acc, where=("a_closed", n, k))
+    acc, den = _gamma_dfact_sum(n, k)
+    return exact_int(acc, den, ("a_closed", n, k))
 
 
 def a_diag(n: int) -> Nat:
@@ -59,14 +108,15 @@ def a_diag(n: int) -> Nat:
 
 
 def b_closed(n: int, k: int) -> Nat:
-    """b(n, k) via the same gamma sum scaled by 2^(n-k) / (n-k+1)!."""
+    """b(n, k) via the same gamma sum scaled by 2^(n-k) / (n-k+1)!.
+
+    The scaled sum is one integer numerator over the common denominator of
+    the weights gamma_{k-i} / i! times (n-k+1)!, checked divisible by one
+    exact_int."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    scale = Fraction(2**(n - k), factorial(n - k + 1))
-    acc = Fraction(0)
-    for i in range(k + 1):
-        acc += gamma(k - i) * Fraction(double_factorial(2 * n + k + i - 1), factorial(i))
-    return exact_int(acc * scale, where=("b_closed", n, k))
+    acc, den = _gamma_dfact_sum(n, k)
+    return exact_int(acc << (n - k), den * factorial(n - k + 1), ("b_closed", n, k))
 
 
 def omega_init(m: int, k: int) -> ExactRational:
@@ -74,15 +124,14 @@ def omega_init(m: int, k: int) -> ExactRational:
     sum_{i=0}^{k} gamma_{k-i} / i! * 2^(m-k) / (m-k+1)! * (2m+k+i-1)!!.
 
     Vanishes identically at k = m + 1 (the gamma recursion is exactly the
-    statement that it does).
+    statement that it does).  The sum runs in integers; only the result is
+    a Fraction, over the common denominator of the weights gamma_{k-i} / i!
+    times 2 (m-k+1)!, which also covers k = m + 1.
     """
     if m < 0 or not 0 <= k <= m + 1:
         raise ValueError(f"need m >= 0 and 0 <= k <= m+1, got ({m}, {k})")
-    scale = Fraction(2)**(m - k) / factorial(m - k + 1)
-    acc = Fraction(0)
-    for i in range(k + 1):
-        acc += gamma(k - i) * Fraction(double_factorial(2 * m + k + i - 1), factorial(i))
-    return acc * scale
+    acc, den = _gamma_dfact_sum(m, k)
+    return Fraction(acc << (m - k + 1), 2 * den * factorial(m - k + 1))
 
 
 def alpha(s: int, p: int, q: int) -> ExactRational:

@@ -40,6 +40,15 @@ def double_factorial(m: int) -> Nat:
     return math.factorial(j) << j
 
 
+def double_factorials(low: int, high: int) -> list[Nat]:
+    """[low!!, (low+1)!!, ..., high!!] for -1 <= low <= high, each entry
+    past the first two taken from the one two places back."""
+    run = [double_factorial(v) for v in range(low, min(low + 2, high + 1))]
+    for v in range(low + 2, high + 1):
+        run.append(run[-2] * v)
+    return run
+
+
 def binomial(n: int, k: int) -> Nat:
     """Binomial coefficient, zero outside 0 <= k <= n.
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import wall_tables
@@ -386,28 +385,29 @@ def b_monster(n: int, k: int) -> Nat:
                   - sum_{j,s,m} (j+k-s) (n-j-m)! (k+2j-m-1)!
                     / (2^(k-s) (j-k+s)! (k-s)! j! (s-m)! (n-j-s)!) * b(n-j, m)
 
-    over 1 <= j <= n, 0 <= s <= k, 0 <= m <= s, where terms whose
-    (j-k+s)! or (n-j-s)! has a negative argument are dropped.
+    over 1 <= j <= n, max(k-j, 0) <= s <= min(k, n-j), 0 <= m <= s (the
+    other terms would need a factorial of a negative argument).
+
+    Each term times 2^(k-s) is an integer, (j+k-s) C(n-j-m, s-m) times
+    (k+2j-m-1)! / ((j-k+s)! (k-s)! j!), which is C(2j-1, j) at m = s = k;
+    exact_int checks every term, and the sum runs in integers over the
+    common denominator 2^k, checked divisible by one more exact_int.
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"need n >= 1 and 0 <= k <= n, got ({n}, {k})")
-    acc = Fraction(binomial(2 * n + k, n) * f_closed(n, k))
+    fact = [1]
+    for v in range(1, 2 * n + k):
+        fact.append(fact[-1] * v)
+    acc = binomial(2 * n + k, n) * f_closed(n, k) << k
     for j in range(1, n + 1):
-        for s in range(k + 1):
-            if j - k + s < 0 or n - j - s < 0:
-                continue
+        b_row = [wall_tables.b(n - j, m) for m in range(min(k, n - j) + 1)]
+        for s in range(max(k - j, 0), min(k, n - j) + 1):
+            outer = fact[j - k + s] * fact[k - s] * fact[j] * fact[n - j - s]
             for m in range(s + 1):
-                num = (j + k - s) * factorial(n - j - m) * factorial(k + 2 * j - m - 1)
-                den = (
-                    2 ** (k - s)
-                    * factorial(j - k + s)
-                    * factorial(k - s)
-                    * factorial(j)
-                    * factorial(s - m)
-                    * factorial(n - j - s)
-                )
-                acc -= Fraction(num, den) * wall_tables.b(n - j, m)
-    return exact_int(acc, where=("b_monster", n, k))
+                num = (j + k - s) * fact[n - j - m] * fact[k + 2 * j - m - 1]
+                term = exact_int(num, outer * fact[s - m], ("b_monster", n, k, j, s, m))
+                acc -= (term << s) * b_row[m]
+    return exact_int(acc, 1 << k, ("b_monster", n, k))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ long before the interesting range ends).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import closed_forms, wall_tables
-from .exact_arith import Nat, binomial, double_factorial, exact_int, factorial
+from .exact_arith import Nat, binomial, double_factorials, exact_int, factorial
 from .wall_tables import _RowTable
 
 
@@ -122,12 +121,17 @@ def tc_closed(n: int, k: int) -> Nat:
 
     with delta_0 = 1 and
         delta_i = -sum_{j=1}^{i} C(i, j) (3i+j-3)!!/(3i-3)!! delta_{i-j}.
+
+    The sum runs in integers over the common denominator D_k of
+    delta_0..delta_k (closed_forms.delta_row), and one exact_int checks
+    that D_k divides C(n, k) times it.
     """
     _check_domain(n, k)
-    acc = Fraction(0)
-    for i in range(k + 1):
-        acc += binomial(k, i) * double_factorial(2 * n + 2 * k - i - 3) * closed_forms.delta(i)
-    return exact_int(acc * binomial(n, k), where=("tc_closed", n, k))
+    nums, den = closed_forms.delta_row(k)
+    # dfact[k - i] = (2n+2k-i-3)!!
+    dfact = double_factorials(2 * n + k - 3, 2 * n + 2 * k - 3)
+    acc = sum(binomial(k, i) * dfact[k - i] * nums[i] for i in range(k + 1))
+    return exact_int(acc * binomial(n, k), den, ("tc_closed", n, k))
 
 
 def tc_asym_log(n: int, k: int) -> float:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from youngwalls import cli, tree_child
+from youngwalls import cli, closed_forms, tree_child
 from youngwalls.exact_arith import NotIntegralError
 
 from conftest import TABLE_A, TABLE_B
@@ -66,6 +67,14 @@ def test_table_tc_rows_stop_at_k_eq_n_minus_1():
     code, text = run_cli("table", "--seq", "tc", "--nmax", "3")
     assert code == 0
     assert text == "1\n1,2\n3,21,42\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json", "bfile"])
+def test_table_tc_diagonal_is_usage_error(fmt, capsys):
+    # the diagonal k = n lies outside tc's domain k <= n-1; it printed nothing
+    code, text = run_cli("table", "--seq", "tc", "--nmax", "5", "--diag", "--format", fmt)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: tc has no diagonal: its domain is k <= n-1\n"
 
 
 def test_table_json_values_are_decimal_strings():
@@ -320,6 +329,24 @@ def test_asym_output_shape():
     assert " exact=" in text and " rel_error=" in text
 
 
+def test_asym_estimate_stays_finite_past_double_overflow():
+    code, text = run_cli("asym", "--n", "2000", "--k", "3")
+    assert code == 0
+    fields = dict(field.split("=") for field in text.split())
+    assert fields["estimate"] == "9.635629e+6351"
+    exact = fields["exact"]
+    assert len(exact) == 6352 and exact.startswith("963562")
+    assert float(fields["rel_error"]) < 1e-8
+
+
+def test_asym_finite_estimate_uses_float_format():
+    est = tree_child.tc_asym(20, 1)
+    assert run_cli("asym", "--n", "20", "--k", "1")[1].startswith(f"estimate={est:.6e} ")
+    assert cli._sci_from_log(math.log(est)) == f"{est:.6e}"
+    assert cli._sci_from_log(math.log(9.9999999e20)) == "1.000000e+21"
+    assert cli._sci_from_log(math.log(3e-5)) == "3.000000e-05"
+
+
 def test_unknown_command_is_usage_error():
     code, _ = run_cli("frobnicate")
     assert code == 2
@@ -328,6 +355,33 @@ def test_unknown_command_is_usage_error():
 def test_missing_required_flag_is_usage_error():
     code, _ = run_cli("table", "--nmax", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "check, rows, row, entry, cell",
+    [("closed-a", "_GAMMA_ROWS", closed_forms._gamma_row, 0, "(2, 2)"),
+     ("tc-routes", "_DELTA_ROWS", closed_forms.delta_row, 1, "(3, 2)")],
+)
+def test_wrong_cached_weight_fails_the_check(monkeypatch, check, rows, row, entry, cell):
+    # a cache cut back to its seed row, restored by monkeypatch; one numerator
+    # of one row moves by its denominator, so the sum stays integral but wrong
+    monkeypatch.setattr(closed_forms, rows, getattr(closed_forms, rows)[:1])
+    nums, den = row(2)
+    wrong = list(nums)
+    wrong[entry] += den
+    getattr(closed_forms, rows)[2] = (tuple(wrong), den)
+    code, text = run_cli("verify", "--check", check)
+    assert (code, text) == (1, f"{check}: FAIL (fails at {cell})\n")
+
+
+def test_import_loads_no_network_modules():
+    # every cold request pays for an eager import; only an online crosscheck needs these
+    snippet = (
+        "import sys, youngwalls.cli\n"
+        "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_not_integral_maps_to_exit_1(monkeypatch, capsys):

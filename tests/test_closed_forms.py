@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from youngwalls import closed_forms as cf
 from youngwalls import wall_tables as wt
@@ -31,6 +32,48 @@ def test_a_closed_matches_recurrence():
     # the agreement with a_rec is the registry check closed-a
     with pytest.raises(ValueError):
         cf.a_closed(3, 4)
+
+
+def test_gamma_matches_the_fraction_recursion():
+    # the defining recursion summed term by term in Fractions, as a reference
+    ref = [Fraction(1)]
+    for j in range(1, 61):
+        acc = sum(
+            ref[j - i] * Fraction(double_factorial(3 * j + i - 3), factorial(i))
+            for i in range(1, j + 1)
+        )
+        ref.append(-acc / double_factorial(3 * j - 3))
+    assert [cf.gamma(k) for k in range(61)] == ref
+
+
+def test_integer_rows_restate_the_weights():
+    for k in range(12):
+        nums, den = cf._gamma_row(k)
+        assert isinstance(nums, tuple)
+        weights = [cf.gamma(k - i) / factorial(i) for i in range(k + 1)]
+        assert [Fraction(c, den) for c in nums] == weights
+        nums, den = cf.delta_row(k)
+        assert isinstance(nums, tuple)
+        assert [Fraction(c, den) for c in nums] == [cf.delta(i) for i in range(k + 1)]
+
+
+def test_closed_forms_far_row():
+    # beyond the closed-a and closed-b defaults (n <= 25)
+    n = 60
+    for k in range(n + 1):
+        assert cf.a_closed(n, k) == wt.a_rec(n, k), k
+        assert cf.b_closed(n, k) == wt.b(n, k), k
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=0, max_value=45))
+def test_closed_forms_at_domain_edges(n):
+    assert cf.a_closed(n, 0) == double_factorial(2 * n - 1)
+    assert cf.a_closed(n, n) == wt.a_rec(n, n)
+    assert cf.b_closed(n, 0) == factorial(2 * n) // (factorial(n) * factorial(n + 1))
+    assert cf.b_closed(n, n) == wt.b(n, n)
+    assert cf.omega_init(n, n + 1) == 0
+    assert cf.omega_init(n, 0) == Fraction(2**n * double_factorial(2 * n - 1), factorial(n + 1))
 
 
 def test_a_diag():

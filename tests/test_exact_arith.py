@@ -30,6 +30,12 @@ def test_double_factorial_splits_factorial(m):
     assert ea.double_factorial(m) * ea.double_factorial(m - 1) == ea.factorial(m)
 
 
+@given(st.integers(min_value=-1, max_value=60), st.integers(min_value=0, max_value=30))
+def test_double_factorial_run(low, length):
+    run = ea.double_factorials(low, low + length)
+    assert run == [ea.double_factorial(v) for v in range(low, low + length + 1)]
+
+
 def test_binomial_zero_extension():
     assert ea.binomial(5, -1) == 0
     assert ea.binomial(5, 6) == 0

@@ -160,9 +160,19 @@ def test_decomposition_reproduces_b():
 
 
 def test_monster_recurrence():
-    # the agreement with b is the registry check monster
+    # the agreement with b is the registry check monster (n <= 12)
     with pytest.raises(ValueError):
         pl.b_monster(0, 0)
+    for n in range(13, 25):
+        for k in range(n + 1):
+            assert pl.b_monster(n, k) == wt.b(n, k), (n, k)
+
+
+@settings(max_examples=20)
+@given(st.integers(min_value=1, max_value=30))
+def test_monster_at_domain_edges(n):
+    assert pl.b_monster(n, 0) == binomial(2 * n, n) // (n + 1)
+    assert pl.b_monster(n, n) == wt.b(n, n)
 
 
 def test_wallshape_validation():

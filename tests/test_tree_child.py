@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from youngwalls import tree_child as tcn
+from youngwalls.exact_arith import double_factorial
 
 from conftest import TC_SPOT
 
@@ -26,6 +27,20 @@ def test_spot_values():
 def test_self_contained_routes_deep_column():
     # depth 1500 raised RecursionError when the routes recursed
     assert tcn.tc_rec(1500, 2) == tcn.tc_sum(1500, 2) == tcn.tc(1500, 2)
+
+
+def test_closed_route_far_rows():
+    # beyond the tc-routes default (n <= 15)
+    for n in range(60, 81):
+        for k in range(n):
+            assert tcn.tc_closed(n, k) == tcn.tc(n, k), (n, k)
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=1, max_value=60))
+def test_closed_route_at_domain_edges(n):
+    assert tcn.tc_closed(n, 0) == double_factorial(2 * n - 3)
+    assert tcn.tc_closed(n, n - 1) == tcn.tc(n, n - 1)
 
 
 def test_chain_entry_points():
