@@ -7,8 +7,8 @@ Subcommands:
 * ``verify``     run named identity checks from a registry (``--check all``)
 * ``series``     print D_k coefficients by one of the three routes
 * ``oracle``     compare a recurrence value against brute-force enumeration
-* ``crosscheck`` compare a 1-D slice against an OEIS b-file (offline
-                 fixtures bundled; live fetch optional)
+* ``crosscheck`` compare a 1-D slice against an OEIS b-file (the bundled
+                 fixtures; nothing is fetched)
 * ``asym``       asymptotic estimate vs exact value, log-space error
 
 Exit codes: 0 success, 1 a verification or comparison failed (or a value
@@ -20,18 +20,16 @@ Integers in JSON are decimal strings so no consumer ever rounds them.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import partial
-from importlib import resources
 from itertools import groupby
-from typing import Callable, Iterable, Iterator, TextIO
 
 from . import closed_forms, poset_lab, series_engine, tree_child, wall_tables
 from .exact_arith import NotIntegralError, binomial, double_factorial, factorial
+from .record import Record
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -76,6 +74,8 @@ def _table_cells(args: argparse.Namespace) -> list[Cell]:
                 top = min(top, args.kmax)
             for k in range(top + 1):
                 cells.append(((n, k), fn(n, k)))
+        if sliced and not cells:
+            raise _Usage(f"no row of {seq} with n <= {nmax} reaches the slice")
         return cells
 
     if sliced:
@@ -102,9 +102,11 @@ def _table_cells(args: argparse.Namespace) -> list[Cell]:
     ]
 
 
-def _render_cells(args: argparse.Namespace, cells: list[Cell], out: TextIO) -> None:
+def _render_cells(args: argparse.Namespace, cells: list[Cell], out: "TextIO") -> None:
     fmt = args.format
     if fmt == "json":
+        import json  # only JSON output pays for the encoder
+
         doc = {
             "seq": args.seq,
             "cells": [[*idx, str(v)] for idx, v in cells],
@@ -127,7 +129,7 @@ def _render_cells(args: argparse.Namespace, cells: list[Cell], out: TextIO) -> N
         print(sep.join(str(i) for i in idx) + sep + str(v), file=out)
 
 
-def run_table(args: argparse.Namespace, out: TextIO) -> int:
+def run_table(args: argparse.Namespace, out: "TextIO") -> int:
     _render_cells(args, _table_cells(args), out)
     return EXIT_OK
 
@@ -136,7 +138,7 @@ def run_table(args: argparse.Namespace, out: TextIO) -> int:
 # series command
 
 
-def run_series(args: argparse.Namespace, out: TextIO) -> int:
+def run_series(args: argparse.Namespace, out: "TextIO") -> int:
     k, order = args.dk, args.order
     if args.method == "recurrence":
         s = series_engine.dk_from_table(k, order)
@@ -154,7 +156,7 @@ def run_series(args: argparse.Namespace, out: TextIO) -> int:
 # oracle command
 
 
-def run_oracle(args: argparse.Namespace, out: TextIO) -> int:
+def run_oracle(args: argparse.Namespace, out: "TextIO") -> int:
     seq, n, k, m = args.seq, args.n, args.k, args.m
     if seq == "a":
         brute, fast = poset_lab.a_brute(n, k), wall_tables.a_rec(n, k)
@@ -193,32 +195,19 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
 
 
 def _fixture_bfile(oeis_id: str) -> str:
+    from importlib import resources  # only crosscheck reads package data
+
     name = f"b{oeis_id[1:]}.txt"
     return (resources.files("youngwalls") / "oeis_fixtures" / name).read_text()
 
 
-def _fetch_bfile(oeis_id: str) -> str:
-    import urllib.request  # only the online crosscheck pays for http and ssl
-
-    url = f"https://oeis.org/{oeis_id}/b{oeis_id[1:]}.txt"
-    with urllib.request.urlopen(url, timeout=10) as resp:
-        return resp.read().decode()
-
-
-def run_crosscheck(args: argparse.Namespace, out: TextIO) -> int:
+def run_crosscheck(args: argparse.Namespace, out: "TextIO") -> int:
     if args.map not in OEIS_MAPS:
         raise _Usage(f"unknown map {args.map!r}; choose from {sorted(OEIS_MAPS)}")
     oeis_id, offset, fn = OEIS_MAPS[args.map]
     if args.oeis is not None and args.oeis != oeis_id:
         raise _Usage(f"map {args.map} is tied to {oeis_id}, not {args.oeis}")
-    text: str | None = None
-    if not args.offline:
-        try:
-            text = _fetch_bfile(oeis_id)
-        except Exception as exc:  # offline sandboxes land here
-            print(f"note: fetch failed ({exc}); using bundled fixture", file=sys.stderr)
-    if text is None:
-        text = _fixture_bfile(oeis_id)
+    text = _fixture_bfile(oeis_id)
     cap = args.nmax if args.nmax is not None else 60
     checked = []
     for idx, val in parse_bfile(text):
@@ -256,7 +245,7 @@ def _sci_from_log(log_value: float) -> str:
     return f"{mantissa}e{int(exponent):+03d}"
 
 
-def run_asym(args: argparse.Namespace, out: TextIO) -> int:
+def run_asym(args: argparse.Namespace, out: "TextIO") -> int:
     est = tree_child.tc_asym(args.n, args.k)
     if math.isfinite(est):
         shown = f"{est:.6e}"
@@ -272,14 +261,14 @@ def run_asym(args: argparse.Namespace, out: TextIO) -> int:
 # verify command: the identity registry
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """One identity: ``holds(*cell)`` for every cell of ``cells(**bounds)``.
 
     ``bounds`` are the defaults that ``--nmax``, ``--kmax`` and ``--order``
     override; ``domain`` is formatted with the bounds in effect.
     """
 
+    __slots__ = ("summary", "bounds", "domain", "cells", "holds")
     summary: str
     bounds: dict[str, int]
     domain: str
@@ -508,7 +497,7 @@ CHECKS: dict[str, Check] = {
 }
 
 
-def run_verify(args: argparse.Namespace, out: TextIO) -> int:
+def run_verify(args: argparse.Namespace, out: "TextIO") -> int:
     names = sorted(CHECKS) if args.check == "all" else [args.check]
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
@@ -574,7 +563,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, help=f"one of {sorted(OEIS_MAPS)}")
     p.add_argument("--oeis", help="expected OEIS id (sanity check)")
     p.add_argument("--nmax", type=_count)
-    p.add_argument("--offline", action="store_true", help="never fetch, use bundled fixtures")
+    p.add_argument("--offline", action="store_true", help="accepted for compatibility; "
+                   "every crosscheck reads the bundled fixtures")
 
     p = sub.add_parser("asym", help="asymptotic estimate vs exact count")
     p.add_argument("--n", type=_count, required=True)
@@ -593,7 +583,7 @@ _RUNNERS = {
 }
 
 
-def main(argv: list[str] | None = None, out: TextIO | None = None) -> int:
+def main(argv: list[str] | None = None, out: "TextIO | None" = None) -> int:
     out = out if out is not None else sys.stdout
     try:
         args = _parser().parse_args(argv)

@@ -11,8 +11,8 @@ before converting.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .exact_arith import (
     ExactRational, Nat, binomial, double_factorial, double_factorials, exact_int, factorial

@@ -10,11 +10,11 @@ closed product formulas that act as independent oracles.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import wall_tables
 from .exact_arith import Nat, binomial, exact_int, factorial
+from .record import Record
 
 CAPACITY = 24
 
@@ -23,20 +23,19 @@ class CapacityError(ValueError):
     """Raised when a poset is too large for exhaustive extension counting."""
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(Record):
     """Poset on labels 0..size-1 given by its covers (s, t) meaning s < t.
 
     Validation rejects out-of-range labels, duplicate or reflexive covers,
     cycles, and redundant covers (ones implied by a longer path).
     """
 
+    __slots__ = ("size", "covers")
     size: int
     covers: tuple[tuple[int, int], ...]
 
     def __init__(self, size: int, covers: Iterable[tuple[int, int]] = ()) -> None:
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "covers", tuple(sorted(set(map(tuple, covers)))))
+        super().__init__(size, tuple(sorted(set(map(tuple, covers)))))
         self._validate()
 
     def _validate(self) -> None:
@@ -86,27 +85,6 @@ class Poset:
                     stack.append(t)
         return False
 
-    # -- serialization ------------------------------------------------------
-
-    def to_line(self) -> str:
-        """One-line form "p; s>t; s>t; ..." with covers sorted."""
-        parts = [str(self.size)] + [f"{s}>{t}" for s, t in self.covers]
-        return "; ".join(parts)
-
-    @staticmethod
-    def from_line(text: str) -> "Poset":
-        parts = [p.strip() for p in text.strip().split(";")]
-        if not parts or not parts[0]:
-            raise ValueError("empty poset line")
-        size = int(parts[0])
-        covers = []
-        for part in parts[1:]:
-            if not part:
-                continue
-            s, _, t = part.partition(">")
-            covers.append((int(s), int(t)))
-        return Poset(size, covers)
-
     # -- stock shapes -------------------------------------------------------
 
     @staticmethod
@@ -116,30 +94,6 @@ class Poset:
     @staticmethod
     def antichain(m: int) -> "Poset":
         return Poset(m, [])
-
-    def maximal(self) -> list[int]:
-        has_up = {s for s, _ in self.covers}
-        return [v for v in range(self.size) if v not in has_up]
-
-    def minimal(self) -> list[int]:
-        has_down = {t for _, t in self.covers}
-        return [v for v in range(self.size) if v not in has_down]
-
-
-def _shifted(p: Poset, offset: int) -> tuple[tuple[int, int], ...]:
-    return tuple((s + offset, t + offset) for s, t in p.covers)
-
-
-def direct_sum(p: Poset, q: Poset) -> Poset:
-    """Disjoint union; extensions multiply by a multinomial shuffle factor."""
-    return Poset(p.size + q.size, p.covers + _shifted(q, p.size))
-
-
-def ordinal_sum(p: Poset, q: Poset) -> Poset:
-    """Stack q above p (every element of p below every element of q);
-    extension counts simply multiply."""
-    bridge = tuple((s, t + p.size) for s in p.maximal() for t in q.minimal())
-    return Poset(p.size + q.size, p.covers + _shifted(q, p.size) + bridge)
 
 
 def count_linear_extensions(p: Poset, capacity: int = CAPACITY) -> Nat:
@@ -414,8 +368,7 @@ def b_monster(n: int, k: int) -> Nat:
 # tableau posets (brute-force oracles)
 
 
-@dataclass(frozen=True)
-class WallShape:
+class WallShape(Record):
     """Three-row diagram with optional walls and removed cells.
 
     rows gives the lengths (bottom, middle, top) and must be weakly
@@ -424,11 +377,18 @@ class WallShape:
     breaking adjacency.  Removed cells must all sit in one row.
     """
 
+    __slots__ = ("rows", "walls", "removed")
     rows: tuple[int, int, int]
-    walls: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-    removed: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    walls: frozenset[tuple[int, int]]
+    removed: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        rows: tuple[int, int, int],
+        walls: frozenset[tuple[int, int]] = frozenset(),
+        removed: frozenset[tuple[int, int]] = frozenset(),
+    ) -> None:
+        super().__init__(rows, walls, removed)
         bottom, middle, top = self.rows
         if not bottom >= middle >= top >= 0:
             raise ValueError(f"row lengths must decrease upward: {self.rows}")

@@ -25,18 +25,17 @@ Design notes that the individual docstrings lean on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import wall_tables
 from .closed_forms import gamma
 from .exact_arith import ExactRational, binomial, factorial
+from .record import Record
 
 Coeff = int | Fraction
 
 
-@dataclass(frozen=True)
-class TSeries:
+class TSeries(Record):
     """Univariate truncated series in t with exact coefficients.
 
     coeffs[n] is the coefficient of t^n; the truncation order is
@@ -44,7 +43,12 @@ class TSeries:
     series truncated to the shorter operand.
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[Coeff, ...]
+
+    def __init__(self, coeffs: tuple[Coeff, ...]) -> None:
+        # the kernel chain builds thousands of series: set the field directly
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def make(values, order: int | None = None) -> "TSeries":
@@ -119,16 +123,6 @@ class TSeries:
         pad = min(j, len(self.coeffs))
         return TSeries(self.coeffs[j:] + (0,) * pad)
 
-    def compose(self, inner: "TSeries") -> "TSeries":
-        """Substitute a series with zero constant term for t (Horner scheme)."""
-        if inner.coeffs[0]:
-            raise ValueError("compose needs an inner series with zero constant term")
-        n = min(self.order, inner.order)
-        acc = TSeries.zero(n)
-        for c in reversed(self.coeffs[: n + 1]):
-            acc = acc * inner.truncate(n) + TSeries.make([c], n)
-        return acc
-
     def truncate(self, order: int) -> "TSeries":
         if order >= self.order:
             return TSeries.make(self.coeffs, order)
@@ -139,8 +133,7 @@ class TSeries:
         return " ".join(str(c) for c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class XTSeries:
+class XTSeries(Record):
     """Bivariate truncated series in x and t with exact coefficients.
 
     rows[j][n] is the coefficient of x^j t^n; the rectangle is always full.
@@ -148,7 +141,11 @@ class XTSeries:
     (j, n) = (n' - m, m) holds b3(n', m, k).
     """
 
+    __slots__ = ("rows",)
     rows: tuple[tuple[Coeff, ...], ...]
+
+    def __init__(self, rows: tuple[tuple[Coeff, ...], ...]) -> None:
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def make(rows, x_order: int | None = None, t_order: int | None = None) -> "XTSeries":
@@ -181,10 +178,6 @@ class XTSeries:
 
     def entry(self, j: int, n: int) -> Coeff:
         return self.rows[j][n]
-
-    def slice_x(self, j: int) -> TSeries:
-        """Coefficient of x^j as a series in t."""
-        return TSeries(self.rows[j])
 
     def __add__(self, other: "XTSeries") -> "XTSeries":
         jn = min(self.x_order, other.x_order)

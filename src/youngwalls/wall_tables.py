@@ -20,8 +20,8 @@ is read by list indexing.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Iterator
 
 from . import closed_forms
 from .exact_arith import Nat, binomial, exact_int, factorial
@@ -81,13 +81,6 @@ class CountTable2(_RowTable):
             return 0
         return self.row(n, k)[k]
 
-    def cells(self, nmax: int, kmax: int | None = None) -> Iterator[tuple[int, int, Nat]]:
-        """Row-major (n ascending, then k ascending) iteration over the
-        triangle n <= nmax, k <= min(n, kmax)."""
-        for n in range(nmax + 1):
-            for k in range(min(n, nmax if kmax is None else kmax) + 1):
-                yield n, k, self.value(n, k)
-
 
 def _b3_layer(layer: list[list[int]], prev: list[list[int]] | None, n: int, width: int) -> None:
     for m in range(n + 1):
@@ -120,13 +113,6 @@ class CountTable3(_RowTable):
         if k < 0 or m < 0 or n < 0 or k > m or m > n:
             return 0
         return self.row(n, k)[m][k]
-
-    def cells(self, nmax: int) -> Iterator[tuple[int, int, int, Nat]]:
-        """Row-major (n, then m, then k) iteration over the filled simplex."""
-        for n in range(nmax + 1):
-            for m in range(n + 1):
-                for k in range(m + 1):
-                    yield n, m, k, self.value(n, m, k)
 
 
 def _omega_layer(

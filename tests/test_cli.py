@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from youngwalls import cli, closed_forms, tree_child
 from youngwalls.exact_arith import NotIntegralError
 
 from conftest import TABLE_A, TABLE_B
+
+SRC = Path(__file__).parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -75,6 +78,19 @@ def test_table_tc_diagonal_is_usage_error(fmt, capsys):
     code, text = run_cli("table", "--seq", "tc", "--nmax", "5", "--diag", "--format", fmt)
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == "error: tc has no diagonal: its domain is k <= n-1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--seq", "a", "--nmax", "3", "--k", "5", "--format", "bfile"],
+     ["--seq", "tc", "--nmax", "3", "--k", "3", "--format", "json"]],
+)
+def test_table_slice_that_no_row_reaches_is_usage_error(argv, capsys):
+    # these printed nothing, or an empty cell list, and exited 0
+    code, text = run_cli("table", *argv)
+    assert (code, text) == (2, "")
+    seq, nmax = argv[1], argv[3]
+    assert capsys.readouterr().err == f"error: no row of {seq} with n <= {nmax} reaches the slice\n"
 
 
 def test_table_json_values_are_decimal_strings():
@@ -307,6 +323,14 @@ def test_crosscheck_offline_fixtures(map_name):
     assert "agree" in text
 
 
+def test_crosscheck_reads_the_fixture_without_offline(capsys):
+    # --offline is a no-op: nothing is fetched either way
+    plain = run_cli("crosscheck", "--map", "b-k0")
+    assert plain == run_cli("crosscheck", "--map", "b-k0", "--offline")
+    assert plain == (0, "A000108 <-> b-k0: n=0..15 agree (16 terms, offset 0)\n")
+    assert capsys.readouterr().err == ""
+
+
 def test_crosscheck_id_mismatch():
     code, _ = run_cli("crosscheck", "--map", "b-k0", "--oeis", "A000001", "--offline")
     assert code == 2
@@ -374,14 +398,30 @@ def test_wrong_cached_weight_fails_the_check(monkeypatch, check, rows, row, entr
     assert (code, text) == (1, f"{check}: FAIL (fails at {cell})\n")
 
 
+def _bare_python(*args):
+    """A fresh `python -S` (no site, so no .pth import hides a regression) on src/."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True, env=env)
+
+
 def test_import_loads_no_network_modules():
-    # every cold request pays for an eager import; only an online crosscheck needs these
-    snippet = (
-        "import sys, youngwalls.cli\n"
-        "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True)
+    # every cold request pays for the eager import; none of these does any work for it
+    unused = ["dataclasses", "inspect", "json", "importlib.resources", "typing",
+              "urllib.request", "http.client", "ssl"]
+    snippet = f"import sys, youngwalls.cli\nprint(sorted(set({unused!r}) & set(sys.modules)))\n"
+    proc = _bare_python("-c", snippet)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--seq", "b", "--nmax", "4", "--format", "json"],
+     ["crosscheck", "--map", "a-diag"]],
+)
+def test_lazy_imports_in_a_fresh_process(argv):
+    # the JSON renderer and the fixture reader import their modules on first use
+    proc = _bare_python("-m", "youngwalls.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (*run_cli(*argv), "")
 
 
 def test_not_integral_maps_to_exit_1(monkeypatch, capsys):

@@ -83,18 +83,6 @@ def test_omega_seed_and_guards():
         wt.omega(0, -1, 0)
 
 
-def test_cells_iteration_row_major():
-    triple = list(wt.CountTable2().cells(2))
-    assert triple == [
-        (0, 0, 1),
-        (1, 0, 1),
-        (1, 1, 1),
-        (2, 0, 3),
-        (2, 1, 7),
-        (2, 2, 7),
-    ]
-
-
 def test_table_values_are_stable():
     t = wt.CountTable3()
     first = t.value(7, 5, 3)
