@@ -74,8 +74,9 @@ def _table_cells(args: argparse.Namespace) -> list[Cell]:
                 top = min(top, args.kmax)
             for k in range(top + 1):
                 cells.append(((n, k), fn(n, k)))
-        if sliced and not cells:
-            raise _Usage(f"no row of {seq} with n <= {nmax} reaches the slice")
+        if not cells:
+            reach = " reaches the slice" if sliced else ""
+            raise _Usage(f"no row of {seq} with n <= {nmax}{reach}")
         return cells
 
     if sliced:
@@ -265,7 +266,10 @@ class Check(Record):
     """One identity: ``holds(*cell)`` for every cell of ``cells(**bounds)``.
 
     ``bounds`` are the defaults that ``--nmax``, ``--kmax`` and ``--order``
-    override; ``domain`` is formatted with the bounds in effect.
+    override; ``domain`` is formatted with the bounds in effect.  A cell is
+    a tuple of ints, possibly followed by data that ``cells`` computed for
+    it (a kernel level along one walk); only the ints name the cell in a
+    failure.
     """
 
     __slots__ = ("summary", "bounds", "domain", "cells", "holds")
@@ -286,7 +290,8 @@ class Check(Record):
         visited = 0
         for cell in self.cells(**bounds):
             if not self.holds(*cell):
-                return False, f"fails at ({', '.join(map(str, cell))})"
+                where = ", ".join(str(c) for c in cell if type(c) is int)
+                return False, f"fails at ({where})"
             visited += 1
         return (True if visited else None), self.domain.format(**bounds)
 
@@ -306,18 +311,22 @@ def _rect(nmax: int, kmax: int) -> Iterator[tuple[int, int]]:
     return ((n, k) for n in range(1, nmax + 1) for k in range(1, kmax + 1))
 
 
-def _levels(kmax: int, order: int, start: int = 0) -> Iterator[tuple[int, int]]:
-    """(k, order) for start <= k <= kmax."""
-    return ((k, order) for k in range(start, kmax + 1))
+def _walk(kmax: int, order: int, start: int = 0, scale: int = 2) -> Iterator[tuple]:
+    """(k, order, F_k, D_k, B_k) for start <= k <= kmax, along one kernel
+    walk at working order scale * order that holds only the current level."""
+    levels = series_engine.kernel_levels(scale * order)
+    # zip stops at range's end, so no level past kmax is solved
+    for k, level in zip(range(kmax + 1), levels):
+        if k >= start:
+            yield (k, order, *level)
 
 
 def _on_triangle(summary: str, nmax: int, holds: Callable[..., bool], start: int = 0) -> Check:
     return Check(summary, {"nmax": nmax}, "n <= {nmax}", partial(_triangle, start=start), holds)
 
 
-def _dk_threeway(k: int, order: int) -> bool:
-    table, closed, kernel = series_engine.dk_threeway(k, order)
-    return table == closed == kernel
+def _dk_threeway(k: int, order: int, _f, kernel, _b) -> bool:
+    return series_engine.dk_from_table(k, order) == series_engine.dk_closed(k, order) == kernel
 
 
 def _gamma_sum(k: int) -> bool:
@@ -350,14 +359,12 @@ def _stock_series(order: int) -> bool:
     )
 
 
-def _kernel_residual(k: int, order: int) -> bool:
-    f, d, b = series_engine.kernel_chain(k, 2 * order)
+def _kernel_residual(k: int, order: int, f, d, b) -> bool:
     res = series_engine.kernel_residual(b, f, d)
     return all(res.entry(j, n) == 0 for j in range(order + 1) for n in range(order + 1))
 
 
-def _bk_rect(k: int, order: int) -> bool:
-    _, _, b = series_engine.kernel_chain(k, 2 * order)
+def _bk_rect(k: int, order: int, f, d, b) -> bool:
     return b.truncate(order, order) == series_engine.bk_from_table(k, order, order)
 
 
@@ -445,15 +452,15 @@ CHECKS: dict[str, Check] = {
     ),
     "dk-threeway": Check(
         "table, closed and kernel D_k agree", {"kmax": 8, "order": 20},
-        "k <= {kmax}, order {order}", lambda kmax, order: _levels(kmax, order, 1), _dk_threeway,
+        "k <= {kmax}, order {order}", partial(_walk, start=1, scale=1), _dk_threeway,
     ),
     "kernel-residual": Check(
         "(x - x^2 - t) B = x F - t D exactly", {"kmax": 5, "order": 12},
-        "k <= {kmax}, rectangle {order} x {order}", _levels, _kernel_residual,
+        "k <= {kmax}, rectangle {order} x {order}", _walk, _kernel_residual,
     ),
     "bk-rect": Check(
         "kernel B_k rectangle matches the table", {"kmax": 5, "order": 12},
-        "k <= {kmax}, rectangle {order} x {order}", _levels, _bk_rect,
+        "k <= {kmax}, rectangle {order} x {order}", _walk, _bk_rect,
     ),
     "b0-hook": Check(
         "wall-free B_0 entries are ballot numbers", {"nmax": 12}, "rectangle {nmax} x {nmax}",

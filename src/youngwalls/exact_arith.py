@@ -62,13 +62,6 @@ def binomial(n: int, k: int) -> Nat:
     return math.comb(n, k)
 
 
-def rat(num: int, den: int = 1) -> ExactRational:
-    """Exact fraction num/den in lowest terms, sign carried by the numerator."""
-    if den == 0:
-        raise ValueError("zero denominator")
-    return Fraction(num, den)
-
-
 def exact_int(num: int | Fraction, den: int = 1, where: object = None) -> Nat:
     """num / den as an int, raising NotIntegralError unless it is one.
 

@@ -12,6 +12,13 @@ Design notes that the individual docstrings lean on:
   W - j.  Hence dk_kernel(k, N) is exact at working order N, while a full
   rectangle of B_k to x-order Nx and t-order Nt needs W = Nx + Nt followed
   by truncation.
+* The kernel chain is walked once: kernel_levels(W) yields level after
+  level, each solved from the one before, so a caller that needs levels
+  0..k solves k + 1 levels and holds only the current one.  Per level the
+  cost sits in D_k = subs_x of the shifted F_k at X_2, which runs Horner's
+  rule trimmed to the triangle that reaches t-order W (about W^3/6
+  multiply-adds, no powers of X_2); F_k and B_k are one pass over plain
+  rows.
 * (1 - 4t)^(-alpha) is generated by the coefficient recurrence
   c_0 = 1, c_{n+1} = c_n * 4 (alpha + n) / (n + 1), which keeps half-integer
   exponents exact and radical-free.
@@ -25,11 +32,14 @@ Design notes that the individual docstrings lean on:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import count, islice
+from operator import mul
 
 from . import wall_tables
 from .closed_forms import gamma
-from .exact_arith import ExactRational, binomial, factorial
+from .exact_arith import binomial, factorial
 from .record import Record
 
 Coeff = int | Fraction
@@ -100,10 +110,6 @@ class TSeries(Record):
 
     __rmul__ = __mul__
 
-    def t_derivative(self) -> "TSeries":
-        """The Euler operator t d/dt, i.e. c_n -> n c_n."""
-        return TSeries(tuple(n * c for n, c in enumerate(self.coeffs)))
-
     def shift_up(self, j: int = 1) -> "TSeries":
         """Multiply by t^j, keeping the stored order (top terms fall off)."""
         if j < 0:
@@ -122,11 +128,6 @@ class TSeries(Record):
             raise ValueError(f"series not divisible by t^{j}")
         pad = min(j, len(self.coeffs))
         return TSeries(self.coeffs[j:] + (0,) * pad)
-
-    def truncate(self, order: int) -> "TSeries":
-        if order >= self.order:
-            return TSeries.make(self.coeffs, order)
-        return TSeries(self.coeffs[: order + 1])
 
     def to_text(self) -> str:
         """Space-separated coefficients c0 c1 ..., fractions as p/q."""
@@ -161,10 +162,6 @@ class XTSeries(Record):
         return XTSeries(full)
 
     @staticmethod
-    def zero(x_order: int, t_order: int) -> "XTSeries":
-        return XTSeries.make([], x_order, t_order)
-
-    @staticmethod
     def constant(c: Coeff, x_order: int, t_order: int) -> "XTSeries":
         return XTSeries.make([[c]], x_order, t_order)
 
@@ -195,10 +192,6 @@ class XTSeries(Record):
     def scale(self, c: Coeff) -> "XTSeries":
         return XTSeries(tuple(tuple(c * v for v in row) for row in self.rows))
 
-    def t_derivative(self) -> "XTSeries":
-        """Entrywise Euler operator t d/dt in the t variable."""
-        return XTSeries(tuple(tuple(n * v for n, v in enumerate(row)) for row in self.rows))
-
     def mul_x(self, j: int = 1) -> "XTSeries":
         """Multiply by x^j, keeping the rectangle (top rows fall off)."""
         pad = tuple((0,) * (self.t_order + 1) for _ in range(j))
@@ -212,16 +205,23 @@ class XTSeries(Record):
 
     def subs_x(self, inner: TSeries) -> TSeries:
         """Substitute a series with zero constant term for x, collapsing to a
-        series in t: sum_j rows[j](t) * inner(t)^j."""
+        series in t: sum_j rows[j](t) * inner(t)^j.
+
+        Horner's rule from the top row down, trimmed: inner^j starts at t^j,
+        so the partial sum that inner^j multiplies is needed only to t-order
+        n - j, and rows past n contribute nothing.
+        """
         if inner.coeffs[0]:
             raise ValueError("subs_x needs an inner series with zero constant term")
         n = min(self.t_order, inner.order)
-        acc = TSeries.zero(n)
-        power = TSeries.one(n)
-        for j in range(self.x_order + 1):
-            acc = acc + TSeries(self.rows[j]).truncate(n) * power
-            power = power * inner.truncate(n)
-        return acc
+        top = min(self.x_order, n)
+        rev = inner.coeffs[::-1]  # rev[-1 - m] is the coefficient of t^m
+        acc = self.rows[top][: n - top + 1]
+        for j in range(top - 1, -1, -1):
+            # row j + acc * inner to t-order n - j; term m pairs acc[i] with t^(m - i)
+            row = self.rows[j]
+            acc = [row[m] + sum(map(mul, acc, rev[-1 - m : -1])) for m in range(n - j + 1)]
+        return TSeries(tuple(acc))
 
     def truncate(self, x_order: int, t_order: int) -> "XTSeries":
         return XTSeries.make(self.rows, x_order, t_order)
@@ -331,7 +331,9 @@ def fk_next(b_prev: XTSeries, k: int) -> XTSeries:
     entrywise map (j, n) -> (n + 1 - k) * entry."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return b_prev.t_derivative() + b_prev.scale(1 - k)
+    return XTSeries(
+        tuple(tuple((n + 1 - k) * v for n, v in enumerate(row)) for row in b_prev.rows)
+    )
 
 
 def bk_solve(f_k: XTSeries, d_k: TSeries) -> XTSeries:
@@ -342,30 +344,39 @@ def bk_solve(f_k: XTSeries, d_k: TSeries) -> XTSeries:
     working order W, slice j of the result is exact to t-order W - j.
     """
     t_order = min(f_k.t_order, d_k.order)
-    rows: list[tuple[Coeff, ...]] = [d_k.truncate(t_order).coeffs]
-    zero = TSeries.zero(t_order)
+    prev2: tuple[Coeff, ...] = (0,) * (t_order + 1)
+    prev = d_k.coeffs[: t_order + 1]
+    rows = [prev]
     for j in range(1, f_k.x_order + 1):
-        prev = TSeries(rows[j - 1])
-        prev2 = TSeries(rows[j - 2]) if j >= 2 else zero
-        rhs = prev - prev2 - TSeries(f_k.rows[j - 1][: t_order + 1])
-        rows.append(rhs.divide_t().coeffs)
+        rhs = [a - b - c for a, b, c in zip(prev, prev2, f_k.rows[j - 1])]
+        if rhs[0]:
+            raise ValueError(f"kernel slice {j} is not divisible by t")
+        prev2, prev = prev, (*rhs[1:], 0)
+        rows.append(prev)
     return XTSeries(tuple(rows))
 
 
-def kernel_chain(k: int, order: int) -> tuple[XTSeries, TSeries, XTSeries]:
-    """Run the kernel system up to level k at square working order, returning
-    (F_k, D_k, B_k).  Level 0 is the initial condition F_0 = 1, D_0 = C(t)."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+def kernel_levels(order: int) -> Iterator[tuple[XTSeries, TSeries, XTSeries]]:
+    """Walk the kernel system at square working order, yielding (F_k, D_k,
+    B_k) for k = 0, 1, ...  Level 0 is the initial condition F_0 = 1,
+    D_0 = C(t); each later level is solved from the one before it."""
     x2 = x2_series(order)
     f = XTSeries.constant(1, order, order)
     d = catalan_series(order)
     b = bk_solve(f, d)
-    for level in range(1, k + 1):
+    yield f, d, b
+    for level in count(1):
         f = fk_next(b, level)
         d = f.mul_x().divide_t().subs_x(x2)
         b = bk_solve(f, d)
-    return f, d, b
+        yield f, d, b
+
+
+def kernel_chain(k: int, order: int) -> tuple[XTSeries, TSeries, XTSeries]:
+    """Level k of kernel_levels(order): (F_k, D_k, B_k)."""
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    return next(islice(kernel_levels(order), k, None))
 
 
 def dk_kernel(k: int, order: int) -> TSeries:

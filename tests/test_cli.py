@@ -93,6 +93,18 @@ def test_table_slice_that_no_row_reaches_is_usage_error(argv, capsys):
     assert capsys.readouterr().err == f"error: no row of {seq} with n <= {nmax} reaches the slice\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--seq", "tc", "--nmax", "0"],
+     ["--seq", "ftilde", "--nmax", "0"],
+     ["--seq", "tc", "--nmax", "0", "--format", "json"]],
+)
+def test_full_table_that_selects_no_row_is_usage_error(argv, capsys):
+    code, text = run_cli("table", *argv)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: no row of {argv[1]} with n <= 0\n"
+
+
 def test_table_json_values_are_decimal_strings():
     code, text = run_cli("table", "--seq", "b", "--nmax", "2", "--format", "json")
     assert code == 0
@@ -232,6 +244,30 @@ def test_verify_reports_the_first_failing_cell(monkeypatch):
     lines = text.splitlines()
     assert [line.split(":")[0] for line in lines] == sorted(cli.CHECKS)
     assert [line for line in lines if ": PASS (" not in line] == ["a-alt: FAIL (fails at (3, 2))"]
+
+
+@pytest.mark.parametrize(
+    "argv, levels",
+    [(["kernel-residual", "--kmax", "5", "--order", "11"], 6),
+     (["bk-rect", "--kmax", "5", "--order", "11"], 6),
+     (["dk-threeway", "--kmax", "7", "--order", "18"], 8)],
+)
+def test_kernel_check_walks_the_chain_once(argv, levels, monkeypatch):
+    # one walk solves each level 0..kmax once
+    bk_solve, solved = cli.series_engine.bk_solve, []
+    monkeypatch.setattr(cli.series_engine, "bk_solve", lambda *a: solved.append(1) or bk_solve(*a))
+    assert run_cli("verify", "--check", *argv)[0] == 0
+    assert len(solved) == levels
+
+
+def test_kernel_check_failure_names_the_level(monkeypatch):
+    bk_from_table = cli.series_engine.bk_from_table
+    monkeypatch.setattr(
+        cli.series_engine, "bk_from_table",
+        lambda k, x, t: bk_from_table(k + (k == 3), x, t),
+    )
+    code, text = run_cli("verify", "--check", "bk-rect", "--kmax", "5", "--order", "6")
+    assert (code, text) == (1, "bk-rect: FAIL (fails at (3, 6))\n")
 
 
 # every count or bound flag, by command: a valid argv and the flags to make negative

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,14 +45,6 @@ def test_binomial_zero_extension():
 @given(st.integers(min_value=1, max_value=80), st.integers(min_value=-2, max_value=82))
 def test_binomial_pascal(n, k):
     assert ea.binomial(n, k) == ea.binomial(n - 1, k - 1) + ea.binomial(n - 1, k)
-
-
-def test_rat():
-    assert ea.rat(6, 4) == Fraction(3, 2)
-    assert ea.rat(5) == 5
-    assert ea.rat(3, -6) == Fraction(-1, 2)
-    with pytest.raises(ValueError):
-        ea.rat(1, 0)
 
 
 def test_odd_catalan_relation():

@@ -47,11 +47,6 @@ def test_shift_up_keeps_order():
     assert s.shift_up(5).coeffs == (0, 0, 0)
 
 
-def test_t_derivative():
-    s = series([5, 1, 7])
-    assert s.t_derivative().coeffs == (0, 1, 14)
-
-
 def series_of(coefficients):
     return st.lists(coefficients, min_size=1, max_size=6).map(lambda v: series(v, order=5))
 
@@ -146,3 +141,56 @@ def test_xtseries_slicing_and_shifts():
     assert list(b1.rows[0]) == [0, 1, 7, 38, 187, 874]
     assert b1.mul_x().entry(1, 2) == b1.entry(0, 2)
     assert b1.mul_t().entry(0, 2) == b1.entry(0, 1)
+
+
+def subs_x_reference(xt, inner):
+    """The defining sum sum_j rows[j] * inner^j, with TSeries products."""
+    n = min(xt.t_order, inner.order)
+    acc = se.TSeries.zero(n)
+    power = se.TSeries.one(n)
+    for row in xt.rows:
+        acc = acc + series(row, n) * power
+        power = power * series(inner.coeffs, n)
+    return acc
+
+
+small_ints = st.integers(min_value=-9, max_value=9)
+
+
+@st.composite
+def xt_and_inner(draw):
+    """An integer XTSeries with x_order below, equal to or above its t_order,
+    and an integer inner series with zero constant term."""
+    t_order = draw(st.integers(min_value=0, max_value=7))
+    x_order = draw(st.sampled_from([max(t_order - 2, 0), t_order, t_order + 3]))
+    rows = draw(st.lists(st.lists(small_ints, min_size=t_order + 1, max_size=t_order + 1),
+                         min_size=x_order + 1, max_size=x_order + 1))
+    inner_order = draw(st.integers(min_value=0, max_value=9))
+    tail = draw(st.lists(small_ints, min_size=inner_order, max_size=inner_order))
+    return se.XTSeries.make(rows), se.TSeries.make([0, *tail])
+
+
+@settings(max_examples=80)
+@given(xt_and_inner())
+def test_subs_x_matches_defining_sum(case):
+    xt, inner = case
+    assert xt.subs_x(inner) == subs_x_reference(xt, inner)
+
+
+@settings(max_examples=20)
+@given(xt_and_inner(), st.integers(min_value=1, max_value=9))
+def test_subs_x_rejects_nonzero_constant_term(case, c0):
+    xt, inner = case
+    with pytest.raises(ValueError):
+        xt.subs_x(se.TSeries((c0, *inner.coeffs[1:])))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=14))
+def test_kernel_levels_exact_on_triangle(order):
+    # slice j of B_k is exact to t-order W - j; D_k is slice 0
+    for k, (_, d, b) in zip(range(7), se.kernel_levels(order)):
+        assert d == se.dk_from_table(k, order)
+        table = se.bk_from_table(k, order, order)
+        for j in range(order + 1):
+            assert b.rows[j][: order - j + 1] == table.rows[j][: order - j + 1], (k, j)
