@@ -81,13 +81,14 @@ def delta_row(k: int) -> IntRow:
     return _DELTA_ROWS[k]
 
 
-def _gamma_dfact_sum(m: int, k: int) -> tuple[int, int]:
-    """sum_{i=0}^{k} gamma_{k-i} / i! * (2m+k+i-1)!! as an integer numerator
-    and its denominator, that of _gamma_row(k); the quotient need not be
-    an integer."""
+def gamma_dfact_terms(m: int, k: int) -> tuple[list[int], int]:
+    """The terms gamma_{k-i} / i! * (2m+k+i-1)!! for i = 0..k as integer
+    numerators over one denominator, that of _gamma_row(k); their sum need
+    not be divisible by it.  At m = k - 1 the terms sum to 0 (the gamma
+    recursion), and they are the weights of the closed form of D_k."""
     nums, den = _gamma_row(k)
     dfact = double_factorials(2 * m + k - 1, 2 * m + 2 * k - 1)
-    return sum(c * d for c, d in zip(nums, dfact)), den
+    return [c * d for c, d in zip(nums, dfact)], den
 
 
 def a_closed(n: int, k: int) -> Nat:
@@ -98,8 +99,8 @@ def a_closed(n: int, k: int) -> Nat:
     gamma_{k-i} / i!, and one exact_int checks that it divides the sum."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    acc, den = _gamma_dfact_sum(n, k)
-    return exact_int(acc, den, ("a_closed", n, k))
+    terms, den = gamma_dfact_terms(n, k)
+    return exact_int(sum(terms), den, ("a_closed", n, k))
 
 
 def a_diag(n: int) -> Nat:
@@ -115,8 +116,8 @@ def b_closed(n: int, k: int) -> Nat:
     exact_int."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    acc, den = _gamma_dfact_sum(n, k)
-    return exact_int(acc << (n - k), den * factorial(n - k + 1), ("b_closed", n, k))
+    terms, den = gamma_dfact_terms(n, k)
+    return exact_int(sum(terms) << (n - k), den * factorial(n - k + 1), ("b_closed", n, k))
 
 
 def omega_init(m: int, k: int) -> ExactRational:
@@ -130,8 +131,8 @@ def omega_init(m: int, k: int) -> ExactRational:
     """
     if m < 0 or not 0 <= k <= m + 1:
         raise ValueError(f"need m >= 0 and 0 <= k <= m+1, got ({m}, {k})")
-    acc, den = _gamma_dfact_sum(m, k)
-    return Fraction(acc << (m - k + 1), 2 * den * factorial(m - k + 1))
+    terms, den = gamma_dfact_terms(m, k)
+    return Fraction(sum(terms) << (m - k + 1), 2 * den * factorial(m - k + 1))
 
 
 def alpha(s: int, p: int, q: int) -> ExactRational:

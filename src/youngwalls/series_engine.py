@@ -19,15 +19,15 @@ Design notes that the individual docstrings lean on:
   rule trimmed to the triangle that reaches t-order W (about W^3/6
   multiply-adds, no powers of X_2); F_k and B_k are one pass over plain
   rows.
-* (1 - 4t)^(-alpha) is generated by the coefficient recurrence
-  c_0 = 1, c_{n+1} = c_n * 4 (alpha + n) / (n + 1), which keeps half-integer
-  exponents exact and radical-free.
-* Coefficients are stored as given, ints or Fractions, never converted.
-  The kernel chain and the table route therefore run in Z (every kernel
-  step multiplies by integers, subtracts or shifts, and each division by t
-  is checked exact), while the closed route runs in Q through
-  neg_pow_series.  Fraction(n) == n and str(Fraction(n)) == str(n), so
-  comparisons and printed text do not depend on the ring.
+* (1 - 4t)^(-p/2) has integer coefficients for every integer p, so
+  neg_pow_series generates them in Z, radical-free.
+* All three routes run in Z.  The table route reads integer cells; every
+  kernel step multiplies by integers, subtracts or shifts, and each
+  division by t is checked exact; the closed route sums integer terms over
+  one common denominator per coefficient.  Coefficients are stored as
+  given, never converted, so Fractions stay Fractions; Fraction(n) == n and
+  str(Fraction(n)) == str(n), so comparisons and printed text do not
+  depend on the ring.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from itertools import count, islice
 from operator import mul
 
 from . import wall_tables
-from .closed_forms import gamma
-from .exact_arith import binomial, factorial
+from .closed_forms import gamma_dfact_terms
+from .exact_arith import binomial, exact_int
 from .record import Record
 
 Coeff = int | Fraction
@@ -243,11 +243,16 @@ def x2_series(order: int) -> TSeries:
 
 
 def neg_pow_series(alpha: Coeff, order: int) -> TSeries:
-    """(1 - 4t)^(-alpha) for rational (possibly half-integer) alpha."""
-    a = Fraction(alpha)
-    cs = [Fraction(1)]
+    """(1 - 4t)^(-alpha) for an integer or half-integer alpha = p/2.  Its
+    coefficients are integers: c_0 = 1, c_{n+1} = c_n * 2 (p + 2n) / (n + 1),
+    each division checked exact."""
+    p = 2 * Fraction(alpha)
+    if p.denominator != 1:
+        raise ValueError(f"need an integer or half-integer exponent, got {alpha}")
+    p = p.numerator
+    cs = [1]
     for n in range(order):
-        cs.append(cs[-1] * 4 * (a + n) / (n + 1))
+        cs.append(exact_int(cs[-1] * 2 * (p + 2 * n), n + 1, ("neg_pow_series", p, n + 1)))
     return TSeries(tuple(cs))
 
 
@@ -276,50 +281,25 @@ def bk_from_table(k: int, x_order: int, t_order: int) -> XTSeries:
 
 
 def dk_closed(k: int, order: int) -> TSeries:
-    """D_k(t) as a finite gamma-weighted combination of powers of
-    (1 - 4t)^(-1/2), all times t^(k-1).  Needs k >= 1: at k = 0 the
-    combination would call for the factorial of a negative half-integer.
+    """D_k(t) from the gamma closed form, for k >= 1:
+
+        D_k(t) = t^(k-1) / 2 * sum_{i=0}^{k} gamma_{k-i} / i! * (3k+i-3)!!
+                 * (1 - 4t)^(-(3k+i-1)/2)
+
+    The weights are closed_forms.gamma_dfact_terms(k - 1, k), integers over
+    one denominator den, so each coefficient is an integer sum divided once
+    by 2 den, checked exact.  At k = 0 the weights would need (-3)!!.
     """
     if k < 1:
         raise ValueError(f"closed D_k needs k >= 1, got {k}")
-    acc = TSeries.zero(order)
-    if k % 2 == 1:
-        half = (3 * k - 1) // 2
-        for j in range((k - 1) // 2 + 1):
-            coef = (
-                gamma(k - 2 * j - 1)
-                / (factorial(2 * j + 1) * Fraction(2) ** (j + (3 * k + 1) // 2))
-                * factorial(j + half)
-                * binomial(2 * j + 3 * k - 1, j + half)
-            )
-            acc = acc + neg_pow_series(j + Fraction(3 * k, 2), order).scale(coef)
-        for j in range((k - 1) // 2 + 1):
-            coef = (
-                gamma(k - 2 * j)
-                * Fraction(2) ** (j + (3 * k - 5) // 2)
-                / factorial(2 * j)
-                * factorial(j + (3 * k - 3) // 2)
-            )
-            acc = acc + neg_pow_series(half + j, order).scale(coef)
-    else:
-        half = (3 * k - 2) // 2
-        for j in range(k // 2 + 1):
-            coef = (
-                gamma(k - 2 * j)
-                / (factorial(2 * j) * Fraction(2) ** (j + 3 * k // 2))
-                * factorial(j + half)
-                * binomial(2 * j + 3 * k - 2, j + half)
-            )
-            acc = acc + neg_pow_series(j + Fraction(3 * k - 1, 2), order).scale(coef)
-        for j in range(k // 2):
-            coef = (
-                gamma(k - 2 * j - 1)
-                * Fraction(2) ** (j + (3 * k - 4) // 2)
-                / factorial(2 * j + 1)
-                * factorial(j + half)
-            )
-            acc = acc + neg_pow_series(3 * k // 2 + j, order).scale(coef)
-    return acc.shift_up(k - 1)
+    terms, den = gamma_dfact_terms(k - 1, k)
+    top = order - k + 1  # t-order of the sum before the shift by t^(k-1)
+    powers = [neg_pow_series(Fraction(3 * k + i - 1, 2), top).coeffs for i in range(k + 1)]
+    coeffs = [
+        exact_int(sum(map(mul, terms, column)), 2 * den, ("dk_closed", k, n + k - 1))
+        for n, column in enumerate(zip(*powers))
+    ]
+    return TSeries.make([0] * (k - 1) + coeffs, order)
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +375,3 @@ def kernel_residual(b_k: XTSeries, f_k: XTSeries, d_k: TSeries) -> XTSeries:
         [d_k.shift_up(1).coeffs], b_k.x_order, b_k.t_order
     )
     return lhs - rhs
-
-
-def dk_threeway(k: int, order: int) -> tuple[TSeries, TSeries, TSeries]:
-    """The three independently computed copies of D_k, in the order
-    (table, closed, kernel).  Callers compare them; this function does not
-    collapse the routes into one."""
-    return dk_from_table(k, order), dk_closed(k, order), dk_kernel(k, order)

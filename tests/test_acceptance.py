@@ -90,8 +90,8 @@ def test_criterion_05_lemma_suite_and_alpha_fixtures():
 def test_criterion_06_generating_function_three_way_agreement():
     t0 = time.perf_counter()
     for k in range(1, 9):
-        table, closed, kernel = series_engine.dk_threeway(k, 20)
-        assert table == closed == kernel, k
+        table = series_engine.dk_from_table(k, 20)
+        assert table == series_engine.dk_closed(k, 20) == series_engine.dk_kernel(k, 20), k
     for k in range(6):
         f, d, b = series_engine.kernel_chain(k, 24)
         res = series_engine.kernel_residual(b, f, d)

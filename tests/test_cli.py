@@ -417,21 +417,34 @@ def test_missing_required_flag_is_usage_error():
     assert code == 2
 
 
-@pytest.mark.parametrize(
-    "check, rows, row, entry, cell",
-    [("closed-a", "_GAMMA_ROWS", closed_forms._gamma_row, 0, "(2, 2)"),
-     ("tc-routes", "_DELTA_ROWS", closed_forms.delta_row, 1, "(3, 2)")],
-)
-def test_wrong_cached_weight_fails_the_check(monkeypatch, check, rows, row, entry, cell):
+def _move_cached_weight(monkeypatch, rows, row, entry):
     # a cache cut back to its seed row, restored by monkeypatch; one numerator
-    # of one row moves by its denominator, so the sum stays integral but wrong
+    # of row 2 moves by its denominator
     monkeypatch.setattr(closed_forms, rows, getattr(closed_forms, rows)[:1])
     nums, den = row(2)
     wrong = list(nums)
     wrong[entry] += den
     getattr(closed_forms, rows)[2] = (tuple(wrong), den)
+
+
+@pytest.mark.parametrize(
+    "check, rows, row, entry, cell",
+    [("closed-a", "_GAMMA_ROWS", closed_forms._gamma_row, 0, "(2, 2)"),
+     ("tc-routes", "_DELTA_ROWS", closed_forms.delta_row, 1, "(3, 2)"),
+     ("dk-threeway", "_GAMMA_ROWS", closed_forms._gamma_row, 1, "(2, 20)")],
+)
+def test_wrong_cached_weight_fails_the_check(monkeypatch, check, rows, row, entry, cell):
+    # the moved numerator keeps the sum integral but wrong
+    _move_cached_weight(monkeypatch, rows, row, entry)
     code, text = run_cli("verify", "--check", check)
     assert (code, text) == (1, f"{check}: FAIL (fails at {cell})\n")
+
+
+def test_unintegral_closed_dk_weight_exits_1(monkeypatch, capsys):
+    # gamma_2 moved by 1: the k = 2 coefficient of t^1 is off by 3/2
+    _move_cached_weight(monkeypatch, "_GAMMA_ROWS", closed_forms._gamma_row, 0)
+    assert run_cli("verify", "--check", "dk-threeway") == (1, "")
+    assert capsys.readouterr().err == "error: value at ('dk_closed', 2, 1) is not an integer\n"
 
 
 def _bare_python(*args):
@@ -479,12 +492,16 @@ def test_invariants_checked_under_optimize():
         "except NotIntegralError:\n"
         "    print('raised')\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", snippet], capture_output=True, text=True)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", snippet], capture_output=True, text=True, env=env
+    )
     assert proc.returncode == 0 and proc.stdout == "raised\n"
     # every exact_int route of the registry, with asserts stripped
     argv = ["verify", "--check", "all", "--nmax", "6", "--kmax", "3", "--order", "8"]
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "youngwalls.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-O", "-m", "youngwalls.cli", *argv],
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -497,6 +514,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "youngwalls.cli", "series", "--dk", "1", "--order", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0
     assert proc.stdout == "0 1 7 38\n"

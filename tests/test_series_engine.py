@@ -32,6 +32,23 @@ def test_neg_pow_series_examples():
     assert [int(c) for c in se.neg_pow_series(Fraction(3, 2), 3).coeffs] == [1, 6, 30, 140]
 
 
+def neg_pow_reference(alpha, order):
+    """(1 - 4t)^(-alpha) by the rational recurrence c_{n+1} = c_n 4 (alpha + n) / (n + 1)."""
+    cs = [Fraction(1)]
+    for n in range(order):
+        cs.append(cs[-1] * 4 * (alpha + n) / (n + 1))
+    return cs
+
+
+def test_neg_pow_series_is_the_rational_recurrence_in_integers():
+    for p in range(-9, 40):
+        s = se.neg_pow_series(Fraction(p, 2), 30)
+        assert all(type(c) is int for c in s.coeffs)
+        assert list(s.coeffs) == neg_pow_reference(Fraction(p, 2), 30), p
+    with pytest.raises(ValueError):
+        se.neg_pow_series(Fraction(1, 3), 4)
+
+
 def test_divide_t_requires_divisibility():
     s = series([0, 0, 3, 4], order=3)
     assert s.divide_t(2).coeffs == (3, 4, 0, 0)
@@ -51,7 +68,7 @@ def series_of(coefficients):
     return st.lists(coefficients, min_size=1, max_size=6).map(lambda v: series(v, order=5))
 
 
-# int-only series (the kernel chain's ring) and rational ones (the closed route's)
+# int-only series (the ring of every D_k route) and rational ones
 small_series = series_of(st.integers(min_value=-9, max_value=9)) | series_of(
     st.fractions(min_value=-9, max_value=9, max_denominator=6)
 )
@@ -84,12 +101,11 @@ def test_dk_closed_reduces_at_k1():
     assert lhs == rhs
 
 
-def test_dk_closed_is_rational_and_matches_kernel():
-    for k in range(1, 5):
-        closed = se.dk_closed(k, 12)
-        # below t^(k-1) sit the zeros that shift_up pads in
-        assert all(type(c) is Fraction for c in closed.coeffs[k - 1 :])
-        assert closed == se.dk_kernel(k, 12)
+def test_dk_closed_is_integer_and_matches_the_other_routes():
+    for k in range(1, 13):
+        closed = se.dk_closed(k, 20)
+        assert all(type(c) is int for c in closed.coeffs)
+        assert closed == se.dk_kernel(k, 20) == se.dk_from_table(k, 20), k
 
 
 def test_dk_closed_rejects_zero():

@@ -43,6 +43,19 @@ def test_closed_route_at_domain_edges(n):
     assert tcn.tc_closed(n, n - 1) == tcn.tc(n, n - 1)
 
 
+@settings(max_examples=30)
+@given(st.integers(min_value=1, max_value=60))
+def test_rec_and_sum_routes_at_domain_edges(n):
+    assert tcn.tc_rec(n, 0) == tcn.tc_sum(n, 0) == double_factorial(2 * n - 3)
+    assert tcn.tc_rec(n, n - 1) == tcn.tc_sum(n, n - 1) == tcn.tc(n, n - 1)
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=1, max_value=60))
+def test_chain_route_at_its_first_row(k):
+    assert tcn.tc_chain(k, 0) == tcn.tc(k + 1, k)
+
+
 def test_chain_entry_points():
     assert tcn.tc_chain(1, 0) == 2
     assert tcn.tc_chain(1, 1) == 21

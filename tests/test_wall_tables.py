@@ -108,6 +108,34 @@ def test_cells_asked_out_of_order():
         assert [table.value(n, k) for k in range(n + 1)] == row
 
 
+def catalan(n):
+    return factorial(2 * n) // (factorial(n) * factorial(n + 1))
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=0, max_value=60))
+def test_a_alt_at_domain_edges(n):
+    assert wt.a_alt(n, 0) == double_factorial(2 * n - 1)
+    assert wt.a_alt(n, n) == wt.a_rec(n, n)
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=0, max_value=60))
+def test_b3_and_b_cor_rec_at_domain_edges(n):
+    assert wt.b3(n, n, 0) == wt.b_cor_rec(n, 0) == catalan(n)
+    assert wt.b3(n, n, n) == wt.b_cor_rec(n, n) == wt.b(n, n)
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=0, max_value=60), st.data())
+def test_omega_at_domain_edges(n, data):
+    # omega(n, m, k) = b3(n + m, m, k): keep n + m <= 60
+    m = data.draw(st.integers(min_value=0, max_value=60 - n))
+    assert wt.omega(n, m, m + 1) == 0
+    k = data.draw(st.integers(min_value=0, max_value=m + 1))
+    assert wt.omega(0, m, k) == wt.b(m, k)
+
+
 def test_b_cor_rec_deep_column():
     # depth 1500 raised RecursionError when the route recursed
     assert 2**1498 * wt.a_rec(1500, 2) == factorial(1499) * wt.b_cor_rec(1500, 2)
