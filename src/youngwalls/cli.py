@@ -12,8 +12,8 @@ Subcommands:
 * ``asym``       asymptotic estimate vs exact value, log-space error
 
 Exit codes: 0 success, 1 a verification or comparison failed (or a value
-that an identity makes integral came out otherwise), 2 usage error (also a
-``verify`` check whose bounds select no cell), 3 capacity exceeded.
+that an identity makes integral came out otherwise), 2 usage error (also
+bounds that select nothing to check or print), 3 capacity exceeded.
 Integers in JSON are decimal strings so no consumer ever rounds them.
 """
 
@@ -223,8 +223,8 @@ def run_crosscheck(args: argparse.Namespace, out: "TextIO") -> int:
             return EXIT_FAIL
         checked.append(idx)
     if not checked:
-        print(f"{oeis_id} <-> {args.map}: no overlapping terms", file=out)
-        return EXIT_FAIL
+        # a bound that selects no term proved nothing
+        raise _Usage(f"no term of {oeis_id} with {offset} <= n <= {cap}")
     print(
         f"{oeis_id} <-> {args.map}: n={checked[0]}..{checked[-1]} agree "
         f"({len(checked)} terms, offset {offset})",

@@ -4,8 +4,10 @@ Everything here is built from one family of rational coefficients gamma_k.
 The k-th gamma is fixed by requiring that the double-factorial expansion of
 a(n, k) stays consistent when n shrinks to the degenerate corner, which
 gives a self-referential sum that we simply solve for gamma_k.  All closed
-forms return exact values; the integer-valued ones check integrality
-before converting.
+forms return exact values.  a_closed, b_closed and omega_init sum in
+integers over the common denominator of their gamma weights, and one
+exact_int checks that it divides the sum; gamma, delta, alpha and
+lemma28_rhs stay rational, and lemma29_check compares in rationals.
 """
 
 from __future__ import annotations
@@ -103,36 +105,29 @@ def a_closed(n: int, k: int) -> Nat:
     return exact_int(sum(terms), den, ("a_closed", n, k))
 
 
-def a_diag(n: int) -> Nat:
-    """Diagonal value a(n, n)."""
-    return a_closed(n, n)
-
-
 def b_closed(n: int, k: int) -> Nat:
-    """b(n, k) via the same gamma sum scaled by 2^(n-k) / (n-k+1)!.
-
-    The scaled sum is one integer numerator over the common denominator of
-    the weights gamma_{k-i} / i! times (n-k+1)!, checked divisible by one
-    exact_int."""
+    """b(n, k) via the same gamma sum scaled by 2^(n-k) / (n-k+1)!, which is
+    the seed omega_init(n, k)."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    terms, den = gamma_dfact_terms(n, k)
-    return exact_int(sum(terms) << (n - k), den * factorial(n - k + 1), ("b_closed", n, k))
+    return omega_init(n, k)
 
 
-def omega_init(m: int, k: int) -> ExactRational:
-    """Rational seed row omega(0, m, k) of the omega recurrence:
+def omega_init(m: int, k: int) -> Nat:
+    """Seed row omega(0, m, k) of the omega recurrence:
     sum_{i=0}^{k} gamma_{k-i} / i! * 2^(m-k) / (m-k+1)! * (2m+k+i-1)!!.
 
-    Vanishes identically at k = m + 1 (the gamma recursion is exactly the
-    statement that it does).  The sum runs in integers; only the result is
-    a Fraction, over the common denominator of the weights gamma_{k-i} / i!
-    times 2 (m-k+1)!, which also covers k = m + 1.
+    Equals b(m, k) for k <= m and vanishes identically at k = m + 1 (the
+    gamma recursion is exactly the statement that it does).  The sum runs in
+    integers over the common denominator of the weights gamma_{k-i} / i!
+    times 2 (m-k+1)!, which also covers k = m + 1, and one exact_int checks
+    that it divides the sum.
     """
     if m < 0 or not 0 <= k <= m + 1:
         raise ValueError(f"need m >= 0 and 0 <= k <= m+1, got ({m}, {k})")
     terms, den = gamma_dfact_terms(m, k)
-    return Fraction(sum(terms) << (m - k + 1), 2 * den * factorial(m - k + 1))
+    scale = m - k + 1
+    return exact_int(sum(terms) << scale, 2 * den * factorial(scale), ("omega_init", m, k))
 
 
 def alpha(s: int, p: int, q: int) -> ExactRational:

@@ -10,6 +10,7 @@ closed product formulas that act as independent oracles.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Sequence
 
 from . import wall_tables
@@ -266,21 +267,32 @@ def ftilde(n: int, k: int) -> Nat:
     return binomial(2 * n + k - 1, n) * f_closed(n, k)
 
 
+def _alternating(top: int, n: int, s: int, col: Sequence[int]) -> int:
+    """The alternating binomial transform between the b and u columns,
+
+        sum_{i=0}^{min(s, n)} (-1)^i C(top, s-i) perm(n-i, s-i) col[i],
+
+    where perm(n-i, s-i) = C(n-i, s-i) (s-i)! vanishes for s > n."""
+    return sum((-1) ** i * binomial(top, s - i) * math.perm(n - i, s - i) * col[i]
+               for i in range(min(s, n) + 1))
+
+
+def _u_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
+    col = [wall_tables.b(n, i) for i in range(min(n, width) + 1)]
+    for k in range(len(row), len(col)):
+        row.append(_alternating(2 * n + k, n, k, col))
+
+
+_U = wall_tables._RowTable(_u_row)
+
+
 def u_from_b(n: int, k: int) -> Nat:
     """u(n, k), the total extension count of the build_U family, by the
-    alternating binomial transform of the b column."""
+    alternating binomial transform of the b column; each row n of u is
+    stored once computed."""
     if n < 0 or not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    total = 0
-    for i in range(k + 1):
-        total += (
-            (-1) ** i
-            * binomial(2 * n + k, k - i)
-            * binomial(n - i, k - i)
-            * factorial(k - i)
-            * wall_tables.b(n, i)
-        )
-    return total
+    return _U.row(n, k)[k]
 
 
 def b_from_u(n: int, k: int) -> Nat:
@@ -288,47 +300,26 @@ def b_from_u(n: int, k: int) -> Nat:
     pattern.  Round-trips with u_from_b exactly."""
     if n < 0 or not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    total = 0
-    for i in range(k + 1):
-        total += (
-            (-1) ** i
-            * binomial(2 * n + k, k - i)
-            * binomial(n - i, k - i)
-            * factorial(k - i)
-            * u_from_b(n, i)
-        )
-    return total
+    return _alternating(2 * n + k, n, k, _U.row(n, k))
 
 
 def r_sum(n: int, k: int) -> Nat:
     """Total extension count of the build_R family,
 
-        r(n, k) = sum_{j=1}^{n} sum_{s=0}^{k} C(2j+k-s-1, j) f(j, k-s)
-                  * sum_{i=0}^{s} (-1)^i C(2n+k, s-i) C(n-j-i, s-i) (s-i)! u(n-j, i).
+        r(n, k) = sum_{j=1}^{n} sum_{s} C(2j+k-s-1, j) f(j, k-s)
+                  * sum_{i=0}^{s} (-1)^i C(2n+k, s-i) C(n-j-i, s-i) (s-i)! u(n-j, i),
 
-    Terms with i > n - j are skipped: the u factor vanishes there and the
-    middle binomial would otherwise see a negative first argument.
+    with s over max(k-j, 0)..min(k, n-j): below it f(j, k-s) vanishes, above
+    it every term of the inner sum does.
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"need n >= 1 and 0 <= k <= n, got ({n}, {k})")
     total = 0
     for j in range(1, n + 1):
-        for s in range(k + 1):
+        u_row = _U.row(n - j, k)
+        for s in range(max(k - j, 0), min(k, n - j) + 1):
             left = binomial(2 * j + k - s - 1, j) * f_closed(j, k - s)
-            if left == 0:
-                continue
-            inner = 0
-            for i in range(s + 1):
-                if i > n - j:
-                    continue
-                inner += (
-                    (-1) ** i
-                    * binomial(2 * n + k, s - i)
-                    * binomial(n - j - i, s - i)
-                    * factorial(s - i)
-                    * u_from_b(n - j, i)
-                )
-            total += left * inner
+            total += left * _alternating(2 * n + k, n - j, s, u_row)
     return total
 
 

@@ -8,9 +8,9 @@ Four sequences live here:
   m - k top-row cells are removed and the surviving adjacent top cells are
   separated by walls,
 * ``b(n, k) = b3(n, n, k)`` is its diagonal,
-* ``omega(n, m, k)`` is a companion table, seeded by a rational closed form,
-  whose value at (n, m, k) equals b3(n + m, m, k); integrality of the seed
-  is checked, not assumed.
+* ``omega(n, m, k)`` is a companion table, seeded by the gamma sum
+  ``closed_forms.omega_init`` (an integer whose divisibility is checked,
+  not assumed), whose value at (n, m, k) equals b3(n + m, m, k).
 
 Every table is a list of rows, each a plain list.  Row i is built from row
 i - 1 and only as far as the column asked for; asking for a larger column
@@ -33,7 +33,9 @@ class _RowTable:
     ``step(row, prev, i, width)`` appends to row i the cells it lacks up to
     column ``width``, reading only row i itself and row i - 1 (``prev``,
     None for i = 0).  Row widths never increase with i, so the rows that a
-    request (n, k) has to widen form a run ending at row n.
+    request (n, k) has to widen form a run ending at row n.  A run of row n
+    alone is filled as far as row n - 1 reaches, capped at column n, so a
+    row read cell by cell costs one step, not one per column.
     """
 
     def __init__(self, step: Callable[[list, list | None, int, int], None]) -> None:
@@ -51,6 +53,8 @@ class _RowTable:
             first = n
             while first and widths[first - 1] < k:
                 first -= 1
+            if first == n and n:
+                k = max(k, min(widths[n - 1], n))
             for i in range(first, n + 1):
                 self._step(rows[i], rows[i - 1] if i else None, i, k)
                 widths[i] = k
@@ -62,24 +66,6 @@ def _a_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
         row.append(prev[0] * (2 * n - 1) if n else 1)
     for k in range(len(row), min(n, width) + 1):
         row.append(row[k - 1] + (2 * n + k - 1) * (prev[k] if k < n else 0))
-
-
-class CountTable2(_RowTable):
-    """Triangular table of a(n, k), filled by the one-step recurrence
-
-        a(n, k) = a(n, k-1) + (2n + k - 1) a(n-1, k),   a(n, 0) = (2n-1)!!
-
-    with a(n, k) = 0 outside 0 <= k <= n.  Entries are immutable once
-    computed; repeated queries return the identical object.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(_a_row)
-
-    def value(self, n: int, k: int) -> Nat:
-        if not 0 <= k <= n:
-            return 0
-        return self.row(n, k)[k]
 
 
 def _b3_layer(layer: list[list[int]], prev: list[list[int]] | None, n: int, width: int) -> None:
@@ -97,24 +83,6 @@ def _b3_layer(layer: list[list[int]], prev: list[list[int]] | None, n: int, widt
             row.append(drop_k + drop_m + drop_n)
 
 
-class CountTable3(_RowTable):
-    """Simplex table of b3(n, m, k) for 0 <= k <= m <= n, filled by
-
-        b3(n, m, k) = (m-k+1) b3(n, m, k-1) + b3(n, m-1, k) + b3(n-1, m, k)
-
-    for n >= 1 with the single seed b3(0, 0, 0) = 1 and zero outside the
-    simplex.  Row n is the layer of (m, k) cells at that n.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(_b3_layer)
-
-    def value(self, n: int, m: int, k: int) -> Nat:
-        if k < 0 or m < 0 or n < 0 or k > m or m > n:
-            return 0
-        return self.row(n, k)[m][k]
-
-
 def _omega_layer(
     layer: list[list[int]],
     prev: list[list[int]] | None,
@@ -128,7 +96,7 @@ def _omega_layer(
     so each column is one pass down n."""
     top_n = s if nmax is None else min(s, nmax)
     for k in range(len(layer), min(s + 1, width) + 1):
-        v = exact_int(closed_forms.omega_init(s, k), where=("omega", 0, s, k))
+        v = closed_forms.omega_init(s, k)
         col = [v]
         left = layer[k - 1] if k else None
         below = prev[k] if prev is not None and k < len(prev) else None
@@ -139,32 +107,6 @@ def _omega_layer(
                 v -= below[n - 2]
             col.append(v)
         layer.append(col)
-
-
-class OmegaTable(_RowTable):
-    """Companion table omega(n, m, k) with the downward recurrence
-
-        omega(n, m, k) = omega(n-1, m+1, k)
-                         - (m-k+2) omega(n-1, m+1, k-1)
-                         - omega(n-2, m+1, k)
-
-    for n >= 1, seed row omega(0, m, k) given by the rational closed form
-    ``closed_forms.omega_init`` (checked integral), and omega(-1, m, k) = 0.
-    Values above the k = m + 1 layer vanish.  Row s holds the layer
-    n + m = s, so every value is reached without recursion.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(_omega_layer)
-
-    def value(self, n: int, m: int, k: int) -> Nat:
-        if n < -1:
-            raise ValueError(f"omega needs n >= -1, got {n}")
-        if m < 0:
-            raise ValueError(f"omega needs m >= 0, got {m}")
-        if k < 0 or n == -1 or k > m + 1:
-            return 0
-        return self.row(n + m, k)[k][n]
 
 
 def omega_block(nmax: int, mmax: int, kmax: int) -> list[list[list[Nat]]]:
@@ -182,14 +124,22 @@ def omega_block(nmax: int, mmax: int, kmax: int) -> list[list[list[Nat]]]:
     return block
 
 
-_A = CountTable2()
-_B3 = CountTable3()
-_OMEGA = OmegaTable()
+_A = _RowTable(_a_row)
+_B3 = _RowTable(_b3_layer)
+_OMEGA = _RowTable(_omega_layer)
 
 
 def a_rec(n: int, k: int) -> Nat:
-    """a(n, k) from the one-step recurrence table; 0 outside 0 <= k <= n."""
-    return _A.value(n, k)
+    """a(n, k) from the one-step recurrence table
+
+        a(n, k) = a(n, k-1) + (2n + k - 1) a(n-1, k),   a(n, 0) = (2n-1)!!
+
+    with a(n, k) = 0 outside 0 <= k <= n.  Entries are immutable once
+    computed; repeated queries return the identical object.
+    """
+    if not 0 <= k <= n:
+        return 0
+    return _A.row(n, k)[k]
 
 
 def a_alt(n: int, k: int) -> Nat:
@@ -226,14 +176,22 @@ _A_ALT = _RowTable(_a_alt_column)
 
 
 def b3(n: int, m: int, k: int) -> Nat:
-    """b3(n, m, k) from the three-index recurrence table; 0 outside the
-    simplex 0 <= k <= m <= n."""
-    return _B3.value(n, m, k)
+    """b3(n, m, k) from the three-index recurrence table
+
+        b3(n, m, k) = (m-k+1) b3(n, m, k-1) + b3(n, m-1, k) + b3(n-1, m, k)
+
+    for n >= 1 with the single seed b3(0, 0, 0) = 1 and zero outside the
+    simplex 0 <= k <= m <= n.  Row n of the table is the layer of (m, k)
+    cells at that n.
+    """
+    if not 0 <= k <= m <= n:
+        return 0
+    return _B3.row(n, k)[m][k]
 
 
 def b(n: int, k: int) -> Nat:
     """Two-index b(n, k) = b3(n, n, k); 0 outside 0 <= k <= n."""
-    return _B3.value(n, n, k)
+    return b3(n, n, k)
 
 
 def b3_hook(n: int, m: int) -> Nat:
@@ -275,5 +233,22 @@ _B_COR = _RowTable(_b_cor_row)
 
 
 def omega(n: int, m: int, k: int) -> Nat:
-    """omega(n, m, k) as an integer; equals b3(n + m, m, k)."""
-    return _OMEGA.value(n, m, k)
+    """omega(n, m, k), which equals b3(n + m, m, k), from the downward
+    recurrence
+
+        omega(n, m, k) = omega(n-1, m+1, k)
+                         - (m-k+2) omega(n-1, m+1, k-1)
+                         - omega(n-2, m+1, k)
+
+    for n >= 1, seed row omega(0, m, k) = closed_forms.omega_init(m, k) (a
+    closed form checked integral), and omega(-1, m, k) = 0.  Values above
+    the k = m + 1 layer vanish.  Row s of the table holds the layer
+    n + m = s, so every value is reached without recursion.
+    """
+    if n < -1:
+        raise ValueError(f"omega needs n >= -1, got {n}")
+    if m < 0:
+        raise ValueError(f"omega needs m >= 0, got {m}")
+    if k < 0 or n == -1 or k > m + 1:
+        return 0
+    return _OMEGA.row(n + m, k)[k][n]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from youngwalls import cli, closed_forms, tree_child
+from youngwalls import cli, closed_forms, tree_child, wall_tables
 from youngwalls.exact_arith import NotIntegralError
 
 from conftest import TABLE_A, TABLE_B
@@ -372,6 +372,12 @@ def test_crosscheck_id_mismatch():
     assert code == 2
 
 
+def test_crosscheck_with_no_term_in_bounds_is_usage_error(capsys):
+    # a bound that selects no term compared nothing
+    assert run_cli("crosscheck", "--map", "b-k1", "--nmax", "0") == (2, "")
+    assert capsys.readouterr().err == "error: no term of A000531 with 1 <= n <= 0\n"
+
+
 def test_crosscheck_unknown_map():
     code, _ = run_cli("crosscheck", "--map", "nope", "--offline")
     assert code == 2
@@ -419,8 +425,10 @@ def test_missing_required_flag_is_usage_error():
 
 def _move_cached_weight(monkeypatch, rows, row, entry):
     # a cache cut back to its seed row, restored by monkeypatch; one numerator
-    # of row 2 moves by its denominator
+    # of row 2 moves by its denominator.  The omega table is module state
+    # too, so a fresh one reads the moved weights.
     monkeypatch.setattr(closed_forms, rows, getattr(closed_forms, rows)[:1])
+    monkeypatch.setattr(wall_tables, "_OMEGA", wall_tables._RowTable(wall_tables._omega_layer))
     nums, den = row(2)
     wrong = list(nums)
     wrong[entry] += den
@@ -431,7 +439,8 @@ def _move_cached_weight(monkeypatch, rows, row, entry):
     "check, rows, row, entry, cell",
     [("closed-a", "_GAMMA_ROWS", closed_forms._gamma_row, 0, "(2, 2)"),
      ("tc-routes", "_DELTA_ROWS", closed_forms.delta_row, 1, "(3, 2)"),
-     ("dk-threeway", "_GAMMA_ROWS", closed_forms._gamma_row, 1, "(2, 20)")],
+     ("dk-threeway", "_GAMMA_ROWS", closed_forms._gamma_row, 1, "(2, 20)"),
+     ("omega-bridge", "_GAMMA_ROWS", closed_forms._gamma_row, 1, "(0, 1, 2)")],
 )
 def test_wrong_cached_weight_fails_the_check(monkeypatch, check, rows, row, entry, cell):
     # the moved numerator keeps the sum integral but wrong
@@ -445,6 +454,13 @@ def test_unintegral_closed_dk_weight_exits_1(monkeypatch, capsys):
     _move_cached_weight(monkeypatch, "_GAMMA_ROWS", closed_forms._gamma_row, 0)
     assert run_cli("verify", "--check", "dk-threeway") == (1, "")
     assert capsys.readouterr().err == "error: value at ('dk_closed', 2, 1) is not an integer\n"
+
+
+def test_unintegral_omega_seed_exits_1(monkeypatch, capsys):
+    # gamma_2 moved by 1: the seed omega(0, 1, 2) is off by 1/2
+    _move_cached_weight(monkeypatch, "_GAMMA_ROWS", closed_forms._gamma_row, 0)
+    assert run_cli("verify", "--check", "omega-bridge") == (1, "")
+    assert capsys.readouterr().err == "error: value at ('omega_init', 1, 2) is not an integer\n"
 
 
 def _bare_python(*args):
@@ -518,3 +534,15 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "0 1 7 38\n"
+
+
+def test_benchmark_checker_selftest_passes():
+    # the benchmark's output checker imports routes by name; a deleted or
+    # renamed one shows here, not only when the benchmark runs
+    root = SRC.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "selftest.py")],
+        capture_output=True, text=True, cwd=root,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "0 failure(s)" in proc.stdout

@@ -77,7 +77,7 @@ def test_closed_forms_at_domain_edges(n):
 
 
 def test_a_diag():
-    assert [cf.a_diag(n) for n in range(7)] == [1, 1, 7, 106, 2575, 87595, 3864040]
+    assert [cf.a_closed(n, n) for n in range(7)] == [1, 1, 7, 106, 2575, 87595, 3864040]
 
 
 # fixed-k double-factorial expressions, low columns
@@ -163,6 +163,15 @@ def test_omega_init_values_and_vanishing():
         cf.omega_init(1, 3)
     with pytest.raises(ValueError):
         cf.omega_init(-1, 0)
+
+
+def test_omega_init_is_the_integer_b_closed():
+    for m in range(31):
+        for k in range(m + 2):
+            seed = cf.omega_init(m, k)
+            assert type(seed) is int, (m, k)
+            if k <= m:
+                assert seed == cf.b_closed(m, k), (m, k)
 
 
 def test_alpha_fixtures_and_domain():

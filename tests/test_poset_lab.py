@@ -138,6 +138,33 @@ def test_r_family_brute_matches_formula():
     assert pl.r_sum(2, 1) == 23
 
 
+def test_transforms_match_their_literal_sums():
+    # the literal sums, references for the shared alternating helper
+    def u_literal(n, k):
+        return sum(
+            (-1) ** i * binomial(2 * n + k, k - i) * binomial(n - i, k - i)
+            * factorial(k - i) * wt.b(n, i)
+            for i in range(k + 1)
+        )
+
+    for n in range(21):
+        for k in range(n + 1):
+            assert pl.u_from_b(n, k) == u_literal(n, k), (n, k)
+    for n in range(1, 11):
+        for k in range(n + 1):
+            total = 0
+            for j in range(1, n + 1):
+                for s in range(k + 1):
+                    for i in range(min(s, n - j) + 1):
+                        total += (
+                            binomial(2 * j + k - s - 1, j) * pl.f_closed(j, k - s)
+                            * (-1) ** i * binomial(2 * n + k, s - i)
+                            * binomial(n - j - i, s - i) * factorial(s - i)
+                            * u_literal(n - j, i)
+                        )
+            assert pl.r_sum(n, k) == total, (n, k)
+
+
 def test_build_r_degenerate_top():
     assert pl.build_R(3, [1, 3], 3, []) == pl.build_Ftilde(3, [1, 3])
     with pytest.raises(ValueError):

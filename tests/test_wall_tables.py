@@ -84,28 +84,54 @@ def test_omega_seed_and_guards():
 
 
 def test_table_values_are_stable():
-    t = wt.CountTable3()
-    first = t.value(7, 5, 3)
-    assert t.value(7, 5, 3) == first
+    t = wt._RowTable(wt._b3_layer)
+    first = t.row(7, 3)[5][3]
+    assert t.row(7, 3)[5][3] == first
     assert first == wt.b3(7, 5, 3)
 
 
+def _a_cell(table, n, k):
+    return table.row(n, k)[k]
+
+
 def test_memo_handles_sparse_far_request():
-    table = wt.CountTable2()
+    table = wt._RowTable(wt._a_row)
     # a far row first: the fill stops at column 1, then reads are plain indexing
-    far = table.value(600, 1)
-    assert far == table.value(600, 0) + (2 * 600 + 1 - 1) * table.value(599, 1)
-    assert far == table.value(600, 1)
+    far = _a_cell(table, 600, 1)
+    assert far == _a_cell(table, 600, 0) + (2 * 600 + 1 - 1) * _a_cell(table, 599, 1)
+    assert far == _a_cell(table, 600, 1)
 
 
 def test_cells_asked_out_of_order():
-    table = wt.CountTable2()
+    table = wt._RowTable(wt._a_row)
     # a far column first (grows n), then a larger k at small n (widens the
     # filled rows), then the whole reference triangle
-    assert table.value(40, 1) == wt.a_rec(40, 1)
-    assert table.value(5, 4) == TABLE_A[5][4]
+    assert _a_cell(table, 40, 1) == wt.a_rec(40, 1)
+    assert _a_cell(table, 5, 4) == TABLE_A[5][4]
     for n, row in TABLE_A.items():
-        assert [table.value(n, k) for k in range(n + 1)] == row
+        assert [_a_cell(table, n, k) for k in range(n + 1)] == row
+
+
+def test_row_read_cell_by_cell_fills_each_row_once():
+    steps = []
+
+    def counting_layer(*args):
+        steps.append(args[2])
+        wt._b3_layer(*args)
+
+    table = wt._RowTable(counting_layer)
+    for n in range(33):
+        assert [table.row(n, k)[n][k] for k in range(n + 1)] == [wt.b(n, k) for k in range(n + 1)]
+    # one step for b(n, 0..n-1), n + 1 more to widen rows 0..n for b(n, n)
+    assert len(steps) <= 600
+
+
+def test_row_widening_stops_at_column_n():
+    # rows of the a_alt table are columns of any depth: a deep column 0 must
+    # not drag column 1 down with it
+    table = wt._RowTable(wt._a_alt_column)
+    table.row(0, 1500)
+    assert len(table.row(1, 5)) == 6
 
 
 def catalan(n):
