@@ -144,8 +144,6 @@ def run_series(args: argparse.Namespace, out: "TextIO") -> int:
     if args.method == "recurrence":
         s = series_engine.dk_from_table(k, order)
     elif args.method == "closed":
-        if k == 0:
-            raise _Usage("the closed route needs --dk >= 1 (its gamma sum degenerates at 0)")
         s = series_engine.dk_closed(k, order)
     else:  # kernel; level 0 is the chain's initial condition, served directly
         s = series_engine.catalan_series(order) if k == 0 else series_engine.dk_kernel(k, order)

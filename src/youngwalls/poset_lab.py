@@ -97,12 +97,12 @@ class Poset(Record):
         return Poset(m, [])
 
 
-def count_linear_extensions(p: Poset, capacity: int = CAPACITY) -> Nat:
+def count_linear_extensions(p: Poset) -> Nat:
     """Number of linear extensions, by dynamic programming over the lattice
     of order ideals (ideals keyed by bitmask, grouped by popcount level so
     only two levels are alive at a time)."""
-    if p.size > capacity:
-        raise CapacityError(f"poset has {p.size} elements, capacity is {capacity}")
+    if p.size > CAPACITY:
+        raise CapacityError(f"poset has {p.size} elements, capacity is {CAPACITY}")
     if p.size == 0:
         return 1
     pred_mask = [0] * p.size
@@ -145,10 +145,7 @@ def forest_hook_count(p: Poset) -> Nat:
         else:
             stack.append((v, True))
             stack.extend((c, False) for c in children[v])
-    denom = 1
-    for w in weight:
-        denom *= w
-    return exact_int(factorial(p.size), denom, ("forest_hook_count", p.size))
+    return exact_int(factorial(p.size), math.prod(weight), ("forest_hook_count", p.size))
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +239,7 @@ def f_closed(n: int, k: int) -> Nat:
     build_F summed over all k-subsets; zero when k > n."""
     if n < 0 or k < 0:
         raise ValueError(f"need n, k >= 0, got ({n}, {k})")
-    num = 1
-    for t in range(n - k + 1, n + k + 1):
-        num *= t
-    return exact_int(num, 2**k * factorial(k), ("f_closed", n, k))
+    return exact_int(math.perm(n + k, 2 * k), 2**k * factorial(k), ("f_closed", n, k))
 
 
 def f_sum(n: int, k: int) -> Nat:

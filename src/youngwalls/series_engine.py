@@ -3,22 +3,25 @@ generating functions D_k(t) = sum_n b(n, k) t^n.
 
 Design notes that the individual docstrings lean on:
 
-* Every operation preserves the stored truncation order.  Dividing by t
-  shifts coefficients down and pads the top with zeros, so a series is in
-  general only trustworthy up to some caller-tracked margin below its
-  stored order.
-* For the kernel route the margin is sharp: running the whole chain at a
-  square working order W makes slice j of every B_k exact up to t-order
-  W - j.  Hence dk_kernel(k, N) is exact at working order N, while a full
-  rectangle of B_k to x-order Nx and t-order Nt needs W = Nx + Nt followed
-  by truncation.
-* The kernel chain is walked once: kernel_levels(W) yields level after
-  level, each solved from the one before, so a caller that needs levels
-  0..k solves k + 1 levels and holds only the current one.  Per level the
-  cost sits in D_k = subs_x of the shifted F_k at X_2, which runs Horner's
-  rule trimmed to the triangle that reaches t-order W (about W^3/6
-  multiply-adds, no powers of X_2); F_k and B_k are one pass over plain
-  rows.
+* Every operation keeps the stored truncation order.  Dividing by t
+  shifts coefficients down and pads the top with zeros, so a series is
+  trustworthy only up to a caller-tracked margin below its stored order.
+* The kernel equation (x - x^2 - t) B_k = x F_k - t D_k is solved and
+  checked slice by slice (slice j is the coefficient of x^j), in plain
+  TSeries arithmetic: slice 0 is t (D - B_0) and slice j >= 1 is
+  B_{j-1} - B_{j-2} - F_{j-1} - t B_j.  bk_solve sets each to zero;
+  kernel_residual returns them on the common rectangle of B and F, with
+  t D cut at D's stored order.  XTSeries only stores and substitutes.
+* The margin is sharp: at a square working order W slice j of every B_k
+  is exact to t-order W - j, so dk_kernel(k, N) is exact at working order
+  N, while a full rectangle of B_k to x-order Nx and t-order Nt needs
+  W = Nx + Nt followed by truncation.
+* kernel_levels(W) walks the chain once, each level solved from the one
+  before, so levels 0..k cost k + 1 solves and only the current one is
+  held.  A level's cost sits in D_k = X_2 (F_k / t)(X_2): subs_x runs
+  Horner's rule trimmed to the triangle that reaches t-order W (about
+  W^3/6 multiply-adds, no powers of X_2); F_k and B_k are one pass over
+  plain rows.
 * (1 - 4t)^(-p/2) has integer coefficients for every integer p, so
   neg_pow_series generates them in Z, radical-free.
 * All three routes run in Z.  The table route reads integer cells; every
@@ -161,10 +164,6 @@ class XTSeries(Record):
         )
         return XTSeries(full)
 
-    @staticmethod
-    def constant(c: Coeff, x_order: int, t_order: int) -> "XTSeries":
-        return XTSeries.make([[c]], x_order, t_order)
-
     @property
     def x_order(self) -> int:
         return len(self.rows) - 1
@@ -175,30 +174,6 @@ class XTSeries(Record):
 
     def entry(self, j: int, n: int) -> Coeff:
         return self.rows[j][n]
-
-    def __add__(self, other: "XTSeries") -> "XTSeries":
-        jn = min(self.x_order, other.x_order)
-        nn = min(self.t_order, other.t_order)
-        return XTSeries(
-            tuple(
-                tuple(self.rows[j][n] + other.rows[j][n] for n in range(nn + 1))
-                for j in range(jn + 1)
-            )
-        )
-
-    def __sub__(self, other: "XTSeries") -> "XTSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c: Coeff) -> "XTSeries":
-        return XTSeries(tuple(tuple(c * v for v in row) for row in self.rows))
-
-    def mul_x(self, j: int = 1) -> "XTSeries":
-        """Multiply by x^j, keeping the rectangle (top rows fall off)."""
-        pad = tuple((0,) * (self.t_order + 1) for _ in range(j))
-        return XTSeries((pad + self.rows)[: self.x_order + 1])
-
-    def mul_t(self, n: int = 1) -> "XTSeries":
-        return XTSeries(tuple(TSeries(row).shift_up(n).coeffs for row in self.rows))
 
     def divide_t(self, n: int = 1) -> "XTSeries":
         return XTSeries(tuple(TSeries(row).divide_t(n).coeffs for row in self.rows))
@@ -291,7 +266,7 @@ def dk_closed(k: int, order: int) -> TSeries:
     by 2 den, checked exact.  At k = 0 the weights would need (-3)!!.
     """
     if k < 1:
-        raise ValueError(f"closed D_k needs k >= 1, got {k}")
+        raise ValueError(f"closed D_k needs k >= 1 (its gamma sum degenerates at 0), got {k}")
     terms, den = gamma_dfact_terms(k - 1, k)
     top = order - k + 1  # t-order of the sum before the shift by t^(k-1)
     powers = [neg_pow_series(Fraction(3 * k + i - 1, 2), top).coeffs for i in range(k + 1)]
@@ -341,13 +316,13 @@ def kernel_levels(order: int) -> Iterator[tuple[XTSeries, TSeries, XTSeries]]:
     B_k) for k = 0, 1, ...  Level 0 is the initial condition F_0 = 1,
     D_0 = C(t); each later level is solved from the one before it."""
     x2 = x2_series(order)
-    f = XTSeries.constant(1, order, order)
+    f = XTSeries.make([[1]], order, order)
     d = catalan_series(order)
     b = bk_solve(f, d)
     yield f, d, b
     for level in count(1):
         f = fk_next(b, level)
-        d = f.mul_x().divide_t().subs_x(x2)
+        d = x2 * f.divide_t().subs_x(x2)  # (x F / t)(X_2) to order W
         b = bk_solve(f, d)
         yield f, d, b
 
@@ -367,11 +342,15 @@ def dk_kernel(k: int, order: int) -> TSeries:
 
 
 def kernel_residual(b_k: XTSeries, f_k: XTSeries, d_k: TSeries) -> XTSeries:
-    """(x - x^2 - t) B - (x F - t D) on the common rectangle.  Entry (j, n)
-    is trustworthy whenever the inputs are exact at and one step below
-    (j, n); on exact inputs the residual vanishes identically."""
-    lhs = b_k.mul_x() - b_k.mul_x(2) - b_k.mul_t()
-    rhs = f_k.mul_x() - XTSeries.make(
-        [d_k.shift_up(1).coeffs], b_k.x_order, b_k.t_order
-    )
-    return lhs - rhs
+    """(x - x^2 - t) B - (x F - t D) on the common rectangle of B and F,
+    slice by slice as bk_solve solves it: slice 0 is t (D - B_0), with t D
+    at D's own order (its top coefficient falls off, as in shift_up), and
+    slice j >= 1 is B_{j-1} - B_{j-2} - F_{j-1} - t B_j.  Entry (j, n) is
+    trustworthy whenever the inputs are exact at and one step below (j, n);
+    on exact inputs the residual vanishes identically."""
+    t_order = min(b_k.t_order, f_k.t_order)
+    b = [TSeries.zero(t_order), *map(TSeries, b_k.rows)]  # b[j] is B_{j-1}
+    slices = [TSeries.make(d_k.shift_up().coeffs, t_order) - b[1].shift_up()]
+    for j in range(1, min(b_k.x_order, f_k.x_order) + 1):
+        slices.append(b[j] - b[j - 1] - TSeries(f_k.rows[j - 1]) - b[j + 1].shift_up())
+    return XTSeries(tuple(s.coeffs for s in slices))

@@ -155,8 +155,7 @@ def test_to_text_format():
 def test_xtseries_slicing_and_shifts():
     b1 = se.bk_from_table(1, 3, 5)
     assert list(b1.rows[0]) == [0, 1, 7, 38, 187, 874]
-    assert b1.mul_x().entry(1, 2) == b1.entry(0, 2)
-    assert b1.mul_t().entry(0, 2) == b1.entry(0, 1)
+    assert se.XTSeries.make([[0, 1, 2], [0, 3]]).divide_t().rows == ((1, 2, 0), (3, 0, 0))
 
 
 def subs_x_reference(xt, inner):
@@ -210,3 +209,41 @@ def test_kernel_levels_exact_on_triangle(order):
         table = se.bk_from_table(k, order, order)
         for j in range(order + 1):
             assert b.rows[j][: order - j + 1] == table.rows[j][: order - j + 1], (k, j)
+
+
+def kernel_residual_reference(b, f, d):
+    """(x - x^2 - t) B - (x F - t D) entry by entry on the common rectangle
+    of B and F, with t D cut at D's own order (its top coefficient falls off)."""
+
+    def at(xt, j, n):
+        return xt.rows[j][n] if j >= 0 and n >= 0 else 0
+
+    def t_d(n):
+        return d.coeffs[n - 1] if 1 <= n <= d.order else 0
+
+    return tuple(
+        tuple(
+            at(b, j - 1, n) - at(b, j - 2, n) - at(b, j, n - 1)
+            - at(f, j - 1, n) + (t_d(n) if j == 0 else 0)
+            for n in range(min(b.t_order, f.t_order) + 1)
+        )
+        for j in range(min(b.x_order, f.x_order) + 1)
+    )
+
+
+orders = st.integers(min_value=0, max_value=7)
+integer_series = orders.flatmap(
+    lambda n: st.lists(small_ints, min_size=n + 1, max_size=n + 1)).map(se.TSeries.make)
+
+
+@st.composite
+def integer_xt(draw):
+    x_order, t_order = draw(orders), draw(orders)
+    row = st.lists(small_ints, min_size=t_order + 1, max_size=t_order + 1)
+    return se.XTSeries.make(draw(st.lists(row, min_size=x_order + 1, max_size=x_order + 1)))
+
+
+@settings(max_examples=150)
+@given(integer_xt(), integer_xt(), integer_series)
+def test_kernel_residual_matches_its_definition(b, f, d):
+    assert se.kernel_residual(b, f, d).rows == kernel_residual_reference(b, f, d)
