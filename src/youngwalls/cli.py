@@ -28,7 +28,7 @@ from functools import partial
 from itertools import groupby
 
 from . import closed_forms, poset_lab, series_engine, tree_child, wall_tables
-from .exact_arith import NotIntegralError, binomial, double_factorial, factorial
+from .exact_arith import NotIntegralError, binomial, double_factorial, double_factorials, factorial
 from .record import Record
 
 EXIT_OK = 0
@@ -328,10 +328,15 @@ def _dk_threeway(k: int, order: int, _f, kernel, _b) -> bool:
 
 
 def _gamma_sum(k: int) -> bool:
-    return 0 == sum(
-        closed_forms.gamma(k - i) * Fraction(double_factorial(3 * k + i - 3), factorial(i))
-        for i in range(k + 1)
-    )
+    """sum_i gamma_{k-i} / i! (3k+i-3)!! = 0, times k! D_k: with delta_j =
+    j! gamma_j = N_j / D_k, it is sum_i C(k, i) N_{k-i} (3k+i-3)!! = 0."""
+    nums, _ = closed_forms.delta_row(k)
+    dfact = double_factorials(3 * k - 3, 4 * k - 3)
+    c, total = 1, 0
+    for i in range(k + 1):
+        total += c * nums[k - i] * dfact[i]
+        c = c * (k - i) // (i + 1)
+    return total == 0
 
 
 def _delta_rec(i: int) -> bool:

@@ -6,8 +6,11 @@ a(n, k) stays consistent when n shrinks to the degenerate corner, which
 gives a self-referential sum that we simply solve for gamma_k.  All closed
 forms return exact values.  a_closed, b_closed and omega_init sum in
 integers over the common denominator of their gamma weights, and one
-exact_int checks that it divides the sum; gamma, delta, alpha and
-lemma28_rhs stay rational, and lemma29_check compares in rationals.
+exact_int checks that it divides the sum.  lemma28_rhs sums in integers
+over s! 2^s, the common denominator of its alpha weights, and returns
+that one rational; lemma29_check compares both sides times
+n! (4k-3-i)!!, where every term is an integer.  gamma, delta and alpha
+stay rational.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .exact_arith import (
-    ExactRational, Nat, binomial, double_factorial, double_factorials, exact_int, factorial
+    ExactRational, Nat, double_factorial, double_factorials, exact_int, factorial
 )
 
 # Per-k rows over their least common denominator, as (numerators, denominator):
@@ -27,6 +30,10 @@ from .exact_arith import (
 IntRow = tuple[tuple[int, ...], int]
 _GAMMA_ROWS: list[IntRow] = [((1,), 1)]
 _DELTA_ROWS: list[IntRow] = [((1,), 1)]
+# _LEMMA28_WEIGHTS[s] holds the two blocks of (p, q, weight) of lemma28_rhs at
+# unfolding depth s
+AlphaBlock = tuple[tuple[int, int, int], ...]
+_LEMMA28_WEIGHTS: list[tuple[AlphaBlock, AlphaBlock]] = []
 
 
 def gamma(k: int) -> ExactRational:
@@ -148,25 +155,47 @@ def alpha(s: int, p: int, q: int) -> ExactRational:
     )
 
 
+def _lemma28_weights(s: int) -> tuple[AlphaBlock, AlphaBlock]:
+    """The alpha weights of lemma28_rhs at unfolding depth s, as (p, q, w)
+    with w = alpha(t, p, q) * s! * 2^s, for t = s and for t = s + 1.
+
+    Every w is an integer: the factorials in the denominator of alpha(t, p, q)
+    have arguments summing to t - p <= s, and q - 1 <= s.
+    """
+    while len(_LEMMA28_WEIGHTS) <= s:
+        u = len(_LEMMA28_WEIGHTS)
+        scale = factorial(u) << u
+        _LEMMA28_WEIGHTS.append(tuple(
+            tuple((p, q, exact_int(alpha(t, p, q) * scale, 1, ("lemma28_rhs", t, p, q)))
+                  for p in range(1, (t + 1) // 2 + 1) for q in range(1, t + 2 - 2 * p + 1))
+            for t in (u, u + 1)
+        ))
+    return _LEMMA28_WEIGHTS[s]
+
+
 def lemma28_rhs(
     n: int, k: int, s: int, omega_source: Callable[[int, int, int], int | ExactRational]
 ) -> ExactRational:
     """Value of the two-block alpha sum that rewrites omega(n, k-1, k) after
-    unfolding its recurrence s times (1 <= s <= n).
+    unfolding its recurrence s times (1 <= s <= n):
+
+        sum_{p,q} alpha(s, p, q) omega(n-s-1, k+s-p, k+1-q)
+          - sum_{p,q} alpha(s+1, p, q) omega(n-s, k+s-p, k+1-q)
 
     The omega_source callable must return 0 outside the omega domain.  The
-    whole expression equals omega(n, k-1, k) and therefore vanishes.
+    whole expression equals omega(n, k-1, k) and therefore vanishes.  Both
+    blocks sum in integers over the common denominator s! 2^s of their
+    weights (see _lemma28_weights).
     """
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
-    total = Fraction(0)
-    for p in range(1, (s + 1) // 2 + 1):
-        for q in range(1, s + 2 - 2 * p + 1):
-            total += alpha(s, p, q) * omega_source(n - s - 1, k + s - p, k + 1 - q)
-    for p in range(1, (s + 2) // 2 + 1):
-        for q in range(1, s + 3 - 2 * p + 1):
-            total -= alpha(s + 1, p, q) * omega_source(n - s, k + s - p, k + 1 - q)
-    return total
+    first, second = _lemma28_weights(s)
+    total = 0
+    for p, q, w in first:
+        total += w * omega_source(n - s - 1, k + s - p, k + 1 - q)
+    for p, q, w in second:
+        total -= w * omega_source(n - s, k + s - p, k + 1 - q)
+    return Fraction(total, factorial(s) << s)
 
 
 def lemma29_check(n: int, k: int, i: int) -> bool:
@@ -177,19 +206,23 @@ def lemma29_check(n: int, k: int, i: int) -> bool:
         = 2^(n-1) * C(n+3k-2, n)
 
     for n >= 1, k >= 1, 0 <= i <= k.  k = 0 is excluded: the right-hand
-    normalisation would need (-3)!!.
+    normalisation would need (-3)!!.  Both sides are compared times
+    n! (4k-3-i)!!, where every term is an integer: the factorials
+    (n+3-2p-q)! and (p-1)! have arguments summing to at most n, so
+    n! / ((n+3-2p-q)! (p-1)!) = C(n, n+3-2p-q) perm(2p+q-3, p+q-2).
     """
     if n < 1 or k < 1 or not 0 <= i <= k:
         raise ValueError(f"out of domain: ({n}, {k}, {i})")
-    lhs = Fraction(0)
+    # dfact[v - low] = v!! for low = (4k-3-i) <= v <= 2n+4k-3-i
+    low = 4 * k - 3 - i
+    dfact = double_factorials(low, low + 2 * n)
+    lhs = 0
     for p in range(1, (n + 2) // 2 + 1):
         for q in range(1, min(n + 3 - 2 * p, k + 1 - i) + 1):
-            num = (
-                (-1 if (q - p) % 2 else 1)
-                * 2 ** (n - p)
-                * binomial(k - i, q - 1)
-                * double_factorial(2 * n + 4 * k - 2 * p - 2 * q + 1 - i)
-            )
-            den = factorial(n + 3 - 2 * p - q) * factorial(p - 1) * double_factorial(4 * k - 3 - i)
-            lhs += Fraction(num, den)
-    return lhs == 2 ** (n - 1) * binomial(n + 3 * k - 2, n)
+            a = n + 3 - 2 * p - q
+            term = (
+                math.comb(n, a) * math.perm(n - a, p + q - 2)
+                * math.comb(k - i, q - 1) * dfact[2 * (n + 2 - p - q)]
+            ) << (n - p)
+            lhs += -term if (q - p) % 2 else term
+    return lhs == (math.comb(n + 3 * k - 2, n) * factorial(n) * dfact[0]) << (n - 1)

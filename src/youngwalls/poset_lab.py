@@ -272,12 +272,12 @@ def _alternating(top: int, n: int, s: int, col: Sequence[int]) -> int:
 
 
 def _u_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
-    col = [wall_tables.b(n, i) for i in range(min(n, width) + 1)]
+    col = wall_tables.b_row(n, min(n, width))
     for k in range(len(row), len(col)):
         row.append(_alternating(2 * n + k, n, k, col))
 
 
-_U = wall_tables._RowTable(_u_row)
+_U = wall_tables._RowTable(_u_row, 0)
 
 
 def u_from_b(n: int, k: int) -> Nat:
@@ -339,13 +339,18 @@ def b_monster(n: int, k: int) -> Nat:
         fact.append(fact[-1] * v)
     acc = binomial(2 * n + k, n) * f_closed(n, k) << k
     for j in range(1, n + 1):
-        b_row = [wall_tables.b(n - j, m) for m in range(min(k, n - j) + 1)]
+        b_row = wall_tables.b_row(n - j, min(k, n - j))
+        # fact[n-j-m] (k+2j-m-1)! for each m: the part of a term free of s
+        tops = [fact[n - j - m] * fact[k + 2 * j - m - 1] for m in range(len(b_row))]
         for s in range(max(k - j, 0), min(k, n - j) + 1):
+            c = j + k - s
             outer = fact[j - k + s] * fact[k - s] * fact[j] * fact[n - j - s]
-            for m in range(s + 1):
-                num = (j + k - s) * fact[n - j - m] * fact[k + 2 * j - m - 1]
-                term = exact_int(num, outer * fact[s - m], ("b_monster", n, k, j, s, m))
-                acc -= (term << s) * b_row[m]
+            block = 0
+            # fact[s-m] runs down as m runs up; zip stops at m = s
+            for m, (top, low, b_m) in enumerate(zip(tops, reversed(fact[: s + 1]), b_row)):
+                term = exact_int(c * top, outer * low, ("b_monster", n, k, j, s, m))
+                block += term * b_m
+            acc -= block << s
     return exact_int(acc, 1 << k, ("b_monster", n, k))
 
 

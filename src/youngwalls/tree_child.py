@@ -54,7 +54,7 @@ def _tc_rec_row(row: list[int], prev: list[int] | None, n: int, width: int) -> N
         row.append(exact_int(rhs, n - k, ("tc_rec", n, k)))
 
 
-_TC_REC = _RowTable(_tc_rec_row)
+_TC_REC = _RowTable(_tc_rec_row, -1)
 
 
 def tc_sum(n: int, k: int) -> Nat:
@@ -90,7 +90,7 @@ def _tc_sum_row(row: list[int], prev: list[int] | None, n: int, width: int) -> N
         row.append(exact_int(rhs, fact[n - k - low], ("tc_sum", n, k)))
 
 
-_TC_SUM = _RowTable(_tc_sum_row)
+_TC_SUM = _RowTable(_tc_sum_row, -1)
 
 
 def tc_chain(k: int, m: int) -> Nat:
@@ -107,11 +107,14 @@ def tc_chain(k: int, m: int) -> Nat:
         raise ValueError(f"need k >= 1 and m >= 0, got ({k}, {m})")
     total = 0
     num = 1
-    # walk l downward so the product over i = l+1..m grows one factor at a time
+    den = fact = factorial(m + 1)
+    # walk l downward so the product over i = l+1..m grows one factor at a
+    # time and fact = (l+1)! shrinks one factor at a time
     for ell in range(m, -1, -1):
-        total += (ell + 2) * num * factorial(ell + 1) * tc(k + ell + 1, k - 1)
+        total += (ell + 2) * num * fact * tc(k + ell + 1, k - 1)
         num *= (ell + 1 + k) * (2 * ell + 3 * k - 1)
-    return exact_int(total, factorial(m + 1), ("tc_chain", k, m))
+        fact //= ell + 1
+    return exact_int(total, den, ("tc_chain", k, m))
 
 
 def tc_closed(n: int, k: int) -> Nat:
@@ -130,7 +133,10 @@ def tc_closed(n: int, k: int) -> Nat:
     nums, den = closed_forms.delta_row(k)
     # dfact[k - i] = (2n+2k-i-3)!!
     dfact = double_factorials(2 * n + k - 3, 2 * n + 2 * k - 3)
-    acc = sum(binomial(k, i) * dfact[k - i] * nums[i] for i in range(k + 1))
+    acc, c = 0, 1
+    for i in range(k + 1):
+        acc += c * dfact[k - i] * nums[i]
+        c = c * (k - i) // (i + 1)  # C(k, i+1)
     return exact_int(acc * binomial(n, k), den, ("tc_closed", n, k))
 
 

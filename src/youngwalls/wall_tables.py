@@ -14,8 +14,8 @@ Four sequences live here:
 
 Every table is a list of rows, each a plain list.  Row i is built from row
 i - 1 and only as far as the column asked for; asking for a larger column
-widens the filled rows in order.  There is no recursion, and a filled cell
-is read by list indexing.
+widens, in order, the filled rows that do not yet reach it or their end.
+There is no recursion, and a filled cell is read by list indexing.
 """
 
 from __future__ import annotations
@@ -32,16 +32,22 @@ class _RowTable:
 
     ``step(row, prev, i, width)`` appends to row i the cells it lacks up to
     column ``width``, reading only row i itself and row i - 1 (``prev``,
-    None for i = 0).  Row widths never increase with i, so the rows that a
-    request (n, k) has to widen form a run ending at row n.  A run of row n
-    alone is filled as far as row n - 1 reaches, capped at column n, so a
-    row read cell by cell costs one step, not one per column.
+    None for i = 0) no further than column min(width, last column of row
+    i - 1).  Row i ends at column i + ``last`` (``last`` None: rows without
+    an end).  A row filled to its end is complete, and a request (n, k)
+    widens only the run of rows above the highest row that is complete or
+    filled through column k.  A run of row n alone is filled as far as row
+    n - 1 reaches, capped at column n, so a row read cell by cell costs one
+    step, not one per column.
     """
 
-    def __init__(self, step: Callable[[list, list | None, int, int], None]) -> None:
+    def __init__(
+        self, step: Callable[[list, list | None, int, int], None], last: int | None
+    ) -> None:
         self._rows: list[list] = []
         self._widths: list[int] = []
         self._step = step
+        self._last = last
 
     def row(self, n: int, k: int) -> list:
         """Row n, filled through column k at least."""
@@ -50,8 +56,9 @@ class _RowTable:
             while len(rows) <= n:
                 rows.append([])
                 widths.append(-1)
-            first = n
-            while first and widths[first - 1] < k:
+            first, last = n, self._last
+            # stop above a row filled through column k or to its end
+            while first and widths[first - 1] < (k if last is None else min(k, first - 1 + last)):
                 first -= 1
             if first == n and n:
                 k = max(k, min(widths[n - 1], n))
@@ -124,9 +131,9 @@ def omega_block(nmax: int, mmax: int, kmax: int) -> list[list[list[Nat]]]:
     return block
 
 
-_A = _RowTable(_a_row)
-_B3 = _RowTable(_b3_layer)
-_OMEGA = _RowTable(_omega_layer)
+_A = _RowTable(_a_row, 0)
+_B3 = _RowTable(_b3_layer, 0)
+_OMEGA = _RowTable(_omega_layer, 1)
 
 
 def a_rec(n: int, k: int) -> Nat:
@@ -172,7 +179,7 @@ def _a_alt_column(col: list[int], prev: list[int] | None, k: int, nmax: int) -> 
             col.append(v)
 
 
-_A_ALT = _RowTable(_a_alt_column)
+_A_ALT = _RowTable(_a_alt_column, None)
 
 
 def b3(n: int, m: int, k: int) -> Nat:
@@ -192,6 +199,14 @@ def b3(n: int, m: int, k: int) -> Nat:
 def b(n: int, k: int) -> Nat:
     """Two-index b(n, k) = b3(n, n, k); 0 outside 0 <= k <= n."""
     return b3(n, n, k)
+
+
+def b_row(n: int, width: int) -> list[Nat]:
+    """b(n, 0..width) for 0 <= width <= n, read from layer n of the b3
+    table in one call."""
+    if not 0 <= width <= n:
+        raise ValueError(f"need 0 <= width <= n, got ({n}, {width})")
+    return _B3.row(n, width)[n][: width + 1]
 
 
 def b3_hook(n: int, m: int) -> Nat:
@@ -229,7 +244,7 @@ def _b_cor_row(row: list[Fraction], prev: list[Fraction] | None, n: int, width: 
         )
 
 
-_B_COR = _RowTable(_b_cor_row)
+_B_COR = _RowTable(_b_cor_row, 0)
 
 
 def omega(n: int, m: int, k: int) -> Nat:

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven criteria, one test (one pass/fail line) each.
+"""Acceptance gate: twelve criteria, one test (one pass/fail line) each.
 
 Every comparison below is exact integer equality unless a tolerance is
 named explicitly.  Wall-clock budgets use time.perf_counter and are meant
@@ -180,3 +180,15 @@ def test_criterion_11_oeis_crosschecks_agree_offline():
         assert code == 0, (map_name, text)
         assert "agree" in text, (map_name, text)
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_criterion_12_boundary_sum_checks_at_three_times_their_bounds():
+    # lemma28 (n <= 24, k <= 15), lemma29 (n <= 24, k <= 18) and gamma-sum
+    # (k <= 120) in one process: about 0.5 s in integer sums, about
+    # 4 s when every term was a Fraction
+    t0 = time.perf_counter()
+    for name in ("lemma28", "lemma29", "gamma-sum"):
+        bounds = {flag: 3 * v for flag, v in cli.CHECKS[name].bounds.items()}
+        ok, _ = cli.CHECKS[name].run(**bounds)
+        assert ok is True, name
+    assert time.perf_counter() - t0 < 3.0

@@ -424,11 +424,13 @@ def test_missing_required_flag_is_usage_error():
 
 
 def _move_cached_weight(monkeypatch, rows, row, entry):
-    # a cache cut back to its seed row, restored by monkeypatch; one numerator
-    # of row 2 moves by its denominator.  The omega table is module state
-    # too, so a fresh one reads the moved weights.
-    monkeypatch.setattr(closed_forms, rows, getattr(closed_forms, rows)[:1])
-    monkeypatch.setattr(wall_tables, "_OMEGA", wall_tables._RowTable(wall_tables._omega_layer))
+    # the gamma and delta caches cut back to their seed rows, restored by
+    # monkeypatch; one numerator of row 2 of `rows` moves by its denominator.
+    # The delta rows are built from the gammas and the omega table from both,
+    # so fresh ones read the moved weights.
+    for name in ("_GAMMA_ROWS", "_DELTA_ROWS"):
+        monkeypatch.setattr(closed_forms, name, getattr(closed_forms, name)[:1])
+    monkeypatch.setattr(wall_tables, "_OMEGA", wall_tables._RowTable(wall_tables._omega_layer, 1))
     nums, den = row(2)
     wrong = list(nums)
     wrong[entry] += den
@@ -440,13 +442,52 @@ def _move_cached_weight(monkeypatch, rows, row, entry):
     [("closed-a", "_GAMMA_ROWS", closed_forms._gamma_row, 0, "(2, 2)"),
      ("tc-routes", "_DELTA_ROWS", closed_forms.delta_row, 1, "(3, 2)"),
      ("dk-threeway", "_GAMMA_ROWS", closed_forms._gamma_row, 1, "(2, 20)"),
-     ("omega-bridge", "_GAMMA_ROWS", closed_forms._gamma_row, 1, "(0, 1, 2)")],
+     ("omega-bridge", "_GAMMA_ROWS", closed_forms._gamma_row, 1, "(0, 1, 2)"),
+     ("gamma-sum", "_GAMMA_ROWS", closed_forms._gamma_row, 0, "(2)")],
 )
 def test_wrong_cached_weight_fails_the_check(monkeypatch, check, rows, row, entry, cell):
     # the moved numerator keeps the sum integral but wrong
     _move_cached_weight(monkeypatch, rows, row, entry)
     code, text = run_cli("verify", "--check", check)
     assert (code, text) == (1, f"{check}: FAIL (fails at {cell})\n")
+
+
+def test_moved_omega_cell_fails_lemma28(monkeypatch):
+    # omega(2, 3, 1) first enters the unfolded sum at depth s = 2
+    omega = wall_tables.omega
+    monkeypatch.setattr(
+        wall_tables, "omega", lambda n, m, k: omega(n, m, k) + ((n, m, k) == (2, 3, 1))
+    )
+    assert run_cli("verify", "--check", "lemma28") == (1, "lemma28: FAIL (fails at (4, 2, 2))\n")
+
+
+def test_moved_double_factorial_fails_lemma29(monkeypatch):
+    # 7!! moved in every run that holds it: first the run 5!!..7!! of (1, 2, 0)
+    runs = closed_forms.double_factorials
+
+    def moved(low, high):
+        run = runs(low, high)
+        if low <= 7 <= high:
+            run[7 - low] += 1
+        return run
+
+    monkeypatch.setattr(closed_forms, "double_factorials", moved)
+    assert run_cli("verify", "--check", "lemma29") == (1, "lemma29: FAIL (fails at (1, 2, 0))\n")
+
+
+def test_moved_b_cell_fails_monster(monkeypatch):
+    # b(3, 2) moved in the rows that b_monster reads; the table it is
+    # compared with stays as it is
+    b_row = wall_tables.b_row
+
+    def moved(n, width):
+        row = b_row(n, width)
+        if n == 3 and width >= 2:
+            row[2] += 1
+        return row
+
+    monkeypatch.setattr(wall_tables, "b_row", moved)
+    assert run_cli("verify", "--check", "monster") == (1, "monster: FAIL (fails at (4, 2))\n")
 
 
 def test_unintegral_closed_dk_weight_exits_1(monkeypatch, capsys):

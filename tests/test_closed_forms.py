@@ -202,6 +202,38 @@ def test_lemma28_single_step_expansion():
             assert cf.lemma28_rhs(n, k, 1, wt.omega) == expanded
 
 
+def test_lemma28_weights_are_scaled_alphas():
+    for s in range(31):
+        first, second = cf._lemma28_weights(s)
+        for t, block in ((s, first), (s + 1, second)):
+            assert [(p, q) for p, q, _ in block] == [
+                (p, q) for p in range(1, (t + 1) // 2 + 1) for q in range(1, t + 2 - 2 * p + 1)
+            ]
+            for p, q, w in block:
+                assert type(w) is int, (s, t, p, q)
+                assert w == cf.alpha(t, p, q) * factorial(s) * 2**s, (s, t, p, q)
+
+
+def test_lemma28_rhs_is_the_alpha_sum():
+    # the rational sum of the definition, term by term, on a moved omega
+    def source(n, m, k):
+        if n < 0 or k < 0:
+            return 0
+        return wt.omega(n, m, k) + (n + 2 * m + 3 * k) % 5
+
+    for n in range(1, 7):
+        for k in range(1, 5):
+            for s in range(1, n + 1):
+                want = sum(
+                    cf.alpha(s, p, q) * source(n - s - 1, k + s - p, k + 1 - q)
+                    for p in range(1, (s + 1) // 2 + 1) for q in range(1, s + 3 - 2 * p)
+                ) - sum(
+                    cf.alpha(s + 1, p, q) * source(n - s, k + s - p, k + 1 - q)
+                    for p in range(1, (s + 2) // 2 + 1) for q in range(1, s + 4 - 2 * p)
+                )
+                assert cf.lemma28_rhs(n, k, s, source) == want, (n, k, s)
+
+
 def test_lemma29_identity():
     # the identity itself is the registry check lemma29
     with pytest.raises(ValueError):

@@ -84,7 +84,7 @@ def test_omega_seed_and_guards():
 
 
 def test_table_values_are_stable():
-    t = wt._RowTable(wt._b3_layer)
+    t = wt._RowTable(wt._b3_layer, 0)
     first = t.row(7, 3)[5][3]
     assert t.row(7, 3)[5][3] == first
     assert first == wt.b3(7, 5, 3)
@@ -95,7 +95,7 @@ def _a_cell(table, n, k):
 
 
 def test_memo_handles_sparse_far_request():
-    table = wt._RowTable(wt._a_row)
+    table = wt._RowTable(wt._a_row, 0)
     # a far row first: the fill stops at column 1, then reads are plain indexing
     far = _a_cell(table, 600, 1)
     assert far == _a_cell(table, 600, 0) + (2 * 600 + 1 - 1) * _a_cell(table, 599, 1)
@@ -103,7 +103,7 @@ def test_memo_handles_sparse_far_request():
 
 
 def test_cells_asked_out_of_order():
-    table = wt._RowTable(wt._a_row)
+    table = wt._RowTable(wt._a_row, 0)
     # a far column first (grows n), then a larger k at small n (widens the
     # filled rows), then the whole reference triangle
     assert _a_cell(table, 40, 1) == wt.a_rec(40, 1)
@@ -119,17 +119,30 @@ def test_row_read_cell_by_cell_fills_each_row_once():
         steps.append(args[2])
         wt._b3_layer(*args)
 
-    table = wt._RowTable(counting_layer)
+    table = wt._RowTable(counting_layer, 0)
     for n in range(33):
-        assert [table.row(n, k)[n][k] for k in range(n + 1)] == [wt.b(n, k) for k in range(n + 1)]
-    # one step for b(n, 0..n-1), n + 1 more to widen rows 0..n for b(n, n)
-    assert len(steps) <= 600
+        for k in range(n + 1):
+            before = len(steps)
+            assert table.row(n, k)[n][k] == wt.b(n, k)
+            # rows below n are complete: a read steps row n alone, or nothing
+            assert steps[before:] in ([], [n]), (n, k)
+    # one step for b(n, 0..n-1) and one to widen row n for b(n, n)
+    assert len(steps) <= 2 * 33
+
+
+def test_complete_rows_keep_their_width():
+    # a complete row stops the widening walk but does not widen the row
+    # above it past its own width: column 0 of b stays one column wide
+    table = wt._RowTable(wt._b3_layer, 0)
+    for n in range(40):
+        table.row(n, 0)
+    assert [len(layer[-1]) for layer in table._rows] == [1] * 40
 
 
 def test_row_widening_stops_at_column_n():
     # rows of the a_alt table are columns of any depth: a deep column 0 must
     # not drag column 1 down with it
-    table = wt._RowTable(wt._a_alt_column)
+    table = wt._RowTable(wt._a_alt_column, None)
     table.row(0, 1500)
     assert len(table.row(1, 5)) == 6
 
