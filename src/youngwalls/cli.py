@@ -364,17 +364,18 @@ def _stock_series(order: int) -> bool:
 
 def _kernel_residual(k: int, order: int, f, d, b) -> bool:
     res = series_engine.kernel_residual(b, f, d)
-    return all(res.entry(j, n) == 0 for j in range(order + 1) for n in range(order + 1))
+    return not any(any(row[: order + 1]) for row in res[: order + 1])
 
 
 def _bk_rect(k: int, order: int, f, d, b) -> bool:
-    return b.truncate(order, order) == series_engine.bk_from_table(k, order, order)
+    rect = tuple(row[: order + 1] for row in b[: order + 1])
+    return rect == series_engine.bk_from_table(k, order, order)
 
 
 def _b0_hook(nmax: int) -> bool:
     _, _, b0 = series_engine.kernel_chain(0, 2 * nmax)
     square = range(nmax + 1)
-    return all(b0.entry(j, m) == wall_tables.b3_hook(m + j, m) for j in square for m in square)
+    return all(b0[j][m] == wall_tables.b3_hook(m + j, m) for j in square for m in square)
 
 
 def _tc_routes(n: int, k: int) -> bool:

@@ -6,12 +6,13 @@ Design notes that the individual docstrings lean on:
 * Every operation keeps the stored truncation order.  Dividing by t
   shifts coefficients down and pads the top with zeros, so a series is
   trustworthy only up to a caller-tracked margin below its stored order.
-* The kernel equation (x - x^2 - t) B_k = x F_k - t D_k is solved and
-  checked slice by slice (slice j is the coefficient of x^j), in plain
-  TSeries arithmetic: slice 0 is t (D - B_0) and slice j >= 1 is
-  B_{j-1} - B_{j-2} - F_{j-1} - t B_j.  bk_solve sets each to zero;
-  kernel_residual returns them on the common rectangle of B and F, with
-  t D cut at D's stored order.  XTSeries only stores and substitutes.
+* B_k and F_k are plain tuples of coefficient rows (Rows): rows[j][n] is
+  the coefficient of x^j t^n, and row j is slice j, the coefficient of x^j.
+  The kernel equation (x - x^2 - t) B_k = x F_k - t D_k is solved and
+  checked slice by slice in plain TSeries arithmetic: slice 0 is
+  t (D - B_0) and slice j >= 1 is B_{j-1} - B_{j-2} - F_{j-1} - t B_j.
+  bk_solve sets each to zero; kernel_residual returns them on the common
+  rectangle of B and F, with t D cut at D's stored order.
 * The margin is sharp: at a square working order W slice j of every B_k
   is exact to t-order W - j, so dk_kernel(k, N) is exact at working order
   N, while a full rectangle of B_k to x-order Nx and t-order Nt needs
@@ -35,17 +36,19 @@ Design notes that the individual docstrings lean on:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import count, islice
 from operator import mul
 
 from . import wall_tables
 from .closed_forms import gamma_dfact_terms
-from .exact_arith import binomial, exact_int
+from .exact_arith import NotIntegralError, binomial, exact_int
 from .record import Record
 
 Coeff = int | Fraction
+# a bivariate series in x and t: rows[j][n] is the coefficient of x^j t^n
+Rows = tuple[tuple[Coeff, ...], ...]
 
 
 class TSeries(Record):
@@ -122,84 +125,30 @@ class TSeries(Record):
             return TSeries((0,) * n)
         return TSeries((0,) * j + self.coeffs[: n - j])
 
-    def divide_t(self, j: int = 1) -> "TSeries":
-        """Divide by t^j.  The j lowest coefficients must vanish; the top of
-        the result is padded with zeros (see the module notes on margins)."""
-        if j < 0:
-            raise ValueError("divide_t needs j >= 0")
-        if any(self.coeffs[:j]):
-            raise ValueError(f"series not divisible by t^{j}")
-        pad = min(j, len(self.coeffs))
-        return TSeries(self.coeffs[j:] + (0,) * pad)
-
     def to_text(self) -> str:
         """Space-separated coefficients c0 c1 ..., fractions as p/q."""
         return " ".join(str(c) for c in self.coeffs)
 
 
-class XTSeries(Record):
-    """Bivariate truncated series in x and t with exact coefficients.
+def subs_x(rows: Rows, inner: TSeries) -> TSeries:
+    """Substitute a series with zero constant term for x in the bivariate
+    series rows, collapsing to a series in t: sum_j rows[j](t) * inner(t)^j.
 
-    rows[j][n] is the coefficient of x^j t^n; the rectangle is always full.
-    For the wall-tableau generating function B_k the entry at
-    (j, n) = (n' - m, m) holds b3(n', m, k).
+    Horner's rule from the top row down, trimmed: inner^j starts at t^j, so
+    the partial sum that inner^j multiplies is needed only to t-order n - j,
+    and rows past n contribute nothing.
     """
-
-    __slots__ = ("rows",)
-    rows: tuple[tuple[Coeff, ...], ...]
-
-    def __init__(self, rows: tuple[tuple[Coeff, ...], ...]) -> None:
-        object.__setattr__(self, "rows", rows)
-
-    @staticmethod
-    def make(rows, x_order: int | None = None, t_order: int | None = None) -> "XTSeries":
-        rs = [list(row) for row in rows]
-        if x_order is None:
-            x_order = len(rs) - 1
-        if t_order is None:
-            t_order = max((len(r) for r in rs), default=1) - 1
-        rs = rs[: x_order + 1] + [[] for _ in range(x_order + 1 - len(rs))]
-        full = tuple(
-            tuple((r[: t_order + 1] + [0] * (t_order + 1 - len(r)))) for r in rs
-        )
-        return XTSeries(full)
-
-    @property
-    def x_order(self) -> int:
-        return len(self.rows) - 1
-
-    @property
-    def t_order(self) -> int:
-        return len(self.rows[0]) - 1
-
-    def entry(self, j: int, n: int) -> Coeff:
-        return self.rows[j][n]
-
-    def divide_t(self, n: int = 1) -> "XTSeries":
-        return XTSeries(tuple(TSeries(row).divide_t(n).coeffs for row in self.rows))
-
-    def subs_x(self, inner: TSeries) -> TSeries:
-        """Substitute a series with zero constant term for x, collapsing to a
-        series in t: sum_j rows[j](t) * inner(t)^j.
-
-        Horner's rule from the top row down, trimmed: inner^j starts at t^j,
-        so the partial sum that inner^j multiplies is needed only to t-order
-        n - j, and rows past n contribute nothing.
-        """
-        if inner.coeffs[0]:
-            raise ValueError("subs_x needs an inner series with zero constant term")
-        n = min(self.t_order, inner.order)
-        top = min(self.x_order, n)
-        rev = inner.coeffs[::-1]  # rev[-1 - m] is the coefficient of t^m
-        acc = self.rows[top][: n - top + 1]
-        for j in range(top - 1, -1, -1):
-            # row j + acc * inner to t-order n - j; term m pairs acc[i] with t^(m - i)
-            row = self.rows[j]
-            acc = [row[m] + sum(map(mul, acc, rev[-1 - m : -1])) for m in range(n - j + 1)]
-        return TSeries(tuple(acc))
-
-    def truncate(self, x_order: int, t_order: int) -> "XTSeries":
-        return XTSeries.make(self.rows, x_order, t_order)
+    if inner.coeffs[0]:
+        raise ValueError("subs_x needs an inner series with zero constant term")
+    n = min(len(rows[0]) - 1, inner.order)
+    top = min(len(rows) - 1, n)
+    rev = inner.coeffs[::-1]  # rev[-1 - m] is the coefficient of t^m
+    acc = rows[top][: n - top + 1]
+    for j in range(top - 1, -1, -1):
+        # row j + acc * inner to t-order n - j; term m pairs acc[i] with t^(m - i)
+        row = rows[j]
+        acc = [row[m] + sum(map(mul, acc, rev[-1 - m : -1])) for m in range(n - j + 1)]
+    return TSeries(tuple(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +191,12 @@ def dk_from_table(k: int, order: int) -> TSeries:
     return TSeries.make([wall_tables.b(n, k) for n in range(order + 1)])
 
 
-def bk_from_table(k: int, x_order: int, t_order: int) -> XTSeries:
+def bk_from_table(k: int, x_order: int, t_order: int) -> Rows:
     """B_k(x, t) with entry (j, m) = b3(m + j, m, k) from the table."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return XTSeries.make(
-        [[wall_tables.b3(m + j, m, k) for m in range(t_order + 1)] for j in range(x_order + 1)]
+    return tuple(
+        tuple(wall_tables.b3(m + j, m, k) for m in range(t_order + 1)) for j in range(x_order + 1)
     )
 
 
@@ -281,53 +230,60 @@ def dk_closed(k: int, order: int) -> TSeries:
 # route three: kernel chain
 
 
-def fk_next(b_prev: XTSeries, k: int) -> XTSeries:
+def _divide_t(row: Sequence[Coeff], name: str, k: int, j: int) -> tuple[Coeff, ...]:
+    """Slice j of name at kernel level k, divided by t; the top is padded
+    with a zero.  Raises NotIntegralError unless the constant term vanishes."""
+    if row[0]:
+        raise NotIntegralError(f"kernel level {k}: slice {j} of {name} is not divisible by t")
+    return (*row[1:], 0)
+
+
+def fk_next(b_prev: Rows, k: int) -> Rows:
     """Inhomogeneous term F_k = t dB_{k-1}/dt + (1 - k) B_{k-1}, i.e. the
     entrywise map (j, n) -> (n + 1 - k) * entry."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return XTSeries(
-        tuple(tuple((n + 1 - k) * v for n, v in enumerate(row)) for row in b_prev.rows)
-    )
+    return tuple(tuple((n + 1 - k) * v for n, v in enumerate(row)) for row in b_prev)
 
 
-def bk_solve(f_k: XTSeries, d_k: TSeries) -> XTSeries:
-    """Solve the kernel equation (1 - x - t/x) B = F - (t/x) D slice by
-    slice: B_0 = D and B_j = (B_{j-1} - B_{j-2} - F_{j-1}) / t for j >= 1.
+def bk_solve(f_k: Rows, d_k: TSeries, k: int) -> Rows:
+    """Solve the kernel equation (1 - x - t/x) B = F - (t/x) D of level k
+    slice by slice: B_0 = D and B_j = (B_{j-1} - B_{j-2} - F_{j-1}) / t for
+    j >= 1.
 
     Each division is checked exact at the constant term.  With square
     working order W, slice j of the result is exact to t-order W - j.
     """
-    t_order = min(f_k.t_order, d_k.order)
+    t_order = min(len(f_k[0]) - 1, d_k.order)
     prev2: tuple[Coeff, ...] = (0,) * (t_order + 1)
     prev = d_k.coeffs[: t_order + 1]
     rows = [prev]
-    for j in range(1, f_k.x_order + 1):
-        rhs = [a - b - c for a, b, c in zip(prev, prev2, f_k.rows[j - 1])]
-        if rhs[0]:
-            raise ValueError(f"kernel slice {j} is not divisible by t")
-        prev2, prev = prev, (*rhs[1:], 0)
+    for j in range(1, len(f_k)):
+        rhs = [a - b - c for a, b, c in zip(prev, prev2, f_k[j - 1])]
+        prev2, prev = prev, _divide_t(rhs, "the kernel equation", k, j)
         rows.append(prev)
-    return XTSeries(tuple(rows))
+    return tuple(rows)
 
 
-def kernel_levels(order: int) -> Iterator[tuple[XTSeries, TSeries, XTSeries]]:
+def kernel_levels(order: int) -> Iterator[tuple[Rows, TSeries, Rows]]:
     """Walk the kernel system at square working order, yielding (F_k, D_k,
     B_k) for k = 0, 1, ...  Level 0 is the initial condition F_0 = 1,
     D_0 = C(t); each later level is solved from the one before it."""
     x2 = x2_series(order)
-    f = XTSeries.make([[1]], order, order)
+    zero = (0,) * (order + 1)
+    f = ((1, *zero[1:]), *(zero,) * order)
     d = catalan_series(order)
-    b = bk_solve(f, d)
+    b = bk_solve(f, d, 0)
     yield f, d, b
     for level in count(1):
         f = fk_next(b, level)
-        d = x2 * f.divide_t().subs_x(x2)  # (x F / t)(X_2) to order W
-        b = bk_solve(f, d)
+        f_over_t = tuple(_divide_t(row, "F_k", level, j) for j, row in enumerate(f))
+        d = x2 * subs_x(f_over_t, x2)  # (x F / t)(X_2) to order W
+        b = bk_solve(f, d, level)
         yield f, d, b
 
 
-def kernel_chain(k: int, order: int) -> tuple[XTSeries, TSeries, XTSeries]:
+def kernel_chain(k: int, order: int) -> tuple[Rows, TSeries, Rows]:
     """Level k of kernel_levels(order): (F_k, D_k, B_k)."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
@@ -341,16 +297,16 @@ def dk_kernel(k: int, order: int) -> TSeries:
     return kernel_chain(k, order)[1]
 
 
-def kernel_residual(b_k: XTSeries, f_k: XTSeries, d_k: TSeries) -> XTSeries:
+def kernel_residual(b_k: Rows, f_k: Rows, d_k: TSeries) -> Rows:
     """(x - x^2 - t) B - (x F - t D) on the common rectangle of B and F,
     slice by slice as bk_solve solves it: slice 0 is t (D - B_0), with t D
     at D's own order (its top coefficient falls off, as in shift_up), and
     slice j >= 1 is B_{j-1} - B_{j-2} - F_{j-1} - t B_j.  Entry (j, n) is
     trustworthy whenever the inputs are exact at and one step below (j, n);
     on exact inputs the residual vanishes identically."""
-    t_order = min(b_k.t_order, f_k.t_order)
-    b = [TSeries.zero(t_order), *map(TSeries, b_k.rows)]  # b[j] is B_{j-1}
+    t_order = min(len(b_k[0]), len(f_k[0])) - 1
+    b = [TSeries.zero(t_order), *map(TSeries, b_k)]  # b[j] is B_{j-1}
     slices = [TSeries.make(d_k.shift_up().coeffs, t_order) - b[1].shift_up()]
-    for j in range(1, min(b_k.x_order, f_k.x_order) + 1):
-        slices.append(b[j] - b[j - 1] - TSeries(f_k.rows[j - 1]) - b[j + 1].shift_up())
-    return XTSeries(tuple(s.coeffs for s in slices))
+    for j in range(1, min(len(b_k), len(f_k))):
+        slices.append(b[j] - b[j - 1] - TSeries(f_k[j - 1]) - b[j + 1].shift_up())
+    return tuple(s.coeffs for s in slices)

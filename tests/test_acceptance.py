@@ -95,9 +95,7 @@ def test_criterion_06_generating_function_three_way_agreement():
     for k in range(6):
         f, d, b = series_engine.kernel_chain(k, 24)
         res = series_engine.kernel_residual(b, f, d)
-        assert all(
-            res.entry(j, n) == 0 for j in range(13) for n in range(13)
-        ), k
+        assert all(res[j][n] == 0 for j in range(13) for n in range(13)), k
     half, whole = Fraction(1, 2), Fraction(1)
     want = series_engine.neg_pow_series(Fraction(3, 2), 10).scale(half) - (
         series_engine.neg_pow_series(whole, 10).scale(half)

@@ -540,6 +540,24 @@ def test_not_integral_maps_to_exit_1(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["series", "--dk", "2", "--order", "6", "--method", "kernel"],
+     ["verify", "--check", "kernel-residual"]],
+)
+def test_failed_kernel_division_exits_1(argv, monkeypatch, capsys):
+    # a slice that is not divisible by t breaks an identity: exit 1, not 2
+    fk_next = cli.series_engine.fk_next
+
+    def broken(b_prev, k):
+        f = fk_next(b_prev, k)
+        return ((f[0][0] + 1, *f[0][1:]), *f[1:])
+
+    monkeypatch.setattr(cli.series_engine, "fk_next", broken)
+    assert run_cli(*argv) == (1, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_invariants_checked_under_optimize():
     snippet = (
         "from fractions import Fraction\n"

@@ -1,3 +1,5 @@
+import ast
+from pathlib import Path
 from types import ModuleType
 
 import youngwalls
@@ -10,3 +12,15 @@ def test_all_names_every_public_binding():
     }
     assert len(youngwalls.__all__) == len(set(youngwalls.__all__))
     assert set(youngwalls.__all__) == public
+
+
+def test_no_module_uses_a_bare_assert():
+    # every invariant must still hold under python -O
+    package = Path(youngwalls.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -14,7 +14,6 @@ def _check(summary):
 #  constructor arguments that validation rejects or None)
 RECORDS = {
     "TSeries": (lambda v: se.TSeries((1, v)), True, "coeffs", None),
-    "XTSeries": (lambda v: se.XTSeries(((1, v), (0, 0))), True, "rows", None),
     "Poset": (lambda v: pl.Poset(v + 2, [(0, 1)]), True, "size", (2, [(0, 2)])),
     "WallShape": (lambda v: pl.WallShape((v + 2, 2, 1)), True, "rows", ((1, 2, 0),)),
     "Check": (lambda v: _check(f"check {v}"), False, "summary", None),
