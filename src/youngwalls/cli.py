@@ -13,7 +13,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification or comparison failed (or a value
 that an identity makes integral came out otherwise), 2 usage error (also
-bounds that select nothing to check or print), 3 capacity exceeded.
+a flag that does not apply, or bounds that select nothing to check or
+print), 3 capacity exceeded.
 Integers in JSON are decimal strings so no consumer ever rounds them.
 """
 
@@ -61,6 +62,10 @@ def _table_cells(args: argparse.Namespace) -> list[Cell]:
     if seq in two_index:
         if seq == "tc" and args.diag:
             raise _Usage("tc has no diagonal: its domain is k <= n-1")
+        if args.mmax is not None:
+            raise _Usage(f"--mmax clips the 3-index sequences only, not {seq}")
+        if sliced and args.kmax is not None:
+            raise _Usage("--kmax clips a full table; it does not combine with --k or --diag")
         fn = two_index[seq]
         cells: list[Cell] = []
         for n in range(1 if seq in ("ftilde", "tc") else 0, nmax + 1):
@@ -147,7 +152,7 @@ def run_series(args: argparse.Namespace, out: "TextIO") -> int:
         s = series_engine.dk_closed(k, order)
     else:  # kernel; level 0 is the chain's initial condition, served directly
         s = series_engine.catalan_series(order) if k == 0 else series_engine.dk_kernel(k, order)
-    print(s.to_text(), file=out)
+    print(" ".join(map(str, s)), file=out)
     return EXIT_OK
 
 
@@ -157,6 +162,8 @@ def run_series(args: argparse.Namespace, out: "TextIO") -> int:
 
 def run_oracle(args: argparse.Namespace, out: "TextIO") -> int:
     seq, n, k, m = args.seq, args.n, args.k, args.m
+    if m is not None and seq != "b3":
+        raise _Usage(f"--m belongs to oracle --seq b3 only, not {seq}")
     if seq == "a":
         brute, fast = poset_lab.a_brute(n, k), wall_tables.a_rec(n, k)
     elif seq == "b":
@@ -350,15 +357,16 @@ def _delta_rec(i: int) -> bool:
 
 def _stock_series(order: int) -> bool:
     """Half-power square, central binomials, Catalan equation, kernel root."""
-    one = series_engine.TSeries.one(order)
+    mul, shift_up = series_engine.series_mul, series_engine.shift_up
     half = series_engine.neg_pow_series(Fraction(1, 2), order)
     c = series_engine.catalan_series(order)
     x2 = series_engine.x2_series(order)
+    t = shift_up((1,) + (0,) * order)
     return (
-        half * half == series_engine.neg_pow_series(1, order)
-        and all(c_n == binomial(2 * n, n) for n, c_n in enumerate(half.coeffs))
-        and one + (c * c).shift_up(1) == c
-        and x2 * x2 - x2 + one.shift_up(1) == series_engine.TSeries.zero(order)
+        mul(half, half) == series_engine.neg_pow_series(1, order)
+        and all(c_n == binomial(2 * n, n) for n, c_n in enumerate(half))
+        and (1, *shift_up(mul(c, c))[1:]) == c  # C = 1 + t C^2
+        and mul(x2, x2) == tuple(x - y for x, y in zip(x2, t))  # X_2^2 = X_2 - t
     )
 
 

@@ -105,6 +105,24 @@ def test_full_table_that_selects_no_row_is_usage_error(argv, capsys):
     assert capsys.readouterr().err == f"error: no row of {argv[1]} with n <= 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["table", "--seq", "a", "--nmax", "4", "--k", "2", "--kmax", "1"],
+      "--kmax clips a full table; it does not combine with --k or --diag"),
+     (["table", "--seq", "b", "--nmax", "3", "--diag", "--kmax", "0"],
+      "--kmax clips a full table; it does not combine with --k or --diag"),
+     (["table", "--seq", "tc", "--nmax", "3", "--mmax", "0"],
+      "--mmax clips the 3-index sequences only, not tc"),
+     (["oracle", "--seq", "a", "--n", "3", "--k", "1", "--m", "2"],
+      "--m belongs to oracle --seq b3 only, not a")],
+    ids=["k-with-kmax", "diag-with-kmax", "mmax-on-tc", "m-on-a"],
+)
+def test_flag_that_does_not_apply_is_usage_error(argv, message, capsys):
+    # each printed its answer with the flag dropped and exited 0
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_table_json_values_are_decimal_strings():
     code, text = run_cli("table", "--seq", "b", "--nmax", "2", "--format", "json")
     assert code == 0

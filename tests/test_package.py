@@ -1,4 +1,6 @@
 import ast
+import doctest
+import re
 from pathlib import Path
 from types import ModuleType
 
@@ -24,3 +26,12 @@ def test_no_module_uses_a_bare_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_readme_quick_tour_runs():
+    # the >>> examples of README's python blocks, each block up to its closing fence
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    test = doctest.DocTestParser().get_doctest("".join(blocks), {}, "README", "README.md", 0)
+    results = doctest.DocTestRunner().run(test)
+    assert results.attempted > 0 and results.failed == 0

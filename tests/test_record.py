@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from youngwalls import cli, poset_lab as pl, series_engine as se
+from youngwalls import cli, poset_lab as pl
 
 
 def _check(summary):
@@ -13,7 +13,6 @@ def _check(summary):
 # (build one value from a label, whether the class hashes, a field to assign,
 #  constructor arguments that validation rejects or None)
 RECORDS = {
-    "TSeries": (lambda v: se.TSeries((1, v)), True, "coeffs", None),
     "Poset": (lambda v: pl.Poset(v + 2, [(0, 1)]), True, "size", (2, [(0, 2)])),
     "WallShape": (lambda v: pl.WallShape((v + 2, 2, 1)), True, "rows", ((1, 2, 0),)),
     "Check": (lambda v: _check(f"check {v}"), False, "summary", None),
