@@ -521,9 +521,17 @@ def run_verify(args: argparse.Namespace, out: "TextIO") -> int:
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise _Usage(f"unknown check {unknown[0]!r}; choose from {sorted(CHECKS)} or 'all'")
+    given = {"nmax": args.nmax, "kmax": args.kmax, "order": args.order}
+    if args.check != "all":
+        # a named check must take every bound given; "all" applies each where it can
+        bounds = CHECKS[args.check].bounds
+        unused = [b for b, v in given.items() if v is not None and b not in bounds]
+        if unused:
+            takes = " and ".join(f"--{b}" for b in bounds)
+            raise _Usage(f"check {args.check} takes no --{unused[0]}, only {takes}")
     statuses = set()
     for name in names:
-        ok, detail = CHECKS[name].run(nmax=args.nmax, kmax=args.kmax, order=args.order)
+        ok, detail = CHECKS[name].run(**given)
         status = {True: "PASS", False: "FAIL", None: "EMPTY"}[ok]
         print(f"{name}: {status} ({detail})", file=out)
         statuses.add(status)

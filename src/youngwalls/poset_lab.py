@@ -1,7 +1,9 @@
 """Finite posets, linear-extension counting, and the chain-with-pendants
 families whose extension counts reproduce the wall-tableau tables.
 
-A poset is stored as its cover relation on labels 0..p-1.  Counting linear
+A poset is stored as its cover relation on labels 0..p-1.  One Kahn-order
+pass gives the down-set of every element as a bitmask, and validation, the
+extension count and the hook product all read it.  Counting linear
 extensions walks the lattice of order ideals with a bitmask dynamic
 program, so it is capped at 24 elements; the structured families come with
 closed product formulas that act as independent oracles.
@@ -42,49 +44,21 @@ class Poset(Record):
     def _validate(self) -> None:
         if self.size < 0:
             raise ValueError("negative size")
-        succ: list[list[int]] = [[] for _ in range(self.size)]
         for s, t in self.covers:
             if not (0 <= s < self.size and 0 <= t < self.size):
                 raise ValueError(f"cover {s}>{t} out of range")
             if s == t:
                 raise ValueError(f"reflexive cover at {s}")
-            succ[s].append(t)
-        order = self._topo_order(succ)
-        if order is None:
+        below = _down_sets(self)
+        if below is None:
             raise ValueError("cover relation has a cycle")
+        # (s, t) is redundant when s lies below another element that t covers
+        deep = [0] * self.size
+        for u, t in self.covers:
+            deep[t] |= below[u]
         for s, t in self.covers:
-            if self._reachable(succ, s, t, skip_direct=True):
+            if deep[t] >> s & 1:
                 raise ValueError(f"redundant cover {s}>{t}")
-
-    def _topo_order(self, succ: list[list[int]]) -> list[int] | None:
-        indeg = [0] * self.size
-        for s in range(self.size):
-            for t in succ[s]:
-                indeg[t] += 1
-        queue = [v for v in range(self.size) if indeg[v] == 0]
-        out: list[int] = []
-        while queue:
-            v = queue.pop()
-            out.append(v)
-            for t in succ[v]:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    queue.append(t)
-        return out if len(out) == self.size else None
-
-    @staticmethod
-    def _reachable(succ: list[list[int]], src: int, dst: int, skip_direct: bool) -> bool:
-        stack = [t for t in succ[src] if not (skip_direct and t == dst)]
-        seen = set(stack)
-        while stack:
-            v = stack.pop()
-            if v == dst:
-                return True
-            for t in succ[v]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return False
 
     # -- stock shapes -------------------------------------------------------
 
@@ -97,24 +71,42 @@ class Poset(Record):
         return Poset(m, [])
 
 
+def _down_sets(p: Poset) -> list[int] | None:
+    """below[v], the bitmask of the elements strictly below v, for every v,
+    by one Kahn-order pass over the covers; None on a cycle (only _validate
+    meets one)."""
+    succ: list[list[int]] = [[] for _ in range(p.size)]
+    indeg = [0] * p.size
+    for s, t in p.covers:
+        succ[s].append(t)
+        indeg[t] += 1
+    below = [0] * p.size
+    ready = [v for v in range(p.size) if not indeg[v]]
+    # ready grows while it is read: it ends as a topological order
+    for v in ready:
+        for t in succ[v]:
+            below[t] |= below[v] | 1 << v
+            indeg[t] -= 1
+            if not indeg[t]:
+                ready.append(t)
+    return below if len(ready) == p.size else None
+
+
 def count_linear_extensions(p: Poset) -> Nat:
     """Number of linear extensions, by dynamic programming over the lattice
     of order ideals (ideals keyed by bitmask, grouped by popcount level so
-    only two levels are alive at a time)."""
+    only two levels are alive at a time); an ideal takes v once it holds
+    v's down-set."""
     if p.size > CAPACITY:
         raise CapacityError(f"poset has {p.size} elements, capacity is {CAPACITY}")
-    if p.size == 0:
-        return 1
-    pred_mask = [0] * p.size
-    for s, t in p.covers:
-        pred_mask[t] |= 1 << s
+    below = _down_sets(p)
     level: dict[int, int] = {0: 1}
     for _ in range(p.size):
         nxt: dict[int, int] = {}
         for mask, ways in level.items():
             for v in range(p.size):
                 bit = 1 << v
-                if mask & bit or (mask & pred_mask[v]) != pred_mask[v]:
+                if mask & bit or (mask & below[v]) != below[v]:
                     continue
                 key = mask | bit
                 nxt[key] = nxt.get(key, 0) + ways
@@ -127,25 +119,11 @@ def forest_hook_count(p: Poset) -> Nat:
     """Extension count p! / prod_v w(v) for posets whose Hasse diagram is a
     forest of up-trees (every element covered by at most one other);
     w(v) = number of elements weakly below v.  Rejects anything else."""
-    out_deg = [0] * p.size
-    children: list[list[int]] = [[] for _ in range(p.size)]
-    for s, t in p.covers:
-        out_deg[s] += 1
-        children[t].append(s)
-    if any(d > 1 for d in out_deg):
+    # covers are distinct, so a repeated lower end is an element covered twice
+    if len({s for s, _ in p.covers}) < len(p.covers):
         raise ValueError("hook product needs out-degree <= 1 everywhere")
-    weight = [0] * p.size
-    # children lists form a forest, so a post-order pass fills weights
-    roots = [v for v in range(p.size) if out_deg[v] == 0]
-    stack = [(v, False) for v in roots]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            weight[v] = 1 + sum(weight[c] for c in children[v])
-        else:
-            stack.append((v, True))
-            stack.extend((c, False) for c in children[v])
-    return exact_int(factorial(p.size), math.prod(weight), ("forest_hook_count", p.size))
+    weight = math.prod(below.bit_count() + 1 for below in _down_sets(p))
+    return exact_int(factorial(p.size), weight, ("forest_hook_count", p.size))
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +154,9 @@ def build_Ftilde(n: int, i_set: Sequence[int]) -> Poset:
     the top by u_n < v_n.  Labels continue after the pendants."""
     if n < 1:
         raise ValueError("need n >= 1")
-    idx = _check_index_set(i_set, 1, n)
-    k = len(idx)
-    covers = [(i, i + 1) for i in range(n - 1)]
-    covers += [(n + j, i - 1) for j, i in enumerate(idx)]
-    base = n + k
-    covers += [(base + i, base + i + 1) for i in range(n - 1)]
-    covers += [(base + n - 1, n - 1)]
-    return Poset(2 * n + k, covers)
+    f = build_F(n, i_set)
+    covers = [*f.covers, *((f.size + i, f.size + i + 1) for i in range(n - 1))]
+    return Poset(f.size + n, [*covers, (f.size + n - 1, n - 1)])
 
 
 def build_D(n: int, i_set: Sequence[int]) -> Poset:
@@ -416,13 +389,22 @@ def tableau_poset(shape: WallShape) -> Poset:
     return Poset(len(cells), covers)
 
 
+def _walled_row_count(rows: tuple[int, int, int], r: int, k: int) -> Nat:
+    """Extension counts of the diagram with these row lengths, row r walled
+    between every two adjacent cells, summed over the ways to keep k of row
+    r's cells (the rest removed)."""
+    cells = [(r, i) for i in range(rows[r])]
+    walls = frozenset(cells[:-1])  # wall (r, i) separates cells i and i+1
+    return sum(count_linear_extensions(tableau_poset(WallShape(rows, walls, frozenset(gone))))
+               for gone in itertools.combinations(cells, len(cells) - k))
+
+
 def a_brute(n: int, k: int) -> Nat:
     """a(n, k) by exhaustive extension counting of the (n, n, k) shape with
     a fully walled bottom row."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    shape = WallShape((n, n, k), walls=frozenset((0, i) for i in range(n - 1)))
-    return count_linear_extensions(tableau_poset(shape))
+    return _walled_row_count((n, n, k), 0, n)
 
 
 def b_brute(n: int, k: int) -> Nat:
@@ -431,13 +413,7 @@ def b_brute(n: int, k: int) -> Nat:
     bottom cells separated by walls."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    walls = frozenset((0, i) for i in range(n - 1))
-    total = 0
-    for kept in itertools.combinations(range(n), k):
-        removed = frozenset((0, i) for i in range(n) if i not in kept)
-        shape = WallShape((n, n, n), walls=walls, removed=removed)
-        total += count_linear_extensions(tableau_poset(shape))
-    return total
+    return _walled_row_count((n, n, n), 0, k)
 
 
 def b3_brute(n: int, m: int, k: int) -> Nat:
@@ -445,10 +421,4 @@ def b3_brute(n: int, m: int, k: int) -> Nat:
     from the top row."""
     if not 0 <= k <= m <= n:
         raise ValueError(f"need 0 <= k <= m <= n, got ({n}, {m}, {k})")
-    walls = frozenset((2, i) for i in range(m - 1))
-    total = 0
-    for kept in itertools.combinations(range(m), k):
-        removed = frozenset((2, i) for i in range(m) if i not in kept)
-        shape = WallShape((n, m, m), walls=walls, removed=removed)
-        total += count_linear_extensions(tableau_poset(shape))
-    return total
+    return _walled_row_count((n, m, m), 2, k)

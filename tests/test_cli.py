@@ -223,6 +223,21 @@ def test_verify_bound_override():
     assert text == "main-identity: PASS (n <= 5)\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["gamma-sum", "--nmax", "5"], "check gamma-sum takes no --nmax, only --kmax"),
+     (["stock-series", "--nmax", "3"], "check stock-series takes no --nmax, only --order"),
+     (["catalan-base", "--kmax", "2"], "check catalan-base takes no --kmax, only --nmax"),
+     (["lemma28", "--nmax", "3", "--order", "4"],
+      "check lemma28 takes no --order, only --nmax and --kmax")],
+    ids=["nmax-on-gamma-sum", "nmax-on-stock-series", "kmax-on-catalan-base", "order-on-lemma28"],
+)
+def test_verify_bound_the_check_does_not_take_is_usage_error(argv, message, capsys):
+    # each printed a PASS line at the check's own defaults and exited 0
+    assert run_cli("verify", "--check", *argv) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_unknown_check():
     code, _ = run_cli("verify", "--check", "no-such-check")
     assert code == 2

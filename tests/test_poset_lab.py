@@ -8,15 +8,72 @@ from youngwalls import wall_tables as wt
 from youngwalls.exact_arith import binomial, factorial
 
 
+POSET_REJECTIONS = [
+    (-1, [], "negative size"),
+    (2, [(0, 2)], "cover 0>2 out of range"),
+    (2, [(0, 0)], "reflexive cover at 0"),
+    (2, [(0, 1), (1, 0)], "cover relation has a cycle"),
+    (3, [(0, 1), (1, 2), (0, 2)], "redundant cover 0>2"),
+    (4, [(0, 1), (1, 2), (2, 3), (0, 3)], "redundant cover 0>3"),
+    # range and reflexivity are checked cover by cover, in sorted order
+    (3, [(2, 5), (1, 1)], "reflexive cover at 1"),
+    (3, [(1, 2), (0, 5), (1, 1)], "cover 0>5 out of range"),
+    # then a cycle, then the first redundant cover in sorted order
+    (3, [(0, 1), (1, 0), (2, 2)], "reflexive cover at 2"),
+    (5, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 3)], "cover relation has a cycle"),
+    (4, [(2, 3), (1, 3), (0, 2), (1, 2), (0, 1)], "redundant cover 0>2"),
+]
+
+
 def test_poset_validation():
-    with pytest.raises(ValueError):
-        pl.Poset(2, [(0, 2)])
-    with pytest.raises(ValueError):
-        pl.Poset(2, [(0, 0)])
-    with pytest.raises(ValueError):
-        pl.Poset(2, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
-        pl.Poset(3, [(0, 1), (1, 2), (0, 2)])  # redundant cover
+    for size, covers, message in POSET_REJECTIONS:
+        with pytest.raises(ValueError) as err:
+            pl.Poset(size, covers)
+        assert str(err.value) == message
+
+
+def _is_hasse_diagram(size, covers):
+    """Warshall's transitive closure of the relation: it is the cover
+    relation of a partial order when no element reaches itself and no edge
+    is implied by a longer path."""
+    reach = [[(s, t) in covers for t in range(size)] for s in range(size)]
+    for mid in range(size):
+        for s in range(size):
+            if reach[s][mid]:
+                for t in range(size):
+                    reach[s][t] = reach[s][t] or reach[mid][t]
+    if any(reach[v][v] for v in range(size)):
+        return False
+    return not any(reach[s][u] and reach[u][t] for s, t in covers for u in range(size))
+
+
+# relations on at most 7 labels; half of them point upward only, so they
+# have no cycle and hide their redundant covers behind longer paths
+relations = st.integers(min_value=0, max_value=7).flatmap(
+    lambda size: st.tuples(
+        st.just(size),
+        st.sets(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=12)
+        if size else st.just(frozenset()),
+        st.booleans(),
+    )
+).map(lambda r: (r[0], {(min(e), max(e)) for e in r[1] if e[0] != e[1]} if r[2] else r[1]))
+
+
+@settings(max_examples=300)
+@given(relations)
+def test_poset_accepts_exactly_hasse_diagrams(relation):
+    size, covers = relation
+    try:
+        p = pl.Poset(size, covers)
+    except ValueError:
+        assert not _is_hasse_diagram(size, covers)
+        return
+    assert _is_hasse_diagram(size, covers)
+    if size <= 6:
+        # the DP counts the permutations that respect every cover
+        brute = sum(all(pos[s] < pos[t] for s, t in covers)
+                    for pos in itertools.permutations(range(size)))
+        assert pl.count_linear_extensions(p) == brute
 
 
 def test_chain_and_antichain_counts():
