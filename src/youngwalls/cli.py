@@ -12,7 +12,8 @@ Subcommands:
 * ``asym``       asymptotic estimate vs exact value, log-space error
 
 Exit codes: 0 success, 1 a verification or comparison failed (or a value
-that an identity makes integral came out otherwise), 2 usage error (also
+that an identity makes integral came out otherwise, or the reader closed
+standard output before the output was complete), 2 usage error (also
 a flag that does not apply, or bounds that select nothing to check or
 print), 3 capacity exceeded.
 Integers in JSON are decimal strings so no consumer ever rounds them.
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import partial
-from itertools import groupby
 
 from . import closed_forms, poset_lab, series_engine, tree_child, wall_tables
 from .exact_arith import NotIntegralError, binomial, double_factorial, double_factorials, factorial
@@ -44,99 +45,118 @@ Cell = tuple[tuple[int, ...], int]
 # table command
 
 
-def _table_cells(args: argparse.Namespace) -> list[Cell]:
+def _table_rows(args: argparse.Namespace) -> Iterator[list[Cell]]:
+    """The cells of a `table` request, one list per row n, each computed
+    when it is read.  Every usage error is raised here, before any row."""
     seq, nmax = args.seq, args.nmax
     sliced = args.k is not None or args.diag
     if args.k is not None and args.diag:
         raise _Usage("--k and --diag are mutually exclusive")
 
-    two_index: dict[str, Callable[[int, int], int]] = {
-        "a": wall_tables.a_rec,
-        "b": wall_tables.b,
-        "f": poset_lab.f_closed,
-        "ftilde": poset_lab.ftilde,
-        "u": poset_lab.u_from_b,
-        "tc": tree_child.tc,
-    }
-
-    if seq in two_index:
+    if seq in ("a", "b", "f", "ftilde", "u", "tc"):
         if seq == "tc" and args.diag:
             raise _Usage("tc has no diagonal: its domain is k <= n-1")
         if args.mmax is not None:
             raise _Usage(f"--mmax clips the 3-index sequences only, not {seq}")
         if sliced and args.kmax is not None:
             raise _Usage("--kmax clips a full table; it does not combine with --k or --diag")
-        fn = two_index[seq]
-        cells: list[Cell] = []
-        for n in range(1 if seq in ("ftilde", "tc") else 0, nmax + 1):
-            top = n - 1 if seq == "tc" else n
-            if sliced:
-                k = n if args.diag else args.k
-                if k <= top:
-                    cells.append(((n,), fn(n, k)))
-                continue
-            if args.kmax is not None:
-                top = min(top, args.kmax)
-            for k in range(top + 1):
-                cells.append(((n, k), fn(n, k)))
-        if not cells:
+        # row n of tc ends at k = n - 1, and tc and ftilde start at n = 1
+        first = 1 if seq in ("ftilde", "tc") else 0
+        if args.k is not None:
+            first = max(first, args.k + (seq == "tc"))
+        if first > nmax:
             reach = " reaches the slice" if sliced else ""
             raise _Usage(f"no row of {seq} with n <= {nmax}{reach}")
-        return cells
+        return _two_index_rows(args, first)
 
     if sliced:
         raise _Usage("slices are only available for 2-index sequences")
     if seq == "b3":
-        cells = []
-        for n in range(nmax + 1):
-            m_top = n if args.mmax is None else min(n, args.mmax)
-            for m in range(m_top + 1):
-                top = m if args.kmax is None else min(m, args.kmax)
-                for k in range(top + 1):
-                    cells.append(((n, m, k), wall_tables.b3(n, m, k)))
-        return cells
-
+        return _b3_rows(nmax, args.mmax, args.kmax)
     # omega
     mmax = args.mmax if args.mmax is not None else nmax
     kmax = args.kmax if args.kmax is not None else mmax + 1
     block = wall_tables.omega_block(nmax, mmax, kmax)
-    return [
-        ((n, m, k), v)
+    return (
+        [((n, m, k), v) for m, cell in enumerate(row) for k, v in enumerate(cell)]
         for n, row in enumerate(block)
-        for m, cell in enumerate(row)
-        for k, v in enumerate(cell)
-    ]
+    )
 
 
-def _render_cells(args: argparse.Namespace, cells: list[Cell], out: "TextIO") -> None:
+def _cell_readers(seq: str, nmax: int, width: int) -> Iterator[tuple[int, Callable[[int], int]]]:
+    """(n, cell) for the rows n <= nmax of a 2-index sequence, where cell(k)
+    is its value at (n, k) for k <= width.  a, b and tc walk their
+    recurrence once, keeping one row; the others are computed cell by cell."""
+    if seq == "a":
+        for n, row in enumerate(wall_tables._A.walk(nmax, width)):
+            yield n, row.__getitem__
+    elif seq == "b":
+        for n, layer in enumerate(wall_tables._B3.walk(nmax, width)):
+            yield n, layer[n].__getitem__
+    elif seq == "tc":
+        # row n of tc reads row n - 1 of a
+        for n, row in enumerate(wall_tables._A.walk(nmax - 1, width), 1):
+            yield n, lambda k, n=n, row=row: tree_child._tc_from_a(n, k, row[k])
+    else:
+        fn = {"f": poset_lab.f_closed, "ftilde": poset_lab.ftilde, "u": poset_lab.u_from_b}[seq]
+        for n in range(nmax + 1):
+            yield n, partial(fn, n)
+
+
+def _two_index_rows(args: argparse.Namespace, first: int) -> Iterator[list[Cell]]:
+    """Rows first..nmax of a 2-index table: the slice cell (n,) of each, or
+    its cells (n, k) for k up to the end of the row or --kmax."""
+    if args.k is not None:
+        width = args.k
+    else:
+        width = args.kmax if args.kmax is not None else args.nmax
+    for n, cell in _cell_readers(args.seq, args.nmax, width):
+        if n < first:
+            continue
+        if args.k is not None or args.diag:
+            yield [((n,), cell(n if args.diag else args.k))]
+        else:
+            top = n - 1 if args.seq == "tc" else n
+            yield [((n, k), cell(k)) for k in range(min(top, width) + 1)]
+
+
+def _b3_rows(nmax: int, mmax: int | None, kmax: int | None) -> Iterator[list[Cell]]:
+    """The cells (n, m, k) of b3, one layer n at a time, clipped to m <= mmax
+    and k <= kmax; the walk keeps one layer."""
+    width = nmax if kmax is None else kmax
+    for n, layer in enumerate(wall_tables._B3.walk(nmax, width)):
+        m_top = n if mmax is None else min(n, mmax)
+        yield [((n, m, k), layer[m][k]) for m in range(m_top + 1) for k in range(min(m, width) + 1)]
+
+
+def _render_rows(args: argparse.Namespace, rows: Iterator[list[Cell]], out: "TextIO") -> None:
+    """Write each row as soon as it is computed: a failure part way leaves
+    the complete rows before it on ``out``."""
     fmt = args.format
+    if fmt == "bfile" and args.k is None and not args.diag:
+        raise _Usage("bfile output needs a 1-D slice (--k or --diag)")
     if fmt == "json":
-        import json  # only JSON output pays for the encoder
-
-        doc = {
-            "seq": args.seq,
-            "cells": [[*idx, str(v)] for idx, v in cells],
-        }
-        print(json.dumps(doc, indent=None, separators=(",", ":")), file=out)
+        # byte for byte the json.dumps(doc, separators=(",", ":")) of
+        # {"seq": seq, "cells": [[*idx, str(v)], ...]}
+        out.write(f'{{"seq":"{args.seq}","cells":[')
+        sep = ""
+        for row in rows:
+            out.write(sep + ",".join(f'[{",".join(map(str, idx))},"{v}"]' for idx, v in row))
+            sep = ","
+        out.write("]}\n")
         return
-    if fmt == "bfile":
-        if args.k is None and not args.diag:
-            raise _Usage("bfile output needs a 1-D slice (--k or --diag)")
-        for (n,), v in cells:
-            print(f"{n} {v}", file=out)
-        return
+    # a b-file is the text form of a slice: "n value" lines
     sep = "," if fmt == "csv" else " "
-    if cells and len(cells[0][0]) == 2:
-        # grid: one output row per n, cells in k order
-        for _, row in groupby(cells, key=lambda cell: cell[0][0]):
-            print(sep.join(str(v) for _, v in row), file=out)
-        return
-    for idx, v in cells:
-        print(sep.join(str(i) for i in idx) + sep + str(v), file=out)
+    for row in rows:
+        if len(row[0][0]) == 2:
+            # grid: one output row per n, cells in k order
+            out.write(sep.join(str(v) for _, v in row) + "\n")
+        else:
+            out.write("".join(sep.join(map(str, (*idx, v))) + "\n" for idx, v in row))
 
 
 def run_table(args: argparse.Namespace, out: "TextIO") -> int:
-    _render_cells(args, _table_cells(args), out)
+    _render_rows(args, _table_rows(args), out)
     return EXIT_OK
 
 
@@ -623,7 +643,14 @@ def main(argv: list[str] | None = None, out: "TextIO | None" = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _RUNNERS[args.command](args, out)
+        code = _RUNNERS[args.command](args, out)
+        out.flush()  # a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe early: what is left, also at exit,
+        # goes to os.devnull, and no traceback is printed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return EXIT_FAIL
     except poset_lab.CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

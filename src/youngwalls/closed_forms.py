@@ -16,8 +16,9 @@ stay rational.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from fractions import Fraction
+from itertools import count
 
 from .exact_arith import (
     ExactRational, Nat, double_factorial, double_factorials, exact_int, factorial
@@ -132,9 +133,38 @@ def omega_init(m: int, k: int) -> Nat:
     """
     if m < 0 or not 0 <= k <= m + 1:
         raise ValueError(f"need m >= 0 and 0 <= k <= m+1, got ({m}, {k})")
-    terms, den = gamma_dfact_terms(m, k)
-    scale = m - k + 1
-    return exact_int(sum(terms) << scale, 2 * den * factorial(scale), ("omega_init", m, k))
+    return _omega_seed(m, k, double_factorials(2 * m + k - 1, 2 * m + 2 * k - 1),
+                       factorial(m - k + 1))
+
+
+def _omega_seed(m: int, k: int, dfact: list[int], fact: int) -> Nat:
+    """omega_init(m, k) from dfact[i] = (2m+k+i-1)!! for i = 0..k and
+    fact = (m-k+1)!."""
+    nums, den = _gamma_row(k)
+    total = sum(c * d for c, d in zip(nums, dfact))
+    return exact_int(total << (m - k + 1), 2 * den * fact, ("omega_init", m, k))
+
+
+def omega_init_layers(width: int) -> Iterator[list[Nat]]:
+    """The seeds omega_init(s, k) for k = 0..min(s + 1, width), one list per
+    layer s = 0, 1, 2, ...
+
+    Each double factorial (2s+k+i-1)!! is (2s+k+i-3)!! of layer s - 1 times
+    2s+k+i-1, and (s-k+1)! is (s-k)! times s-k+1, so a layer costs one
+    multiplication per entry; only the current layer's run is kept.  Every
+    seed is checked by its own exact_int, as in omega_init.
+    """
+    dfacts: list[list[int]] = []  # dfacts[k][i] = (2s+k+i-1)!!
+    facts: list[int] = []  # facts[k] = (s-k+1)!
+    for s in count():
+        for k, run in enumerate(dfacts):
+            for i in range(k + 1):
+                run[i] *= 2 * s + k + i - 1
+            facts[k] *= s - k + 1
+        for k in range(len(dfacts), min(s + 1, width) + 1):
+            dfacts.append(double_factorials(2 * s + k - 1, 2 * s + 2 * k - 1))
+            facts.append(factorial(s - k + 1))
+        yield [_omega_seed(s, k, run, facts[k]) for k, run in enumerate(dfacts)]
 
 
 def alpha(s: int, p: int, q: int) -> ExactRational:

@@ -15,12 +15,14 @@ Four sequences live here:
 Every table is a list of rows, each a plain list.  Row i is built from row
 i - 1 and only as far as the column asked for; asking for a larger column
 widens, in order, the filled rows that do not yet reach it or their end.
-There is no recursion, and a filled cell is read by list indexing.
+There is no recursion, and a filled cell is read by list indexing.  A reader
+that wants rows 0..n in order, once each, walks the same recurrence without
+storing it (``_RowTable.walk``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 
 from . import closed_forms
@@ -67,6 +69,17 @@ class _RowTable:
                 widths[i] = k
         return rows[n]
 
+    def walk(self, nmax: int, width: int) -> Iterator[list]:
+        """Rows 0..nmax in order, each filled through column ``width`` by
+        the same step, keeping only the previous row.  The table's own rows
+        are neither read nor stored."""
+        prev = None
+        for i in range(nmax + 1):
+            row: list = []
+            self._step(row, prev, i, width)
+            yield row
+            prev = row
+
 
 def _a_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
     if not row:
@@ -96,14 +109,16 @@ def _omega_layer(
     s: int,
     width: int,
     nmax: int | None = None,
+    seeds: list[int] | None = None,
 ) -> None:
     """Layer s = n + m of omega, stored by k: layer[k] lists omega(n, s-n, k)
     for n = 0..min(s, s + 1 - k, nmax), k = 0..min(s + 1, width).  Cell
     (n, m) reads (n-1, m+1) from this layer and (n-2, m+1) from layer s - 1,
-    so each column is one pass down n."""
+    so each column is one pass down n.  Column k starts at seeds[k], or at
+    closed_forms.omega_init(s, k) when no seeds are given."""
     top_n = s if nmax is None else min(s, nmax)
     for k in range(len(layer), min(s + 1, width) + 1):
-        v = closed_forms.omega_init(s, k)
+        v = closed_forms.omega_init(s, k) if seeds is None else seeds[k]
         col = [v]
         left = layer[k - 1] if k else None
         below = prev[k] if prev is not None and k < len(prev) else None
@@ -119,12 +134,13 @@ def _omega_layer(
 def omega_block(nmax: int, mmax: int, kmax: int) -> list[list[list[Nat]]]:
     """omega(n, m, k) for n <= nmax, m <= mmax and k <= min(m + 1, kmax), as
     block[n][m][k].  The sweep over the layers s = n + m keeps only the
-    current layer and the one before it, so memory stays linear in nmax."""
+    current layer and the one before it, so memory stays linear in nmax;
+    the seeds of each layer are carried over from the layer before."""
     block: list[list[list[Nat]]] = [[[] for _ in range(mmax + 1)] for _ in range(nmax + 1)]
     prev = None
-    for s in range(nmax + mmax + 1):
+    for s, seeds in zip(range(nmax + mmax + 1), closed_forms.omega_init_layers(kmax)):
         layer: list[list[int]] = []
-        _omega_layer(layer, prev, s, kmax, nmax)
+        _omega_layer(layer, prev, s, kmax, nmax, seeds)
         for n in range(max(0, s - mmax), min(s, nmax) + 1):
             block[n][s - n] = [col[n] for col in layer[: min(s - n + 1, kmax) + 1]]
         prev = layer

@@ -5,11 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from youngwalls import cli, closed_forms, tree_child, wall_tables
+from youngwalls import cli, closed_forms, poset_lab, tree_child, wall_tables
 from youngwalls.exact_arith import NotIntegralError
 
 from conftest import TABLE_A, TABLE_B
@@ -185,6 +186,150 @@ def test_table_omega_deep_column():
     assert code == 0
     # omega(n, 0, 0) = b3_hook(n, 0) = 1
     assert text.splitlines() == [f"{n},0,0,1" for n in range(1201)]
+
+
+TABLE_OPTIONS = ([], ["--k", "1"], ["--k", "4"], ["--diag"], ["--kmax", "2"], ["--mmax", "1"])
+CELL_FUNCTIONS = {
+    "a": wall_tables.a_rec, "b": wall_tables.b, "tc": tree_child.tc, "f": poset_lab.f_closed,
+    "ftilde": poset_lab.ftilde, "u": poset_lab.u_from_b,
+}
+
+
+def reference_table(seq, nmax, fmt, k=None, diag=False, kmax=None, mmax=None):
+    """(exit code, stdout, stderr) of a `table` request, built cell by cell
+    from the public functions and rendered in one piece."""
+
+    def usage(message):
+        return 2, "", f"error: {message}\n"
+
+    sliced = k is not None or diag
+    if seq in CELL_FUNCTIONS:
+        if seq == "tc" and diag:
+            return usage("tc has no diagonal: its domain is k <= n-1")
+        if mmax is not None:
+            return usage(f"--mmax clips the 3-index sequences only, not {seq}")
+        if sliced and kmax is not None:
+            return usage("--kmax clips a full table; it does not combine with --k or --diag")
+        fn, cells = CELL_FUNCTIONS[seq], []
+        for n in range(1 if seq in ("ftilde", "tc") else 0, nmax + 1):
+            top = n - 1 if seq == "tc" else n
+            if sliced:
+                j = n if diag else k
+                cells += [((n,), fn(n, j))] if j <= top else []
+            else:
+                top = top if kmax is None else min(top, kmax)
+                cells += [((n, j), fn(n, j)) for j in range(top + 1)]
+        if not cells:
+            return usage(f"no row of {seq} with n <= {nmax}" + " reaches the slice" * sliced)
+    elif sliced:
+        return usage("slices are only available for 2-index sequences")
+    elif seq == "b3":
+        cells = [
+            ((n, m, j), wall_tables.b3(n, m, j))
+            for n in range(nmax + 1) for m in range(min(n, nmax if mmax is None else mmax) + 1)
+            for j in range(min(m, m if kmax is None else kmax) + 1)
+        ]
+    else:
+        mmax = nmax if mmax is None else mmax
+        kmax = mmax + 1 if kmax is None else kmax
+        cells = [
+            ((n, m, j), wall_tables.omega(n, m, j))
+            for n in range(nmax + 1) for m in range(mmax + 1) for j in range(min(m + 1, kmax) + 1)
+        ]
+    if fmt == "json":
+        doc = {"seq": seq, "cells": [[*idx, str(v)] for idx, v in cells]}
+        return 0, json.dumps(doc, separators=(",", ":")) + "\n", ""
+    if fmt == "bfile" and not sliced:
+        return usage("bfile output needs a 1-D slice (--k or --diag)")
+    sep = "," if fmt == "csv" else " "
+    if len(cells[0][0]) == 2:
+        rows = {}
+        for (n, _), v in cells:
+            rows.setdefault(n, []).append(str(v))
+        return 0, "".join(sep.join(row) + "\n" for row in rows.values()), ""
+    return 0, "".join(sep.join(map(str, (*idx, v))) + "\n" for idx, v in cells), ""
+
+
+@pytest.mark.parametrize("option", TABLE_OPTIONS, ids=lambda o: " ".join(o) or "full")
+@pytest.mark.parametrize("seq", TABLE_SEQS)
+def test_table_matches_the_cell_functions(seq, option, capsys):
+    flags = dict(zip(option[::2], map(int, option[1::2])))
+    kwargs = {"diag": option == ["--diag"], **{f[2:]: v for f, v in flags.items()}}
+    for fmt in ("csv", "text", "json", "bfile"):
+        for nmax in (0, 1, 3, 6):
+            argv = ["table", "--seq", seq, "--nmax", str(nmax), *option, "--format", fmt]
+            code, text = run_cli(*argv)
+            got = (code, text, capsys.readouterr().err)
+            assert got == reference_table(seq, nmax, fmt, **kwargs), argv
+
+
+def test_tc_table_stores_no_row_of_a(monkeypatch):
+    # the rows of a that tc reads are walked, not kept in the module table
+    fresh = wall_tables._RowTable(wall_tables._a_row, 0)
+    monkeypatch.setattr(wall_tables, "_A", fresh)
+    assert run_cli("table", "--seq", "tc", "--nmax", "50", "--k", "2")[0] == 0
+    assert fresh._rows == []
+
+
+class _Sink:
+    """An output stream that discards what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--seq", "tc", "--nmax", "1500", "--k", "2", "--format", "bfile"],
+     ["table", "--seq", "a", "--nmax", "200", "--format", "json"]],
+)
+def test_table_memory_stays_at_one_row(argv):
+    # a table that keeps every cell, or its whole JSON document, peaks at
+    # several MB on these requests
+    tracemalloc.start()
+    try:
+        code = cli.main(argv, out=_Sink())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20, peak
+
+
+def test_table_failure_mid_way_keeps_the_complete_rows(monkeypatch, capsys):
+    f_closed = poset_lab.f_closed
+
+    def broken(n, k):
+        if n == 3:
+            raise NotIntegralError(f"value at ('f_closed', {n}, {k}) is not an integer")
+        return f_closed(n, k)
+
+    monkeypatch.setattr(poset_lab, "f_closed", broken)
+    code, text = run_cli("table", "--seq", "f", "--nmax", "6")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert text == "".join(",".join(str(f_closed(n, k)) for k in range(n + 1)) + "\n"
+                           for n in range(3))
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [(["table", "--seq", "a", "--nmax", "300"], "1\n"),
+     (["table", "--seq", "tc", "--nmax", "1500", "--k", "2", "--format", "bfile"], "3 42\n")],
+)
+def test_reader_that_closes_the_pipe_early(argv, first):
+    # like `walls table ... | head -1`: exit 1 with nothing on stderr
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    with subprocess.Popen([sys.executable, "-m", "youngwalls.cli", *argv], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (line, code, err) == (first, 1, "")
 
 
 def test_series_recurrence_route():
@@ -558,7 +703,7 @@ def test_import_loads_no_network_modules():
      ["crosscheck", "--map", "a-diag"]],
 )
 def test_lazy_imports_in_a_fresh_process(argv):
-    # the JSON renderer and the fixture reader import their modules on first use
+    # JSON output needs no encoder; the fixture reader imports its module on first use
     proc = _bare_python("-m", "youngwalls.cli", *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (*run_cli(*argv), "")
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from youngwalls import closed_forms as cf
 from youngwalls import wall_tables as wt
-from youngwalls.exact_arith import double_factorial, factorial
+from youngwalls.exact_arith import NotIntegralError, double_factorial, factorial
 
 
 def test_gamma_first_values():
@@ -172,6 +172,25 @@ def test_omega_init_is_the_integer_b_closed():
             assert type(seed) is int, (m, k)
             if k <= m:
                 assert seed == cf.b_closed(m, k), (m, k)
+
+
+@pytest.mark.parametrize("width", [0, 1, 4, 12])
+def test_omega_init_layers_carry_the_seeds(width):
+    layers = cf.omega_init_layers(width)
+    for s, seeds in zip(range(25), layers):
+        assert seeds == [cf.omega_init(s, k) for k in range(min(s + 1, width) + 1)], s
+
+
+def test_omega_init_layers_check_every_seed(monkeypatch):
+    # gamma_2 moved by 1: the seed omega(0, 1, 2) is off by 1/2
+    rows = cf._GAMMA_ROWS[:1]
+    monkeypatch.setattr(cf, "_GAMMA_ROWS", rows)
+    nums, den = cf._gamma_row(2)
+    rows[2] = ((nums[0] + den, *nums[1:]), den)
+    layers = cf.omega_init_layers(2)
+    next(layers)
+    with pytest.raises(NotIntegralError, match=r"\('omega_init', 1, 2\)"):
+        next(layers)
 
 
 def test_alpha_fixtures_and_domain():

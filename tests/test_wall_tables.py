@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from youngwalls import wall_tables as wt
+from youngwalls import tree_child, wall_tables as wt
 from youngwalls.exact_arith import double_factorial, factorial
 
 from conftest import TABLE_A, TABLE_B
@@ -145,6 +145,43 @@ def test_row_widening_stops_at_column_n():
     table = wt._RowTable(wt._a_alt_column, None)
     table.row(0, 1500)
     assert len(table.row(1, 5)) == 6
+
+
+@pytest.mark.parametrize(
+    "table, last",
+    [(wt._A, 0), (tree_child._TC_REC, -1), (tree_child._TC_SUM, -1)],
+    ids=["a", "tc_rec", "tc_sum"],
+)
+@pytest.mark.parametrize("width", [0, 1, 2, 5, 14])
+def test_walk_matches_the_rows_read_cell_by_cell(table, last, width):
+    for n, row in enumerate(table.walk(14, width)):
+        assert len(row) == max(min(n + last, width) + 1, 0), n
+        assert row == [table.row(n, k)[k] for k in range(len(row))], n
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 10])
+def test_walk_matches_the_b3_layers(width):
+    for n, layer in enumerate(wt._B3.walk(10, width)):
+        assert [len(row) for row in layer] == [min(m, width) + 1 for m in range(n + 1)]
+        assert layer == [[wt.b3(n, m, k) for k in range(len(row))] for m, row in enumerate(layer)]
+
+
+def test_walk_leaves_the_table_as_it_is():
+    table = wt._RowTable(wt._a_row, 0)
+    rows = list(table.walk(20, 3))
+    assert (table._rows, table._widths) == ([], [])
+    assert rows[20] == [table.row(20, 3)[k] for k in range(4)]
+
+
+@pytest.mark.parametrize("nmax, mmax, kmax", [(6, 4, 5), (8, 2, 1), (3, 3, 9), (5, 0, 0)])
+def test_omega_block_matches_omega(nmax, mmax, kmax):
+    # the block carries its seeds from layer to layer; omega seeds each
+    # layer by omega_init
+    block = wt.omega_block(nmax, mmax, kmax)
+    assert block == [
+        [[wt.omega(n, m, k) for k in range(min(m + 1, kmax) + 1)] for m in range(mmax + 1)]
+        for n in range(nmax + 1)
+    ]
 
 
 def catalan(n):
