@@ -52,8 +52,8 @@ def double_factorials(low: int, high: int) -> list[Nat]:
 def binomial(n: int, k: int) -> Nat:
     """Binomial coefficient, zero outside 0 <= k <= n.
 
-    The zero extension is load bearing: the alternating transforms between
-    the b and u tables rely on out-of-range terms vanishing.
+    The zero extension is load bearing in the `f-gf` check of cli: its
+    closed form (2k-1)!! C(n+k, 2k) must read f(n, k) = 0 for k > n.
     """
     if n < 0:
         raise ValueError(f"binomial needs nonnegative n, got {n}")

@@ -239,8 +239,8 @@ def _alternating(top: int, n: int, s: int, col: Sequence[int]) -> int:
 
         sum_{i=0}^{min(s, n)} (-1)^i C(top, s-i) perm(n-i, s-i) col[i],
 
-    where perm(n-i, s-i) = C(n-i, s-i) (s-i)! vanishes for s > n."""
-    return sum((-1) ** i * binomial(top, s - i) * math.perm(n - i, s - i) * col[i]
+    for top >= s; perm(n-i, s-i) = C(n-i, s-i) (s-i)! vanishes for s > n."""
+    return sum((-1) ** i * math.comb(top, s - i) * math.perm(n - i, s - i) * col[i]
                for i in range(min(s, n) + 1))
 
 
@@ -300,29 +300,28 @@ def b_monster(n: int, k: int) -> Nat:
     over 1 <= j <= n, max(k-j, 0) <= s <= min(k, n-j), 0 <= m <= s (the
     other terms would need a factorial of a negative argument).
 
-    Each term times 2^(k-s) is an integer, (j+k-s) C(n-j-m, s-m) times
-    (k+2j-m-1)! / ((j-k+s)! (k-s)! j!), which is C(2j-1, j) at m = s = k;
-    exact_int checks every term, and the sum runs in integers over the
-    common denominator 2^k, checked divisible by one more exact_int.
+    Each term times 2^(k-s) is a product of integer binomials: for m < k
+
+        (j+k-s) C(j, k-s) C(2j, j) * C(n-j-m, s-m) * perm(k+2j-m-1, k-m-1),
+
+    and C(2j-1, j) for the lone m = s = k term.  So each (j, s) block is
+    (j+k-s) C(j, k-s) C(2j, j) times one dot product of the C(n-j-m, s-m)
+    with the weights w_m = perm(k+2j-m-1, k-m-1) b(n-j, m), built once per
+    j.  The sum runs in integers over the common denominator 2^k, checked
+    divisible by one exact_int.
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"need n >= 1 and 0 <= k <= n, got ({n}, {k})")
-    fact = [1]
-    for v in range(1, 2 * n + k):
-        fact.append(fact[-1] * v)
     acc = binomial(2 * n + k, n) * f_closed(n, k) << k
     for j in range(1, n + 1):
         b_row = wall_tables.b_row(n - j, min(k, n - j))
-        # fact[n-j-m] (k+2j-m-1)! for each m: the part of a term free of s
-        tops = [fact[n - j - m] * fact[k + 2 * j - m - 1] for m in range(len(b_row))]
+        w = [math.perm(k + 2 * j - m - 1, k - m - 1) * b_m for m, b_m in enumerate(b_row[:k])]
+        central = math.comb(2 * j, j)
         for s in range(max(k - j, 0), min(k, n - j) + 1):
-            c = j + k - s
-            outer = fact[j - k + s] * fact[k - s] * fact[j] * fact[n - j - s]
-            block = 0
-            # fact[s-m] runs down as m runs up; zip stops at m = s
-            for m, (top, low, b_m) in enumerate(zip(tops, reversed(fact[: s + 1]), b_row)):
-                term = exact_int(c * top, outer * low, ("b_monster", n, k, j, s, m))
-                block += term * b_m
+            dot = sum(math.comb(n - j - m, s - m) * w_m for m, w_m in enumerate(w[: s + 1]))
+            block = (j + k - s) * math.comb(j, k - s) * central * dot
+            if s == k:
+                block += math.comb(2 * j - 1, j) * b_row[k]
             acc -= block << s
     return exact_int(acc, 1 << k, ("b_monster", n, k))
 

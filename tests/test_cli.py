@@ -668,6 +668,21 @@ def test_moved_b_cell_fails_monster(monkeypatch):
     assert run_cli("verify", "--check", "monster") == (1, "monster: FAIL (fails at (4, 2))\n")
 
 
+def test_b_cell_moved_below_width_fails_monster(monkeypatch):
+    # b(3, 1) moved only in rows read at width >= 2: there m = 1 < k, so the
+    # moved cell enters b_monster only through its dot products over m
+    b_row = wall_tables.b_row
+
+    def moved(n, width):
+        row = b_row(n, width)
+        if n == 3 and width >= 2:
+            row[1] += 1
+        return row
+
+    monkeypatch.setattr(wall_tables, "b_row", moved)
+    assert run_cli("verify", "--check", "monster") == (1, "monster: FAIL (fails at (4, 2))\n")
+
+
 def test_unintegral_closed_dk_weight_exits_1(monkeypatch, capsys):
     # gamma_2 moved by 1: the k = 2 coefficient of t^1 is off by 3/2
     _move_cached_weight(monkeypatch, "_GAMMA_ROWS", closed_forms._gamma_row, 0)

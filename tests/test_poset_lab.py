@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -244,6 +246,28 @@ def test_monster_recurrence():
     for n in range(13, 25):
         for k in range(n + 1):
             assert pl.b_monster(n, k) == wt.b(n, k), (n, k)
+
+
+def test_monster_terms_factor_into_binomials():
+    # the reference is the factorial quotient of the recurrence as stated;
+    # b_monster sums the binomial products, each times 2^(k-s)
+    f = factorial
+    for n in range(1, 21):
+        for k in range(n + 1):
+            for j in range(1, n + 1):
+                for s in range(max(k - j, 0), min(k, n - j) + 1):
+                    for m in range(s + 1):
+                        quotient = Fraction(
+                            (j + k - s) * f(n - j - m) * f(k + 2 * j - m - 1),
+                            2 ** (k - s) * f(j - k + s) * f(k - s) * f(j) * f(s - m) * f(n - j - s),
+                        )
+                        if m < k:
+                            term = ((j + k - s) * math.comb(j, k - s) * math.comb(2 * j, j)
+                                    * math.comb(n - j - m, s - m)
+                                    * math.perm(k + 2 * j - m - 1, k - m - 1))
+                        else:
+                            term = math.comb(2 * j - 1, j)
+                        assert term == quotient * 2 ** (k - s), (n, k, j, s, m)
 
 
 @settings(max_examples=20)
