@@ -67,20 +67,23 @@ def _table_rows(args: argparse.Namespace) -> Iterator[list[Cell]]:
         if first > nmax:
             reach = " reaches the slice" if sliced else ""
             raise _Usage(f"no row of {seq} with n <= {nmax}{reach}")
-        return _two_index_rows(args, first)
-
-    if sliced:
+        rows = _two_index_rows(args, first)
+    elif sliced:
         raise _Usage("slices are only available for 2-index sequences")
-    if seq == "b3":
-        return _b3_rows(nmax, args.mmax, args.kmax)
-    # omega
-    mmax = args.mmax if args.mmax is not None else nmax
-    kmax = args.kmax if args.kmax is not None else mmax + 1
-    block = wall_tables.omega_block(nmax, mmax, kmax)
-    return (
-        [((n, m, k), v) for m, cell in enumerate(row) for k, v in enumerate(cell)]
-        for n, row in enumerate(block)
-    )
+    elif seq == "b3":
+        rows = _b3_rows(nmax, args.mmax, args.kmax)
+    else:
+        # omega
+        mmax = args.mmax if args.mmax is not None else nmax
+        kmax = args.kmax if args.kmax is not None else mmax + 1
+        block = wall_tables.omega_block(nmax, mmax, kmax)
+        rows = (
+            [((n, m, k), v) for m, cell in enumerate(row) for k, v in enumerate(cell)]
+            for n, row in enumerate(block)
+        )
+    if args.format == "bfile" and not sliced:
+        raise _Usage("bfile output needs a 1-D slice (--k or --diag)")
+    return rows
 
 
 def _cell_readers(seq: str, nmax: int, width: int) -> Iterator[tuple[int, Callable[[int], int]]]:
@@ -133,8 +136,6 @@ def _render_rows(args: argparse.Namespace, rows: Iterator[list[Cell]], out: "Tex
     """Write each row as soon as it is computed: a failure part way leaves
     the complete rows before it on ``out``."""
     fmt = args.format
-    if fmt == "bfile" and args.k is None and not args.diag:
-        raise _Usage("bfile output needs a 1-D slice (--k or --diag)")
     if fmt == "json":
         # byte for byte the json.dumps(doc, separators=(",", ":")) of
         # {"seq": seq, "cells": [[*idx, str(v)], ...]}

@@ -149,22 +149,21 @@ def omega_init_layers(width: int) -> Iterator[list[Nat]]:
     """The seeds omega_init(s, k) for k = 0..min(s + 1, width), one list per
     layer s = 0, 1, 2, ...
 
-    Each double factorial (2s+k+i-1)!! is (2s+k+i-3)!! of layer s - 1 times
-    2s+k+i-1, and (s-k+1)! is (s-k)! times s-k+1, so a layer costs one
-    multiplication per entry; only the current layer's run is kept.  Every
-    seed is checked by its own exact_int, as in omega_init.
+    Every column of layer s reads a slice of one window, with w = width,
+    run[j] = (2s+j-1)!! for j = 0..2w+1 (column k reads run[k:2k+1]),
+    and facts[k] = (s-k+1)! for k <= min(s + 1, width).  From layer s to
+    s + 1 the window drops its two lowest entries and gains
+    (2s+2w+1)!! = (2s+2w-1)!! (2s+2w+1) and (2s+2w+2)!! = (2s+2w)!! (2s+2w+2)
+    on top, and (s+2)! goes in front of facts: three multiplications per
+    layer.  Every seed is checked by its own exact_int, as in omega_init.
     """
-    dfacts: list[list[int]] = []  # dfacts[k][i] = (2s+k+i-1)!!
-    facts: list[int] = []  # facts[k] = (s-k+1)!
+    run = double_factorials(-1, 2 * width)
+    facts = [factorial(1 - k) for k in range(min(1, width) + 1)]
     for s in count():
-        for k, run in enumerate(dfacts):
-            for i in range(k + 1):
-                run[i] *= 2 * s + k + i - 1
-            facts[k] *= s - k + 1
-        for k in range(len(dfacts), min(s + 1, width) + 1):
-            dfacts.append(double_factorials(2 * s + k - 1, 2 * s + 2 * k - 1))
-            facts.append(factorial(s - k + 1))
-        yield [_omega_seed(s, k, run, facts[k]) for k, run in enumerate(dfacts)]
+        yield [_omega_seed(s, k, run[k:2 * k + 1], fact) for k, fact in enumerate(facts)]
+        top = 2 * s + 2 * width
+        run = [*run[2:], run[-2] * (top + 1), run[-1] * (top + 2)]
+        facts = [facts[0] * (s + 2), *facts[:width]]
 
 
 def alpha(s: int, p: int, q: int) -> ExactRational:

@@ -17,11 +17,8 @@ class NotIntegralError(ArithmeticError):
     """An exact value that an identity makes integral came out otherwise."""
 
 
-def factorial(n: int) -> Nat:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial undefined for {n}")
-    return math.factorial(n)
+# n! for n >= 0; math.factorial raises ValueError on a negative n
+factorial = math.factorial
 
 
 def double_factorial(m: int) -> Nat:

@@ -29,8 +29,9 @@ class CapacityError(ValueError):
 class Poset(Record):
     """Poset on labels 0..size-1 given by its covers (s, t) meaning s < t.
 
-    Validation rejects out-of-range labels, duplicate or reflexive covers,
-    cycles, and redundant covers (ones implied by a longer path).
+    Duplicate covers are merged into one.  Validation rejects out-of-range
+    labels, reflexive covers, cycles, and redundant covers (ones implied by
+    a longer path).
     """
 
     __slots__ = ("size", "covers")

@@ -155,6 +155,17 @@ def test_bfile_requires_slice():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--seq", "tc", "--nmax", "0"], "no row of tc with n <= 0"),
+     (["--seq", "b3", "--nmax", "2"], "bfile output needs a 1-D slice (--k or --diag)")],
+)
+def test_bfile_error_comes_after_the_other_usage_errors(argv, message, capsys):
+    code, text = run_cli("table", *argv, "--format", "bfile")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_k_and_diag_conflict():
     code, _ = run_cli("table", "--seq", "a", "--nmax", "4", "--k", "1", "--diag")
     assert code == 2

@@ -181,6 +181,16 @@ def test_omega_init_layers_carry_the_seeds(width):
         assert seeds == [cf.omega_init(s, k) for k in range(min(s + 1, width) + 1)], s
 
 
+def test_omega_init_layers_slide_one_window():
+    # widths past s + 1 cover the columns that enter layer by layer; the
+    # column k = width reads what was the window's top two entries a layer
+    # earlier
+    seeds = {(s, k): cf.omega_init(s, k) for s in range(91) for k in range(min(s + 1, 17) + 1)}
+    for width in range(18):
+        for s, layer in zip(range(91), cf.omega_init_layers(width)):
+            assert layer == [seeds[s, k] for k in range(min(s + 1, width) + 1)], (width, s)
+
+
 def test_omega_init_layers_check_every_seed(monkeypatch):
     # gamma_2 moved by 1: the seed omega(0, 1, 2) is off by 1/2
     rows = cf._GAMMA_ROWS[:1]

@@ -34,6 +34,11 @@ def test_poset_validation():
         assert str(err.value) == message
 
 
+def test_poset_merges_duplicate_covers():
+    assert pl.Poset(2, [(0, 1), (0, 1)]) == pl.Poset(2, [(0, 1)])
+    assert pl.Poset(3, [(1, 2), (0, 1), (1, 2)]).covers == ((0, 1), (1, 2))
+
+
 def _is_hasse_diagram(size, covers):
     """Warshall's transitive closure of the relation: it is the cover
     relation of a partial order when no element reaches itself and no edge
