@@ -91,14 +91,14 @@ def _cell_readers(seq: str, nmax: int, width: int) -> Iterator[tuple[int, Callab
     is its value at (n, k) for k <= width.  a, b and tc walk their
     recurrence once, keeping one row; the others are computed cell by cell."""
     if seq == "a":
-        for n, row in enumerate(wall_tables._A.walk(nmax, width)):
+        for n, row in zip(range(nmax + 1), wall_tables._A.walk(width)):
             yield n, row.__getitem__
     elif seq == "b":
-        for n, layer in enumerate(wall_tables._B3.walk(nmax, width)):
+        for n, layer in zip(range(nmax + 1), wall_tables._B3.walk(width)):
             yield n, layer[n].__getitem__
     elif seq == "tc":
         # row n of tc reads row n - 1 of a
-        for n, row in enumerate(wall_tables._A.walk(nmax - 1, width), 1):
+        for n, row in zip(range(1, nmax + 1), wall_tables._A.walk(width)):
             yield n, lambda k, n=n, row=row: tree_child._tc_from_a(n, k, row[k])
     else:
         fn = {"f": poset_lab.f_closed, "ftilde": poset_lab.ftilde, "u": poset_lab.u_from_b}[seq]
@@ -125,11 +125,11 @@ def _two_index_rows(args: argparse.Namespace, first: int) -> Iterator[list[Cell]
 
 def _b3_rows(nmax: int, mmax: int | None, kmax: int | None) -> Iterator[list[Cell]]:
     """The cells (n, m, k) of b3, one layer n at a time, clipped to m <= mmax
-    and k <= kmax; the walk keeps one layer."""
-    width = nmax if kmax is None else kmax
-    for n, layer in enumerate(wall_tables._B3.walk(nmax, width)):
-        m_top = n if mmax is None else min(n, mmax)
-        yield [((n, m, k), layer[m][k]) for m in range(m_top + 1) for k in range(min(m, width) + 1)]
+    and k <= kmax; the walk keeps one layer and fills no row above mmax."""
+    step = partial(wall_tables._b3_layer, mmax=mmax)
+    layers = wall_tables._RowTable(step, 0).walk(nmax if kmax is None else kmax)
+    for n, layer in zip(range(nmax + 1), layers):
+        yield [((n, m, k), v) for m, row in enumerate(layer) for k, v in enumerate(row)]
 
 
 def _render_rows(args: argparse.Namespace, rows: Iterator[list[Cell]], out: "TextIO") -> None:

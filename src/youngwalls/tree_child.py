@@ -103,23 +103,26 @@ def tc_chain(k: int, m: int) -> Nat:
 
         sum_{l=0}^{m} (l+2) [prod_{i=l+1}^{m} (1 + k/(i+1)) (2i+3k-1)] tc(k+l+1, k-1)
 
-    where the lower-level values come from the normative route.  The sum
-    runs in integers over the common denominator (m+1)!, with
-    prod (1 + k/(i+1)) = prod (i+1+k) * (l+1)!/(m+1)!, and is checked
-    divisible at the end.
+    where the lower-level values come from the normative formula
+    tc(n, k-1) = n!/(n-k+1)! a(n-1, k-1), written inline, so the route
+    stays independent of tc_closed, tc_rec and tc_sum.  The sum runs in
+    integers over the common denominator (m+1)!, with
+    prod (1 + k/(i+1)) = prod (i+1+k) * (l+1)!/(m+1)!; since
+    (l+2) (l+1)! perm(k+l+1, k-1) = (k+l+1)!, term l is
+    num_l (k+l+1)! a(k+l, k-1).  The sum is checked divisible at the end.
     """
     if k < 1 or m < 0:
         raise ValueError(f"need k >= 1 and m >= 0, got ({k}, {m})")
     total = 0
     num = 1
-    den = fact = factorial(m + 1)
+    fact = factorial(k + m + 1)
     # walk l downward so the product over i = l+1..m grows one factor at a
-    # time and fact = (l+1)! shrinks one factor at a time
+    # time and fact = (k+l+1)! shrinks one factor at a time
     for ell in range(m, -1, -1):
-        total += (ell + 2) * num * fact * tc(k + ell + 1, k - 1)
+        total += num * fact * wall_tables.a_rec(k + ell, k - 1)
         num *= (ell + 1 + k) * (2 * ell + 3 * k - 1)
-        fact //= ell + 1
-    return exact_int(total, den, ("tc_chain", k, m))
+        fact //= k + ell + 1
+    return exact_int(total, factorial(m + 1), ("tc_chain", k, m))
 
 
 def tc_closed(n: int, k: int) -> Nat:

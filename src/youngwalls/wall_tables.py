@@ -16,12 +16,15 @@ Every table is a list of rows, each a plain list.  Row i is built from row
 i - 1 and only as far as the column asked for; asking for a larger column
 widens, in order, the filled rows that do not yet reach it or their end.
 There is no recursion, and a filled cell is read by list indexing.  A reader
-that wants rows 0..n in order, once each, walks the same recurrence without
-storing it (``_RowTable.walk``).
+that wants rows 0, 1, 2, ... in order, once each, walks the same recurrence
+without storing it (``_RowTable.walk``).  ``b`` is read off such a walk up
+the b3 layers: it keeps its own rows b(n, 0..w) and only the current layer,
+never the (n, m, k) simplex that ``b3`` stores.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 
@@ -69,12 +72,12 @@ class _RowTable:
                 widths[i] = k
         return rows[n]
 
-    def walk(self, nmax: int, width: int) -> Iterator[list]:
-        """Rows 0..nmax in order, each filled through column ``width`` by
-        the same step, keeping only the previous row.  The table's own rows
-        are neither read nor stored."""
+    def walk(self, width: int) -> Iterator[list]:
+        """Rows 0, 1, 2, ... in order, without end, each filled through
+        column ``width`` by the same step, keeping only the previous row.
+        The table's own rows are neither read nor stored."""
         prev = None
-        for i in range(nmax + 1):
+        for i in itertools.count():
             row: list = []
             self._step(row, prev, i, width)
             yield row
@@ -88,8 +91,18 @@ def _a_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
         row.append(row[k - 1] + (2 * n + k - 1) * (prev[k] if k < n else 0))
 
 
-def _b3_layer(layer: list[list[int]], prev: list[list[int]] | None, n: int, width: int) -> None:
-    for m in range(n + 1):
+def _b3_layer(
+    layer: list[list[int]],
+    prev: list[list[int]] | None,
+    n: int,
+    width: int,
+    mmax: int | None = None,
+) -> None:
+    """Layer n of b3, stored by m: layer[m][k] = b3(n, m, k) for
+    m <= min(n, mmax) and k <= min(m, width).  Cell (m, k) reads (m, k-1)
+    and (m-1, k) from this layer and (m, k) from layer n - 1, so a row
+    above mmax never feeds one at or below it."""
+    for m in range(n + 1 if mmax is None else min(n, mmax) + 1):
         if m == len(layer):
             layer.append([])
         row = layer[m]
@@ -212,17 +225,46 @@ def b3(n: int, m: int, k: int) -> Nat:
     return _B3.row(n, k)[m][k]
 
 
+class _Diagonal:
+    """Rows b(n, 0..min(n, w)) = b3(n, n, 0..min(n, w)) for n = 0, 1, ...,
+    read off one walk up the b3 layers that holds only the current layer,
+    so memory grows with the rows, not with the simplex.  A request wider
+    than w re-walks from layer 0 at width max(k, 2w): a triangle read row
+    by row re-walks a bounded multiple of one walk, not once per row."""
+
+    def __init__(self) -> None:
+        self._rows: list[list[int]] = []
+        self._width = 0
+        self._layers = _B3.walk(0)
+
+    def row(self, n: int, k: int) -> list[int]:
+        """Row n, filled through column min(n, k) at least."""
+        rows = self._rows
+        if k > self._width:
+            self._width = max(k, 2 * self._width)
+            self._layers = _B3.walk(self._width)
+            rows.clear()
+        while len(rows) <= n:
+            rows.append(next(self._layers)[-1])
+        return rows[n]
+
+
+_B = _Diagonal()
+
+
 def b(n: int, k: int) -> Nat:
     """Two-index b(n, k) = b3(n, n, k); 0 outside 0 <= k <= n."""
-    return b3(n, n, k)
+    if not 0 <= k <= n:
+        return 0
+    return _B.row(n, k)[k]
 
 
 def b_row(n: int, width: int) -> list[Nat]:
-    """b(n, 0..width) for 0 <= width <= n, read from layer n of the b3
-    table in one call."""
+    """b(n, 0..width) for 0 <= width <= n, as a new list, read off the
+    one-layer walk up the b3 table in one call."""
     if not 0 <= width <= n:
         raise ValueError(f"need 0 <= width <= n, got ({n}, {width})")
-    return _B3.row(n, width)[n][: width + 1]
+    return _B.row(n, width)[: width + 1]
 
 
 def b3_hook(n: int, m: int) -> Nat:

@@ -1,3 +1,11 @@
+import itertools
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -154,23 +162,71 @@ def test_row_widening_stops_at_column_n():
 )
 @pytest.mark.parametrize("width", [0, 1, 2, 5, 14])
 def test_walk_matches_the_rows_read_cell_by_cell(table, last, width):
-    for n, row in enumerate(table.walk(14, width)):
+    for n, row in zip(range(15), table.walk(width)):
         assert len(row) == max(min(n + last, width) + 1, 0), n
         assert row == [table.row(n, k)[k] for k in range(len(row))], n
 
 
 @pytest.mark.parametrize("width", [0, 1, 3, 10])
 def test_walk_matches_the_b3_layers(width):
-    for n, layer in enumerate(wt._B3.walk(10, width)):
+    for n, layer in zip(range(11), wt._B3.walk(width)):
         assert [len(row) for row in layer] == [min(m, width) + 1 for m in range(n + 1)]
         assert layer == [[wt.b3(n, m, k) for k in range(len(row))] for m, row in enumerate(layer)]
 
 
 def test_walk_leaves_the_table_as_it_is():
     table = wt._RowTable(wt._a_row, 0)
-    rows = list(table.walk(20, 3))
+    rows = list(itertools.islice(table.walk(3), 21))
     assert (table._rows, table._widths) == ([], [])
     assert rows[20] == [table.row(20, 3)[k] for k in range(4)]
+
+
+@pytest.mark.parametrize(
+    "nmax, mmax, kmax", [(12, 5, 3), (10, 0, 0), (9, 4, 9), (8, 8, 2), (6, 11, 4), (7, 3, 20)]
+)
+def test_b3_walk_clipped_at_mmax_matches_the_full_walk(nmax, mmax, kmax):
+    clipped = wt._RowTable(partial(wt._b3_layer, mmax=mmax), 0).walk(kmax)
+    for n, short, full in zip(range(nmax + 1), clipped, wt._B3.walk(kmax)):
+        assert short == full[: mmax + 1], n
+
+
+# b(n, 0..n) for n <= 40 from a fresh b3 table, layer by layer
+_DIAGONAL = wt._RowTable(wt._b3_layer, 0)
+_B_REF = [_DIAGONAL.row(n, n)[n] for n in range(41)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 40), st.integers(0, 40)), max_size=12))
+def test_b_reads_the_b3_diagonal_in_any_request_order(requests):
+    # narrow-then-wide orders make the reader re-walk; every answer must
+    # still be the diagonal of the b3 table
+    with mock.patch.object(wt, "_B", wt._Diagonal()):
+        for whole_row, n, k in requests:
+            k = min(k, n)
+            if whole_row:
+                assert wt.b_row(n, k) == _B_REF[n][: k + 1]
+            else:
+                assert wt.b(n, k) == _B_REF[n][k]
+
+
+def test_b_triangle_never_holds_the_b3_simplex():
+    # the b3 layers 0..60 hold C(63, 3) = 39711 ints, about 2.5 MB; the b
+    # rows n <= 60 and one layer hold under 6000
+    snippet = (
+        "import tracemalloc\n"
+        "from youngwalls import wall_tables as wt\n"
+        "tracemalloc.start()\n"
+        "for n in range(61):\n"
+        "    for k in range(n + 1):\n"
+        "        wt.b(n, k)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", snippet], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1_000_000
 
 
 @pytest.mark.parametrize("nmax, mmax, kmax", [(6, 4, 5), (8, 2, 1), (3, 3, 9), (5, 0, 0)])
