@@ -71,7 +71,11 @@ def _table_rows(args: argparse.Namespace) -> Iterator[list[Cell]]:
     elif sliced:
         raise _Usage("slices are only available for 2-index sequences")
     elif seq == "b3":
-        rows = _b3_rows(nmax, args.mmax, args.kmax)
+        layers = wall_tables.b3_layers(nmax if args.kmax is None else args.kmax, args.mmax)
+        rows = (
+            [((n, m, k), v) for m, row in enumerate(layer) for k, v in enumerate(row)]
+            for n, layer in zip(range(nmax + 1), layers)
+        )
     else:
         # omega
         mmax = args.mmax if args.mmax is not None else nmax
@@ -88,18 +92,16 @@ def _table_rows(args: argparse.Namespace) -> Iterator[list[Cell]]:
 
 def _cell_readers(seq: str, nmax: int, width: int) -> Iterator[tuple[int, Callable[[int], int]]]:
     """(n, cell) for the rows n <= nmax of a 2-index sequence, where cell(k)
-    is its value at (n, k) for k <= width.  a, b and tc walk their
-    recurrence once, keeping one row; the others are computed cell by cell."""
-    if seq == "a":
-        for n, row in zip(range(nmax + 1), wall_tables._A.walk(width)):
+    is its value at (n, k) for k <= width.  a, b and tc read the row streams
+    of wall_tables, keeping one row; the others are computed cell by cell."""
+    if seq in ("a", "b"):
+        rows = wall_tables.a_rows(width) if seq == "a" else wall_tables.b_rows(width)
+        for n, row in zip(range(nmax + 1), rows):
             yield n, row.__getitem__
-    elif seq == "b":
-        for n, layer in zip(range(nmax + 1), wall_tables._B3.walk(width)):
-            yield n, layer[n].__getitem__
     elif seq == "tc":
-        # row n of tc reads row n - 1 of a
-        for n, row in zip(range(1, nmax + 1), wall_tables._A.walk(width)):
-            yield n, lambda k, n=n, row=row: tree_child._tc_from_a(n, k, row[k])
+        # row n of tc reads row n - 1 of a, one product per cell read
+        for n, row in zip(range(1, nmax + 1), wall_tables.a_rows(width)):
+            yield n, lambda k, n=n, row=row: tree_child.tc_from_a(n, k, row[k])
     else:
         fn = {"f": poset_lab.f_closed, "ftilde": poset_lab.ftilde, "u": poset_lab.u_from_b}[seq]
         for n in range(nmax + 1):
@@ -121,15 +123,6 @@ def _two_index_rows(args: argparse.Namespace, first: int) -> Iterator[list[Cell]
         else:
             top = n - 1 if args.seq == "tc" else n
             yield [((n, k), cell(k)) for k in range(min(top, width) + 1)]
-
-
-def _b3_rows(nmax: int, mmax: int | None, kmax: int | None) -> Iterator[list[Cell]]:
-    """The cells (n, m, k) of b3, one layer n at a time, clipped to m <= mmax
-    and k <= kmax; the walk keeps one layer and fills no row above mmax."""
-    step = partial(wall_tables._b3_layer, mmax=mmax)
-    layers = wall_tables._RowTable(step, 0).walk(nmax if kmax is None else kmax)
-    for n, layer in zip(range(nmax + 1), layers):
-        yield [((n, m, k), v) for m, row in enumerate(layer) for k, v in enumerate(row)]
 
 
 def _render_rows(args: argparse.Namespace, rows: Iterator[list[Cell]], out: "TextIO") -> None:

@@ -23,10 +23,10 @@ def _check_domain(n: int, k: int) -> None:
 def tc(n: int, k: int) -> Nat:
     """tc(n, k) = n!/(n-k)! * a(n-1, k), the normative route."""
     _check_domain(n, k)
-    return _tc_from_a(n, k, wall_tables.a_rec(n - 1, k))
+    return tc_from_a(n, k, wall_tables.a_rec(n - 1, k))
 
 
-def _tc_from_a(n: int, k: int, a: Nat) -> Nat:
+def tc_from_a(n: int, k: int, a: Nat) -> Nat:
     """The normative formula n!/(n-k)! * a, given a = a(n-1, k)."""
     return math.perm(n, k) * a
 

@@ -17,9 +17,9 @@ i - 1 and only as far as the column asked for; asking for a larger column
 widens, in order, the filled rows that do not yet reach it or their end.
 There is no recursion, and a filled cell is read by list indexing.  A reader
 that wants rows 0, 1, 2, ... in order, once each, walks the same recurrence
-without storing it (``_RowTable.walk``).  ``b`` is read off such a walk up
-the b3 layers: it keeps its own rows b(n, 0..w) and only the current layer,
-never the (n, m, k) simplex that ``b3`` stores.
+without storing it: ``a_rows``, ``b3_layers`` and ``b_rows`` are those walks.
+``b`` keeps its own rows b(n, 0..w), read off ``b_rows``, which holds only
+the current b3 layer, never the (n, m, k) simplex that ``b3`` stores.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterator
 from fractions import Fraction
+from functools import partial
 
 from . import closed_forms
 from .exact_arith import Nat, binomial, exact_int, factorial
 
 
 class _RowTable:
-    """Rows 0, 1, 2, ... of a one-step recurrence.
+    """Rows 0, 1, 2, ... of a one-step recurrence, kept for cell reads.
 
     ``step(row, prev, i, width)`` appends to row i the cells it lacks up to
     column ``width``, reading only row i itself and row i - 1 (``prev``,
@@ -72,16 +73,17 @@ class _RowTable:
                 widths[i] = k
         return rows[n]
 
-    def walk(self, width: int) -> Iterator[list]:
-        """Rows 0, 1, 2, ... in order, without end, each filled through
-        column ``width`` by the same step, keeping only the previous row.
-        The table's own rows are neither read nor stored."""
-        prev = None
-        for i in itertools.count():
-            row: list = []
-            self._step(row, prev, i, width)
-            yield row
-            prev = row
+
+def _walk(step: Callable[[list, list | None, int, int], None], width: int) -> Iterator[list]:
+    """Rows 0, 1, 2, ... of the recurrence ``step`` (as for ``_RowTable``)
+    in order, without end, each filled through column ``width``, keeping
+    only the previous row."""
+    prev = None
+    for i in itertools.count():
+        row: list = []
+        step(row, prev, i, width)
+        yield row
+        prev = row
 
 
 def _a_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
@@ -89,6 +91,12 @@ def _a_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
         row.append(prev[0] * (2 * n - 1) if n else 1)
     for k in range(len(row), min(n, width) + 1):
         row.append(row[k - 1] + (2 * n + k - 1) * (prev[k] if k < n else 0))
+
+
+def a_rows(width: int) -> Iterator[list[Nat]]:
+    """Rows a(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end,
+    walked once: only the previous row is kept."""
+    return _walk(_a_row, width)
 
 
 def _b3_layer(
@@ -114,6 +122,21 @@ def _b3_layer(
             drop_m = layer[m - 1][k] if k < m else 0
             drop_n = prev[m][k] if m < n else 0
             row.append(drop_k + drop_m + drop_n)
+
+
+def b3_layers(width: int, mmax: int | None = None) -> Iterator[list[list[Nat]]]:
+    """Layers n = 0, 1, 2, ... of b3, without end, as ``_b3_layer`` stores
+    them: layer[m][k] = b3(n, m, k) for m <= min(n, mmax) and
+    k <= min(m, width).  Only the previous layer is kept, and no row above
+    mmax is filled."""
+    return _walk(partial(_b3_layer, mmax=mmax), width)
+
+
+def b_rows(width: int) -> Iterator[list[Nat]]:
+    """Rows b(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end: row n
+    is the diagonal b(n, k) = b3(n, n, k), the last row of b3 layer n, so
+    only the current layer is held."""
+    return (layer[-1] for layer in b3_layers(width))
 
 
 def _omega_layer(
@@ -226,26 +249,29 @@ def b3(n: int, m: int, k: int) -> Nat:
 
 
 class _Diagonal:
-    """Rows b(n, 0..min(n, w)) = b3(n, n, 0..min(n, w)) for n = 0, 1, ...,
-    read off one walk up the b3 layers that holds only the current layer,
-    so memory grows with the rows, not with the simplex.  A request wider
-    than w re-walks from layer 0 at width max(k, 2w): a triangle read row
-    by row re-walks a bounded multiple of one walk, not once per row."""
+    """Rows b(n, 0..min(n, w)) for n = 0, 1, ..., kept as they are read off
+    one walk ``b_rows(w)``, so memory grows with the rows, not with the
+    simplex.  A request (n, k) re-walks from layer 0 at width max(k, 2w)
+    when k > w, so a triangle read row by row re-walks a bounded multiple
+    of one walk, not once per row; and at width k when it needs two or more
+    rows past the kept ones and 2k < w, so a deep narrow read after a wide
+    one walks no layer at the wide width.  A read of one more row continues
+    the walk at width w."""
 
     def __init__(self) -> None:
         self._rows: list[list[int]] = []
         self._width = 0
-        self._layers = _B3.walk(0)
+        self._diagonal = b_rows(0)
 
     def row(self, n: int, k: int) -> list[int]:
         """Row n, filled through column min(n, k) at least."""
-        rows = self._rows
-        if k > self._width:
-            self._width = max(k, 2 * self._width)
-            self._layers = _B3.walk(self._width)
+        rows, w = self._rows, self._width
+        if k > w or (n > len(rows) and w > 2 * k):
+            self._width = max(k, 2 * w) if k > w else k
+            self._diagonal = b_rows(self._width)
             rows.clear()
         while len(rows) <= n:
-            rows.append(next(self._layers)[-1])
+            rows.append(next(self._diagonal))
         return rows[n]
 
 

@@ -28,6 +28,31 @@ def test_no_module_uses_a_bare_assert():
     assert found == []
 
 
+def test_cli_reads_no_private_name_of_another_module():
+    # how a table is walked is wall_tables' decision; cli reads public names only
+    package = Path(youngwalls.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    tree = ast.parse((package / "cli.py").read_text(), "cli.py")
+    found = sorted(
+        {
+            f"{node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        }
+        | {
+            f"{node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name.startswith("_")
+        }
+    )
+    assert found == []
+
+
 def test_readme_quick_tour_runs():
     # the >>> examples of README's python blocks, each block up to its closing fence
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -156,43 +156,41 @@ def test_row_widening_stops_at_column_n():
 
 
 @pytest.mark.parametrize(
-    "table, last",
-    [(wt._A, 0), (tree_child._TC_REC, -1), (tree_child._TC_SUM, -1)],
+    "walk, table, last",
+    [
+        (wt.a_rows, wt._A, 0),
+        (partial(wt._walk, tree_child._tc_rec_row), tree_child._TC_REC, -1),
+        (partial(wt._walk, tree_child._tc_sum_row), tree_child._TC_SUM, -1),
+    ],
     ids=["a", "tc_rec", "tc_sum"],
 )
 @pytest.mark.parametrize("width", [0, 1, 2, 5, 14])
-def test_walk_matches_the_rows_read_cell_by_cell(table, last, width):
-    for n, row in zip(range(15), table.walk(width)):
+def test_walk_matches_the_rows_read_cell_by_cell(walk, table, last, width):
+    for n, row in zip(range(15), walk(width)):
         assert len(row) == max(min(n + last, width) + 1, 0), n
         assert row == [table.row(n, k)[k] for k in range(len(row))], n
 
 
+# b(n, 0..n) for n <= 40 from a fresh b3 table, layer by layer
+_DIAGONAL = wt._RowTable(wt._b3_layer, 0)
+_B_REF = [_DIAGONAL.row(n, n)[n] for n in range(41)]
+
+
 @pytest.mark.parametrize("width", [0, 1, 3, 10])
 def test_walk_matches_the_b3_layers(width):
-    for n, layer in zip(range(11), wt._B3.walk(width)):
+    for n, layer in zip(range(11), wt.b3_layers(width)):
         assert [len(row) for row in layer] == [min(m, width) + 1 for m in range(n + 1)]
         assert layer == [[wt.b3(n, m, k) for k in range(len(row))] for m, row in enumerate(layer)]
-
-
-def test_walk_leaves_the_table_as_it_is():
-    table = wt._RowTable(wt._a_row, 0)
-    rows = list(itertools.islice(table.walk(3), 21))
-    assert (table._rows, table._widths) == ([], [])
-    assert rows[20] == [table.row(20, 3)[k] for k in range(4)]
+    assert list(itertools.islice(wt.b_rows(width), 41)) == [row[: width + 1] for row in _B_REF]
 
 
 @pytest.mark.parametrize(
     "nmax, mmax, kmax", [(12, 5, 3), (10, 0, 0), (9, 4, 9), (8, 8, 2), (6, 11, 4), (7, 3, 20)]
 )
 def test_b3_walk_clipped_at_mmax_matches_the_full_walk(nmax, mmax, kmax):
-    clipped = wt._RowTable(partial(wt._b3_layer, mmax=mmax), 0).walk(kmax)
-    for n, short, full in zip(range(nmax + 1), clipped, wt._B3.walk(kmax)):
+    clipped = wt.b3_layers(kmax, mmax)
+    for n, short, full in zip(range(nmax + 1), clipped, wt.b3_layers(kmax)):
         assert short == full[: mmax + 1], n
-
-
-# b(n, 0..n) for n <= 40 from a fresh b3 table, layer by layer
-_DIAGONAL = wt._RowTable(wt._b3_layer, 0)
-_B_REF = [_DIAGONAL.row(n, n)[n] for n in range(41)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -207,6 +205,34 @@ def test_b_reads_the_b3_diagonal_in_any_request_order(requests):
                 assert wt.b_row(n, k) == _B_REF[n][: k + 1]
             else:
                 assert wt.b(n, k) == _B_REF[n][k]
+
+
+def _b3_cells_appended(reads):
+    # the b3 cells that the layer step appends while reads() runs on a fresh b reader
+    counts = []
+    step = wt._b3_layer
+
+    def counting_layer(layer, *args, **kwargs):
+        step(layer, *args, **kwargs)
+        counts.append(sum(map(len, layer)))
+
+    with mock.patch.multiple(wt, _b3_layer=counting_layer, _B=wt._Diagonal()):
+        reads()
+    return sum(counts)
+
+
+def test_deep_narrow_b_read_after_a_wide_triangle_walks_narrow():
+    # the triangle leaves the reader 64 wide; b(400, 2) must not walk
+    # layers 41..400 at that width
+    def triangle():
+        for n in range(41):
+            for k in range(n + 1):
+                wt.b(n, k)
+
+    cold = _b3_cells_appended(lambda: wt.b(400, 2))
+    after_triangle = _b3_cells_appended(lambda: (triangle(), wt.b(400, 2)))
+    assert cold > 0
+    assert after_triangle <= _b3_cells_appended(triangle) + 2 * cold
 
 
 def test_b_triangle_never_holds_the_b3_simplex():
