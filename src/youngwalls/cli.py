@@ -26,7 +26,6 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from fractions import Fraction
 from functools import partial
 
 from . import closed_forms, poset_lab, series_engine, tree_child, wall_tables
@@ -80,10 +79,9 @@ def _table_rows(args: argparse.Namespace) -> Iterator[list[Cell]]:
         # omega
         mmax = args.mmax if args.mmax is not None else nmax
         kmax = args.kmax if args.kmax is not None else mmax + 1
-        block = wall_tables.omega_block(nmax, mmax, kmax)
         rows = (
             [((n, m, k), v) for m, cell in enumerate(row) for k, v in enumerate(cell)]
-            for n, row in enumerate(block)
+            for n, row in enumerate(wall_tables.omega_rows(nmax, mmax, kmax))
         )
     if args.format == "bfile" and not sliced:
         raise _Usage("bfile output needs a 1-D slice (--k or --diag)")
@@ -195,7 +193,8 @@ def run_oracle(args: argparse.Namespace, out: "TextIO") -> int:
 # crosscheck command
 
 OEIS_MAPS: dict[str, tuple[str, int, Callable[[int], int]]] = {
-    "b-k0": ("A000108", 0, lambda n: wall_tables.b(n, 0)),
+    # b is seeded by the Catalan numbers, so their check reads the b3 diagonal
+    "b-k0": ("A000108", 0, lambda n: wall_tables.b3(n, n, 0)),
     "a-diag": ("A213863", 0, lambda n: wall_tables.a_rec(n, n)),
     "a-k1": ("A122649", 1, lambda n: wall_tables.a_rec(n, 1)),
     "b-k1": ("A000531", 1, lambda n: wall_tables.b(n, 1)),
@@ -325,6 +324,12 @@ def _triangle(nmax: int, start: int = 0) -> Iterator[tuple[int, int]]:
     return ((n, k) for n in range(start, nmax + 1) for k in range(n + 1))
 
 
+def _b3_diagonals(nmax: int, width: int) -> Iterator[tuple[int, list[int]]]:
+    """(n, [b3(n, n, 0..min(n, width))]) for n <= nmax, read off one walk up
+    the b3 layers that holds a single layer."""
+    return zip(range(nmax + 1), (layer[-1] for layer in wall_tables.b3_layers(width)))
+
+
 def _rect(nmax: int, kmax: int) -> Iterator[tuple[int, int]]:
     """(n, k) for 1 <= n <= nmax and 1 <= k <= kmax, row by row."""
     return ((n, k) for n in range(1, nmax + 1) for k in range(1, kmax + 1))
@@ -361,6 +366,8 @@ def _gamma_sum(k: int) -> bool:
 
 
 def _delta_rec(i: int) -> bool:
+    from fractions import Fraction  # only the rational checks load fractions
+
     rhs = -sum(
         Fraction(binomial(i, j) * double_factorial(3 * i + j - 3), double_factorial(3 * i - 3))
         * closed_forms.delta(i - j)
@@ -371,6 +378,8 @@ def _delta_rec(i: int) -> bool:
 
 def _stock_series(order: int) -> bool:
     """Half-power square, central binomials, Catalan equation, kernel root."""
+    from fractions import Fraction
+
     mul, shift_up = series_engine.series_mul, series_engine.shift_up
     half = series_engine.neg_pow_series(Fraction(1, 2), order)
     c = series_engine.catalan_series(order)
@@ -417,8 +426,9 @@ CHECKS: dict[str, Check] = {
         lambda n, k: wall_tables.a_alt(n, k) == wall_tables.a_rec(n, k),
     ),
     "catalan-base": Check(
-        "b(n,0) is Catalan", {"nmax": 30}, "n <= {nmax}", lambda nmax: _upto(nmax),
-        lambda n: wall_tables.b(n, 0) == binomial(2 * n, n) // (n + 1),
+        "b3(n,n,0) is Catalan", {"nmax": 30}, "n <= {nmax}",
+        lambda nmax: _b3_diagonals(nmax, 0),
+        lambda n, diagonal: diagonal[0] == binomial(2 * n, n) // (n + 1),
     ),
     "hook-base": _on_triangle(
         "b3(n,m,0) matches the ballot closed form", 15,
@@ -440,9 +450,12 @@ CHECKS: dict[str, Check] = {
         "seed row vanishes at k = m+1", {"kmax": 8}, "k <= {kmax}", lambda kmax: _upto(kmax, 1),
         lambda k: closed_forms.omega_init(k - 1, k) == 0,
     ),
-    "cor-rec": _on_triangle(
-        "rational two-term recurrence matches b", 20,
-        lambda n, k: wall_tables.b_cor_rec(n, k) == wall_tables.b(n, k),
+    "cor-rec": Check(
+        "integer two-term recurrence of b matches the b3 diagonal", {"nmax": 20}, "n <= {nmax}",
+        lambda nmax: (
+            (n, k, diagonal) for n, diagonal in _b3_diagonals(nmax, nmax) for k in range(n + 1)
+        ),
+        lambda n, k, diagonal: wall_tables.b(n, k) == diagonal[k],
     ),
     "closed-a": _on_triangle(
         "gamma closed form matches a", 25,

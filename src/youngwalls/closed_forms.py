@@ -17,12 +17,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from fractions import Fraction
 from itertools import count
 
-from .exact_arith import (
-    ExactRational, Nat, double_factorial, double_factorials, exact_int, factorial
-)
+from .exact_arith import Nat, double_factorial, double_factorials, exact_int, factorial
 
 # Per-k rows over their least common denominator, as (numerators, denominator):
 # _GAMMA_ROWS[k] holds gamma_{k-i} / i! for i = 0..k (so gamma_k itself is
@@ -33,11 +30,11 @@ _GAMMA_ROWS: list[IntRow] = [((1,), 1)]
 _DELTA_ROWS: list[IntRow] = [((1,), 1)]
 # _LEMMA28_WEIGHTS[s] holds the two blocks of (p, q, weight) of lemma28_rhs at
 # unfolding depth s
-AlphaBlock = tuple[tuple[int, int, int], ...]
-_LEMMA28_WEIGHTS: list[tuple[AlphaBlock, AlphaBlock]] = []
+_AlphaBlock = tuple[tuple[int, int, int], ...]
+_LEMMA28_WEIGHTS: list[tuple[_AlphaBlock, _AlphaBlock]] = []
 
 
-def gamma(k: int) -> ExactRational:
+def gamma(k: int) -> Fraction:
     """Rational coefficient gamma_k of the double-factorial expansions.
 
     gamma_0 = 1 and for k >= 1
@@ -45,13 +42,15 @@ def gamma(k: int) -> ExactRational:
     First values: 1, -1, 1/6, 17/48.  The sum is solved in integers, over
     the common denominator of its weights (see _gamma_row).
     """
+    from fractions import Fraction  # only the rational routes load fractions
+
     if k < 0:
         raise ValueError(f"gamma undefined for {k}")
     nums, den = _gamma_row(k)
     return Fraction(nums[0], den)
 
 
-def delta(j: int) -> ExactRational:
+def delta(j: int) -> Fraction:
     """Scaled variant delta_j = j! * gamma_j, the coefficients used by the
     double-factorial expansion of the tree-child counts."""
     return factorial(j) * gamma(j)
@@ -166,12 +165,14 @@ def omega_init_layers(width: int) -> Iterator[list[Nat]]:
         facts = [facts[0] * (s + 2), *facts[:width]]
 
 
-def alpha(s: int, p: int, q: int) -> ExactRational:
+def alpha(s: int, p: int, q: int) -> Fraction:
     """Coefficient alpha_s(p, q) appearing when the omega recurrence is
     unfolded s steps along its vanishing boundary layer:
 
         (-1)^(q-p+1) (s-1+q-p)! / ((s-q-2p+2)! (q-1)! 2^(q-1) (p-1)!)
     """
+    from fractions import Fraction
+
     if p < 1 or q < 1:
         raise ValueError(f"need p, q >= 1, got ({p}, {q})")
     if s - q - 2 * p + 2 < 0 or s - 1 + q - p < 0:
@@ -184,7 +185,7 @@ def alpha(s: int, p: int, q: int) -> ExactRational:
     )
 
 
-def _lemma28_weights(s: int) -> tuple[AlphaBlock, AlphaBlock]:
+def _lemma28_weights(s: int) -> tuple[_AlphaBlock, _AlphaBlock]:
     """The alpha weights of lemma28_rhs at unfolding depth s, as (p, q, w)
     with w = alpha(t, p, q) * s! * 2^s, for t = s and for t = s + 1.
 
@@ -203,8 +204,8 @@ def _lemma28_weights(s: int) -> tuple[AlphaBlock, AlphaBlock]:
 
 
 def lemma28_rhs(
-    n: int, k: int, s: int, omega_source: Callable[[int, int, int], int | ExactRational]
-) -> ExactRational:
+    n: int, k: int, s: int, omega_source: Callable[[int, int, int], int | Fraction]
+) -> Fraction:
     """Value of the two-block alpha sum that rewrites omega(n, k-1, k) after
     unfolding its recurrence s times (1 <= s <= n):
 
@@ -216,6 +217,8 @@ def lemma28_rhs(
     blocks sum in integers over the common denominator s! 2^s of their
     weights (see _lemma28_weights).
     """
+    from fractions import Fraction
+
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
     first, second = _lemma28_weights(s)

@@ -1,16 +1,16 @@
-"""Integer and rational primitives shared by every counting module.
+"""Integer primitives shared by every counting module.
 
-All counts are arbitrary-precision ints and all coefficient arithmetic is
-exact rational; floats never appear here.
+All counts are arbitrary-precision ints and all arithmetic is exact; floats
+never appear here.  A value that is rational by nature is a
+``fractions.Fraction``, built only by the routes that return or check one,
+which import ``fractions`` themselves: ``exact_int`` also takes one.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 Nat = int
-ExactRational = Fraction
 
 
 class NotIntegralError(ArithmeticError):

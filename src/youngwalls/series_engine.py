@@ -33,13 +33,13 @@ Design notes that the individual docstrings lean on:
   one common denominator per coefficient.  Coefficients are stored as
   given, never converted, so Fractions stay Fractions; Fraction(n) == n and
   str(Fraction(n)) == str(n), so comparisons and printed text do not
-  depend on the ring.
+  depend on the ring.  Only the closed route and neg_pow_series, which take
+  a half-integer exponent, import fractions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 from itertools import count, islice
 from operator import mul
 
@@ -47,9 +47,9 @@ from . import wall_tables
 from .closed_forms import gamma_dfact_terms
 from .exact_arith import NotIntegralError, binomial, exact_int
 
-Coeff = int | Fraction
-# a series in t: s[n] is the coefficient of t^n
-Series = tuple[Coeff, ...]
+# a series in t: s[n] is the coefficient of t^n, an int or a Fraction; the
+# coefficient type is a string, so importing this module loads no fractions
+Series = tuple["int | Fraction", ...]
 # a bivariate series in x and t: rows[j][n] is the coefficient of x^j t^n
 Rows = tuple[Series, ...]
 
@@ -103,10 +103,12 @@ def x2_series(order: int) -> Series:
     return shift_up(catalan_series(order))
 
 
-def neg_pow_series(alpha: Coeff, order: int) -> Series:
+def neg_pow_series(alpha: int | Fraction, order: int) -> Series:
     """(1 - 4t)^(-alpha) for an integer or half-integer alpha = p/2.  Its
     coefficients are integers: c_0 = 1, c_{n+1} = c_n * 2 (p + 2n) / (n + 1),
     each division checked exact."""
+    from fractions import Fraction
+
     p = 2 * Fraction(alpha)
     if p.denominator != 1:
         raise ValueError(f"need an integer or half-integer exponent, got {alpha}")
@@ -151,6 +153,8 @@ def dk_closed(k: int, order: int) -> Series:
     one denominator den, so each coefficient is an integer sum divided once
     by 2 den, checked exact.  At k = 0 the weights would need (-3)!!.
     """
+    from fractions import Fraction
+
     if k < 1:
         raise ValueError(f"closed D_k needs k >= 1 (its gamma sum degenerates at 0), got {k}")
     terms, den = gamma_dfact_terms(k - 1, k)
@@ -167,7 +171,7 @@ def dk_closed(k: int, order: int) -> Series:
 # route three: kernel chain
 
 
-def _divide_t(row: Sequence[Coeff], name: str, k: int, j: int) -> Series:
+def _divide_t(row: Sequence[int | Fraction], name: str, k: int, j: int) -> Series:
     """Slice j of name at kernel level k, divided by t; the top is padded
     with a zero.  Raises NotIntegralError unless the constant term vanishes."""
     if row[0]:

@@ -12,7 +12,7 @@ import math
 
 from . import closed_forms, wall_tables
 from .exact_arith import Nat, binomial, double_factorials, exact_int, factorial
-from .wall_tables import _RowTable
+from .wall_tables import RowTable
 
 
 def _check_domain(n: int, k: int) -> None:
@@ -59,7 +59,7 @@ def _tc_rec_row(row: list[int], prev: list[int] | None, n: int, width: int) -> N
         row.append(exact_int(rhs, n - k, ("tc_rec", n, k)))
 
 
-_TC_REC = _RowTable(_tc_rec_row, -1)
+_TC_REC = RowTable(_tc_rec_row, -1)
 
 
 def tc_sum(n: int, k: int) -> Nat:
@@ -95,7 +95,7 @@ def _tc_sum_row(row: list[int], prev: list[int] | None, n: int, width: int) -> N
         row.append(exact_int(rhs, fact[n - k - low], ("tc_sum", n, k)))
 
 
-_TC_SUM = _RowTable(_tc_sum_row, -1)
+_TC_SUM = RowTable(_tc_sum_row, -1)
 
 
 def tc_chain(k: int, m: int) -> Nat:

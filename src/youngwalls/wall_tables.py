@@ -12,28 +12,29 @@ Four sequences live here:
   ``closed_forms.omega_init`` (an integer whose divisibility is checked,
   not assumed), whose value at (n, m, k) equals b3(n + m, m, k).
 
-Every table is a list of rows, each a plain list.  Row i is built from row
-i - 1 and only as far as the column asked for; asking for a larger column
-widens, in order, the filled rows that do not yet reach it or their end.
-There is no recursion, and a filled cell is read by list indexing.  A reader
-that wants rows 0, 1, 2, ... in order, once each, walks the same recurrence
-without storing it: ``a_rows``, ``b3_layers`` and ``b_rows`` are those walks.
-``b`` keeps its own rows b(n, 0..w), read off ``b_rows``, which holds only
-the current b3 layer, never the (n, m, k) simplex that ``b3`` stores.
+Every table is a list of rows, each a plain list of ints.  Row i is built
+from row i - 1 and only as far as the column asked for; asking for a larger
+column widens, in order, the filled rows that do not yet reach it or their
+end.  There is no recursion, and a filled cell is read by list indexing.  A
+reader that wants rows 0, 1, 2, ... in order, once each, walks the same
+recurrence without storing it: ``a_rows``, ``b3_layers``, ``b_rows`` and
+``omega_rows`` are those walks.  The rows of ``b`` come from its own integer
+two-term recurrence, O(w) cells per row like ``a``, not from the b3 layers;
+the checks compare the two.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from collections.abc import Callable, Iterator
-from fractions import Fraction
 from functools import partial
 
 from . import closed_forms
-from .exact_arith import Nat, binomial, exact_int, factorial
+from .exact_arith import Nat, exact_int, factorial
 
 
-class _RowTable:
+class RowTable:
     """Rows 0, 1, 2, ... of a one-step recurrence, kept for cell reads.
 
     ``step(row, prev, i, width)`` appends to row i the cells it lacks up to
@@ -44,7 +45,8 @@ class _RowTable:
     widens only the run of rows above the highest row that is complete or
     filled through column k.  A run of row n alone is filled as far as row
     n - 1 reaches, capped at column n, so a row read cell by cell costs one
-    step, not one per column.
+    step, not one per column.  ``tree_child`` and ``poset_lab`` keep their
+    tables in it too.
     """
 
     def __init__(
@@ -75,7 +77,7 @@ class _RowTable:
 
 
 def _walk(step: Callable[[list, list | None, int, int], None], width: int) -> Iterator[list]:
-    """Rows 0, 1, 2, ... of the recurrence ``step`` (as for ``_RowTable``)
+    """Rows 0, 1, 2, ... of the recurrence ``step`` (as for ``RowTable``)
     in order, without end, each filled through column ``width``, keeping
     only the previous row."""
     prev = None
@@ -97,6 +99,21 @@ def a_rows(width: int) -> Iterator[list[Nat]]:
     """Rows a(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end,
     walked once: only the previous row is kept."""
     return _walk(_a_row, width)
+
+
+def _b_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
+    """Row n of b from row n - 1: the Catalan seed
+    b(n, 0) = 2 (2n-1) b(n-1, 0) / (n+1), then
+
+        2 (n-k+1) b(n, k) = (n-k+2)(n-k+1) b(n, k-1) + 4 (2n+k-1) b(n-1, k)
+
+    with b(n-1, n) = 0.  Each cell is one division, checked exact."""
+    if not row:
+        row.append(exact_int(2 * (2 * n - 1) * prev[0], n + 1, ("b", n, 0)) if n else 1)
+    for k in range(len(row), min(n, width) + 1):
+        below = prev[k] if k < n else 0
+        rhs = (n - k + 2) * (n - k + 1) * row[k - 1] + 4 * (2 * n + k - 1) * below
+        row.append(exact_int(rhs, 2 * (n - k + 1), ("b", n, k)))
 
 
 def _b3_layer(
@@ -133,10 +150,10 @@ def b3_layers(width: int, mmax: int | None = None) -> Iterator[list[list[Nat]]]:
 
 
 def b_rows(width: int) -> Iterator[list[Nat]]:
-    """Rows b(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end: row n
-    is the diagonal b(n, k) = b3(n, n, k), the last row of b3 layer n, so
-    only the current layer is held."""
-    return (layer[-1] for layer in b3_layers(width))
+    """Rows b(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end,
+    walked once by the two-term recurrence of ``b``: only the previous row
+    is kept."""
+    return _walk(_b_row, width)
 
 
 def _omega_layer(
@@ -167,25 +184,31 @@ def _omega_layer(
         layer.append(col)
 
 
-def omega_block(nmax: int, mmax: int, kmax: int) -> list[list[list[Nat]]]:
-    """omega(n, m, k) for n <= nmax, m <= mmax and k <= min(m + 1, kmax), as
-    block[n][m][k].  The sweep over the layers s = n + m keeps only the
-    current layer and the one before it, so memory stays linear in nmax;
-    the seeds of each layer are carried over from the layer before."""
-    block: list[list[list[Nat]]] = [[[] for _ in range(mmax + 1)] for _ in range(nmax + 1)]
+def omega_rows(nmax: int, mmax: int, kmax: int) -> Iterator[list[list[Nat]]]:
+    """Rows n = 0..nmax of omega, each as row[m][k] = omega(n, m, k) for
+    m <= mmax and k <= min(m + 1, kmax).  The sweep over the layers s = n + m
+    keeps only the current layer and the one before it; row n is yielded
+    once layer n + mmax is done, and only the rows not yet finished are
+    held.  The seeds of each layer are carried over from the layer before."""
+    rows: deque[list[list[Nat]]] = deque()  # rows max(0, s - mmax)..min(s, nmax)
     prev = None
     for s, seeds in zip(range(nmax + mmax + 1), closed_forms.omega_init_layers(kmax)):
         layer: list[list[int]] = []
         _omega_layer(layer, prev, s, kmax, nmax, seeds)
-        for n in range(max(0, s - mmax), min(s, nmax) + 1):
-            block[n][s - n] = [col[n] for col in layer[: min(s - n + 1, kmax) + 1]]
+        if s <= nmax:
+            rows.append([])
+        first = max(0, s - mmax)
+        for n in range(first, min(s, nmax) + 1):
+            rows[n - first].append([col[n] for col in layer[: min(s - n + 1, kmax) + 1]])
+        if s >= mmax:
+            yield rows.popleft()
         prev = layer
-    return block
 
 
-_A = _RowTable(_a_row, 0)
-_B3 = _RowTable(_b3_layer, 0)
-_OMEGA = _RowTable(_omega_layer, 1)
+_A = RowTable(_a_row, 0)
+_B = RowTable(_b_row, 0)
+_B3 = RowTable(_b3_layer, 0)
+_OMEGA = RowTable(_omega_layer, 1)
 
 
 def a_rec(n: int, k: int) -> Nat:
@@ -231,7 +254,7 @@ def _a_alt_column(col: list[int], prev: list[int] | None, k: int, nmax: int) -> 
             col.append(v)
 
 
-_A_ALT = _RowTable(_a_alt_column, None)
+_A_ALT = RowTable(_a_alt_column, None)
 
 
 def b3(n: int, m: int, k: int) -> Nat:
@@ -248,38 +271,14 @@ def b3(n: int, m: int, k: int) -> Nat:
     return _B3.row(n, k)[m][k]
 
 
-class _Diagonal:
-    """Rows b(n, 0..min(n, w)) for n = 0, 1, ..., kept as they are read off
-    one walk ``b_rows(w)``, so memory grows with the rows, not with the
-    simplex.  A request (n, k) re-walks from layer 0 at width max(k, 2w)
-    when k > w, so a triangle read row by row re-walks a bounded multiple
-    of one walk, not once per row; and at width k when it needs two or more
-    rows past the kept ones and 2k < w, so a deep narrow read after a wide
-    one walks no layer at the wide width.  A read of one more row continues
-    the walk at width w."""
-
-    def __init__(self) -> None:
-        self._rows: list[list[int]] = []
-        self._width = 0
-        self._diagonal = b_rows(0)
-
-    def row(self, n: int, k: int) -> list[int]:
-        """Row n, filled through column min(n, k) at least."""
-        rows, w = self._rows, self._width
-        if k > w or (n > len(rows) and w > 2 * k):
-            self._width = max(k, 2 * w) if k > w else k
-            self._diagonal = b_rows(self._width)
-            rows.clear()
-        while len(rows) <= n:
-            rows.append(next(self._diagonal))
-        return rows[n]
-
-
-_B = _Diagonal()
-
-
 def b(n: int, k: int) -> Nat:
-    """Two-index b(n, k) = b3(n, n, k); 0 outside 0 <= k <= n."""
+    """Two-index b(n, k) = b3(n, n, k) from the integer two-term recurrence
+
+        2 (n-k+1) b(n, k) = (n-k+2)(n-k+1) b(n, k-1) + 4 (2n+k-1) b(n-1, k)
+
+    with Catalan base b(n, 0), each division checked exact; 0 outside
+    0 <= k <= n.  It never reads b3; the check cor-rec compares it with the
+    b3 diagonal."""
     if not 0 <= k <= n:
         return 0
     return _B.row(n, k)[k]
@@ -287,7 +286,7 @@ def b(n: int, k: int) -> Nat:
 
 def b_row(n: int, width: int) -> list[Nat]:
     """b(n, 0..width) for 0 <= width <= n, as a new list, read off the
-    one-layer walk up the b3 table in one call."""
+    table of ``b`` in one call."""
     if not 0 <= width <= n:
         raise ValueError(f"need 0 <= width <= n, got ({n}, {width})")
     return _B.row(n, width)[: width + 1]
@@ -303,32 +302,6 @@ def b3_hook(n: int, m: int) -> Nat:
         raise ValueError(f"need 0 <= m <= n, got ({n}, {m})")
     num = factorial(n + m) * (n - m + 1)
     return exact_int(num, factorial(m) * factorial(n + 1), ("b3_hook", n, m))
-
-
-def b_cor_rec(n: int, k: int) -> Nat:
-    """b(n, k) from the rational two-term recurrence
-
-        b(n, k) = (n-k+2)/2 * b(n, k-1) + 2 (2n+k-1)/(n-k+1) * b(n-1, k)
-
-    with Catalan base b(n, 0).  Exercises exact rational arithmetic; the
-    result is checked integral.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    return exact_int(_B_COR.row(n, k)[k], where=("b_cor_rec", n, k))
-
-
-def _b_cor_row(row: list[Fraction], prev: list[Fraction] | None, n: int, width: int) -> None:
-    if not row:
-        row.append(Fraction(binomial(2 * n, n), n + 1))
-    for k in range(len(row), min(n, width) + 1):
-        row.append(
-            Fraction(n - k + 2, 2) * row[k - 1]
-            + Fraction(2 * (2 * n + k - 1), n - k + 1) * (prev[k] if k < n else 0)
-        )
-
-
-_B_COR = _RowTable(_b_cor_row, 0)
 
 
 def omega(n: int, m: int, k: int) -> Nat:

@@ -276,7 +276,7 @@ def test_table_matches_the_cell_functions(seq, option, capsys):
 
 def test_tc_table_stores_no_row_of_a(monkeypatch):
     # the rows of a that tc reads are walked, not kept in the module table
-    fresh = wall_tables._RowTable(wall_tables._a_row, 0)
+    fresh = wall_tables.RowTable(wall_tables._a_row, 0)
     monkeypatch.setattr(wall_tables, "_A", fresh)
     assert run_cli("table", "--seq", "tc", "--nmax", "50", "--k", "2")[0] == 0
     assert fresh._rows == []
@@ -619,7 +619,7 @@ def _move_cached_weight(monkeypatch, rows, row, entry):
     # so fresh ones read the moved weights.
     for name in ("_GAMMA_ROWS", "_DELTA_ROWS"):
         monkeypatch.setattr(closed_forms, name, getattr(closed_forms, name)[:1])
-    monkeypatch.setattr(wall_tables, "_OMEGA", wall_tables._RowTable(wall_tables._omega_layer, 1))
+    monkeypatch.setattr(wall_tables, "_OMEGA", wall_tables.RowTable(wall_tables._omega_layer, 1))
     nums, den = row(2)
     wrong = list(nums)
     wrong[entry] += den
@@ -694,6 +694,45 @@ def test_b_cell_moved_below_width_fails_monster(monkeypatch):
     assert run_cli("verify", "--check", "monster") == (1, "monster: FAIL (fails at (4, 2))\n")
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [(["verify", "--check", "cor-rec"], "cor-rec: FAIL (fails at (3, 0))\n"),
+     (["verify", "--check", "catalan-base"], "catalan-base: FAIL (fails at (3))\n"),
+     (["crosscheck", "--map", "b-k0"], "A000108 <-> b-k0: mismatch at n=3: ours=6 oeis=5\n")],
+    ids=["cor-rec", "catalan-base", "b-k0"],
+)
+def test_moved_b3_cell_fails_the_checks_of_the_b3_diagonal(argv, text, monkeypatch):
+    # b3(3, 3, 0) = 5 moved to 6 when it is appended, in every walk up the b3
+    # layers and in the b3 table; b is seeded by the Catalan numbers, so
+    # these checks must read b3, not b
+    step = wall_tables._b3_layer
+
+    def moved(layer, prev, n, width, mmax=None):
+        had = len(layer) > 3
+        step(layer, prev, n, width, mmax)
+        if n == 3 and not had and len(layer) > 3:
+            layer[3][0] += 1
+
+    monkeypatch.setattr(wall_tables, "_b3_layer", moved)
+    monkeypatch.setattr(wall_tables, "_B3", wall_tables.RowTable(moved, 0))
+    assert run_cli(*argv) == (1, text)
+
+
+@pytest.mark.parametrize("check", ["cor-rec", "main-identity", "closed-b"])
+def test_moved_b_cell_fails_the_checks_of_b(check, monkeypatch):
+    # b(3, 3) moved when the two-term step appends it; no later row is read
+    step = wall_tables._b_row
+
+    def moved(row, prev, n, width):
+        before = len(row)
+        step(row, prev, n, width)
+        if n == 3 and before <= 3 < len(row):
+            row[3] += 1
+
+    monkeypatch.setattr(wall_tables, "_B", wall_tables.RowTable(moved, 0))
+    assert run_cli("verify", "--check", check) == (1, f"{check}: FAIL (fails at (3, 3))\n")
+
+
 def test_unintegral_closed_dk_weight_exits_1(monkeypatch, capsys):
     # gamma_2 moved by 1: the k = 2 coefficient of t^1 is off by 3/2
     _move_cached_weight(monkeypatch, "_GAMMA_ROWS", closed_forms._gamma_row, 0)
@@ -717,7 +756,7 @@ def _bare_python(*args):
 def test_import_loads_no_network_modules():
     # every cold request pays for the eager import; none of these does any work for it
     unused = ["dataclasses", "inspect", "json", "importlib.resources", "typing",
-              "urllib.request", "http.client", "ssl"]
+              "urllib.request", "http.client", "ssl", "fractions", "decimal", "numbers"]
     snippet = f"import sys, youngwalls.cli\nprint(sorted(set({unused!r}) & set(sys.modules)))\n"
     proc = _bare_python("-c", snippet)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
@@ -734,14 +773,36 @@ def test_lazy_imports_in_a_fresh_process(argv):
     assert (proc.returncode, proc.stdout, proc.stderr) == (*run_cli(*argv), "")
 
 
-def test_not_integral_maps_to_exit_1(monkeypatch, capsys):
-    def broken(n, k):
-        raise NotIntegralError("value at ('b_cor_rec', 0, 0) is not an integer")
+@pytest.mark.parametrize(
+    "argv",
+    [*(["table", "--seq", seq, "--nmax", "6"] for seq in TABLE_SEQS),
+     *(["series", "--dk", "2", "--order", "8", "--method", m] for m in ("recurrence", "kernel"))],
+    ids=" ".join,
+)
+def test_integer_request_loads_no_rational_module(argv):
+    # fractions (and with it decimal and numbers) is imported only by the
+    # routes that build a rational
+    snippet = (
+        "import io, sys\n"
+        "from youngwalls import cli\n"
+        "code = cli.main(sys.argv[1:], out=io.StringIO())\n"
+        "print(code, sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
+    )
+    proc = _bare_python("-c", snippet, *argv)
+    assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
 
-    monkeypatch.setattr(cli.wall_tables, "b_cor_rec", broken)
-    code, _ = run_cli("verify", "--check", "cor-rec")
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+
+def test_not_integral_maps_to_exit_1(monkeypatch, capsys):
+    # row 4 of b steps from a row 3 whose Catalan seed is one too large, so
+    # the seed 2 (2n-1) b(n-1, 0) / (n+1) = 84 / 5 does not divide
+    step = wall_tables._b_row
+
+    def broken(row, prev, n, width):
+        step(row, [prev[0] + 1, *prev[1:]] if n == 4 else prev, n, width)
+
+    monkeypatch.setattr(wall_tables, "_B", wall_tables.RowTable(broken, 0))
+    assert run_cli("verify", "--check", "cor-rec") == (1, "")
+    assert capsys.readouterr().err == "error: value at ('b', 4, 0) is not an integer\n"
 
 
 @pytest.mark.parametrize(

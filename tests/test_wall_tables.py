@@ -73,12 +73,6 @@ def test_b3_hook_closed_form():
         wt.b3_hook(2, 3)
 
 
-def test_b_cor_rec_matches_b():
-    # the agreement with b is the registry check cor-rec
-    with pytest.raises(ValueError):
-        wt.b_cor_rec(3, 4)
-
-
 def test_omega_seed_and_guards():
     assert wt.omega(-1, 5, 2) == 0
     assert wt.omega(0, 2, 1) == 7
@@ -92,7 +86,7 @@ def test_omega_seed_and_guards():
 
 
 def test_table_values_are_stable():
-    t = wt._RowTable(wt._b3_layer, 0)
+    t = wt.RowTable(wt._b3_layer, 0)
     first = t.row(7, 3)[5][3]
     assert t.row(7, 3)[5][3] == first
     assert first == wt.b3(7, 5, 3)
@@ -103,7 +97,7 @@ def _a_cell(table, n, k):
 
 
 def test_memo_handles_sparse_far_request():
-    table = wt._RowTable(wt._a_row, 0)
+    table = wt.RowTable(wt._a_row, 0)
     # a far row first: the fill stops at column 1, then reads are plain indexing
     far = _a_cell(table, 600, 1)
     assert far == _a_cell(table, 600, 0) + (2 * 600 + 1 - 1) * _a_cell(table, 599, 1)
@@ -111,7 +105,7 @@ def test_memo_handles_sparse_far_request():
 
 
 def test_cells_asked_out_of_order():
-    table = wt._RowTable(wt._a_row, 0)
+    table = wt.RowTable(wt._a_row, 0)
     # a far column first (grows n), then a larger k at small n (widens the
     # filled rows), then the whole reference triangle
     assert _a_cell(table, 40, 1) == wt.a_rec(40, 1)
@@ -127,7 +121,7 @@ def test_row_read_cell_by_cell_fills_each_row_once():
         steps.append(args[2])
         wt._b3_layer(*args)
 
-    table = wt._RowTable(counting_layer, 0)
+    table = wt.RowTable(counting_layer, 0)
     for n in range(33):
         for k in range(n + 1):
             before = len(steps)
@@ -141,7 +135,7 @@ def test_row_read_cell_by_cell_fills_each_row_once():
 def test_complete_rows_keep_their_width():
     # a complete row stops the widening walk but does not widen the row
     # above it past its own width: column 0 of b stays one column wide
-    table = wt._RowTable(wt._b3_layer, 0)
+    table = wt.RowTable(wt._b3_layer, 0)
     for n in range(40):
         table.row(n, 0)
     assert [len(layer[-1]) for layer in table._rows] == [1] * 40
@@ -150,7 +144,7 @@ def test_complete_rows_keep_their_width():
 def test_row_widening_stops_at_column_n():
     # rows of the a_alt table are columns of any depth: a deep column 0 must
     # not drag column 1 down with it
-    table = wt._RowTable(wt._a_alt_column, None)
+    table = wt.RowTable(wt._a_alt_column, None)
     table.row(0, 1500)
     assert len(table.row(1, 5)) == 6
 
@@ -159,10 +153,11 @@ def test_row_widening_stops_at_column_n():
     "walk, table, last",
     [
         (wt.a_rows, wt._A, 0),
+        (wt.b_rows, wt._B, 0),
         (partial(wt._walk, tree_child._tc_rec_row), tree_child._TC_REC, -1),
         (partial(wt._walk, tree_child._tc_sum_row), tree_child._TC_SUM, -1),
     ],
-    ids=["a", "tc_rec", "tc_sum"],
+    ids=["a", "b", "tc_rec", "tc_sum"],
 )
 @pytest.mark.parametrize("width", [0, 1, 2, 5, 14])
 def test_walk_matches_the_rows_read_cell_by_cell(walk, table, last, width):
@@ -172,7 +167,7 @@ def test_walk_matches_the_rows_read_cell_by_cell(walk, table, last, width):
 
 
 # b(n, 0..n) for n <= 40 from a fresh b3 table, layer by layer
-_DIAGONAL = wt._RowTable(wt._b3_layer, 0)
+_DIAGONAL = wt.RowTable(wt._b3_layer, 0)
 _B_REF = [_DIAGONAL.row(n, n)[n] for n in range(41)]
 
 
@@ -196,9 +191,9 @@ def test_b3_walk_clipped_at_mmax_matches_the_full_walk(nmax, mmax, kmax):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 40), st.integers(0, 40)), max_size=12))
 def test_b_reads_the_b3_diagonal_in_any_request_order(requests):
-    # narrow-then-wide orders make the reader re-walk; every answer must
-    # still be the diagonal of the b3 table
-    with mock.patch.object(wt, "_B", wt._Diagonal()):
+    # narrow-then-wide and deep-then-shallow orders widen rows out of order;
+    # every answer of the two-term recurrence must still be the b3 diagonal
+    with mock.patch.object(wt, "_B", wt.RowTable(wt._b_row, 0)):
         for whole_row, n, k in requests:
             k = min(k, n)
             if whole_row:
@@ -207,32 +202,32 @@ def test_b_reads_the_b3_diagonal_in_any_request_order(requests):
                 assert wt.b(n, k) == _B_REF[n][k]
 
 
-def _b3_cells_appended(reads):
-    # the b3 cells that the layer step appends while reads() runs on a fresh b reader
-    counts = []
-    step = wt._b3_layer
+def _b_cells_appended(reads):
+    # the b cells that the row step appends while reads() runs on a fresh b table
+    appended = []
 
-    def counting_layer(layer, *args, **kwargs):
-        step(layer, *args, **kwargs)
-        counts.append(sum(map(len, layer)))
+    def counting_row(row, *args):
+        before = len(row)
+        wt._b_row(row, *args)
+        appended.append(len(row) - before)
 
-    with mock.patch.multiple(wt, _b3_layer=counting_layer, _B=wt._Diagonal()):
+    with mock.patch.object(wt, "_B", wt.RowTable(counting_row, 0)):
         reads()
-    return sum(counts)
+    return sum(appended)
 
 
 def test_deep_narrow_b_read_after_a_wide_triangle_walks_narrow():
-    # the triangle leaves the reader 64 wide; b(400, 2) must not walk
-    # layers 41..400 at that width
+    # the triangle leaves rows 0..40 complete; b(400, 2) must fill rows
+    # 41..400 to column 2 only, and refill no row
     def triangle():
         for n in range(41):
             for k in range(n + 1):
                 wt.b(n, k)
 
-    cold = _b3_cells_appended(lambda: wt.b(400, 2))
-    after_triangle = _b3_cells_appended(lambda: (triangle(), wt.b(400, 2)))
-    assert cold > 0
-    assert after_triangle <= _b3_cells_appended(triangle) + 2 * cold
+    cold = _b_cells_appended(lambda: wt.b(400, 2))
+    after_triangle = _b_cells_appended(lambda: (triangle(), wt.b(400, 2)))
+    assert cold == 3 * 401 - 3  # rows 0 and 1 end before column 2
+    assert after_triangle <= _b_cells_appended(triangle) + 2 * cold
 
 
 def test_b_triangle_never_holds_the_b3_simplex():
@@ -257,9 +252,9 @@ def test_b_triangle_never_holds_the_b3_simplex():
 
 @pytest.mark.parametrize("nmax, mmax, kmax", [(6, 4, 5), (8, 2, 1), (3, 3, 9), (5, 0, 0)])
 def test_omega_block_matches_omega(nmax, mmax, kmax):
-    # the block carries its seeds from layer to layer; omega seeds each
-    # layer by omega_init
-    block = wt.omega_block(nmax, mmax, kmax)
+    # the block of rows that omega_rows streams carries its seeds from layer
+    # to layer; omega seeds each layer by omega_init
+    block = list(wt.omega_rows(nmax, mmax, kmax))
     assert block == [
         [[wt.omega(n, m, k) for k in range(min(m + 1, kmax) + 1)] for m in range(mmax + 1)]
         for n in range(nmax + 1)
@@ -279,9 +274,9 @@ def test_a_alt_at_domain_edges(n):
 
 @settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=60))
-def test_b3_and_b_cor_rec_at_domain_edges(n):
-    assert wt.b3(n, n, 0) == wt.b_cor_rec(n, 0) == catalan(n)
-    assert wt.b3(n, n, n) == wt.b_cor_rec(n, n) == wt.b(n, n)
+def test_b3_and_b_at_domain_edges(n):
+    assert wt.b3(n, n, 0) == wt.b(n, 0) == catalan(n)
+    assert wt.b3(n, n, n) == wt.b(n, n)
 
 
 @settings(max_examples=30)
@@ -294,6 +289,6 @@ def test_omega_at_domain_edges(n, data):
     assert wt.omega(0, m, k) == wt.b(m, k)
 
 
-def test_b_cor_rec_deep_column():
-    # depth 1500 raised RecursionError when the route recursed
-    assert 2**1498 * wt.a_rec(1500, 2) == factorial(1499) * wt.b_cor_rec(1500, 2)
+def test_b_deep_column():
+    # 1500 rows of checked divisions, against the main identity
+    assert 2**1498 * wt.a_rec(1500, 2) == factorial(1499) * wt.b(1500, 2)
