@@ -286,8 +286,8 @@ class Check(Record):
     ``bounds`` are the defaults that ``--nmax``, ``--kmax`` and ``--order``
     override; ``domain`` is formatted with the bounds in effect.  A cell is
     a tuple of ints, possibly followed by data that ``cells`` computed for
-    it (a kernel level along one walk); only the ints name the cell in a
-    failure.
+    it (a kernel level or a table layer along one walk, a table block);
+    only the ints name the cell in a failure.
     """
 
     __slots__ = ("summary", "bounds", "domain", "cells", "holds")
@@ -324,10 +324,20 @@ def _triangle(nmax: int, start: int = 0) -> Iterator[tuple[int, int]]:
     return ((n, k) for n in range(start, nmax + 1) for k in range(n + 1))
 
 
-def _b3_diagonals(nmax: int, width: int) -> Iterator[tuple[int, list[int]]]:
-    """(n, [b3(n, n, 0..min(n, width))]) for n <= nmax, read off one walk up
-    the b3 layers that holds a single layer."""
-    return zip(range(nmax + 1), (layer[-1] for layer in wall_tables.b3_layers(width)))
+def _b3_walk(nmax: int, width: int) -> Iterator[tuple[int, list[list[int]]]]:
+    """(n, layer n of b3, clipped at k <= width) for n <= nmax, off one walk."""
+    return zip(range(nmax + 1), wall_tables.b3_layers(width))
+
+
+def _omega_block(nmax: int, mmax: int, kmax: int) -> Callable[[int, int, int], int]:
+    """omega(n, m, k) off one omega_rows block, 0 outside the domain of omega."""
+    rows = list(wall_tables.omega_rows(nmax, mmax, kmax))
+    return lambda n, m, k: rows[n][m][k] if n >= 0 and 0 <= k <= m + 1 else 0
+
+
+def _sharing(data: object, cells: Iterable[tuple]) -> Iterator[tuple]:
+    """Each cell followed by data computed once for all of them."""
+    return ((*cell, data) for cell in cells)
 
 
 def _rect(nmax: int, kmax: int) -> Iterator[tuple[int, int]]:
@@ -398,11 +408,6 @@ def _kernel_residual(k: int, order: int, f, d, b) -> bool:
     return not any(any(row[: order + 1]) for row in res[: order + 1])
 
 
-def _bk_rect(k: int, order: int, f, d, b) -> bool:
-    rect = tuple(row[: order + 1] for row in b[: order + 1])
-    return rect == series_engine.bk_from_table(k, order, order)
-
-
 def _b0_hook(nmax: int) -> bool:
     _, _, b0 = series_engine.kernel_chain(0, 2 * nmax)
     square = range(nmax + 1)
@@ -427,24 +432,28 @@ CHECKS: dict[str, Check] = {
     ),
     "catalan-base": Check(
         "b3(n,n,0) is Catalan", {"nmax": 30}, "n <= {nmax}",
-        lambda nmax: _b3_diagonals(nmax, 0),
-        lambda n, diagonal: diagonal[0] == binomial(2 * n, n) // (n + 1),
+        lambda nmax: _b3_walk(nmax, 0),
+        lambda n, layer: layer[n][0] == binomial(2 * n, n) // (n + 1),
     ),
-    "hook-base": _on_triangle(
-        "b3(n,m,0) matches the ballot closed form", 15,
-        lambda n, m: wall_tables.b3(n, m, 0) == wall_tables.b3_hook(n, m),
+    "hook-base": Check(
+        "b3(n,m,0) matches the ballot closed form", {"nmax": 15}, "n <= {nmax}",
+        lambda nmax: ((n, m, layer) for n, layer in _b3_walk(nmax, 0) for m in range(n + 1)),
+        lambda n, m, layer: layer[m][0] == wall_tables.b3_hook(n, m),
     ),
     "omega-bridge": Check(
         "omega(n,m,k) = b3(n+m,m,k)", {"nmax": 14}, "n + m <= {nmax}, k <= m + 1",
         lambda nmax: (
-            (n, m, k) for n in range(nmax + 1) for m in range(nmax - n + 1) for k in range(m + 2)
+            (s - m, m, k, omega, b3)
+            for (s, b3), omega in zip(_b3_walk(nmax, nmax), wall_tables.omega_layers(nmax + 1))
+            for m in range(s, -1, -1) for k in range(m + 2)
         ),
-        lambda n, m, k: wall_tables.omega(n, m, k) == wall_tables.b3(n + m, m, k),
+        lambda n, m, k, omega, b3: omega[k][n] == (b3[m][k] if k <= m else 0),
     ),
     "omega-vanishing": Check(
         "omega(n,k-1,k) = 0", {"nmax": 10, "kmax": 6}, "n <= {nmax}, k <= {kmax}",
-        lambda nmax, kmax: ((n, k) for k in range(1, kmax + 1) for n in range(nmax + 1)),
-        lambda n, k: wall_tables.omega(n, k - 1, k) == 0,
+        lambda nmax, kmax: _sharing(_omega_block(nmax, kmax, kmax),
+                                    ((n, k) for k in range(1, kmax + 1) for n in range(nmax + 1))),
+        lambda n, k, omega: omega(n, k - 1, k) == 0,
     ),
     "omega-init-vanishing": Check(
         "seed row vanishes at k = m+1", {"kmax": 8}, "k <= {kmax}", lambda kmax: _upto(kmax, 1),
@@ -452,10 +461,8 @@ CHECKS: dict[str, Check] = {
     ),
     "cor-rec": Check(
         "integer two-term recurrence of b matches the b3 diagonal", {"nmax": 20}, "n <= {nmax}",
-        lambda nmax: (
-            (n, k, diagonal) for n, diagonal in _b3_diagonals(nmax, nmax) for k in range(n + 1)
-        ),
-        lambda n, k, diagonal: wall_tables.b(n, k) == diagonal[k],
+        lambda nmax: ((n, k, layer) for n, layer in _b3_walk(nmax, nmax) for k in range(n + 1)),
+        lambda n, k, layer: wall_tables.b(n, k) == layer[n][k],
     ),
     "closed-a": _on_triangle(
         "gamma closed form matches a", 25,
@@ -476,8 +483,10 @@ CHECKS: dict[str, Check] = {
     "lemma28": Check(
         "unfolded boundary sum vanishes", {"nmax": 8, "kmax": 5},
         "n <= {nmax}, k <= {kmax}, all s",
-        lambda nmax, kmax: ((n, k, s) for n, k in _rect(nmax, kmax) for s in range(1, n + 1)),
-        lambda n, k, s: closed_forms.lemma28_rhs(n, k, s, wall_tables.omega) == 0,
+        lambda nmax, kmax: _sharing(
+            _omega_block(nmax, nmax + kmax, kmax),  # the sums read n' < n, m' < n + k only
+            ((n, k, s) for n, k in _rect(nmax, kmax) for s in range(1, n + 1))),
+        lambda n, k, s, omega: closed_forms.lemma28_rhs(n, k, s, omega) == 0,
     ),
     "lemma29": Check(
         "closing double-factorial identity", {"nmax": 8, "kmax": 6},
@@ -499,7 +508,10 @@ CHECKS: dict[str, Check] = {
     ),
     "bk-rect": Check(
         "kernel B_k rectangle matches the table", {"kmax": 5, "order": 12},
-        "k <= {kmax}, rectangle {order} x {order}", _walk, _bk_rect,
+        "k <= {kmax}, rectangle {order} x {order}",
+        lambda kmax, order: _sharing(series_engine.bk_from_table(kmax, order, order),
+                                     _walk(kmax, order)),
+        lambda k, order, f, d, b, bk: tuple(r[: order + 1] for r in b[: order + 1]) == bk[k],
     ),
     "b0-hook": Check(
         "wall-free B_0 entries are ballot numbers", {"nmax": 12}, "rectangle {nmax} x {nmax}",

@@ -79,13 +79,14 @@ def _gamma_row(k: int) -> IntRow:
 
 
 def delta_row(k: int) -> IntRow:
-    """delta_0..delta_k as integer numerators N_i over D_k = lcm of their
-    denominators, so delta_i = N_i / D_k."""
+    """delta_0..delta_k (delta_j = j! gamma_j, off _gamma_row(j)) as integer
+    numerators N_i over D_k = lcm of their reduced denominators."""
     while len(_DELTA_ROWS) <= k:
-        d = delta(len(_DELTA_ROWS))
+        gammas, gamma_den = _gamma_row(j := len(_DELTA_ROWS))
+        num = factorial(j) * gammas[0]  # delta_j = num / gamma_den
         prev, den = _DELTA_ROWS[-1]
-        common = math.lcm(den, d.denominator)
-        nums = (*(c * (common // den) for c in prev), d.numerator * (common // d.denominator))
+        common = math.lcm(den, gamma_den // math.gcd(num, gamma_den))
+        nums = (*(c * (common // den) for c in prev), num * common // gamma_den)
         _DELTA_ROWS.append((nums, common))
     return _DELTA_ROWS[k]
 

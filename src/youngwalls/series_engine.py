@@ -130,13 +130,16 @@ def dk_from_table(k: int, order: int) -> Series:
     return tuple(wall_tables.b(n, k) for n in range(order + 1))
 
 
-def bk_from_table(k: int, x_order: int, t_order: int) -> Rows:
-    """B_k(x, t) with entry (j, m) = b3(m + j, m, k) from the table."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    return tuple(
-        tuple(wall_tables.b3(m + j, m, k) for m in range(t_order + 1)) for j in range(x_order + 1)
-    )
+def bk_from_table(kmax: int, x_order: int, t_order: int) -> tuple[Rows, ...]:
+    """B_0..B_kmax(x, t), entry (j, m) of B_k = b3(m + j, m, k), off one walk."""
+    if kmax < 0:
+        raise ValueError(f"need k >= 0, got {kmax}")
+    cells = [[[0] * (t_order + 1) for _ in range(x_order + 1)] for _ in range(kmax + 1)]
+    for n, layer in zip(range(x_order + t_order + 1), wall_tables.b3_layers(kmax, t_order)):
+        for m in range(max(0, n - x_order), min(n, t_order) + 1):
+            for k, v in enumerate(layer[m]):
+                cells[k][n - m][m] = v
+    return tuple(tuple(map(tuple, b_k)) for b_k in cells)
 
 
 # ---------------------------------------------------------------------------

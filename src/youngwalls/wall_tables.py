@@ -12,15 +12,14 @@ Four sequences live here:
   ``closed_forms.omega_init`` (an integer whose divisibility is checked,
   not assumed), whose value at (n, m, k) equals b3(n + m, m, k).
 
-Every table is a list of rows, each a plain list of ints.  Row i is built
-from row i - 1 and only as far as the column asked for; asking for a larger
-column widens, in order, the filled rows that do not yet reach it or their
-end.  There is no recursion, and a filled cell is read by list indexing.  A
-reader that wants rows 0, 1, 2, ... in order, once each, walks the same
-recurrence without storing it: ``a_rows``, ``b3_layers``, ``b_rows`` and
-``omega_rows`` are those walks.  The rows of ``b`` come from its own integer
-two-term recurrence, O(w) cells per row like ``a``, not from the b3 layers;
-the checks compare the two.
+Every table is a list of rows of ints, row i built from row i - 1, with
+no recursion.  A reader of rows 0, 1, 2, ... in order walks them once,
+keeping one row: ``a_rows``, ``b_rows``, ``b3_layers`` and ``omega_layers``
+(``omega_rows`` reads it).  Only ``a``, ``b`` and ``a_alt``, read cell by
+cell out of order, keep their rows in a ``RowTable``; no reader reads b3 or
+omega out of order, so a point read of either walks to its cell.  The rows
+of ``b`` come from its own integer two-term recurrence, O(w) cells per row
+like ``a``, not from the b3 layers; the checks compare the two.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ class RowTable:
     widens only the run of rows above the highest row that is complete or
     filled through column k.  A run of row n alone is filled as far as row
     n - 1 reaches, capped at column n, so a row read cell by cell costs one
-    step, not one per column.  ``tree_child`` and ``poset_lab`` keep their
-    tables in it too.
+    step, not one per column.  Only tables read out of order keep one: here
+    and in ``tree_child`` and ``poset_lab``; the others are walked.
     """
 
     def __init__(
@@ -156,22 +155,16 @@ def b_rows(width: int) -> Iterator[list[Nat]]:
     return _walk(_b_row, width)
 
 
-def _omega_layer(
-    layer: list[list[int]],
-    prev: list[list[int]] | None,
-    s: int,
-    width: int,
-    nmax: int | None = None,
-    seeds: list[int] | None = None,
-) -> None:
+def _omega_layer(layer: list[list[int]], prev: list[list[int]] | None, s: int, width: int,
+                 seeds: list[int], nmax: int | None = None) -> None:
     """Layer s = n + m of omega, stored by k: layer[k] lists omega(n, s-n, k)
     for n = 0..min(s, s + 1 - k, nmax), k = 0..min(s + 1, width).  Cell
     (n, m) reads (n-1, m+1) from this layer and (n-2, m+1) from layer s - 1,
-    so each column is one pass down n.  Column k starts at seeds[k], or at
-    closed_forms.omega_init(s, k) when no seeds are given."""
+    so each column is one pass down n.  Column k starts at seeds[k] =
+    omega(0, s, k)."""
     top_n = s if nmax is None else min(s, nmax)
     for k in range(len(layer), min(s + 1, width) + 1):
-        v = closed_forms.omega_init(s, k) if seeds is None else seeds[k]
+        v = seeds[k]
         col = [v]
         left = layer[k - 1] if k else None
         below = prev[k] if prev is not None and k < len(prev) else None
@@ -184,17 +177,20 @@ def _omega_layer(
         layer.append(col)
 
 
+def omega_layers(width: int, nmax: int | None = None) -> Iterator[list[list[Nat]]]:
+    """Layers s = n + m = 0, 1, 2, ... of omega as ``_omega_layer`` stores
+    them, keeping one; the seeds come from ``closed_forms.omega_init_layers``."""
+    seeds = closed_forms.omega_init_layers(width)
+    return _walk(lambda *step_args: _omega_layer(*step_args, next(seeds), nmax), width)
+
+
 def omega_rows(nmax: int, mmax: int, kmax: int) -> Iterator[list[list[Nat]]]:
     """Rows n = 0..nmax of omega, each as row[m][k] = omega(n, m, k) for
-    m <= mmax and k <= min(m + 1, kmax).  The sweep over the layers s = n + m
-    keeps only the current layer and the one before it; row n is yielded
-    once layer n + mmax is done, and only the rows not yet finished are
-    held.  The seeds of each layer are carried over from the layer before."""
+    m <= mmax and k <= min(m + 1, kmax), off one walk up ``omega_layers``.
+    Row n is yielded once layer n + mmax is done, and only the rows not yet
+    finished are held."""
     rows: deque[list[list[Nat]]] = deque()  # rows max(0, s - mmax)..min(s, nmax)
-    prev = None
-    for s, seeds in zip(range(nmax + mmax + 1), closed_forms.omega_init_layers(kmax)):
-        layer: list[list[int]] = []
-        _omega_layer(layer, prev, s, kmax, nmax, seeds)
+    for s, layer in zip(range(nmax + mmax + 1), omega_layers(kmax, nmax)):
         if s <= nmax:
             rows.append([])
         first = max(0, s - mmax)
@@ -202,13 +198,10 @@ def omega_rows(nmax: int, mmax: int, kmax: int) -> Iterator[list[list[Nat]]]:
             rows[n - first].append([col[n] for col in layer[: min(s - n + 1, kmax) + 1]])
         if s >= mmax:
             yield rows.popleft()
-        prev = layer
 
 
 _A = RowTable(_a_row, 0)
 _B = RowTable(_b_row, 0)
-_B3 = RowTable(_b3_layer, 0)
-_OMEGA = RowTable(_omega_layer, 1)
 
 
 def a_rec(n: int, k: int) -> Nat:
@@ -258,17 +251,17 @@ _A_ALT = RowTable(_a_alt_column, None)
 
 
 def b3(n: int, m: int, k: int) -> Nat:
-    """b3(n, m, k) from the three-index recurrence table
+    """b3(n, m, k) from the three-index recurrence
 
         b3(n, m, k) = (m-k+1) b3(n, m, k-1) + b3(n, m-1, k) + b3(n-1, m, k)
 
     for n >= 1 with the single seed b3(0, 0, 0) = 1 and zero outside the
-    simplex 0 <= k <= m <= n.  Row n of the table is the layer of (m, k)
-    cells at that n.
+    simplex 0 <= k <= m <= n.  A point read walks to its cell: O(n m k)
+    cells, none kept.  A reader of a range walks ``b3_layers`` once itself.
     """
     if not 0 <= k <= m <= n:
         return 0
-    return _B3.row(n, k)[m][k]
+    return next(itertools.islice(b3_layers(k, m), n, None))[m][k]
 
 
 def b(n: int, k: int) -> Nat:
@@ -314,8 +307,8 @@ def omega(n: int, m: int, k: int) -> Nat:
 
     for n >= 1, seed row omega(0, m, k) = closed_forms.omega_init(m, k) (a
     closed form checked integral), and omega(-1, m, k) = 0.  Values above
-    the k = m + 1 layer vanish.  Row s of the table holds the layer
-    n + m = s, so every value is reached without recursion.
+    the k = m + 1 layer vanish.  A point read walks to its cell: O((n+m) n k)
+    cells, none kept.  A range reader walks ``omega_layers`` once itself.
     """
     if n < -1:
         raise ValueError(f"omega needs n >= -1, got {n}")
@@ -323,4 +316,4 @@ def omega(n: int, m: int, k: int) -> Nat:
         raise ValueError(f"omega needs m >= 0, got {m}")
     if k < 0 or n == -1 or k > m + 1:
         return 0
-    return _OMEGA.row(n + m, k)[k][n]
+    return next(itertools.islice(omega_layers(k, n), n + m, None))[k][n]

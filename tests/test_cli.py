@@ -450,11 +450,14 @@ def test_kernel_check_walks_the_chain_once(argv, levels, monkeypatch):
 
 
 def test_kernel_check_failure_names_the_level(monkeypatch):
+    # the table's level 3 replaced by its level 4
     bk_from_table = cli.series_engine.bk_from_table
-    monkeypatch.setattr(
-        cli.series_engine, "bk_from_table",
-        lambda k, x, t: bk_from_table(k + (k == 3), x, t),
-    )
+
+    def moved(kmax, x, t):
+        levels = bk_from_table(kmax, x, t)
+        return (*levels[:3], levels[4], *levels[4:])
+
+    monkeypatch.setattr(cli.series_engine, "bk_from_table", moved)
     code, text = run_cli("verify", "--check", "bk-rect", "--kmax", "5", "--order", "6")
     assert (code, text) == (1, "bk-rect: FAIL (fails at (3, 6))\n")
 
@@ -615,11 +618,10 @@ def test_missing_required_flag_is_usage_error():
 def _move_cached_weight(monkeypatch, rows, row, entry):
     # the gamma and delta caches cut back to their seed rows, restored by
     # monkeypatch; one numerator of row 2 of `rows` moves by its denominator.
-    # The delta rows are built from the gammas and the omega table from both,
-    # so fresh ones read the moved weights.
+    # The delta rows are built from the gammas, so fresh ones read the moved
+    # weights, as does every fresh walk up the omega layers.
     for name in ("_GAMMA_ROWS", "_DELTA_ROWS"):
         monkeypatch.setattr(closed_forms, name, getattr(closed_forms, name)[:1])
-    monkeypatch.setattr(wall_tables, "_OMEGA", wall_tables.RowTable(wall_tables._omega_layer, 1))
     nums, den = row(2)
     wrong = list(nums)
     wrong[entry] += den
@@ -642,11 +644,17 @@ def test_wrong_cached_weight_fails_the_check(monkeypatch, check, rows, row, entr
 
 
 def test_moved_omega_cell_fails_lemma28(monkeypatch):
-    # omega(2, 3, 1) first enters the unfolded sum at depth s = 2
-    omega = wall_tables.omega
-    monkeypatch.setattr(
-        wall_tables, "omega", lambda n, m, k: omega(n, m, k) + ((n, m, k) == (2, 3, 1))
-    )
+    # omega(2, 3, 1) moved in the rows streamed to the check; it first
+    # enters the unfolded sum at depth s = 2
+    omega_rows = wall_tables.omega_rows
+
+    def moved(nmax, mmax, kmax):
+        for n, row in enumerate(omega_rows(nmax, mmax, kmax)):
+            if n == 2:
+                row[3][1] += 1
+            yield row
+
+    monkeypatch.setattr(wall_tables, "omega_rows", moved)
     assert run_cli("verify", "--check", "lemma28") == (1, "lemma28: FAIL (fails at (4, 2, 2))\n")
 
 
@@ -698,13 +706,18 @@ def test_b_cell_moved_below_width_fails_monster(monkeypatch):
     "argv, text",
     [(["verify", "--check", "cor-rec"], "cor-rec: FAIL (fails at (3, 0))\n"),
      (["verify", "--check", "catalan-base"], "catalan-base: FAIL (fails at (3))\n"),
-     (["crosscheck", "--map", "b-k0"], "A000108 <-> b-k0: mismatch at n=3: ours=6 oeis=5\n")],
-    ids=["cor-rec", "catalan-base", "b-k0"],
+     (["crosscheck", "--map", "b-k0"], "A000108 <-> b-k0: mismatch at n=3: ours=6 oeis=5\n"),
+     (["verify", "--check", "hook-base"], "hook-base: FAIL (fails at (3, 3))\n"),
+     (["verify", "--check", "omega-bridge"], "omega-bridge: FAIL (fails at (0, 3, 0))\n"),
+     (["verify", "--check", "bk-rect"], "bk-rect: FAIL (fails at (0, 12))\n"),
+     (["oracle", "--seq", "b3", "--n", "3", "--m", "3", "--k", "0"],
+      "brute=5 table=6 disagree\n")],
+    ids=["cor-rec", "catalan-base", "b-k0", "hook-base", "omega-bridge", "bk-rect", "oracle"],
 )
 def test_moved_b3_cell_fails_the_checks_of_the_b3_diagonal(argv, text, monkeypatch):
     # b3(3, 3, 0) = 5 moved to 6 when it is appended, in every walk up the b3
-    # layers and in the b3 table; b is seeded by the Catalan numbers, so
-    # these checks must read b3, not b
+    # layers, point reads of b3 included; b is seeded by the Catalan numbers,
+    # so the checks of the diagonal must read b3, not b
     step = wall_tables._b3_layer
 
     def moved(layer, prev, n, width, mmax=None):
@@ -714,8 +727,33 @@ def test_moved_b3_cell_fails_the_checks_of_the_b3_diagonal(argv, text, monkeypat
             layer[3][0] += 1
 
     monkeypatch.setattr(wall_tables, "_b3_layer", moved)
-    monkeypatch.setattr(wall_tables, "_B3", wall_tables.RowTable(moved, 0))
     assert run_cli(*argv) == (1, text)
+
+
+def test_point_reads_of_b3_and_omega_leave_no_memo():
+    # no reader reads b3 or omega out of order, so a point read walks to its
+    # cell; only the tables read cell by cell keep their rows
+    assert wall_tables.b3(12, 7, 3) == wall_tables.omega(5, 7, 3)
+    assert wall_tables.omega(5, 4, 2) == wall_tables.b3(9, 4, 2)
+    memos = {name for name, v in vars(wall_tables).items() if isinstance(v, wall_tables.RowTable)}
+    assert memos == {"_A", "_B", "_A_ALT"}
+
+
+def test_omega_walks_take_their_seeds_from_the_seed_layers(monkeypatch):
+    # the seed of each layer comes from omega_init_layers, never from a
+    # per-cell omega_init call
+    table = run_cli("table", "--seq", "omega", "--nmax", "6")
+
+    def refused(m, k):
+        raise RuntimeError(f"omega_init({m}, {k}) called")
+
+    monkeypatch.setattr(closed_forms, "omega_init", refused)
+    assert wall_tables.omega(6, 3, 2) == wall_tables.b3(9, 3, 2) == 16639
+    assert run_cli("table", "--seq", "omega", "--nmax", "6") == table
+    assert table[0] == 0
+    assert run_cli("verify", "--check", "omega-bridge") == (
+        0, "omega-bridge: PASS (n + m <= 14, k <= m + 1)\n"
+    )
 
 
 @pytest.mark.parametrize("check", ["cor-rec", "main-identity", "closed-b"])
@@ -776,7 +814,8 @@ def test_lazy_imports_in_a_fresh_process(argv):
 @pytest.mark.parametrize(
     "argv",
     [*(["table", "--seq", seq, "--nmax", "6"] for seq in TABLE_SEQS),
-     *(["series", "--dk", "2", "--order", "8", "--method", m] for m in ("recurrence", "kernel"))],
+     *(["series", "--dk", "2", "--order", "8", "--method", m] for m in ("recurrence", "kernel")),
+     ["verify", "--check", "tc-routes"], ["verify", "--check", "gamma-sum"]],
     ids=" ".join,
 )
 def test_integer_request_loads_no_rational_module(argv):

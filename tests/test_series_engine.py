@@ -134,7 +134,7 @@ def test_int_and_fraction_coefficients_compare_and_print_alike():
 
 
 def test_fk_next_entrywise_rule():
-    b0 = se.bk_from_table(0, 4, 4)
+    b0 = se.bk_from_table(0, 4, 4)[0]
     f1 = se.fk_next(b0, 1)
     for j in range(5):
         for n in range(5):
@@ -149,10 +149,14 @@ def test_bk_solve_checks_divisibility():
 
 
 def test_bk_from_table_rows():
-    b1 = se.bk_from_table(1, 3, 5)
-    assert len(b1) == 4 and {len(row) for row in b1} == {6}
+    levels = se.bk_from_table(2, 3, 5)
+    b1 = levels[1]
+    assert len(levels) == 3 and len(b1) == 4 and {len(row) for row in b1} == {6}
     assert b1[0] == (0, 1, 7, 38, 187, 874)
-    assert b1[2][3] == se.wall_tables.b3(5, 3, 1)
+    assert all(
+        b_k[j][m] == se.wall_tables.b3(m + j, m, k)
+        for k, b_k in enumerate(levels) for j in range(4) for m in range(6)
+    )
 
 
 def subs_x_reference(rows, inner):
@@ -201,9 +205,9 @@ def test_subs_x_rejects_nonzero_constant_term(case, c0):
 @given(st.integers(min_value=0, max_value=14))
 def test_kernel_levels_exact_on_triangle(order):
     # slice j of B_k is exact to t-order W - j; D_k is slice 0
-    for k, (_, d, b) in zip(range(7), se.kernel_levels(order)):
+    tables = se.bk_from_table(6, order, order)
+    for k, (_, d, b), table in zip(range(7), se.kernel_levels(order), tables):
         assert d == se.dk_from_table(k, order)
-        table = se.bk_from_table(k, order, order)
         for j in range(order + 1):
             assert b[j][: order - j + 1] == table[j][: order - j + 1], (k, j)
 

@@ -252,8 +252,8 @@ def test_b_triangle_never_holds_the_b3_simplex():
 
 @pytest.mark.parametrize("nmax, mmax, kmax", [(6, 4, 5), (8, 2, 1), (3, 3, 9), (5, 0, 0)])
 def test_omega_block_matches_omega(nmax, mmax, kmax):
-    # the block of rows that omega_rows streams carries its seeds from layer
-    # to layer; omega seeds each layer by omega_init
+    # the block of rows that omega_rows streams off one walk up the omega
+    # layers, against point reads, each a walk of its own clipped at its cell
     block = list(wt.omega_rows(nmax, mmax, kmax))
     assert block == [
         [[wt.omega(n, m, k) for k in range(min(m + 1, kmax) + 1)] for m in range(mmax + 1)]
