@@ -192,12 +192,13 @@ def run_oracle(args: argparse.Namespace, out: "TextIO") -> int:
 # ---------------------------------------------------------------------------
 # crosscheck command
 
-OEIS_MAPS: dict[str, tuple[str, int, Callable[[int], int]]] = {
-    # b is seeded by the Catalan numbers, so their check reads the b3 diagonal
-    "b-k0": ("A000108", 0, lambda n: wall_tables.b3(n, n, 0)),
-    "a-diag": ("A213863", 0, lambda n: wall_tables.a_rec(n, n)),
-    "a-k1": ("A122649", 1, lambda n: wall_tables.a_rec(n, 1)),
-    "b-k1": ("A000531", 1, lambda n: wall_tables.b(n, 1)),
+OEIS_MAPS: dict[str, tuple[str, int, Callable[[int], Iterator[int]]]] = {
+    # values n = 0, 1, 2, ... off one walk, right for n <= top; b is seeded by
+    # the Catalan numbers, so their check reads the b3 diagonal
+    "b-k0": ("A000108", 0, lambda top: (ly[n][0] for n, ly in enumerate(wall_tables.b3_layers(0)))),
+    "a-diag": ("A213863", 0, lambda top: (r[n] for n, r in enumerate(wall_tables.a_rows(top)))),
+    "a-k1": ("A122649", 1, lambda top: (n and r[1] for n, r in enumerate(wall_tables.a_rows(1)))),
+    "b-k1": ("A000531", 1, lambda top: (n and r[1] for n, r in enumerate(wall_tables.b_rows(1)))),
 }
 
 
@@ -223,19 +224,21 @@ def _fixture_bfile(oeis_id: str) -> str:
 def run_crosscheck(args: argparse.Namespace, out: "TextIO") -> int:
     if args.map not in OEIS_MAPS:
         raise _Usage(f"unknown map {args.map!r}; choose from {sorted(OEIS_MAPS)}")
-    oeis_id, offset, fn = OEIS_MAPS[args.map]
+    oeis_id, offset, stream = OEIS_MAPS[args.map]
     if args.oeis is not None and args.oeis != oeis_id:
         raise _Usage(f"map {args.map} is tied to {oeis_id}, not {args.oeis}")
     text = _fixture_bfile(oeis_id)
     cap = args.nmax if args.nmax is not None else 60
     checked = []
+    values, ours = stream(cap), []  # read as far as the terms compared
     for idx, val in parse_bfile(text):
         if idx < offset or idx > cap:
             continue
-        ours = fn(idx)
-        if ours != val:
+        while len(ours) <= idx:
+            ours.append(next(values))
+        if ours[idx] != val:
             print(
-                f"{oeis_id} <-> {args.map}: mismatch at n={idx}: ours={ours} oeis={val}",
+                f"{oeis_id} <-> {args.map}: mismatch at n={idx}: ours={ours[idx]} oeis={val}",
                 file=out,
             )
             return EXIT_FAIL
@@ -414,9 +417,9 @@ def _b0_hook(nmax: int) -> bool:
     return all(b0[j][m] == wall_tables.b3_hook(m + j, m) for j in square for m in square)
 
 
-def _tc_routes(n: int, k: int) -> bool:
+def _tc_routes(n: int, k: int, rec: list[int], sums: list[int]) -> bool:
     tc = tree_child
-    values = [tc.tc(n, k), tc.tc_via_b(n, k), tc.tc_rec(n, k), tc.tc_sum(n, k), tc.tc_closed(n, k)]
+    values = [tc.tc(n, k), tc.tc_via_b(n, k), rec[k], sums[k], tc.tc_closed(n, k)]
     return len(set(values)) == 1 and (k == 0 or tc.tc_chain(k, n - k - 1) == values[0])
 
 
@@ -426,9 +429,10 @@ CHECKS: dict[str, Check] = {
         lambda n, k: 2 ** (n - k) * wall_tables.a_rec(n, k)
         == factorial(n - k + 1) * wall_tables.b(n, k),
     ),
-    "a-alt": _on_triangle(
-        "column expansion matches the one-step recurrence", 20,
-        lambda n, k: wall_tables.a_alt(n, k) == wall_tables.a_rec(n, k),
+    "a-alt": Check(
+        "column expansion matches the one-step recurrence", {"nmax": 20}, "n <= {nmax}",
+        lambda nmax: _sharing(list(wall_tables.a_alt_columns(nmax)), _triangle(nmax)),
+        lambda n, k, cols: cols[k][n] == wall_tables.a_rec(n, k),
     ),
     "catalan-base": Check(
         "b3(n,n,0) is Catalan", {"nmax": 30}, "n <= {nmax}",
@@ -546,7 +550,9 @@ CHECKS: dict[str, Check] = {
     ),
     "tc-routes": Check(
         "six exact tree-child routes agree", {"nmax": 15}, "n <= {nmax}, six routes",
-        lambda nmax: ((n, k) for n in range(1, nmax + 1) for k in range(n)), _tc_routes,
+        lambda nmax: ((n, k, rec, sums) for n, rec, sums in zip(
+            range(1, nmax + 1), tree_child.tc_rec_rows(nmax), tree_child.tc_sum_rows(nmax)
+        ) for k in range(n)), _tc_routes,
     ),
     "tc-dfact": Check(
         "tc(n,0) = (2n-3)!!", {"nmax": 15}, "n <= {nmax}", lambda nmax: _upto(nmax, 1),

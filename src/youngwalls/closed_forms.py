@@ -7,8 +7,8 @@ gives a self-referential sum that we simply solve for gamma_k.  All closed
 forms return exact values.  a_closed, b_closed and omega_init sum in
 integers over the common denominator of their gamma weights, and one
 exact_int checks that it divides the sum.  lemma28_rhs sums in integers
-over s! 2^s, the common denominator of its alpha weights, and returns
-that one rational; lemma29_check compares both sides times
+over s! 2^s, the common denominator of its alpha weights, and returns the
+sum times s! 2^s; lemma29_check compares both sides times
 n! (4k-3-i)!!, where every term is an integer.  gamma, delta and alpha
 stay rational.
 """
@@ -188,38 +188,38 @@ def alpha(s: int, p: int, q: int) -> Fraction:
 
 def _lemma28_weights(s: int) -> tuple[_AlphaBlock, _AlphaBlock]:
     """The alpha weights of lemma28_rhs at unfolding depth s, as (p, q, w)
-    with w = alpha(t, p, q) * s! * 2^s, for t = s and for t = s + 1.
+    with w = alpha(t, p, q) * s! * 2^s, for t = s and for t = s + 1:
 
-    Every w is an integer: the factorials in the denominator of alpha(t, p, q)
+        w = (-1)^(p+q+1) (t-1+q-p)! s! 2^(s-q+1) / ((t-q-2p+2)! (q-1)! (p-1)!)
+
+    Every w is an integer (checked by its exact_int): the factorials below
     have arguments summing to t - p <= s, and q - 1 <= s.
     """
     while len(_LEMMA28_WEIGHTS) <= s:
         u = len(_LEMMA28_WEIGHTS)
-        scale = factorial(u) << u
+        fact = factorial(u)
         _LEMMA28_WEIGHTS.append(tuple(
-            tuple((p, q, exact_int(alpha(t, p, q) * scale, 1, ("lemma28_rhs", t, p, q)))
+            tuple((p, q, exact_int(
+                (-1) ** (p + q + 1) * factorial(t - 1 + q - p) * fact << (u - q + 1),
+                factorial(t - q - 2 * p + 2) * factorial(q - 1) * factorial(p - 1),
+                ("lemma28_rhs", t, p, q)))
                   for p in range(1, (t + 1) // 2 + 1) for q in range(1, t + 2 - 2 * p + 1))
             for t in (u, u + 1)
         ))
     return _LEMMA28_WEIGHTS[s]
 
 
-def lemma28_rhs(
-    n: int, k: int, s: int, omega_source: Callable[[int, int, int], int | Fraction]
-) -> Fraction:
-    """Value of the two-block alpha sum that rewrites omega(n, k-1, k) after
-    unfolding its recurrence s times (1 <= s <= n):
+def lemma28_rhs(n: int, k: int, s: int, omega_source: Callable[[int, int, int], int]) -> int:
+    """The two-block alpha sum that rewrites omega(n, k-1, k) after
+    unfolding its recurrence s times (1 <= s <= n), times s! 2^s:
 
         sum_{p,q} alpha(s, p, q) omega(n-s-1, k+s-p, k+1-q)
           - sum_{p,q} alpha(s+1, p, q) omega(n-s, k+s-p, k+1-q)
 
     The omega_source callable must return 0 outside the omega domain.  The
-    whole expression equals omega(n, k-1, k) and therefore vanishes.  Both
-    blocks sum in integers over the common denominator s! 2^s of their
-    weights (see _lemma28_weights).
+    whole expression equals omega(n, k-1, k) and therefore vanishes, and so
+    does the integer returned (see _lemma28_weights).
     """
-    from fractions import Fraction
-
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
     first, second = _lemma28_weights(s)
@@ -228,7 +228,7 @@ def lemma28_rhs(
         total += w * omega_source(n - s - 1, k + s - p, k + 1 - q)
     for p, q, w in second:
         total -= w * omega_source(n - s, k + s - p, k + 1 - q)
-    return Fraction(total, factorial(s) << s)
+    return total
 
 
 def lemma29_check(n: int, k: int, i: int) -> bool:

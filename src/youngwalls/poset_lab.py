@@ -251,7 +251,7 @@ def _u_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
         row.append(_alternating(2 * n + k, n, k, col))
 
 
-_U = wall_tables.RowTable(_u_row, 0)
+_U = wall_tables.RowTable(_u_row)
 
 
 def u_from_b(n: int, k: int) -> Nat:

@@ -3,16 +3,20 @@ the wall-tableau tables by tc(n, k) = n!/(n-k)! * a(n-1, k).
 
 Six exact routes are kept deliberately independent so they can be compared,
 plus a float asymptotic evaluated in log space (the counts overflow doubles
-long before the interesting range ends).
+long before the interesting range ends).  ``tc_rec`` and ``tc_sum``, the
+routes with their own recurrence, walk their rows on ``wall_tables.walk``
+(``tc_rec_rows``, ``tc_sum_rows``), keeping none.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections.abc import Iterator
 
 from . import closed_forms, wall_tables
 from .exact_arith import Nat, binomial, double_factorials, exact_int, factorial
-from .wall_tables import RowTable
 
 
 def _check_domain(n: int, k: int) -> None:
@@ -44,22 +48,27 @@ def tc_rec(n: int, k: int) -> Nat:
 
     seeded only by tc(1, 0) = 1, with tc(i, -1) = tc(i, i) = 0.  Division by
     n - k is checked exact.  Self-contained: never consults the other routes.
+    A point read walks ``tc_rec_rows`` to its cell: O(n k) cells, none kept.
     """
     _check_domain(n, k)
-    return _TC_REC.row(n, k)[k]
+    return next(itertools.islice(tc_rec_rows(k), n - 1, None))[k]
 
 
 def _tc_rec_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
-    if n == 1 and not row:
+    if n == 1:
         row.append(1)
-    for k in range(len(row), min(n - 1, width) + 1):
+        return
+    for k in range(min(n - 1, width) + 1):
         left = row[k - 1] if k else 0
         below = prev[k] if k < n - 1 else 0
         rhs = (n + 1 - k) * (n - k) * left + n * (2 * n + k - 3) * below
         row.append(exact_int(rhs, n - k, ("tc_rec", n, k)))
 
 
-_TC_REC = RowTable(_tc_rec_row, -1)
+def tc_rec_rows(width: int) -> Iterator[list[Nat]]:
+    """Rows tc(n, 0..min(n - 1, width)) of ``tc_rec`` for n = 1, 2, 3, ...,
+    without end, walked once: only the previous row is kept."""
+    return itertools.islice(wall_tables.walk(_tc_rec_row, width), 1, None)
 
 
 def tc_sum(n: int, k: int) -> Nat:
@@ -67,35 +76,32 @@ def tc_sum(n: int, k: int) -> Nat:
 
         (n-k)! tc(n, k) = sum_{i=0}^{k} n (2n+i-3) (n-1-i)! tc(n-1, i),
 
-    also self-contained and seeded by tc(1, 0) = 1."""
+    also self-contained and seeded by tc(1, 0) = 1.  A point read walks
+    ``tc_sum_rows`` to its cell."""
     _check_domain(n, k)
-    return _TC_SUM.row(n, k)[k]
+    return next(itertools.islice(tc_sum_rows(k), n - 1, None))[k]
 
 
 def _tc_sum_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
-    if n == 1 and not row:
+    if n == 1:
         row.append(1)
-    start, top = len(row), min(n - 1, width)
-    if start > top:
         return
+    top = min(n - 1, width)
     # fact[v - low] = v! for the arguments the row needs, low <= v <= n
     low = n - 1 - top
-    fact = [factorial(low)]
-    for v in range(low + 1, n + 1):
-        fact.append(fact[-1] * v)
-
-    def term(i: int) -> int:
-        return n * (2 * n + i - 3) * fact[n - 1 - i - low] * prev[i]
-
-    rhs = sum(term(i) for i in range(start))
-    for k in range(start, top + 1):
+    fact = list(itertools.accumulate(range(low + 1, n + 1), operator.mul, initial=factorial(low)))
+    rhs = 0
+    for k in range(top + 1):
         # tc(n-1, i) vanishes at i = n-1, so the sum stops at n-2
         if k <= n - 2:
-            rhs += term(k)
+            rhs += n * (2 * n + k - 3) * fact[n - 1 - k - low] * prev[k]
         row.append(exact_int(rhs, fact[n - k - low], ("tc_sum", n, k)))
 
 
-_TC_SUM = RowTable(_tc_sum_row, -1)
+def tc_sum_rows(width: int) -> Iterator[list[Nat]]:
+    """Rows tc(n, 0..min(n - 1, width)) of ``tc_sum`` for n = 1, 2, 3, ...,
+    without end, walked once: only the previous row is kept."""
+    return itertools.islice(wall_tables.walk(_tc_sum_row, width), 1, None)
 
 
 def tc_chain(k: int, m: int) -> Nat:

@@ -13,13 +13,13 @@ Four sequences live here:
   not assumed), whose value at (n, m, k) equals b3(n + m, m, k).
 
 Every table is a list of rows of ints, row i built from row i - 1, with
-no recursion.  A reader of rows 0, 1, 2, ... in order walks them once,
-keeping one row: ``a_rows``, ``b_rows``, ``b3_layers`` and ``omega_layers``
-(``omega_rows`` reads it).  Only ``a``, ``b`` and ``a_alt``, read cell by
-cell out of order, keep their rows in a ``RowTable``; no reader reads b3 or
-omega out of order, so a point read of either walks to its cell.  The rows
-of ``b`` come from its own integer two-term recurrence, O(w) cells per row
-like ``a``, not from the b3 layers; the checks compare the two.
+no recursion.  A reader of rows 0, 1, 2, ... in order walks them once on
+``walk``, keeping one row: ``a_rows``, ``b_rows``, ``a_alt_columns``,
+``b3_layers`` and ``omega_layers`` (``omega_rows`` reads it).  Only ``a``
+and ``b``, read cell by cell out of order, keep their rows in a
+``RowTable``; a point read of ``a_alt``, ``b3`` or ``omega`` walks to its
+cell.  The rows of ``b`` come from its own two-term recurrence, O(w) cells
+per row like ``a``, not from the b3 layers; the checks compare the two.
 """
 
 from __future__ import annotations
@@ -38,23 +38,21 @@ class RowTable:
 
     ``step(row, prev, i, width)`` appends to row i the cells it lacks up to
     column ``width``, reading only row i itself and row i - 1 (``prev``,
-    None for i = 0) no further than column min(width, last column of row
-    i - 1).  Row i ends at column i + ``last`` (``last`` None: rows without
-    an end).  A row filled to its end is complete, and a request (n, k)
+    None for i = 0) no further than column min(width, i - 1).  Row i ends
+    at column i.  A row filled to its end is complete, and a request (n, k)
     widens only the run of rows above the highest row that is complete or
     filled through column k.  A run of row n alone is filled as far as row
-    n - 1 reaches, capped at column n, so a row read cell by cell costs one
-    step, not one per column.  Only tables read out of order keep one: here
-    and in ``tree_child`` and ``poset_lab``; the others are walked.
+    n - 1 reaches, so a row read cell by cell costs one step, not one per
+    column.  Only tables that a caller reads out of order keep one: ``a``
+    and ``b`` here (``tc_chain`` reads a column of ``a`` bottom row first,
+    ``b_monster`` rows of ``b`` from n - 1 down) and ``u`` in ``poset_lab``
+    (``r_sum`` reads it likewise); every other table is walked.
     """
 
-    def __init__(
-        self, step: Callable[[list, list | None, int, int], None], last: int | None
-    ) -> None:
+    def __init__(self, step: Callable[[list, list | None, int, int], None]) -> None:
         self._rows: list[list] = []
         self._widths: list[int] = []
         self._step = step
-        self._last = last
 
     def row(self, n: int, k: int) -> list:
         """Row n, filled through column k at least."""
@@ -63,22 +61,22 @@ class RowTable:
             while len(rows) <= n:
                 rows.append([])
                 widths.append(-1)
-            first, last = n, self._last
+            first = n
             # stop above a row filled through column k or to its end
-            while first and widths[first - 1] < (k if last is None else min(k, first - 1 + last)):
+            while first and widths[first - 1] < min(k, first - 1):
                 first -= 1
             if first == n and n:
-                k = max(k, min(widths[n - 1], n))
+                k = max(k, widths[n - 1])
             for i in range(first, n + 1):
                 self._step(rows[i], rows[i - 1] if i else None, i, k)
                 widths[i] = k
         return rows[n]
 
 
-def _walk(step: Callable[[list, list | None, int, int], None], width: int) -> Iterator[list]:
-    """Rows 0, 1, 2, ... of the recurrence ``step`` (as for ``RowTable``)
-    in order, without end, each filled through column ``width``, keeping
-    only the previous row."""
+def walk(step: Callable[[list, list | None, int, int], None], width: int) -> Iterator[list]:
+    """Rows 0, 1, 2, ... of the recurrence ``step`` (as for ``RowTable``,
+    each given an empty row) in order, without end, each filled through
+    column ``width``, keeping only the previous row."""
     prev = None
     for i in itertools.count():
         row: list = []
@@ -97,7 +95,7 @@ def _a_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
 def a_rows(width: int) -> Iterator[list[Nat]]:
     """Rows a(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end,
     walked once: only the previous row is kept."""
-    return _walk(_a_row, width)
+    return walk(_a_row, width)
 
 
 def _b_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
@@ -145,14 +143,14 @@ def b3_layers(width: int, mmax: int | None = None) -> Iterator[list[list[Nat]]]:
     them: layer[m][k] = b3(n, m, k) for m <= min(n, mmax) and
     k <= min(m, width).  Only the previous layer is kept, and no row above
     mmax is filled."""
-    return _walk(partial(_b3_layer, mmax=mmax), width)
+    return walk(partial(_b3_layer, mmax=mmax), width)
 
 
 def b_rows(width: int) -> Iterator[list[Nat]]:
     """Rows b(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end,
     walked once by the two-term recurrence of ``b``: only the previous row
     is kept."""
-    return _walk(_b_row, width)
+    return walk(_b_row, width)
 
 
 def _omega_layer(layer: list[list[int]], prev: list[list[int]] | None, s: int, width: int,
@@ -181,7 +179,7 @@ def omega_layers(width: int, nmax: int | None = None) -> Iterator[list[list[Nat]
     """Layers s = n + m = 0, 1, 2, ... of omega as ``_omega_layer`` stores
     them, keeping one; the seeds come from ``closed_forms.omega_init_layers``."""
     seeds = closed_forms.omega_init_layers(width)
-    return _walk(lambda *step_args: _omega_layer(*step_args, next(seeds), nmax), width)
+    return walk(lambda *step_args: _omega_layer(*step_args, next(seeds), nmax), width)
 
 
 def omega_rows(nmax: int, mmax: int, kmax: int) -> Iterator[list[list[Nat]]]:
@@ -200,8 +198,8 @@ def omega_rows(nmax: int, mmax: int, kmax: int) -> Iterator[list[list[Nat]]]:
             yield rows.popleft()
 
 
-_A = RowTable(_a_row, 0)
-_B = RowTable(_b_row, 0)
+_A = RowTable(_a_row)
+_B = RowTable(_b_row)
 
 
 def a_rec(n: int, k: int) -> Nat:
@@ -225,15 +223,15 @@ def a_alt(n: int, k: int) -> Nat:
 
     which rebuilds each column from the previous one without touching the
     one-step recurrence.  Kept deliberately separate from a_rec as a
-    cross-check route: its rows are the columns k, each filled down to n.
+    cross-check route; a point read walks ``a_alt_columns`` to its cell.
     """
     if k < 0 or n < 0 or k > n:
         return 0
-    return _A_ALT.row(k, n)[n]
+    return next(itertools.islice(a_alt_columns(n), k, None))[n]
 
 
-def _a_alt_column(col: list[int], prev: list[int] | None, k: int, nmax: int) -> None:
-    for n in range(len(col), nmax + 1):
+def _a_alt_column(col: list[int], prev: list[int] | None, k: int, depth: int) -> None:
+    for n in range(depth + 1):
         if n < k:
             col.append(0)
         elif k == 0:
@@ -247,7 +245,11 @@ def _a_alt_column(col: list[int], prev: list[int] | None, k: int, nmax: int) -> 
             col.append(v)
 
 
-_A_ALT = RowTable(_a_alt_column, None)
+def a_alt_columns(depth: int) -> Iterator[list[Nat]]:
+    """Columns k = 0..depth of the column expansion of ``a_alt``, each as
+    a(0..depth, k) with zeros above the diagonal (n < k), walked once: only
+    the previous column is kept."""
+    return itertools.islice(walk(_a_alt_column, depth), depth + 1)
 
 
 def b3(n: int, m: int, k: int) -> Nat:

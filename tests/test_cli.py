@@ -1,7 +1,9 @@
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import youngwalls
 from youngwalls import cli, closed_forms, poset_lab, tree_child, wall_tables
 from youngwalls.exact_arith import NotIntegralError
 
@@ -276,7 +279,7 @@ def test_table_matches_the_cell_functions(seq, option, capsys):
 
 def test_tc_table_stores_no_row_of_a(monkeypatch):
     # the rows of a that tc reads are walked, not kept in the module table
-    fresh = wall_tables.RowTable(wall_tables._a_row, 0)
+    fresh = wall_tables.RowTable(wall_tables._a_row)
     monkeypatch.setattr(wall_tables, "_A", fresh)
     assert run_cli("table", "--seq", "tc", "--nmax", "50", "--k", "2")[0] == 0
     assert fresh._rows == []
@@ -422,9 +425,19 @@ def test_check_stops_at_first_failing_cell():
     assert one_index.run(top=4) == (True, "i <= 4")
 
 
+def _move_a_alt_cells(monkeypatch, moved):
+    # the columns that the a-alt check reads, with a(n, k) moved by 1 where moved(n, k)
+    columns = wall_tables.a_alt_columns
+
+    def walk(depth):
+        for k, col in enumerate(columns(depth)):
+            yield [v + moved(n, k) for n, v in enumerate(col)]
+
+    monkeypatch.setattr(wall_tables, "a_alt_columns", walk)
+
+
 def test_verify_reports_the_first_failing_cell(monkeypatch):
-    a_alt = cli.wall_tables.a_alt
-    monkeypatch.setattr(cli.wall_tables, "a_alt", lambda n, k: a_alt(n, k) + ((n, k) == (3, 2)))
+    _move_a_alt_cells(monkeypatch, lambda n, k: (n, k) == (3, 2))
     code, text = run_cli("verify", "--check", "a-alt")
     assert code == 1
     assert text == "a-alt: FAIL (fails at (3, 2))\n"
@@ -511,8 +524,7 @@ def test_verify_zero_cell_domain_is_empty_not_pass(monkeypatch):
     assert empty == ["b12", "f-rec", "lemma28", "lemma29", "monster", "tc-dfact", "tc-routes"]
     assert all(": PASS (" in line for line in lines if line.split(":")[0] not in empty)
     # a failure outranks an empty domain
-    a_alt = cli.wall_tables.a_alt
-    monkeypatch.setattr(cli.wall_tables, "a_alt", lambda n, k: a_alt(n, k) + 1)
+    _move_a_alt_cells(monkeypatch, lambda n, k: 1)
     assert run_cli("verify", "--check", "all", "--nmax", "0")[0] == 1
 
 
@@ -557,6 +569,17 @@ def test_crosscheck_reads_the_fixture_without_offline(capsys):
     assert plain == run_cli("crosscheck", "--map", "b-k0", "--offline")
     assert plain == (0, "A000108 <-> b-k0: n=0..15 agree (16 terms, offset 0)\n")
     assert capsys.readouterr().err == ""
+
+
+def test_crosscheck_reads_one_walk_not_point_reads(monkeypatch):
+    # b-k0 reads the b3 diagonal off one walk up the layers, never b3(n, n, 0)
+    def refused(n, m, k):
+        raise RuntimeError(f"b3({n}, {m}, {k}) called")
+
+    monkeypatch.setattr(wall_tables, "b3", refused)
+    assert run_cli("crosscheck", "--map", "b-k0", "--offline") == (
+        0, "A000108 <-> b-k0: n=0..15 agree (16 terms, offset 0)\n"
+    )
 
 
 def test_crosscheck_id_mismatch():
@@ -731,12 +754,33 @@ def test_moved_b3_cell_fails_the_checks_of_the_b3_diagonal(argv, text, monkeypat
 
 
 def test_point_reads_of_b3_and_omega_leave_no_memo():
-    # no reader reads b3 or omega out of order, so a point read walks to its
-    # cell; only the tables read cell by cell keep their rows
+    # no reader reads b3, omega, a_alt, tc_rec or tc_sum out of order, so a
+    # point read walks to its cell; only the tables read out of order keep rows
     assert wall_tables.b3(12, 7, 3) == wall_tables.omega(5, 7, 3)
     assert wall_tables.omega(5, 4, 2) == wall_tables.b3(9, 4, 2)
-    memos = {name for name, v in vars(wall_tables).items() if isinstance(v, wall_tables.RowTable)}
-    assert memos == {"_A", "_B", "_A_ALT"}
+    assert tree_child.tc_rec(9, 4) == tree_child.tc_sum(9, 4) == tree_child.tc(9, 4)
+    assert wall_tables.a_alt(9, 4) == wall_tables.a_rec(9, 4)
+    memos = {
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(youngwalls.__path__)
+        for name, v in vars(importlib.import_module(f"youngwalls.{info.name}")).items()
+        if isinstance(v, wall_tables.RowTable)
+    }
+    assert memos == {"wall_tables._A", "wall_tables._B", "poset_lab._U"}
+
+
+@pytest.mark.parametrize("step", ["_tc_rec_row", "_tc_sum_row"])
+def test_moved_tc_row_cell_fails_tc_routes(step, monkeypatch):
+    # tc(6, 3) moved when the step of one route appends it
+    original = getattr(tree_child, step)
+
+    def moved(row, prev, n, width):
+        original(row, prev, n, width)
+        if n == 6 and len(row) > 3:
+            row[3] += 1
+
+    monkeypatch.setattr(tree_child, step, moved)
+    assert run_cli("verify", "--check", "tc-routes") == (1, "tc-routes: FAIL (fails at (6, 3))\n")
 
 
 def test_omega_walks_take_their_seeds_from_the_seed_layers(monkeypatch):
@@ -767,7 +811,7 @@ def test_moved_b_cell_fails_the_checks_of_b(check, monkeypatch):
         if n == 3 and before <= 3 < len(row):
             row[3] += 1
 
-    monkeypatch.setattr(wall_tables, "_B", wall_tables.RowTable(moved, 0))
+    monkeypatch.setattr(wall_tables, "_B", wall_tables.RowTable(moved))
     assert run_cli("verify", "--check", check) == (1, f"{check}: FAIL (fails at (3, 3))\n")
 
 
@@ -815,7 +859,8 @@ def test_lazy_imports_in_a_fresh_process(argv):
     "argv",
     [*(["table", "--seq", seq, "--nmax", "6"] for seq in TABLE_SEQS),
      *(["series", "--dk", "2", "--order", "8", "--method", m] for m in ("recurrence", "kernel")),
-     ["verify", "--check", "tc-routes"], ["verify", "--check", "gamma-sum"]],
+     ["verify", "--check", "tc-routes"], ["verify", "--check", "gamma-sum"],
+     ["verify", "--check", "lemma28"]],
     ids=" ".join,
 )
 def test_integer_request_loads_no_rational_module(argv):
@@ -839,7 +884,7 @@ def test_not_integral_maps_to_exit_1(monkeypatch, capsys):
     def broken(row, prev, n, width):
         step(row, [prev[0] + 1, *prev[1:]] if n == 4 else prev, n, width)
 
-    monkeypatch.setattr(wall_tables, "_B", wall_tables.RowTable(broken, 0))
+    monkeypatch.setattr(wall_tables, "_B", wall_tables.RowTable(broken))
     assert run_cli("verify", "--check", "cor-rec") == (1, "")
     assert capsys.readouterr().err == "error: value at ('b', 4, 0) is not an integer\n"
 

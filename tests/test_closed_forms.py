@@ -228,7 +228,8 @@ def test_lemma28_single_step_expansion():
                 - wt.omega(n - 1, k, k - 1)
                 - wt.omega(n - 2, k, k)
             )
-            assert cf.lemma28_rhs(n, k, 1, wt.omega) == expanded
+            # times s! 2^s = 2
+            assert cf.lemma28_rhs(n, k, 1, wt.omega) == 2 * expanded
 
 
 def test_lemma28_weights_are_scaled_alphas():
@@ -241,6 +242,18 @@ def test_lemma28_weights_are_scaled_alphas():
             for p, q, w in block:
                 assert type(w) is int, (s, t, p, q)
                 assert w == cf.alpha(t, p, q) * factorial(s) * 2**s, (s, t, p, q)
+
+
+def test_lemma28_weights_are_built_without_alpha(monkeypatch):
+    # each weight is one integer division of factorials; alpha stays the
+    # rational reference that the test above compares them with
+    def refused(*args):
+        raise RuntimeError(f"alpha{args} called")
+
+    monkeypatch.setattr(cf, "_LEMMA28_WEIGHTS", [])
+    monkeypatch.setattr(cf, "alpha", refused)
+    assert cf._lemma28_weights(1) == (((1, 1, -2),), ((1, 1, -2), (1, 2, 2)))
+    assert len(cf._lemma28_weights(12)[1]) == 49  # t = 13: q <= 15 - 2p, p <= 7
 
 
 def test_lemma28_rhs_is_the_alpha_sum():
@@ -260,7 +273,7 @@ def test_lemma28_rhs_is_the_alpha_sum():
                     cf.alpha(s + 1, p, q) * source(n - s, k + s - p, k + 1 - q)
                     for p in range(1, (s + 2) // 2 + 1) for q in range(1, s + 4 - 2 * p)
                 )
-                assert cf.lemma28_rhs(n, k, s, source) == want, (n, k, s)
+                assert cf.lemma28_rhs(n, k, s, source) == want * factorial(s) * 2**s, (n, k, s)
 
 
 def test_lemma29_identity():

@@ -68,6 +68,8 @@ NOT_REEXPORTED = {
     "record.Record": "the base class of Poset, WallShape and cli.Check, not a value type",
     "wall_tables.RowTable": "the memo that the table modules keep their rows in; "
                             "tables are read through their functions",
+    "wall_tables.walk": "the row walk that the table modules build their streams on; "
+                        "tables are walked through their streams",
 }
 
 

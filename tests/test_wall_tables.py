@@ -2,7 +2,6 @@ import itertools
 import os
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -86,7 +85,7 @@ def test_omega_seed_and_guards():
 
 
 def test_table_values_are_stable():
-    t = wt.RowTable(wt._b3_layer, 0)
+    t = wt.RowTable(wt._b3_layer)
     first = t.row(7, 3)[5][3]
     assert t.row(7, 3)[5][3] == first
     assert first == wt.b3(7, 5, 3)
@@ -97,7 +96,7 @@ def _a_cell(table, n, k):
 
 
 def test_memo_handles_sparse_far_request():
-    table = wt.RowTable(wt._a_row, 0)
+    table = wt.RowTable(wt._a_row)
     # a far row first: the fill stops at column 1, then reads are plain indexing
     far = _a_cell(table, 600, 1)
     assert far == _a_cell(table, 600, 0) + (2 * 600 + 1 - 1) * _a_cell(table, 599, 1)
@@ -105,7 +104,7 @@ def test_memo_handles_sparse_far_request():
 
 
 def test_cells_asked_out_of_order():
-    table = wt.RowTable(wt._a_row, 0)
+    table = wt.RowTable(wt._a_row)
     # a far column first (grows n), then a larger k at small n (widens the
     # filled rows), then the whole reference triangle
     assert _a_cell(table, 40, 1) == wt.a_rec(40, 1)
@@ -121,7 +120,7 @@ def test_row_read_cell_by_cell_fills_each_row_once():
         steps.append(args[2])
         wt._b3_layer(*args)
 
-    table = wt.RowTable(counting_layer, 0)
+    table = wt.RowTable(counting_layer)
     for n in range(33):
         for k in range(n + 1):
             before = len(steps)
@@ -135,39 +134,39 @@ def test_row_read_cell_by_cell_fills_each_row_once():
 def test_complete_rows_keep_their_width():
     # a complete row stops the widening walk but does not widen the row
     # above it past its own width: column 0 of b stays one column wide
-    table = wt.RowTable(wt._b3_layer, 0)
+    table = wt.RowTable(wt._b3_layer)
     for n in range(40):
         table.row(n, 0)
     assert [len(layer[-1]) for layer in table._rows] == [1] * 40
 
 
-def test_row_widening_stops_at_column_n():
-    # rows of the a_alt table are columns of any depth: a deep column 0 must
-    # not drag column 1 down with it
-    table = wt.RowTable(wt._a_alt_column, None)
-    table.row(0, 1500)
-    assert len(table.row(1, 5)) == 6
-
-
 @pytest.mark.parametrize(
-    "walk, table, last",
+    "walk, cell, first",
     [
-        (wt.a_rows, wt._A, 0),
-        (wt.b_rows, wt._B, 0),
-        (partial(wt._walk, tree_child._tc_rec_row), tree_child._TC_REC, -1),
-        (partial(wt._walk, tree_child._tc_sum_row), tree_child._TC_SUM, -1),
+        (wt.a_rows, lambda n, k: wt._A.row(n, k)[k], 0),
+        (wt.b_rows, lambda n, k: wt._B.row(n, k)[k], 0),
+        (tree_child.tc_rec_rows, tree_child.tc, 1),
+        (tree_child.tc_sum_rows, tree_child.tc, 1),
     ],
     ids=["a", "b", "tc_rec", "tc_sum"],
 )
 @pytest.mark.parametrize("width", [0, 1, 2, 5, 14])
-def test_walk_matches_the_rows_read_cell_by_cell(walk, table, last, width):
-    for n, row in zip(range(15), walk(width)):
-        assert len(row) == max(min(n + last, width) + 1, 0), n
-        assert row == [table.row(n, k)[k] for k in range(len(row))], n
+def test_walk_matches_the_rows_read_cell_by_cell(walk, cell, first, width):
+    # a and b against their memo, the tc streams against the normative tc;
+    # the rows start at n = first and row n ends at column n - first
+    for n, row in zip(range(first, 15), walk(width)):
+        assert len(row) == min(n - first, width) + 1, n
+        assert row == [cell(n, k) for k in range(len(row))], n
+
+
+@pytest.mark.parametrize("depth", [0, 1, 4, 12])
+def test_a_alt_columns_match_a(depth):
+    columns = list(wt.a_alt_columns(depth))
+    assert columns == [[wt.a_rec(n, k) for n in range(depth + 1)] for k in range(depth + 1)]
 
 
 # b(n, 0..n) for n <= 40 from a fresh b3 table, layer by layer
-_DIAGONAL = wt.RowTable(wt._b3_layer, 0)
+_DIAGONAL = wt.RowTable(wt._b3_layer)
 _B_REF = [_DIAGONAL.row(n, n)[n] for n in range(41)]
 
 
@@ -193,7 +192,7 @@ def test_b3_walk_clipped_at_mmax_matches_the_full_walk(nmax, mmax, kmax):
 def test_b_reads_the_b3_diagonal_in_any_request_order(requests):
     # narrow-then-wide and deep-then-shallow orders widen rows out of order;
     # every answer of the two-term recurrence must still be the b3 diagonal
-    with mock.patch.object(wt, "_B", wt.RowTable(wt._b_row, 0)):
+    with mock.patch.object(wt, "_B", wt.RowTable(wt._b_row)):
         for whole_row, n, k in requests:
             k = min(k, n)
             if whole_row:
@@ -211,7 +210,7 @@ def _b_cells_appended(reads):
         wt._b_row(row, *args)
         appended.append(len(row) - before)
 
-    with mock.patch.object(wt, "_B", wt.RowTable(counting_row, 0)):
+    with mock.patch.object(wt, "_B", wt.RowTable(counting_row)):
         reads()
     return sum(appended)
 
