@@ -379,7 +379,7 @@ def _gamma_sum(k: int) -> bool:
 
 
 def _delta_rec(i: int) -> bool:
-    from fractions import Fraction  # only the rational checks load fractions
+    from fractions import Fraction  # the only check that loads fractions
 
     rhs = -sum(
         Fraction(binomial(i, j) * double_factorial(3 * i + j - 3), double_factorial(3 * i - 3))
@@ -391,15 +391,13 @@ def _delta_rec(i: int) -> bool:
 
 def _stock_series(order: int) -> bool:
     """Half-power square, central binomials, Catalan equation, kernel root."""
-    from fractions import Fraction
-
     mul, shift_up = series_engine.series_mul, series_engine.shift_up
-    half = series_engine.neg_pow_series(Fraction(1, 2), order)
+    half = series_engine.neg_half_pow_series(1, order)
     c = series_engine.catalan_series(order)
     x2 = series_engine.x2_series(order)
     t = shift_up((1,) + (0,) * order)
     return (
-        mul(half, half) == series_engine.neg_pow_series(1, order)
+        mul(half, half) == series_engine.neg_half_pow_series(2, order)
         and all(c_n == binomial(2 * n, n) for n, c_n in enumerate(half))
         and (1, *shift_up(mul(c, c))[1:]) == c  # C = 1 + t C^2
         and mul(x2, x2) == tuple(x - y for x, y in zip(x2, t))  # X_2^2 = X_2 - t

@@ -26,15 +26,12 @@ Design notes that the individual docstrings lean on:
   W^3/6 multiply-adds, no powers of X_2); F_k and B_k are one pass over
   plain rows.
 * (1 - 4t)^(-p/2) has integer coefficients for every integer p, so
-  neg_pow_series generates them in Z, radical-free.
-* All three routes run in Z.  The table route reads integer cells; every
-  kernel step multiplies by integers, subtracts or shifts, and each
-  division by t is checked exact; the closed route sums integer terms over
-  one common denominator per coefficient.  Coefficients are stored as
-  given, never converted, so Fractions stay Fractions; Fraction(n) == n and
-  str(Fraction(n)) == str(n), so comparisons and printed text do not
-  depend on the ring.  Only the closed route and neg_pow_series, which take
-  a half-integer exponent, import fractions.
+  neg_half_pow_series generates them in Z from p, radical-free.
+* All three routes run in Z, and no function here imports fractions: the
+  table route reads integer cells; every kernel step multiplies by
+  integers, subtracts or shifts, and each division by t is checked exact;
+  the closed route sums integer terms over one common denominator per
+  coefficient.
 """
 
 from __future__ import annotations
@@ -47,9 +44,8 @@ from . import wall_tables
 from .closed_forms import gamma_dfact_terms
 from .exact_arith import NotIntegralError, binomial, exact_int
 
-# a series in t: s[n] is the coefficient of t^n, an int or a Fraction; the
-# coefficient type is a string, so importing this module loads no fractions
-Series = tuple["int | Fraction", ...]
+# a series in t: s[n] is the coefficient of t^n
+Series = tuple[int, ...]
 # a bivariate series in x and t: rows[j][n] is the coefficient of x^j t^n
 Rows = tuple[Series, ...]
 
@@ -103,19 +99,13 @@ def x2_series(order: int) -> Series:
     return shift_up(catalan_series(order))
 
 
-def neg_pow_series(alpha: int | Fraction, order: int) -> Series:
-    """(1 - 4t)^(-alpha) for an integer or half-integer alpha = p/2.  Its
-    coefficients are integers: c_0 = 1, c_{n+1} = c_n * 2 (p + 2n) / (n + 1),
-    each division checked exact."""
-    from fractions import Fraction
-
-    p = 2 * Fraction(alpha)
-    if p.denominator != 1:
-        raise ValueError(f"need an integer or half-integer exponent, got {alpha}")
-    p = p.numerator
+def neg_half_pow_series(p: int, order: int) -> Series:
+    """(1 - 4t)^(-p/2) for an integer p.  Its coefficients are integers:
+    c_0 = 1, c_{n+1} = c_n * 2 (p + 2n) / (n + 1), each division checked
+    exact."""
     cs = [1]
     for n in range(order):
-        cs.append(exact_int(cs[-1] * 2 * (p + 2 * n), n + 1, ("neg_pow_series", p, n + 1)))
+        cs.append(exact_int(cs[-1] * 2 * (p + 2 * n), n + 1, ("neg_half_pow_series", p, n + 1)))
     return tuple(cs)
 
 
@@ -156,13 +146,11 @@ def dk_closed(k: int, order: int) -> Series:
     one denominator den, so each coefficient is an integer sum divided once
     by 2 den, checked exact.  At k = 0 the weights would need (-3)!!.
     """
-    from fractions import Fraction
-
     if k < 1:
         raise ValueError(f"closed D_k needs k >= 1 (its gamma sum degenerates at 0), got {k}")
     terms, den = gamma_dfact_terms(k - 1, k)
     top = order - k + 1  # t-order of the sum before the shift by t^(k-1)
-    powers = [neg_pow_series(Fraction(3 * k + i - 1, 2), top) for i in range(k + 1)]
+    powers = [neg_half_pow_series(3 * k + i - 1, top) for i in range(k + 1)]
     coeffs = tuple(
         exact_int(sum(map(mul, terms, column)), 2 * den, ("dk_closed", k, n + k - 1))
         for n, column in enumerate(zip(*powers))
@@ -174,7 +162,7 @@ def dk_closed(k: int, order: int) -> Series:
 # route three: kernel chain
 
 
-def _divide_t(row: Sequence[int | Fraction], name: str, k: int, j: int) -> Series:
+def _divide_t(row: Sequence[int], name: str, k: int, j: int) -> Series:
     """Slice j of name at kernel level k, divided by t; the top is padded
     with a zero.  Raises NotIntegralError unless the constant term vanishes."""
     if row[0]:

@@ -96,8 +96,8 @@ def test_criterion_06_generating_function_three_way_agreement():
         f, d, b = series_engine.kernel_chain(k, 24)
         res = series_engine.kernel_residual(b, f, d)
         assert all(res[j][n] == 0 for j in range(13) for n in range(13)), k
-    pairs = zip(series_engine.neg_pow_series(Fraction(3, 2), 10),
-                series_engine.neg_pow_series(1, 10))
+    pairs = zip(series_engine.neg_half_pow_series(3, 10),
+                series_engine.neg_half_pow_series(2, 10))
     assert series_engine.dk_closed(1, 10) == tuple(Fraction(p - q, 2) for p, q in pairs)
     assert time.perf_counter() - t0 < 30.0
 

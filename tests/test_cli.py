@@ -1,3 +1,4 @@
+import functools
 import importlib
 import io
 import json
@@ -855,25 +856,52 @@ def test_lazy_imports_in_a_fresh_process(argv):
     assert (proc.returncode, proc.stdout, proc.stderr) == (*run_cli(*argv), "")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [*(["table", "--seq", seq, "--nmax", "6"] for seq in TABLE_SEQS),
-     *(["series", "--dk", "2", "--order", "8", "--method", m] for m in ("recurrence", "kernel")),
-     ["verify", "--check", "tc-routes"], ["verify", "--check", "gamma-sum"],
-     ["verify", "--check", "lemma28"]],
-    ids=" ".join,
-)
-def test_integer_request_loads_no_rational_module(argv):
-    # fractions (and with it decimal and numbers) is imported only by the
-    # routes that build a rational
+# one request of each kind that builds no rational: each table, each series
+# method, each check but the rational delta recursion, each crosscheck map,
+# each oracle sequence and asym
+INTEGER_REQUESTS = [
+    *(["table", "--seq", seq, "--nmax", "6"] for seq in TABLE_SEQS),
+    *(["series", "--dk", "2", "--order", "8", "--method", m]
+      for m in ("recurrence", "closed", "kernel")),
+    *(["verify", "--check", name] for name in cli.CHECKS if name != "delta-rec"),
+    *(["crosscheck", "--map", name] for name in cli.OEIS_MAPS),
+    *(["oracle", "--seq", seq, "--n", "3", "--k", "1", *(["--m", "2"] if seq == "b3" else [])]
+      for seq in ("a", "b", "b3")),
+    ["asym", "--n", "20", "--k", "1"],
+]
+
+
+@functools.cache
+def _rational_requests() -> frozenset[str]:
+    """The requests of INTEGER_REQUESTS that fail or load fractions, decimal or
+    numbers.  They run in order in one fresh process, which stops at the first
+    such request; a new process takes up the requests after it."""
     snippet = (
         "import io, sys\n"
         "from youngwalls import cli\n"
-        "code = cli.main(sys.argv[1:], out=io.StringIO())\n"
-        "print(code, sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
+        "for request in sys.argv[1:]:\n"
+        "    code = cli.main(request.split(), out=io.StringIO())\n"
+        "    if code or {'fractions', 'decimal', 'numbers'} & set(sys.modules):\n"
+        "        print(request)\n"
+        "        break\n"
     )
-    proc = _bare_python("-c", snippet, *argv)
-    assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
+    found, rest = set(), [" ".join(argv) for argv in INTEGER_REQUESTS]
+    while rest:
+        proc = _bare_python("-c", snippet, *rest)
+        assert proc.returncode == 0, proc.stderr
+        first = proc.stdout.strip()
+        if not first:
+            break
+        found.add(first)
+        rest = rest[rest.index(first) + 1 :]
+    return frozenset(found)
+
+
+@pytest.mark.parametrize("argv", INTEGER_REQUESTS, ids=" ".join)
+def test_integer_request_loads_no_rational_module(argv):
+    # fractions (and with it decimal and numbers) is imported only by the
+    # routes that build a rational
+    assert " ".join(argv) not in _rational_requests()
 
 
 def test_not_integral_maps_to_exit_1(monkeypatch, capsys):
