@@ -22,11 +22,13 @@ Integers in JSON are decimal strings so no consumer ever rounds them.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
+from io import TextIOBase
 
 from . import closed_forms, poset_lab, series_engine, tree_child, wall_tables
 from .exact_arith import NotIntegralError, binomial, double_factorial, double_factorials, factorial
@@ -90,10 +92,10 @@ def _table_rows(args: argparse.Namespace) -> Iterator[list[Cell]]:
 
 def _cell_readers(seq: str, nmax: int, width: int) -> Iterator[tuple[int, Callable[[int], int]]]:
     """(n, cell) for the rows n <= nmax of a 2-index sequence, where cell(k)
-    is its value at (n, k) for k <= width.  a, b and tc read the row streams
-    of wall_tables, keeping one row; the others are computed cell by cell."""
-    if seq in ("a", "b"):
-        rows = wall_tables.a_rows(width) if seq == "a" else wall_tables.b_rows(width)
+    is its value at (n, k) for k <= width.  a, b, u and tc read row streams,
+    keeping one row; f and ftilde are closed forms, computed cell by cell."""
+    if seq in ("a", "b", "u"):
+        rows = {"a": wall_tables.a_rows, "b": wall_tables.b_rows, "u": poset_lab.u_rows}[seq](width)
         for n, row in zip(range(nmax + 1), rows):
             yield n, row.__getitem__
     elif seq == "tc":
@@ -101,7 +103,7 @@ def _cell_readers(seq: str, nmax: int, width: int) -> Iterator[tuple[int, Callab
         for n, row in zip(range(1, nmax + 1), wall_tables.a_rows(width)):
             yield n, lambda k, n=n, row=row: tree_child.tc_from_a(n, k, row[k])
     else:
-        fn = {"f": poset_lab.f_closed, "ftilde": poset_lab.ftilde, "u": poset_lab.u_from_b}[seq]
+        fn = poset_lab.f_closed if seq == "f" else poset_lab.ftilde
         for n in range(nmax + 1):
             yield n, partial(fn, n)
 
@@ -123,7 +125,7 @@ def _two_index_rows(args: argparse.Namespace, first: int) -> Iterator[list[Cell]
             yield [((n, k), cell(k)) for k in range(min(top, width) + 1)]
 
 
-def _render_rows(args: argparse.Namespace, rows: Iterator[list[Cell]], out: "TextIO") -> None:
+def _render_rows(args: argparse.Namespace, rows: Iterator[list[Cell]], out: TextIOBase) -> None:
     """Write each row as soon as it is computed: a failure part way leaves
     the complete rows before it on ``out``."""
     fmt = args.format
@@ -147,7 +149,7 @@ def _render_rows(args: argparse.Namespace, rows: Iterator[list[Cell]], out: "Tex
             out.write("".join(sep.join(map(str, (*idx, v))) + "\n" for idx, v in row))
 
 
-def run_table(args: argparse.Namespace, out: "TextIO") -> int:
+def run_table(args: argparse.Namespace, out: TextIOBase) -> int:
     _render_rows(args, _table_rows(args), out)
     return EXIT_OK
 
@@ -156,7 +158,7 @@ def run_table(args: argparse.Namespace, out: "TextIO") -> int:
 # series command
 
 
-def run_series(args: argparse.Namespace, out: "TextIO") -> int:
+def run_series(args: argparse.Namespace, out: TextIOBase) -> int:
     k, order = args.dk, args.order
     if args.method == "recurrence":
         s = series_engine.dk_from_table(k, order)
@@ -172,7 +174,7 @@ def run_series(args: argparse.Namespace, out: "TextIO") -> int:
 # oracle command
 
 
-def run_oracle(args: argparse.Namespace, out: "TextIO") -> int:
+def run_oracle(args: argparse.Namespace, out: TextIOBase) -> int:
     seq, n, k, m = args.seq, args.n, args.k, args.m
     if m is not None and seq != "b3":
         raise _Usage(f"--m belongs to oracle --seq b3 only, not {seq}")
@@ -221,7 +223,7 @@ def _fixture_bfile(oeis_id: str) -> str:
     return (resources.files("youngwalls") / "oeis_fixtures" / name).read_text()
 
 
-def run_crosscheck(args: argparse.Namespace, out: "TextIO") -> int:
+def run_crosscheck(args: argparse.Namespace, out: TextIOBase) -> int:
     if args.map not in OEIS_MAPS:
         raise _Usage(f"unknown map {args.map!r}; choose from {sorted(OEIS_MAPS)}")
     oeis_id, offset, stream = OEIS_MAPS[args.map]
@@ -267,14 +269,14 @@ def _sci_from_log(log_value: float) -> str:
     return f"{mantissa}e{int(exponent):+03d}"
 
 
-def run_asym(args: argparse.Namespace, out: "TextIO") -> int:
+def run_asym(args: argparse.Namespace, out: TextIOBase) -> int:
     est = tree_child.tc_asym(args.n, args.k)
     if math.isfinite(est):
         shown = f"{est:.6e}"
     else:  # the estimate overflows a double long before its log does
         shown = _sci_from_log(tree_child.tc_asym_log(args.n, args.k))
     exact = tree_child.tc(args.n, args.k)
-    rel = tree_child.tc_asym_rel_error(args.n, args.k)
+    rel = tree_child.tc_asym_rel_error(args.n, args.k, exact)
     print(f"estimate={shown} exact={exact} rel_error={rel:.3e}", file=out)
     return EXIT_OK
 
@@ -289,8 +291,8 @@ class Check(Record):
     ``bounds`` are the defaults that ``--nmax``, ``--kmax`` and ``--order``
     override; ``domain`` is formatted with the bounds in effect.  A cell is
     a tuple of ints, possibly followed by data that ``cells`` computed for
-    it (a kernel level or a table layer along one walk, a table block);
-    only the ints name the cell in a failure.
+    it (a kernel level, rows or a table layer along one walk, a table
+    block); only the ints name the cell in a failure.
     """
 
     __slots__ = ("summary", "bounds", "domain", "cells", "holds")
@@ -320,11 +322,6 @@ class Check(Record):
 def _upto(top: int, start: int = 0) -> Iterator[tuple[int]]:
     """One-index cells (i,) for start <= i <= top."""
     return ((i,) for i in range(start, top + 1))
-
-
-def _triangle(nmax: int, start: int = 0) -> Iterator[tuple[int, int]]:
-    """(n, k) for start <= n <= nmax and k <= n, row by row."""
-    return ((n, k) for n in range(start, nmax + 1) for k in range(n + 1))
 
 
 def _b3_walk(nmax: int, width: int) -> Iterator[tuple[int, list[list[int]]]]:
@@ -358,8 +355,26 @@ def _walk(kmax: int, order: int, start: int = 0, scale: int = 2) -> Iterator[tup
             yield (k, order, *level)
 
 
-def _on_triangle(summary: str, nmax: int, holds: Callable[..., bool], start: int = 0) -> Check:
-    return Check(summary, {"nmax": nmax}, "n <= {nmax}", partial(_triangle, start=start), holds)
+def _on_walks(summary: str, nmax: int, walks: Callable[[int], Iterable[tuple]],
+              holds: Callable[..., bool], start: int = 0) -> Check:
+    """``holds(n, k, *rows)`` for start <= n <= nmax and k <= n, row by row,
+    where rows is row n of each walk that ``walks(nmax)`` zips: every table
+    the check reads is walked once."""
+
+    def cells(nmax: int) -> Iterator[tuple]:
+        for n, rows in zip(range(nmax + 1), walks(nmax)):
+            if n >= start:
+                yield from ((n, k, *rows) for k in range(n + 1))
+
+    return Check(summary, {"nmax": nmax}, "n <= {nmax}", cells, holds)
+
+
+def _kept(rows: Iterable[list[int]]) -> Iterator[list[list[int]]]:
+    """Rows 0..n of a walk at step n, in one list that grows by a row a step."""
+    kept: list[list[int]] = []
+    for row in rows:
+        kept.append(row)
+        yield kept
 
 
 def _dk_threeway(k: int, order: int, _f, kernel, _b) -> bool:
@@ -415,22 +430,26 @@ def _b0_hook(nmax: int) -> bool:
     return all(b0[j][m] == wall_tables.b3_hook(m + j, m) for j in square for m in square)
 
 
-def _tc_routes(n: int, k: int, rec: list[int], sums: list[int]) -> bool:
+def _tc_routes(n: int, k: int, a: list[list[int]], b: list[int], rec: list[int],
+               sums: list[int]) -> bool:
+    """a holds rows 0..n-1 of a, b is row n-1 of b, rec and sums row n of tc."""
     tc = tree_child
-    values = [tc.tc(n, k), tc.tc_via_b(n, k), rec[k], sums[k], tc.tc_closed(n, k)]
-    return len(set(values)) == 1 and (k == 0 or tc.tc_chain(k, n - k - 1) == values[0])
+    values = [tc.tc_from_a(n, k, a[n - 1][k]), tc.tc_via_b(n, k, b[k]), rec[k], sums[k],
+              tc.tc_closed(n, k)]
+    return len(set(values)) == 1 and (k == 0 or tc.tc_chain(k, n - k - 1, a) == values[0])
 
 
 CHECKS: dict[str, Check] = {
-    "main-identity": _on_triangle(
+    "main-identity": _on_walks(
         "2^(n-k) a(n,k) = (n-k+1)! b(n,k)", 30,
-        lambda n, k: 2 ** (n - k) * wall_tables.a_rec(n, k)
-        == factorial(n - k + 1) * wall_tables.b(n, k),
+        lambda nmax: zip(wall_tables.a_rows(nmax), wall_tables.b_rows(nmax)),
+        lambda n, k, a, b: 2 ** (n - k) * a[k] == factorial(n - k + 1) * b[k],
     ),
-    "a-alt": Check(
-        "column expansion matches the one-step recurrence", {"nmax": 20}, "n <= {nmax}",
-        lambda nmax: _sharing(list(wall_tables.a_alt_columns(nmax)), _triangle(nmax)),
-        lambda n, k, cols: cols[k][n] == wall_tables.a_rec(n, k),
+    "a-alt": _on_walks(
+        "column expansion matches the one-step recurrence", 20,
+        lambda nmax: zip(wall_tables.a_rows(nmax),
+                         itertools.repeat(list(wall_tables.a_alt_columns(nmax)))),
+        lambda n, k, a, cols: cols[k][n] == a[k],
     ),
     "catalan-base": Check(
         "b3(n,n,0) is Catalan", {"nmax": 30}, "n <= {nmax}",
@@ -461,18 +480,18 @@ CHECKS: dict[str, Check] = {
         "seed row vanishes at k = m+1", {"kmax": 8}, "k <= {kmax}", lambda kmax: _upto(kmax, 1),
         lambda k: closed_forms.omega_init(k - 1, k) == 0,
     ),
-    "cor-rec": Check(
-        "integer two-term recurrence of b matches the b3 diagonal", {"nmax": 20}, "n <= {nmax}",
-        lambda nmax: ((n, k, layer) for n, layer in _b3_walk(nmax, nmax) for k in range(n + 1)),
-        lambda n, k, layer: wall_tables.b(n, k) == layer[n][k],
+    "cor-rec": _on_walks(
+        "integer two-term recurrence of b matches the b3 diagonal", 20,
+        lambda nmax: zip(wall_tables.b_rows(nmax), wall_tables.b3_layers(nmax)),
+        lambda n, k, b, layer: b[k] == layer[n][k],
     ),
-    "closed-a": _on_triangle(
-        "gamma closed form matches a", 25,
-        lambda n, k: closed_forms.a_closed(n, k) == wall_tables.a_rec(n, k),
+    "closed-a": _on_walks(
+        "gamma closed form matches a", 25, lambda nmax: zip(wall_tables.a_rows(nmax)),
+        lambda n, k, a: closed_forms.a_closed(n, k) == a[k],
     ),
-    "closed-b": _on_triangle(
-        "gamma closed form matches b", 25,
-        lambda n, k: closed_forms.b_closed(n, k) == wall_tables.b(n, k),
+    "closed-b": _on_walks(
+        "gamma closed form matches b", 25, lambda nmax: zip(wall_tables.b_rows(nmax)),
+        lambda n, k, b: closed_forms.b_closed(n, k) == b[k],
     ),
     "gamma-sum": Check(
         "defining gamma sum telescopes to zero", {"kmax": 40}, "k <= {kmax}",
@@ -532,34 +551,38 @@ CHECKS: dict[str, Check] = {
         lambda n, k: poset_lab.f_closed(n, k)
         == double_factorial(2 * k - 1) * binomial(n + k, 2 * k),
     ),
-    "bu-roundtrip": _on_triangle(
+    "bu-roundtrip": _on_walks(
         "alternating transforms invert", 8,
-        lambda n, k: poset_lab.b_from_u(n, k) == wall_tables.b(n, k),
+        lambda nmax: zip(wall_tables.b_rows(nmax), poset_lab.u_rows(nmax)),
+        lambda n, k, b, u: poset_lab.b_from_u(n, k, u) == b[k],
     ),
-    "b12": _on_triangle(
+    "b12": _on_walks(
         "binomial f minus r reproduces b", 8,
-        lambda n, k: binomial(2 * n + k, n) * poset_lab.f_closed(n, k) - poset_lab.r_sum(n, k)
-        == wall_tables.b(n, k),
+        lambda nmax: zip(wall_tables.b_rows(nmax), _kept(poset_lab.u_rows(nmax))),
+        lambda n, k, b, u: binomial(2 * n + k, n) * poset_lab.f_closed(n, k)
+        - poset_lab.r_sum(n, k, u) == b[k],
         start=1,
     ),
-    "monster": _on_triangle(
-        "grand recurrence reproduces b", 12,
-        lambda n, k: poset_lab.b_monster(n, k) == wall_tables.b(n, k), start=1,
+    "monster": _on_walks(
+        "grand recurrence reproduces b", 12, lambda nmax: zip(_kept(wall_tables.b_rows(nmax))),
+        lambda n, k, b: poset_lab.b_monster(n, k, b) == b[n][k], start=1,
     ),
     "tc-routes": Check(
         "six exact tree-child routes agree", {"nmax": 15}, "n <= {nmax}, six routes",
-        lambda nmax: ((n, k, rec, sums) for n, rec, sums in zip(
-            range(1, nmax + 1), tree_child.tc_rec_rows(nmax), tree_child.tc_sum_rows(nmax)
+        lambda nmax: ((n, k, *rows) for n, *rows in zip(
+            range(1, nmax + 1), _kept(wall_tables.a_rows(nmax)), wall_tables.b_rows(nmax),
+            tree_child.tc_rec_rows(nmax), tree_child.tc_sum_rows(nmax),
         ) for k in range(n)), _tc_routes,
     ),
     "tc-dfact": Check(
-        "tc(n,0) = (2n-3)!!", {"nmax": 15}, "n <= {nmax}", lambda nmax: _upto(nmax, 1),
-        lambda n: tree_child.tc(n, 0) == double_factorial(2 * n - 3),
+        "tc(n,0) = (2n-3)!!", {"nmax": 15}, "n <= {nmax}",
+        lambda nmax: zip(range(1, nmax + 1), wall_tables.a_rows(0)),
+        lambda n, a: tree_child.tc_from_a(n, 0, a[0]) == double_factorial(2 * n - 3),
     ),
 }
 
 
-def run_verify(args: argparse.Namespace, out: "TextIO") -> int:
+def run_verify(args: argparse.Namespace, out: TextIOBase) -> int:
     names = sorted(CHECKS) if args.check == "all" else [args.check]
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
@@ -653,7 +676,7 @@ _RUNNERS = {
 }
 
 
-def main(argv: list[str] | None = None, out: "TextIO | None" = None) -> int:
+def main(argv: list[str] | None = None, out: TextIOBase | None = None) -> int:
     out = out if out is not None else sys.stdout
     try:
         args = _parser().parse_args(argv)

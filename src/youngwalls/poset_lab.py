@@ -7,13 +7,18 @@ extension count and the hook product all read it.  Counting linear
 extensions walks the lattice of order ideals with a bitmask dynamic
 program, so it is capped at 24 elements; the structured families come with
 closed product formulas that act as independent oracles.
+
+The table routes keep no rows: ``u_rows`` streams u off one walk of the b
+rows, a point read ``u_from_b`` walks to its row, and the routes that read
+many rows (``b_from_u``, ``r_sum``, ``b_monster``) take them from a walk
+that their caller runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import wall_tables
 from .exact_arith import Nat, binomial, exact_int, factorial
@@ -245,53 +250,51 @@ def _alternating(top: int, n: int, s: int, col: Sequence[int]) -> int:
                for i in range(min(s, n) + 1))
 
 
-def _u_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
-    col = wall_tables.b_row(n, min(n, width))
-    for k in range(len(row), len(col)):
-        row.append(_alternating(2 * n + k, n, k, col))
-
-
-_U = wall_tables.RowTable(_u_row)
+def u_rows(width: int) -> Iterator[list[Nat]]:
+    """Rows u(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end: row n
+    is the alternating transform of row n of one ``b_rows`` walk."""
+    return ([_alternating(2 * n + k, n, k, row) for k in range(len(row))]
+            for n, row in enumerate(wall_tables.b_rows(width)))
 
 
 def u_from_b(n: int, k: int) -> Nat:
     """u(n, k), the total extension count of the build_U family, by the
-    alternating binomial transform of the b column; each row n of u is
-    stored once computed."""
+    alternating binomial transform of row n of b, walked to."""
     if n < 0 or not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    return _U.row(n, k)[k]
+    return _alternating(2 * n + k, n, k, next(itertools.islice(wall_tables.b_rows(k), n, None)))
 
 
-def b_from_u(n: int, k: int) -> Nat:
-    """Inverse transform: b(n, k) from the u column by the same alternating
-    pattern.  Round-trips with u_from_b exactly."""
+def b_from_u(n: int, k: int, u: Sequence[int]) -> Nat:
+    """Inverse transform: b(n, k) from u = u(n, 0..k) by the same
+    alternating pattern.  Round-trips with u_from_b exactly."""
     if n < 0 or not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    return _alternating(2 * n + k, n, k, _U.row(n, k))
+    return _alternating(2 * n + k, n, k, u)
 
 
-def r_sum(n: int, k: int) -> Nat:
+def r_sum(n: int, k: int, u: Sequence[Sequence[int]]) -> Nat:
     """Total extension count of the build_R family,
 
         r(n, k) = sum_{j=1}^{n} sum_{s} C(2j+k-s-1, j) f(j, k-s)
                   * sum_{i=0}^{s} (-1)^i C(2n+k, s-i) C(n-j-i, s-i) (s-i)! u(n-j, i),
 
     with s over max(k-j, 0)..min(k, n-j): below it f(j, k-s) vanishes, above
-    it every term of the inner sum does.
+    it every term of the inner sum does.  u[i] is u(i, 0..min(i, k)) for
+    i < n.
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"need n >= 1 and 0 <= k <= n, got ({n}, {k})")
     total = 0
     for j in range(1, n + 1):
-        u_row = _U.row(n - j, k)
+        u_row = u[n - j]
         for s in range(max(k - j, 0), min(k, n - j) + 1):
             left = binomial(2 * j + k - s - 1, j) * f_closed(j, k - s)
             total += left * _alternating(2 * n + k, n - j, s, u_row)
     return total
 
 
-def b_monster(n: int, k: int) -> Nat:
+def b_monster(n: int, k: int, rows: Sequence[Sequence[int]]) -> Nat:
     """b(n, k) from the single grand recurrence
 
         b(n, k) = C(2n+k, n) f(n, k)
@@ -309,13 +312,13 @@ def b_monster(n: int, k: int) -> Nat:
     (j+k-s) C(j, k-s) C(2j, j) times one dot product of the C(n-j-m, s-m)
     with the weights w_m = perm(k+2j-m-1, k-m-1) b(n-j, m), built once per
     j.  The sum runs in integers over the common denominator 2^k, checked
-    divisible by one exact_int.
+    divisible by one exact_int.  rows[i] is b(i, 0..min(i, k)) for i < n.
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"need n >= 1 and 0 <= k <= n, got ({n}, {k})")
     acc = binomial(2 * n + k, n) * f_closed(n, k) << k
     for j in range(1, n + 1):
-        b_row = wall_tables.b_row(n - j, min(k, n - j))
+        b_row = rows[n - j]
         w = [math.perm(k + 2 * j - m - 1, k - m - 1) * b_m for m, b_m in enumerate(b_row[:k])]
         central = math.comb(2 * j, j)
         for s in range(max(k - j, 0), min(k, n - j) + 1):

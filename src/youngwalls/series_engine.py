@@ -114,10 +114,12 @@ def neg_half_pow_series(p: int, order: int) -> Series:
 
 
 def dk_from_table(k: int, order: int) -> Series:
-    """D_k(t) with coefficients read off the b recurrence table."""
+    """D_k(t) with coefficients b(0..order, k) read off one walk of the b
+    rows."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return tuple(wall_tables.b(n, k) for n in range(order + 1))
+    rows = islice(wall_tables.b_rows(k), order + 1)
+    return tuple(row[k] if k < len(row) else 0 for row in rows)
 
 
 def bk_from_table(kmax: int, x_order: int, t_order: int) -> tuple[Rows, ...]:

@@ -5,7 +5,10 @@ Six exact routes are kept deliberately independent so they can be compared,
 plus a float asymptotic evaluated in log space (the counts overflow doubles
 long before the interesting range ends).  ``tc_rec`` and ``tc_sum``, the
 routes with their own recurrence, walk their rows on ``wall_tables.walk``
-(``tc_rec_rows``, ``tc_sum_rows``), keeping none.
+(``tc_rec_rows``, ``tc_sum_rows``), keeping none.  The routes through the
+tables are formulas in the cells they read: ``tc_from_a`` and ``tc_via_b``
+take one cell, ``tc_chain`` a column of a off its caller's walk, and the
+normative ``tc`` reads a(n-1, k) by a point read that walks to it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from . import closed_forms, wall_tables
 from .exact_arith import Nat, binomial, double_factorials, exact_int, factorial
@@ -35,10 +38,11 @@ def tc_from_a(n: int, k: int, a: Nat) -> Nat:
     return math.perm(n, k) * a
 
 
-def tc_via_b(n: int, k: int) -> Nat:
-    """tc(n, k) = n! b(n-1, k) / 2^(n-k-1); the power of two must divide."""
+def tc_via_b(n: int, k: int, b: Nat) -> Nat:
+    """tc(n, k) = n! b / 2^(n-k-1), given b = b(n-1, k); the power of two
+    must divide."""
     _check_domain(n, k)
-    return exact_int(factorial(n) * wall_tables.b(n - 1, k), 2 ** (n - k - 1), ("tc_via_b", n, k))
+    return exact_int(factorial(n) * b, 2 ** (n - k - 1), ("tc_via_b", n, k))
 
 
 def tc_rec(n: int, k: int) -> Nat:
@@ -104,7 +108,7 @@ def tc_sum_rows(width: int) -> Iterator[list[Nat]]:
     return itertools.islice(wall_tables.walk(_tc_sum_row, width), 1, None)
 
 
-def tc_chain(k: int, m: int) -> Nat:
+def tc_chain(k: int, m: int, a: Sequence[Sequence[int]]) -> Nat:
     """tc(k+m+1, k) for k >= 1 by climbing one reticulation level:
 
         sum_{l=0}^{m} (l+2) [prod_{i=l+1}^{m} (1 + k/(i+1)) (2i+3k-1)] tc(k+l+1, k-1)
@@ -116,6 +120,8 @@ def tc_chain(k: int, m: int) -> Nat:
     prod (1 + k/(i+1)) = prod (i+1+k) * (l+1)!/(m+1)!; since
     (l+2) (l+1)! perm(k+l+1, k-1) = (k+l+1)!, term l is
     num_l (k+l+1)! a(k+l, k-1).  The sum is checked divisible at the end.
+    It reads a(k+l, k-1) as a[k+l][k-1] for l <= m, rows of a that the
+    caller walked.
     """
     if k < 1 or m < 0:
         raise ValueError(f"need k >= 1 and m >= 0, got ({k}, {m})")
@@ -125,7 +131,7 @@ def tc_chain(k: int, m: int) -> Nat:
     # walk l downward so the product over i = l+1..m grows one factor at a
     # time and fact = (k+l+1)! shrinks one factor at a time
     for ell in range(m, -1, -1):
-        total += num * fact * wall_tables.a_rec(k + ell, k - 1)
+        total += num * fact * a[k + ell][k - 1]
         num *= (ell + 1 + k) * (2 * ell + 3 * k - 1)
         fact //= k + ell + 1
     return exact_int(total, factorial(m + 1), ("tc_chain", k, m))
@@ -191,8 +197,8 @@ def tc_asym(n: int, k: int) -> float:
         return math.inf
 
 
-def tc_asym_rel_error(n: int, k: int) -> float:
-    """|estimate/exact - 1| computed entirely in log space."""
-    exact = tc(n, k)
+def tc_asym_rel_error(n: int, k: int, exact: Nat) -> float:
+    """|estimate/exact - 1| computed entirely in log space, given the exact
+    count exact = tc(n, k)."""
     log_exact = math.log(exact)
     return abs(math.expm1(tc_asym_log(n, k) - log_exact))

@@ -13,13 +13,13 @@ Four sequences live here:
   not assumed), whose value at (n, m, k) equals b3(n + m, m, k).
 
 Every table is a list of rows of ints, row i built from row i - 1, with
-no recursion.  A reader of rows 0, 1, 2, ... in order walks them once on
-``walk``, keeping one row: ``a_rows``, ``b_rows``, ``a_alt_columns``,
-``b3_layers`` and ``omega_layers`` (``omega_rows`` reads it).  Only ``a``
-and ``b``, read cell by cell out of order, keep their rows in a
-``RowTable``; a point read of ``a_alt``, ``b3`` or ``omega`` walks to its
-cell.  The rows of ``b`` come from its own two-term recurrence, O(w) cells
-per row like ``a``, not from the b3 layers; the checks compare the two.
+no recursion, and is read one way: by a walk up its rows on ``walk``,
+keeping one row.  The streams are ``a_rows``, ``b_rows``,
+``a_alt_columns``, ``b3_layers`` and ``omega_layers`` (``omega_rows``
+reads it).  A reader of a range walks once; a point read (``a_rec``,
+``b``, ``a_alt``, ``b3``, ``omega``) walks to its cell and keeps nothing.
+The rows of ``b`` come from its own two-term recurrence, O(w) cells per
+row like ``a``, not from the b3 layers; the checks compare the two.
 """
 
 from __future__ import annotations
@@ -33,50 +33,14 @@ from . import closed_forms
 from .exact_arith import Nat, exact_int, factorial
 
 
-class RowTable:
-    """Rows 0, 1, 2, ... of a one-step recurrence, kept for cell reads.
-
-    ``step(row, prev, i, width)`` appends to row i the cells it lacks up to
-    column ``width``, reading only row i itself and row i - 1 (``prev``,
-    None for i = 0) no further than column min(width, i - 1).  Row i ends
-    at column i.  A row filled to its end is complete, and a request (n, k)
-    widens only the run of rows above the highest row that is complete or
-    filled through column k.  A run of row n alone is filled as far as row
-    n - 1 reaches, so a row read cell by cell costs one step, not one per
-    column.  Only tables that a caller reads out of order keep one: ``a``
-    and ``b`` here (``tc_chain`` reads a column of ``a`` bottom row first,
-    ``b_monster`` rows of ``b`` from n - 1 down) and ``u`` in ``poset_lab``
-    (``r_sum`` reads it likewise); every other table is walked.
-    """
-
-    def __init__(self, step: Callable[[list, list | None, int, int], None]) -> None:
-        self._rows: list[list] = []
-        self._widths: list[int] = []
-        self._step = step
-
-    def row(self, n: int, k: int) -> list:
-        """Row n, filled through column k at least."""
-        rows, widths = self._rows, self._widths
-        if n >= len(rows) or widths[n] < k:
-            while len(rows) <= n:
-                rows.append([])
-                widths.append(-1)
-            first = n
-            # stop above a row filled through column k or to its end
-            while first and widths[first - 1] < min(k, first - 1):
-                first -= 1
-            if first == n and n:
-                k = max(k, widths[n - 1])
-            for i in range(first, n + 1):
-                self._step(rows[i], rows[i - 1] if i else None, i, k)
-                widths[i] = k
-        return rows[n]
-
-
 def walk(step: Callable[[list, list | None, int, int], None], width: int) -> Iterator[list]:
-    """Rows 0, 1, 2, ... of the recurrence ``step`` (as for ``RowTable``,
-    each given an empty row) in order, without end, each filled through
-    column ``width``, keeping only the previous row."""
+    """Rows 0, 1, 2, ... of a one-step recurrence, in order, without end,
+    keeping only the previous row.
+
+    ``step(row, prev, i, width)`` fills the empty list ``row`` as row i
+    through column min(i, width) (row i ends at column i), reading only
+    row i itself and row i - 1 (``prev``, None for i = 0) no further than
+    column min(width, i - 1)."""
     prev = None
     for i in itertools.count():
         row: list = []
@@ -86,9 +50,8 @@ def walk(step: Callable[[list, list | None, int, int], None], width: int) -> Ite
 
 
 def _a_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
-    if not row:
-        row.append(prev[0] * (2 * n - 1) if n else 1)
-    for k in range(len(row), min(n, width) + 1):
+    row.append(prev[0] * (2 * n - 1) if n else 1)
+    for k in range(1, min(n, width) + 1):
         row.append(row[k - 1] + (2 * n + k - 1) * (prev[k] if k < n else 0))
 
 
@@ -105,9 +68,8 @@ def _b_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
         2 (n-k+1) b(n, k) = (n-k+2)(n-k+1) b(n, k-1) + 4 (2n+k-1) b(n-1, k)
 
     with b(n-1, n) = 0.  Each cell is one division, checked exact."""
-    if not row:
-        row.append(exact_int(2 * (2 * n - 1) * prev[0], n + 1, ("b", n, 0)) if n else 1)
-    for k in range(len(row), min(n, width) + 1):
+    row.append(exact_int(2 * (2 * n - 1) * prev[0], n + 1, ("b", n, 0)) if n else 1)
+    for k in range(1, min(n, width) + 1):
         below = prev[k] if k < n else 0
         rhs = (n - k + 2) * (n - k + 1) * row[k - 1] + 4 * (2 * n + k - 1) * below
         row.append(exact_int(rhs, 2 * (n - k + 1), ("b", n, k)))
@@ -125,10 +87,9 @@ def _b3_layer(
     and (m-1, k) from this layer and (m, k) from layer n - 1, so a row
     above mmax never feeds one at or below it."""
     for m in range(n + 1 if mmax is None else min(n, mmax) + 1):
-        if m == len(layer):
-            layer.append([])
-        row = layer[m]
-        for k in range(len(row), min(m, width) + 1):
+        row: list[int] = []
+        layer.append(row)
+        for k in range(min(m, width) + 1):
             if n == 0:
                 row.append(1)
                 continue
@@ -161,7 +122,7 @@ def _omega_layer(layer: list[list[int]], prev: list[list[int]] | None, s: int, w
     so each column is one pass down n.  Column k starts at seeds[k] =
     omega(0, s, k)."""
     top_n = s if nmax is None else min(s, nmax)
-    for k in range(len(layer), min(s + 1, width) + 1):
+    for k in range(min(s + 1, width) + 1):
         v = seeds[k]
         col = [v]
         left = layer[k - 1] if k else None
@@ -198,21 +159,17 @@ def omega_rows(nmax: int, mmax: int, kmax: int) -> Iterator[list[list[Nat]]]:
             yield rows.popleft()
 
 
-_A = RowTable(_a_row)
-_B = RowTable(_b_row)
-
-
 def a_rec(n: int, k: int) -> Nat:
     """a(n, k) from the one-step recurrence table
 
         a(n, k) = a(n, k-1) + (2n + k - 1) a(n-1, k),   a(n, 0) = (2n-1)!!
 
-    with a(n, k) = 0 outside 0 <= k <= n.  Entries are immutable once
-    computed; repeated queries return the identical object.
+    with a(n, k) = 0 outside 0 <= k <= n.  A point read walks ``a_rows`` to
+    its cell: O(n k) cells, none kept.
     """
     if not 0 <= k <= n:
         return 0
-    return _A.row(n, k)[k]
+    return next(itertools.islice(a_rows(k), n, None))[k]
 
 
 def a_alt(n: int, k: int) -> Nat:
@@ -273,18 +230,11 @@ def b(n: int, k: int) -> Nat:
 
     with Catalan base b(n, 0), each division checked exact; 0 outside
     0 <= k <= n.  It never reads b3; the check cor-rec compares it with the
-    b3 diagonal."""
+    b3 diagonal.  A point read walks ``b_rows`` to its cell: O(n k) cells,
+    none kept."""
     if not 0 <= k <= n:
         return 0
-    return _B.row(n, k)[k]
-
-
-def b_row(n: int, width: int) -> list[Nat]:
-    """b(n, 0..width) for 0 <= width <= n, as a new list, read off the
-    table of ``b`` in one call."""
-    if not 0 <= width <= n:
-        raise ValueError(f"need 0 <= width <= n, got ({n}, {width})")
-    return _B.row(n, width)[: width + 1]
+    return next(itertools.islice(b_rows(k), n, None))[k]
 
 
 def b3_hook(n: int, m: int) -> Nat:

@@ -137,24 +137,28 @@ def test_criterion_08_extension_family_machinery():
             assert u_brute == poset_lab.u_from_b(n, k), (n, k)
     for n in range(9):
         for k in range(n + 1):
-            assert poset_lab.b_from_u(n, k) == wall_tables.b(n, k), (n, k)
+            u = next(itertools.islice(poset_lab.u_rows(k), n, None))
+            assert poset_lab.b_from_u(n, k, u) == wall_tables.b(n, k), (n, k)
     for n in range(1, 13):
         for k in range(n + 1):
-            decompose = binomial(2 * n + k, n) * poset_lab.f_closed(n, k) - poset_lab.r_sum(n, k)
+            u = list(itertools.islice(poset_lab.u_rows(k), n))
+            decompose = binomial(2 * n + k, n) * poset_lab.f_closed(n, k) - poset_lab.r_sum(n, k, u)
             assert decompose == wall_tables.b(n, k), ("decomposition", n, k)
-            assert poset_lab.b_monster(n, k) == wall_tables.b(n, k), ("monster", n, k)
+            rows = list(itertools.islice(wall_tables.b_rows(k), n))
+            assert poset_lab.b_monster(n, k, rows) == wall_tables.b(n, k), ("monster", n, k)
 
 
 def test_criterion_09_tree_child_route_agreement():
     for n in range(1, 16):
         for k in range(n):
             want = tree_child.tc(n, k)
-            assert tree_child.tc_via_b(n, k) == want, ("via_b", n, k)
+            assert tree_child.tc_via_b(n, k, wall_tables.b(n - 1, k)) == want, ("via_b", n, k)
             assert tree_child.tc_rec(n, k) == want, ("rec", n, k)
             assert tree_child.tc_sum(n, k) == want, ("sum", n, k)
             assert tree_child.tc_closed(n, k) == want, ("closed", n, k)
             if k >= 1:
-                assert tree_child.tc_chain(k, n - k - 1) == want, ("chain", n, k)
+                a = list(itertools.islice(wall_tables.a_rows(k), n))
+                assert tree_child.tc_chain(k, n - k - 1, a) == want, ("chain", n, k)
     for n in range(2, 16):
         assert tree_child.tc(n, 0) == double_factorial(2 * n - 3), n
 
@@ -162,7 +166,7 @@ def test_criterion_09_tree_child_route_agreement():
 def test_criterion_10_asymptotic_error_decreases_and_is_small():
     t0 = time.perf_counter()
     for k in range(4):
-        errs = [tree_child.tc_asym_rel_error(n, k) for n in (50, 100, 200)]
+        errs = [tree_child.tc_asym_rel_error(n, k, tree_child.tc(n, k)) for n in (50, 100, 200)]
         assert errs[0] > errs[1] > errs[2], (k, errs)
         if k == 0:
             assert errs[2] < 1e-3, errs

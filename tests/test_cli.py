@@ -1,21 +1,21 @@
 import functools
-import importlib
 import io
+import itertools
 import json
 import math
 import os
-import pkgutil
+import pickle
 import re
 import subprocess
 import sys
 import tracemalloc
+import typing
 from pathlib import Path
 
 import pytest
 
-import youngwalls
 from youngwalls import cli, closed_forms, poset_lab, tree_child, wall_tables
-from youngwalls.exact_arith import NotIntegralError
+from youngwalls.exact_arith import NotIntegralError, binomial
 
 from conftest import TABLE_A, TABLE_B
 
@@ -279,11 +279,17 @@ def test_table_matches_the_cell_functions(seq, option, capsys):
 
 
 def test_tc_table_stores_no_row_of_a(monkeypatch):
-    # the rows of a that tc reads are walked, not kept in the module table
-    fresh = wall_tables.RowTable(wall_tables._a_row)
-    monkeypatch.setattr(wall_tables, "_A", fresh)
+    # the rows of a that tc reads come off one walk: each row is stepped
+    # once, never again for a cell read
+    step, stepped = wall_tables._a_row, []
+
+    def counting_row(row, prev, n, width):
+        stepped.append(n)
+        step(row, prev, n, width)
+
+    monkeypatch.setattr(wall_tables, "_a_row", counting_row)
     assert run_cli("table", "--seq", "tc", "--nmax", "50", "--k", "2")[0] == 0
-    assert fresh._rows == []
+    assert stepped == list(range(50))
 
 
 class _Sink:
@@ -416,7 +422,8 @@ def test_check_stops_at_first_failing_cell():
         visited.append((n, k))
         return (n, k) != (2, 1)
 
-    check = cli.Check("fails once", {"nmax": 4}, "n <= {nmax}", cli._triangle, holds)
+    # no table to walk: each row n brings no rows, so the cells are (n, k)
+    check = cli._on_walks("fails once", 4, lambda nmax: itertools.repeat(()), holds)
     assert check.run() == (False, "fails at (2, 1)")
     assert visited == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
     assert check.run(nmax=1, kmax=7) == (True, "n <= 1")
@@ -696,34 +703,36 @@ def test_moved_double_factorial_fails_lemma29(monkeypatch):
     assert run_cli("verify", "--check", "lemma29") == (1, "lemma29: FAIL (fails at (1, 2, 0))\n")
 
 
-def test_moved_b_cell_fails_monster(monkeypatch):
-    # b(3, 2) moved in the rows that b_monster reads; the table it is
-    # compared with stays as it is
-    b_row = wall_tables.b_row
-
-    def moved(n, width):
-        row = b_row(n, width)
-        if n == 3 and width >= 2:
-            row[2] += 1
-        return row
-
-    monkeypatch.setattr(wall_tables, "b_row", moved)
-    assert run_cli("verify", "--check", "monster") == (1, "monster: FAIL (fails at (4, 2))\n")
+def _b_rows_below(top):
+    return list(itertools.islice(wall_tables.b_rows(top), top + 1))
 
 
-def test_b_cell_moved_below_width_fails_monster(monkeypatch):
-    # b(3, 1) moved only in rows read at width >= 2: there m = 1 < k, so the
-    # moved cell enters b_monster only through its dot products over m
-    b_row = wall_tables.b_row
+def _first_monster_failure(rows_for):
+    # the first (n, k) of the check monster's domain at which b_monster,
+    # given the rows rows_for(k), differs from b
+    b = _b_rows_below(12)
+    for n in range(1, 13):
+        for k in range(n + 1):
+            if poset_lab.b_monster(n, k, rows_for(k)) != b[n][k]:
+                return n, k
+    return None
 
-    def moved(n, width):
-        row = b_row(n, width)
-        if n == 3 and width >= 2:
-            row[1] += 1
-        return row
 
-    monkeypatch.setattr(wall_tables, "b_row", moved)
-    assert run_cli("verify", "--check", "monster") == (1, "monster: FAIL (fails at (4, 2))\n")
+def test_moved_b_cell_fails_monster():
+    # b(3, 2) moved in the rows that b_monster reads; the b it is compared
+    # with stays as it is
+    rows = _b_rows_below(12)
+    assert _first_monster_failure(lambda k: rows) is None
+    rows[3][2] += 1
+    assert _first_monster_failure(lambda k: rows) == (4, 2)
+
+
+def test_b_cell_moved_below_width_fails_monster():
+    # b(3, 1) moved only in the rows given for k >= 2: there m = 1 < k, so
+    # the moved cell enters b_monster only through its dot products over m
+    rows, moved = _b_rows_below(12), _b_rows_below(12)
+    moved[3][1] += 1
+    assert _first_monster_failure(lambda k: moved if k >= 2 else rows) == (4, 2)
 
 
 @pytest.mark.parametrize(
@@ -754,20 +763,38 @@ def test_moved_b3_cell_fails_the_checks_of_the_b3_diagonal(argv, text, monkeypat
     assert run_cli(*argv) == (1, text)
 
 
-def test_point_reads_of_b3_and_omega_leave_no_memo():
-    # no reader reads b3, omega, a_alt, tc_rec or tc_sum out of order, so a
-    # point read walks to its cell; only the tables read out of order keep rows
-    assert wall_tables.b3(12, 7, 3) == wall_tables.omega(5, 7, 3)
-    assert wall_tables.omega(5, 4, 2) == wall_tables.b3(9, 4, 2)
-    assert tree_child.tc_rec(9, 4) == tree_child.tc_sum(9, 4) == tree_child.tc(9, 4)
-    assert wall_tables.a_alt(9, 4) == wall_tables.a_rec(9, 4)
-    memos = {
-        f"{info.name}.{name}"
-        for info in pkgutil.iter_modules(youngwalls.__path__)
-        for name, v in vars(importlib.import_module(f"youngwalls.{info.name}")).items()
-        if isinstance(v, wall_tables.RowTable)
-    }
-    assert memos == {"wall_tables._A", "wall_tables._B", "poset_lab._U"}
+def _module_values(*modules):
+    # each module-level value, by identity and, where it pickles, by content
+    state = {}
+    for mod in modules:
+        for name, v in vars(mod).items():
+            if name.startswith("__"):
+                continue
+            try:
+                state[mod.__name__, name] = (id(v), pickle.dumps(v))
+            except (TypeError, pickle.PicklingError):
+                state[mod.__name__, name] = (id(v), None)
+    return state
+
+
+def test_reads_of_every_table_and_route_leave_no_module_state():
+    # every table is walked: point reads and the routes fed from a walk keep
+    # no row, so no module-level value changes or grows
+    modules = (wall_tables, poset_lab, tree_child)
+    before = _module_values(*modules)
+    wt, pl, tc = wall_tables, poset_lab, tree_child
+    a, b = list(itertools.islice(wt.a_rows(9), 10)), _b_rows_below(9)
+    u = list(itertools.islice(pl.u_rows(9), 10))
+    assert wt.b3(12, 7, 3) == wt.omega(5, 7, 3)
+    assert wt.omega(5, 4, 2) == wt.b3(9, 4, 2)
+    assert wt.a_alt(9, 4) == wt.a_rec(9, 4) == a[9][4]
+    assert wt.b(9, 4) == wt.b3(9, 9, 4) == pl.b_from_u(9, 4, u[9]) == b[9][4]
+    assert pl.u_from_b(9, 4) == u[9][4]
+    assert pl.b_monster(9, 4, b) == pl.b_monster(9, 4, b[:9]) == b[9][4]
+    assert binomial(22, 9) * pl.f_closed(9, 4) - pl.r_sum(9, 4, u) == b[9][4]
+    assert tc.tc_rec(9, 4) == tc.tc_sum(9, 4) == tc.tc(9, 4) == tc.tc_closed(9, 4)
+    assert tc.tc(9, 4) == tc.tc_via_b(9, 4, b[8][4]) == tc.tc_chain(4, 4, a)
+    assert _module_values(*modules) == before
 
 
 @pytest.mark.parametrize("step", ["_tc_rec_row", "_tc_sum_row"])
@@ -801,18 +828,17 @@ def test_omega_walks_take_their_seeds_from_the_seed_layers(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("check", ["cor-rec", "main-identity", "closed-b"])
+@pytest.mark.parametrize("check", ["cor-rec", "main-identity", "closed-b", "b12", "monster"])
 def test_moved_b_cell_fails_the_checks_of_b(check, monkeypatch):
     # b(3, 3) moved when the two-term step appends it; no later row is read
     step = wall_tables._b_row
 
     def moved(row, prev, n, width):
-        before = len(row)
         step(row, prev, n, width)
-        if n == 3 and before <= 3 < len(row):
+        if n == 3 and len(row) > 3:
             row[3] += 1
 
-    monkeypatch.setattr(wall_tables, "_B", wall_tables.RowTable(moved))
+    monkeypatch.setattr(wall_tables, "_b_row", moved)
     assert run_cli("verify", "--check", check) == (1, f"{check}: FAIL (fails at (3, 3))\n")
 
 
@@ -843,6 +869,14 @@ def test_import_loads_no_network_modules():
     snippet = f"import sys, youngwalls.cli\nprint(sorted(set({unused!r}) & set(sys.modules)))\n"
     proc = _bare_python("-c", snippet)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_annotations_of_main_and_the_runners_resolve():
+    # every name an annotation uses is bound in cli, so the hints evaluate
+    runners = [fn for name, fn in vars(cli).items() if name.startswith("run_")]
+    assert len(runners) == len(cli._RUNNERS)
+    for fn in [cli.main, *runners]:
+        assert typing.get_type_hints(fn)["return"] is int, fn.__name__
 
 
 @pytest.mark.parametrize(
@@ -912,7 +946,7 @@ def test_not_integral_maps_to_exit_1(monkeypatch, capsys):
     def broken(row, prev, n, width):
         step(row, [prev[0] + 1, *prev[1:]] if n == 4 else prev, n, width)
 
-    monkeypatch.setattr(wall_tables, "_B", wall_tables.RowTable(broken))
+    monkeypatch.setattr(wall_tables, "_b_row", broken)
     assert run_cli("verify", "--check", "cor-rec") == (1, "")
     assert capsys.readouterr().err == "error: value at ('b', 4, 0) is not an integer\n"
 

@@ -66,8 +66,6 @@ def test_no_module_reads_a_private_name_of_another_module():
 NOT_REEXPORTED = {
     "cli": "the command line front end: its names serve the walls script",
     "record.Record": "the base class of Poset, WallShape and cli.Check, not a value type",
-    "wall_tables.RowTable": "the memo that the table modules keep their rows in; "
-                            "tables are read through their functions",
     "wall_tables.walk": "the row walk that the table modules build their streams on; "
                         "tables are walked through their streams",
 }

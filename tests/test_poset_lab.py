@@ -176,6 +176,16 @@ def test_d_family_sums_to_b():
             assert brute == wt.b(n, k), (n, k)
 
 
+def _u_below(n, k):
+    # u(i, 0..min(i, k)) for i < n, off one walk
+    return list(itertools.islice(pl.u_rows(k), n))
+
+
+def _b_below(n, k):
+    # b(i, 0..min(i, k)) for i < n, off one walk
+    return list(itertools.islice(wt.b_rows(k), n))
+
+
 def test_u_family_sums_to_transform():
     assert pl.u_from_b(2, 1) == 13
     for n in range(6):
@@ -198,8 +208,8 @@ def test_r_family_brute_matches_formula():
                             brute += pl.count_linear_extensions(
                                 pl.build_R(n, left, j, right)
                             )
-            assert brute == pl.r_sum(n, k), (n, k)
-    assert pl.r_sum(2, 1) == 23
+            assert brute == pl.r_sum(n, k, _u_below(n, k)), (n, k)
+    assert pl.r_sum(2, 1, _u_below(2, 1)) == 23
 
 
 def test_transforms_match_their_literal_sums():
@@ -226,7 +236,7 @@ def test_transforms_match_their_literal_sums():
                             * binomial(n - j - i, s - i) * factorial(s - i)
                             * u_literal(n - j, i)
                         )
-            assert pl.r_sum(n, k) == total, (n, k)
+            assert pl.r_sum(n, k, _u_below(n, k)) == total, (n, k)
 
 
 def test_build_r_degenerate_top():
@@ -239,7 +249,7 @@ def test_decomposition_reproduces_b():
     for n in range(1, 13):
         for k in range(n + 1):
             assert (
-                binomial(2 * n + k, n) * pl.f_closed(n, k) - pl.r_sum(n, k)
+                binomial(2 * n + k, n) * pl.f_closed(n, k) - pl.r_sum(n, k, _u_below(n, k))
                 == wt.b(n, k)
             ), (n, k)
 
@@ -247,10 +257,11 @@ def test_decomposition_reproduces_b():
 def test_monster_recurrence():
     # the agreement with b is the registry check monster (n <= 12)
     with pytest.raises(ValueError):
-        pl.b_monster(0, 0)
+        pl.b_monster(0, 0, [])
+    rows = list(itertools.islice(wt.b_rows(24), 25))
     for n in range(13, 25):
         for k in range(n + 1):
-            assert pl.b_monster(n, k) == wt.b(n, k), (n, k)
+            assert pl.b_monster(n, k, rows) == rows[n][k], (n, k)
 
 
 def test_monster_terms_factor_into_binomials():
@@ -278,8 +289,8 @@ def test_monster_terms_factor_into_binomials():
 @settings(max_examples=20)
 @given(st.integers(min_value=1, max_value=30))
 def test_monster_at_domain_edges(n):
-    assert pl.b_monster(n, 0) == binomial(2 * n, n) // (n + 1)
-    assert pl.b_monster(n, n) == wt.b(n, n)
+    assert pl.b_monster(n, 0, _b_below(n, 0)) == binomial(2 * n, n) // (n + 1)
+    assert pl.b_monster(n, n, _b_below(n, n)) == wt.b(n, n)
 
 
 def test_wallshape_validation():

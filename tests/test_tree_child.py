@@ -1,15 +1,21 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from youngwalls import tree_child as tcn
+from youngwalls import wall_tables as wt
 from youngwalls.exact_arith import double_factorial
 
 from conftest import TC_SPOT
 
 
-@pytest.mark.parametrize("fn", [tcn.tc, tcn.tc_via_b, tcn.tc_rec, tcn.tc_sum, tcn.tc_closed])
+@pytest.mark.parametrize(
+    "fn",
+    [tcn.tc, lambda n, k: tcn.tc_via_b(n, k, 1), tcn.tc_rec, tcn.tc_sum, tcn.tc_closed],
+    ids=["tc", "tc_via_b", "tc_rec", "tc_sum", "tc_closed"],
+)
 def test_domain_guards(fn):
     with pytest.raises(ValueError):
         fn(0, 0)
@@ -50,19 +56,24 @@ def test_rec_and_sum_routes_at_domain_edges(n):
     assert tcn.tc_rec(n, n - 1) == tcn.tc_sum(n, n - 1) == tcn.tc(n, n - 1)
 
 
+def _a_upto(top, width):
+    # rows a(n, 0..min(n, width)) for n <= top, off one walk
+    return list(itertools.islice(wt.a_rows(width), top + 1))
+
+
 @settings(max_examples=30)
 @given(st.integers(min_value=1, max_value=60))
 def test_chain_route_at_its_first_row(k):
-    assert tcn.tc_chain(k, 0) == tcn.tc(k + 1, k)
+    assert tcn.tc_chain(k, 0, _a_upto(k, k - 1)) == tcn.tc(k + 1, k)
 
 
 def test_chain_entry_points():
-    assert tcn.tc_chain(1, 0) == 2
-    assert tcn.tc_chain(1, 1) == 21
+    assert tcn.tc_chain(1, 0, _a_upto(1, 0)) == 2
+    assert tcn.tc_chain(1, 1, _a_upto(2, 0)) == 21
     with pytest.raises(ValueError):
-        tcn.tc_chain(0, 3)
+        tcn.tc_chain(0, 3, _a_upto(3, 0))
     with pytest.raises(ValueError):
-        tcn.tc_chain(2, -1)
+        tcn.tc_chain(2, -1, _a_upto(2, 1))
 
 
 @settings(max_examples=40)
@@ -80,13 +91,13 @@ def test_asym_log_is_finite_where_exp_overflows():
 
 def test_asym_tracks_exact_counts():
     for k in range(4):
-        err = tcn.tc_asym_rel_error(100, k)
+        err = tcn.tc_asym_rel_error(100, k, tcn.tc(100, k))
         assert err < 1e-2, (k, err)
 
 
 def test_asym_error_shrinks_with_n():
     for k in range(4):
-        errs = [tcn.tc_asym_rel_error(n, k) for n in (50, 100, 200)]
+        errs = [tcn.tc_asym_rel_error(n, k, tcn.tc(n, k)) for n in (50, 100, 200)]
         assert errs[0] > errs[1] > errs[2], (k, errs)
 
 

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from youngwalls import tree_child, wall_tables as wt
+from youngwalls import poset_lab, tree_child, wall_tables as wt
 from youngwalls.exact_arith import double_factorial, factorial
 
 from conftest import TABLE_A, TABLE_B
@@ -84,75 +84,21 @@ def test_omega_seed_and_guards():
         wt.omega(0, -1, 0)
 
 
-def test_table_values_are_stable():
-    t = wt.RowTable(wt._b3_layer)
-    first = t.row(7, 3)[5][3]
-    assert t.row(7, 3)[5][3] == first
-    assert first == wt.b3(7, 5, 3)
-
-
-def _a_cell(table, n, k):
-    return table.row(n, k)[k]
-
-
-def test_memo_handles_sparse_far_request():
-    table = wt.RowTable(wt._a_row)
-    # a far row first: the fill stops at column 1, then reads are plain indexing
-    far = _a_cell(table, 600, 1)
-    assert far == _a_cell(table, 600, 0) + (2 * 600 + 1 - 1) * _a_cell(table, 599, 1)
-    assert far == _a_cell(table, 600, 1)
-
-
-def test_cells_asked_out_of_order():
-    table = wt.RowTable(wt._a_row)
-    # a far column first (grows n), then a larger k at small n (widens the
-    # filled rows), then the whole reference triangle
-    assert _a_cell(table, 40, 1) == wt.a_rec(40, 1)
-    assert _a_cell(table, 5, 4) == TABLE_A[5][4]
-    for n, row in TABLE_A.items():
-        assert [_a_cell(table, n, k) for k in range(n + 1)] == row
-
-
-def test_row_read_cell_by_cell_fills_each_row_once():
-    steps = []
-
-    def counting_layer(*args):
-        steps.append(args[2])
-        wt._b3_layer(*args)
-
-    table = wt.RowTable(counting_layer)
-    for n in range(33):
-        for k in range(n + 1):
-            before = len(steps)
-            assert table.row(n, k)[n][k] == wt.b(n, k)
-            # rows below n are complete: a read steps row n alone, or nothing
-            assert steps[before:] in ([], [n]), (n, k)
-    # one step for b(n, 0..n-1) and one to widen row n for b(n, n)
-    assert len(steps) <= 2 * 33
-
-
-def test_complete_rows_keep_their_width():
-    # a complete row stops the widening walk but does not widen the row
-    # above it past its own width: column 0 of b stays one column wide
-    table = wt.RowTable(wt._b3_layer)
-    for n in range(40):
-        table.row(n, 0)
-    assert [len(layer[-1]) for layer in table._rows] == [1] * 40
-
-
 @pytest.mark.parametrize(
     "walk, cell, first",
     [
-        (wt.a_rows, lambda n, k: wt._A.row(n, k)[k], 0),
-        (wt.b_rows, lambda n, k: wt._B.row(n, k)[k], 0),
+        (wt.a_rows, wt.a_rec, 0),
+        (wt.b_rows, wt.b, 0),
+        (poset_lab.u_rows, poset_lab.u_from_b, 0),
         (tree_child.tc_rec_rows, tree_child.tc, 1),
         (tree_child.tc_sum_rows, tree_child.tc, 1),
     ],
-    ids=["a", "b", "tc_rec", "tc_sum"],
+    ids=["a", "b", "u", "tc_rec", "tc_sum"],
 )
 @pytest.mark.parametrize("width", [0, 1, 2, 5, 14])
 def test_walk_matches_the_rows_read_cell_by_cell(walk, cell, first, width):
-    # a and b against their memo, the tc streams against the normative tc;
+    # a, b and u against their point reads, each a walk of its own clipped
+    # at its cell, the tc streams against the normative tc;
     # the rows start at n = first and row n ends at column n - first
     for n, row in zip(range(first, 15), walk(width)):
         assert len(row) == min(n - first, width) + 1, n
@@ -165,9 +111,8 @@ def test_a_alt_columns_match_a(depth):
     assert columns == [[wt.a_rec(n, k) for n in range(depth + 1)] for k in range(depth + 1)]
 
 
-# b(n, 0..n) for n <= 40 from a fresh b3 table, layer by layer
-_DIAGONAL = wt.RowTable(wt._b3_layer)
-_B_REF = [_DIAGONAL.row(n, n)[n] for n in range(41)]
+# b(n, 0..n) for n <= 40, the diagonal of one walk up the b3 layers
+_B_REF = [layer[n] for n, layer in zip(range(41), wt.b3_layers(40))]
 
 
 @pytest.mark.parametrize("width", [0, 1, 3, 10])
@@ -190,55 +135,45 @@ def test_b3_walk_clipped_at_mmax_matches_the_full_walk(nmax, mmax, kmax):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 40), st.integers(0, 40)), max_size=12))
 def test_b_reads_the_b3_diagonal_in_any_request_order(requests):
-    # narrow-then-wide and deep-then-shallow orders widen rows out of order;
-    # every answer of the two-term recurrence must still be the b3 diagonal
-    with mock.patch.object(wt, "_B", wt.RowTable(wt._b_row)):
-        for whole_row, n, k in requests:
-            k = min(k, n)
-            if whole_row:
-                assert wt.b_row(n, k) == _B_REF[n][: k + 1]
-            else:
-                assert wt.b(n, k) == _B_REF[n][k]
-
-
-def _b_cells_appended(reads):
-    # the b cells that the row step appends while reads() runs on a fresh b table
-    appended = []
-
-    def counting_row(row, *args):
-        before = len(row)
-        wt._b_row(row, *args)
-        appended.append(len(row) - before)
-
-    with mock.patch.object(wt, "_B", wt.RowTable(counting_row)):
-        reads()
-    return sum(appended)
+    # narrow-then-wide and deep-then-shallow orders, cell by cell or a whole
+    # row off a walk; every answer of the two-term recurrence must still be
+    # the b3 diagonal
+    for whole_row, n, k in requests:
+        k = min(k, n)
+        if whole_row:
+            assert next(itertools.islice(wt.b_rows(k), n, None)) == _B_REF[n][: k + 1]
+        else:
+            assert wt.b(n, k) == _B_REF[n][k]
 
 
 def test_deep_narrow_b_read_after_a_wide_triangle_walks_narrow():
-    # the triangle leaves rows 0..40 complete; b(400, 2) must fill rows
-    # 41..400 to column 2 only, and refill no row
-    def triangle():
-        for n in range(41):
-            for k in range(n + 1):
-                wt.b(n, k)
+    # the triangle leaves no row behind; b(400, 2) must fill rows 0..400 to
+    # column 2 only, each once
+    for n in range(41):
+        for k in range(n + 1):
+            assert wt.b(n, k) == _B_REF[n][k]
+    step, appended = wt._b_row, []
 
-    cold = _b_cells_appended(lambda: wt.b(400, 2))
-    after_triangle = _b_cells_appended(lambda: (triangle(), wt.b(400, 2)))
-    assert cold == 3 * 401 - 3  # rows 0 and 1 end before column 2
-    assert after_triangle <= _b_cells_appended(triangle) + 2 * cold
+    def counting_row(row, *args):
+        step(row, *args)
+        appended.append(len(row))
+
+    with mock.patch.object(wt, "_b_row", counting_row):
+        wt.b(400, 2)
+    assert sum(appended) == 3 * 401 - 3  # rows 0 and 1 end before column 2
 
 
 def test_b_triangle_never_holds_the_b3_simplex():
     # the b3 layers 0..60 hold C(63, 3) = 39711 ints, about 2.5 MB; the b
-    # rows n <= 60 and one layer hold under 6000
+    # rows n <= 60 and one layer hold under 6000.  The triangle is read off
+    # one walk, as a range reader reads it, then b(60, 60), the deepest and
+    # widest point read, walks to its cell
     snippet = (
         "import tracemalloc\n"
         "from youngwalls import wall_tables as wt\n"
         "tracemalloc.start()\n"
-        "for n in range(61):\n"
-        "    for k in range(n + 1):\n"
-        "        wt.b(n, k)\n"
+        "triangle = [sum(row) for _, row in zip(range(61), wt.b_rows(60))]\n"
+        "assert wt.b(60, 60) == wt.b(60, 59) > 0\n"
         "print(tracemalloc.get_traced_memory()[1])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
