@@ -394,14 +394,15 @@ def _gamma_sum(k: int) -> bool:
 
 
 def _delta_rec(i: int) -> bool:
-    from fractions import Fraction  # the only check that loads fractions
-
-    rhs = -sum(
-        Fraction(binomial(i, j) * double_factorial(3 * i + j - 3), double_factorial(3 * i - 3))
-        * closed_forms.delta(i - j)
-        for j in range(1, i + 1)
-    )
-    return closed_forms.delta(i) == rhs
+    """delta_i (3i-3)!! = -sum_{j=1}^{i} C(i, j) (3i+j-3)!! delta_{i-j}, times
+    D_i: on the numerators N_j of delta_row(i), with (3i+j-3)!! off one run."""
+    nums, _ = closed_forms.delta_row(i)
+    dfact = double_factorials(3 * i - 3, 4 * i - 3)
+    c, rhs = 1, 0
+    for j in range(1, i + 1):
+        c = c * (i - j + 1) // j  # C(i, j)
+        rhs -= c * dfact[j] * nums[i - j]
+    return nums[i] * dfact[0] == rhs
 
 
 def _stock_series(order: int) -> bool:

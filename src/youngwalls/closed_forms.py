@@ -1,16 +1,16 @@
 """Semi-closed forms for the wall-tableau sequences.
 
-Everything here is built from one family of rational coefficients gamma_k.
-The k-th gamma is fixed by requiring that the double-factorial expansion of
-a(n, k) stays consistent when n shrinks to the degenerate corner, which
-gives a self-referential sum that we simply solve for gamma_k.  All closed
-forms return exact values.  a_closed, b_closed and omega_init sum in
-integers over the common denominator of their gamma weights, and one
-exact_int checks that it divides the sum.  lemma28_rhs sums in integers
-over s! 2^s, the common denominator of its alpha weights, and returns the
-sum times s! 2^s; lemma29_check compares both sides times
-n! (4k-3-i)!!, where every term is an integer.  gamma, delta and alpha
-stay rational.
+Everything here is built from one family of rational coefficients gamma_k,
+held as integer rows over a common denominator: _gamma_row(k) holds
+gamma_{k-i} / i! and delta_row(k) holds delta_j = j! gamma_j.  The k-th
+gamma is fixed by requiring that the double-factorial expansion of a(n, k)
+stays consistent when n shrinks to the degenerate corner, which gives a
+self-referential sum that we simply solve for gamma_k.  a_closed, b_closed
+and omega_init sum in integers over the common denominator of their gamma
+weights, and one exact_int checks that it divides the sum.  lemma28_rhs
+sums in integers over s! 2^s, the common denominator of its alpha weights,
+and returns the sum times s! 2^s; lemma29_check compares both sides times
+n! (4k-3-i)!!, where every term is an integer.
 """
 
 from __future__ import annotations
@@ -34,35 +34,18 @@ _AlphaBlock = tuple[tuple[int, int, int], ...]
 _LEMMA28_WEIGHTS: list[tuple[_AlphaBlock, _AlphaBlock]] = []
 
 
-def gamma(k: int) -> Fraction:
-    """Rational coefficient gamma_k of the double-factorial expansions.
-
-    gamma_0 = 1 and for k >= 1
-        gamma_k = -(1 / (3k-3)!!) * sum_{i=1}^{k} gamma_{k-i} / i! * (3k+i-3)!!
-    First values: 1, -1, 1/6, 17/48.  The sum is solved in integers, over
-    the common denominator of its weights (see _gamma_row).
-    """
-    from fractions import Fraction  # only the rational routes load fractions
-
-    if k < 0:
-        raise ValueError(f"gamma undefined for {k}")
-    nums, den = _gamma_row(k)
-    return Fraction(nums[0], den)
-
-
-def delta(j: int) -> Fraction:
-    """Scaled variant delta_j = j! * gamma_j, the coefficients used by the
-    double-factorial expansion of the tree-child counts."""
-    return factorial(j) * gamma(j)
-
-
 def _gamma_row(k: int) -> IntRow:
     """gamma_{k-i} / i! for i = 0..k as integer numerators over their least
-    common denominator.
+    common denominator, for k >= 0.  gamma_0 = 1 and for k >= 1
 
-    Row j is built from row j-1: for i >= 1 its entry i is entry i-1 of row
-    j-1 divided by i, and those entries fix gamma_j, its entry 0.
+        gamma_k = -(1 / (3k-3)!!) * sum_{i=1}^{k} gamma_{k-i} / i! * (3k+i-3)!!
+
+    so gamma_0..gamma_3 = 1, -1, 1/6, 17/48.  Row j is built from row j-1:
+    for i >= 1 its entry i is entry i-1 of row j-1 divided by i, and those
+    entries fix gamma_j, its entry 0.
     """
+    if k < 0:
+        raise ValueError(f"gamma undefined for {k}")
     while len(_GAMMA_ROWS) <= k:
         j = len(_GAMMA_ROWS)
         prev, den = _GAMMA_ROWS[-1]
@@ -80,7 +63,9 @@ def _gamma_row(k: int) -> IntRow:
 
 def delta_row(k: int) -> IntRow:
     """delta_0..delta_k (delta_j = j! gamma_j, off _gamma_row(j)) as integer
-    numerators N_i over D_k = lcm of their reduced denominators."""
+    numerators N_i over D_k = lcm of their reduced denominators, for k >= 0."""
+    if k < 0:
+        raise ValueError(f"delta undefined for {k}")
     while len(_DELTA_ROWS) <= k:
         gammas, gamma_den = _gamma_row(j := len(_DELTA_ROWS))
         num = factorial(j) * gammas[0]  # delta_j = num / gamma_den
@@ -166,29 +151,10 @@ def omega_init_layers(width: int) -> Iterator[list[Nat]]:
         facts = [facts[0] * (s + 2), *facts[:width]]
 
 
-def alpha(s: int, p: int, q: int) -> Fraction:
-    """Coefficient alpha_s(p, q) appearing when the omega recurrence is
-    unfolded s steps along its vanishing boundary layer:
-
-        (-1)^(q-p+1) (s-1+q-p)! / ((s-q-2p+2)! (q-1)! 2^(q-1) (p-1)!)
-    """
-    from fractions import Fraction
-
-    if p < 1 or q < 1:
-        raise ValueError(f"need p, q >= 1, got ({p}, {q})")
-    if s - q - 2 * p + 2 < 0 or s - 1 + q - p < 0:
-        raise ValueError(f"alpha out of domain at ({s}, {p}, {q})")
-    # q - p + 1 can go negative, and ** would then produce a float
-    sign = -1 if (q - p + 1) % 2 else 1
-    return Fraction(
-        sign * factorial(s - 1 + q - p),
-        factorial(s - q - 2 * p + 2) * factorial(q - 1) * 2 ** (q - 1) * factorial(p - 1),
-    )
-
-
 def _lemma28_weights(s: int) -> tuple[_AlphaBlock, _AlphaBlock]:
     """The alpha weights of lemma28_rhs at unfolding depth s, as (p, q, w)
-    with w = alpha(t, p, q) * s! * 2^s, for t = s and for t = s + 1:
+    with w = alpha_t(p, q) * s! * 2^s, for t = s and for t = s + 1, where
+    alpha_t(p, q) = (-1)^(q-p+1) (t-1+q-p)! / ((t-q-2p+2)! (q-1)! 2^(q-1) (p-1)!):
 
         w = (-1)^(p+q+1) (t-1+q-p)! s! 2^(s-q+1) / ((t-q-2p+2)! (q-1)! (p-1)!)
 
@@ -213,8 +179,8 @@ def lemma28_rhs(n: int, k: int, s: int, omega_source: Callable[[int, int, int], 
     """The two-block alpha sum that rewrites omega(n, k-1, k) after
     unfolding its recurrence s times (1 <= s <= n), times s! 2^s:
 
-        sum_{p,q} alpha(s, p, q) omega(n-s-1, k+s-p, k+1-q)
-          - sum_{p,q} alpha(s+1, p, q) omega(n-s, k+s-p, k+1-q)
+        sum_{p,q} alpha_s(p, q) omega(n-s-1, k+s-p, k+1-q)
+          - sum_{p,q} alpha_{s+1}(p, q) omega(n-s, k+s-p, k+1-q)
 
     The omega_source callable must return 0 outside the omega domain.  The
     whole expression equals omega(n, k-1, k) and therefore vanishes, and so

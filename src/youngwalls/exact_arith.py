@@ -1,9 +1,10 @@
 """Integer primitives shared by every counting module.
 
 All counts are arbitrary-precision ints and all arithmetic is exact; floats
-never appear here.  A value that is rational by nature is a
-``fractions.Fraction``, built only by the routes that return or check one,
-which import ``fractions`` themselves: ``exact_int`` also takes one.
+never appear here.  No module of the package builds a Fraction: a value
+that is rational by nature is held as integer numerators over a common
+denominator, and ``exact_int`` checks each division that an identity
+makes exact.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def binomial(n: int, k: int) -> Nat:
     return math.comb(n, k)
 
 
-def exact_int(num: int | Fraction, den: int = 1, where: object = None) -> Nat:
+def exact_int(num: int, den: int, where: object = None) -> Nat:
     """num / den as an int, raising NotIntegralError unless it is one.
 
     Every integrality and divisibility invariant goes through here, so the
@@ -69,4 +70,4 @@ def exact_int(num: int | Fraction, den: int = 1, where: object = None) -> Nat:
     quot, rem = divmod(num, den)
     if rem:
         raise NotIntegralError(f"value at {where} is not an integer")
-    return int(quot)
+    return quot

@@ -66,16 +66,6 @@ class Poset(Record):
             if deep[t] >> s & 1:
                 raise ValueError(f"redundant cover {s}>{t}")
 
-    # -- stock shapes -------------------------------------------------------
-
-    @staticmethod
-    def chain(m: int) -> "Poset":
-        return Poset(m, [(i, i + 1) for i in range(m - 1)])
-
-    @staticmethod
-    def antichain(m: int) -> "Poset":
-        return Poset(m, [])
-
 
 def _down_sets(p: Poset) -> list[int] | None:
     """below[v], the bitmask of the elements strictly below v, for every v,

@@ -3,12 +3,12 @@ the wall-tableau tables by tc(n, k) = n!/(n-k)! * a(n-1, k).
 
 Six exact routes are kept deliberately independent so they can be compared,
 plus a float asymptotic evaluated in log space (the counts overflow doubles
-long before the interesting range ends).  ``tc_rec`` and ``tc_sum``, the
-routes with their own recurrence, walk their rows on ``wall_tables.walk``
-(``tc_rec_rows``, ``tc_sum_rows``), keeping none.  The routes through the
-tables are formulas in the cells they read: ``tc_from_a`` and ``tc_via_b``
-take one cell, ``tc_chain`` a column of a off its caller's walk, and the
-normative ``tc`` reads a(n-1, k) by a point read that walks to it.
+long before the interesting range ends).  The routes with their own
+recurrence stream their rows off ``wall_tables.walk`` (``tc_rec_rows``,
+``tc_sum_rows``), keeping one.  The routes through the tables are
+formulas in the cells they read: ``tc_from_a`` and ``tc_via_b`` take one
+cell, ``tc_chain`` a column of a off its caller's walk, and the normative
+``tc`` reads a(n-1, k) by a point read that walks to it.
 """
 
 from __future__ import annotations
@@ -45,19 +45,6 @@ def tc_via_b(n: int, k: int, b: Nat) -> Nat:
     return exact_int(factorial(n) * b, 2 ** (n - k - 1), ("tc_via_b", n, k))
 
 
-def tc_rec(n: int, k: int) -> Nat:
-    """tc by its own two-term recurrence
-
-        (n-k) tc(n, k) = (n+1-k)(n-k) tc(n, k-1) + n (2n+k-3) tc(n-1, k)
-
-    seeded only by tc(1, 0) = 1, with tc(i, -1) = tc(i, i) = 0.  Division by
-    n - k is checked exact.  Self-contained: never consults the other routes.
-    A point read walks ``tc_rec_rows`` to its cell: O(n k) cells, none kept.
-    """
-    _check_domain(n, k)
-    return next(itertools.islice(tc_rec_rows(k), n - 1, None))[k]
-
-
 def _tc_rec_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
     if n == 1:
         row.append(1)
@@ -70,20 +57,13 @@ def _tc_rec_row(row: list[int], prev: list[int] | None, n: int, width: int) -> N
 
 
 def tc_rec_rows(width: int) -> Iterator[list[Nat]]:
-    """Rows tc(n, 0..min(n - 1, width)) of ``tc_rec`` for n = 1, 2, 3, ...,
-    without end, walked once: only the previous row is kept."""
+    """Rows tc(n, 0..min(n - 1, width)) for n = 1, 2, 3, ..., without end,
+    walked once (one row kept) by the self-contained two-term recurrence
+
+        (n-k) tc(n, k) = (n+1-k)(n-k) tc(n, k-1) + n (2n+k-3) tc(n-1, k)
+
+    from tc(1, 0) = 1, with tc(i, -1) = tc(i, i) = 0; each division checked."""
     return itertools.islice(wall_tables.walk(_tc_rec_row, width), 1, None)
-
-
-def tc_sum(n: int, k: int) -> Nat:
-    """tc by the full-history recurrence
-
-        (n-k)! tc(n, k) = sum_{i=0}^{k} n (2n+i-3) (n-1-i)! tc(n-1, i),
-
-    also self-contained and seeded by tc(1, 0) = 1.  A point read walks
-    ``tc_sum_rows`` to its cell."""
-    _check_domain(n, k)
-    return next(itertools.islice(tc_sum_rows(k), n - 1, None))[k]
 
 
 def _tc_sum_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
@@ -103,8 +83,10 @@ def _tc_sum_row(row: list[int], prev: list[int] | None, n: int, width: int) -> N
 
 
 def tc_sum_rows(width: int) -> Iterator[list[Nat]]:
-    """Rows tc(n, 0..min(n - 1, width)) of ``tc_sum`` for n = 1, 2, 3, ...,
-    without end, walked once: only the previous row is kept."""
+    """Rows tc(n, 0..min(n - 1, width)) as ``tc_rec_rows``, by the
+    self-contained full-history recurrence, each division checked,
+
+        (n-k)! tc(n, k) = sum_{i=0}^{k} n (2n+i-3) (n-1-i)! tc(n-1, i)."""
     return itertools.islice(wall_tables.walk(_tc_sum_row, width), 1, None)
 
 
@@ -115,7 +97,7 @@ def tc_chain(k: int, m: int, a: Sequence[Sequence[int]]) -> Nat:
 
     where the lower-level values come from the normative formula
     tc(n, k-1) = n!/(n-k+1)! a(n-1, k-1), written inline, so the route
-    stays independent of tc_closed, tc_rec and tc_sum.  The sum runs in
+    stays independent of tc_closed and the row streams.  The sum runs in
     integers over the common denominator (m+1)!, with
     prod (1 + k/(i+1)) = prod (i+1+k) * (l+1)!/(m+1)!; since
     (l+2) (l+1)! perm(k+l+1, k-1) = (k+l+1)!, term l is

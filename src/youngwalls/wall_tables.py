@@ -17,7 +17,7 @@ no recursion, and is read one way: by a walk up its rows on ``walk``,
 keeping one row.  The streams are ``a_rows``, ``b_rows``,
 ``a_alt_columns``, ``b3_layers`` and ``omega_layers`` (``omega_rows``
 reads it).  A reader of a range walks once; a point read (``a_rec``,
-``b``, ``a_alt``, ``b3``, ``omega``) walks to its cell and keeps nothing.
+``b``, ``b3``, ``omega``) walks to its cell and keeps nothing.
 The rows of ``b`` come from its own two-term recurrence, O(w) cells per
 row like ``a``, not from the b3 layers; the checks compare the two.
 """
@@ -172,21 +172,6 @@ def a_rec(n: int, k: int) -> Nat:
     return next(itertools.islice(a_rows(k), n, None))[k]
 
 
-def a_alt(n: int, k: int) -> Nat:
-    """a(n, k) from the independent column-to-column expansion
-
-        a(n, k) = a(n, k-1)
-                  + sum_{i=k}^{n-1} (prod_{j=i}^{n-1} (2j + k + 1)) a(i, k-1),
-
-    which rebuilds each column from the previous one without touching the
-    one-step recurrence.  Kept deliberately separate from a_rec as a
-    cross-check route; a point read walks ``a_alt_columns`` to its cell.
-    """
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return next(itertools.islice(a_alt_columns(n), k, None))[n]
-
-
 def _a_alt_column(col: list[int], prev: list[int] | None, k: int, depth: int) -> None:
     for n in range(depth + 1):
         if n < k:
@@ -203,9 +188,12 @@ def _a_alt_column(col: list[int], prev: list[int] | None, k: int, depth: int) ->
 
 
 def a_alt_columns(depth: int) -> Iterator[list[Nat]]:
-    """Columns k = 0..depth of the column expansion of ``a_alt``, each as
-    a(0..depth, k) with zeros above the diagonal (n < k), walked once: only
-    the previous column is kept."""
+    """Columns a(0..depth, k), zeros above the diagonal, for k = 0..depth by
+    the expansion, independent of the one-step recurrence of ``a_rec``,
+
+        a(n, k) = a(n, k-1) + sum_{i=k}^{n-1} (prod_{j=i}^{n-1} (2j+k+1)) a(i, k-1),
+
+    walked once: only the previous column is kept."""
     return itertools.islice(walk(_a_alt_column, depth), depth + 1)
 
 

@@ -82,9 +82,11 @@ def test_criterion_05_lemma_suite_and_alpha_fixtures():
         for k in range(1, 6):
             for s in range(1, n + 1):
                 assert closed_forms.lemma28_rhs(n, k, s, wall_tables.omega) == 0, (n, k, s)
-    assert closed_forms.alpha(1, 1, 1) == -1
-    assert closed_forms.alpha(2, 1, 1) == -1
-    assert closed_forms.alpha(2, 1, 2) == 1
+    # alpha_1(1, 1) = -1, alpha_2(1, 1) = -1 and alpha_2(1, 2) = 1, as the
+    # integer weights of lemma28_rhs at depth s = 1 over s! 2^s = 2
+    first, second = closed_forms._lemma28_weights(1)
+    assert [(p, q, Fraction(w, 2)) for p, q, w in (*first, *second)] == [
+        (1, 1, -1), (1, 1, -1), (1, 2, 1)]
 
 
 def test_criterion_06_generating_function_three_way_agreement():
@@ -149,12 +151,15 @@ def test_criterion_08_extension_family_machinery():
 
 
 def test_criterion_09_tree_child_route_agreement():
+    # rows n = 1..15 of the two self-contained routes, one walk each
+    rec = list(itertools.islice(tree_child.tc_rec_rows(14), 15))
+    full = list(itertools.islice(tree_child.tc_sum_rows(14), 15))
     for n in range(1, 16):
         for k in range(n):
             want = tree_child.tc(n, k)
             assert tree_child.tc_via_b(n, k, wall_tables.b(n - 1, k)) == want, ("via_b", n, k)
-            assert tree_child.tc_rec(n, k) == want, ("rec", n, k)
-            assert tree_child.tc_sum(n, k) == want, ("sum", n, k)
+            assert rec[n - 1][k] == want, ("rec", n, k)
+            assert full[n - 1][k] == want, ("sum", n, k)
             assert tree_child.tc_closed(n, k) == want, ("closed", n, k)
             if k >= 1:
                 a = list(itertools.islice(wall_tables.a_rows(k), n))

@@ -1,10 +1,12 @@
 import functools
+import importlib
 import io
 import itertools
 import json
 import math
 import os
 import pickle
+import pkgutil
 import re
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import youngwalls
 from youngwalls import cli, closed_forms, poset_lab, tree_child, wall_tables
 from youngwalls.exact_arith import NotIntegralError, binomial
 
@@ -665,7 +668,8 @@ def _move_cached_weight(monkeypatch, rows, row, entry):
      ("tc-routes", "_DELTA_ROWS", closed_forms.delta_row, 1, "(3, 2)"),
      ("dk-threeway", "_GAMMA_ROWS", closed_forms._gamma_row, 1, "(2, 20)"),
      ("omega-bridge", "_GAMMA_ROWS", closed_forms._gamma_row, 1, "(0, 1, 2)"),
-     ("gamma-sum", "_GAMMA_ROWS", closed_forms._gamma_row, 0, "(2)")],
+     ("gamma-sum", "_GAMMA_ROWS", closed_forms._gamma_row, 0, "(2)"),
+     ("delta-rec", "_DELTA_ROWS", closed_forms.delta_row, 2, "(2)")],
 )
 def test_wrong_cached_weight_fails_the_check(monkeypatch, check, rows, row, entry, cell):
     # the moved numerator keeps the sum integral but wrong
@@ -787,12 +791,14 @@ def test_reads_of_every_table_and_route_leave_no_module_state():
     u = list(itertools.islice(pl.u_rows(9), 10))
     assert wt.b3(12, 7, 3) == wt.omega(5, 7, 3)
     assert wt.omega(5, 4, 2) == wt.b3(9, 4, 2)
-    assert wt.a_alt(9, 4) == wt.a_rec(9, 4) == a[9][4]
+    assert list(wt.a_alt_columns(9))[4][9] == wt.a_rec(9, 4) == a[9][4]
     assert wt.b(9, 4) == wt.b3(9, 9, 4) == pl.b_from_u(9, 4, u[9]) == b[9][4]
     assert pl.u_from_b(9, 4) == u[9][4]
     assert pl.b_monster(9, 4, b) == pl.b_monster(9, 4, b[:9]) == b[9][4]
     assert binomial(22, 9) * pl.f_closed(9, 4) - pl.r_sum(9, 4, u) == b[9][4]
-    assert tc.tc_rec(9, 4) == tc.tc_sum(9, 4) == tc.tc(9, 4) == tc.tc_closed(9, 4)
+    rec = next(itertools.islice(tc.tc_rec_rows(4), 8, None))
+    full = next(itertools.islice(tc.tc_sum_rows(4), 8, None))
+    assert rec[4] == full[4] == tc.tc(9, 4) == tc.tc_closed(9, 4)
     assert tc.tc(9, 4) == tc.tc_via_b(9, 4, b[8][4]) == tc.tc_chain(4, 4, a)
     assert _module_values(*modules) == before
 
@@ -871,12 +877,33 @@ def test_import_loads_no_network_modules():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
+def _public_functions():
+    """Every public function and public method defined in a package module."""
+    for info in pkgutil.iter_modules(youngwalls.__path__):
+        mod = importlib.import_module(f"youngwalls.{info.name}")
+        for name, value in vars(mod).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != mod.__name__:
+                continue
+            if isinstance(value, type):
+                yield from (getattr(value, attr) for attr in vars(value)
+                            if not attr.startswith("_") and callable(getattr(value, attr)))
+            elif callable(value):
+                yield value
+
+
 def test_annotations_of_main_and_the_runners_resolve():
-    # every name an annotation uses is bound in cli, so the hints evaluate
+    # every name an annotation uses is bound in its module, so the hints evaluate
     runners = [fn for name, fn in vars(cli).items() if name.startswith("run_")]
     assert len(runners) == len(cli._RUNNERS)
     for fn in [cli.main, *runners]:
         assert typing.get_type_hints(fn)["return"] is int, fn.__name__
+    functions = list(_public_functions())
+    assert cli.main in functions and poset_lab.count_linear_extensions in functions
+    for fn in functions:
+        try:
+            typing.get_type_hints(fn)
+        except NameError as exc:
+            pytest.fail(f"{fn.__module__}.{fn.__qualname__}: {exc}")
 
 
 @pytest.mark.parametrize(
@@ -890,14 +917,14 @@ def test_lazy_imports_in_a_fresh_process(argv):
     assert (proc.returncode, proc.stdout, proc.stderr) == (*run_cli(*argv), "")
 
 
-# one request of each kind that builds no rational: each table, each series
-# method, each check but the rational delta recursion, each crosscheck map,
-# each oracle sequence and asym
+# one request of each kind, none of which builds a rational: each table, each
+# series method, each check and all of them in one request, each crosscheck
+# map, each oracle sequence and asym
 INTEGER_REQUESTS = [
     *(["table", "--seq", seq, "--nmax", "6"] for seq in TABLE_SEQS),
     *(["series", "--dk", "2", "--order", "8", "--method", m]
       for m in ("recurrence", "closed", "kernel")),
-    *(["verify", "--check", name] for name in cli.CHECKS if name != "delta-rec"),
+    *(["verify", "--check", name] for name in [*cli.CHECKS, "all"]),
     *(["crosscheck", "--map", name] for name in cli.OEIS_MAPS),
     *(["oracle", "--seq", seq, "--n", "3", "--k", "1", *(["--m", "2"] if seq == "b3" else [])]
       for seq in ("a", "b", "b3")),
@@ -933,8 +960,8 @@ def _rational_requests() -> frozenset[str]:
 
 @pytest.mark.parametrize("argv", INTEGER_REQUESTS, ids=" ".join)
 def test_integer_request_loads_no_rational_module(argv):
-    # fractions (and with it decimal and numbers) is imported only by the
-    # routes that build a rational
+    # no route builds a rational: fractions (and with it decimal and numbers)
+    # is never imported
     assert " ".join(argv) not in _rational_requests()
 
 
@@ -971,10 +998,9 @@ def test_failed_kernel_division_exits_1(argv, monkeypatch, capsys):
 
 def test_invariants_checked_under_optimize():
     snippet = (
-        "from fractions import Fraction\n"
         "from youngwalls.exact_arith import NotIntegralError, exact_int\n"
         "try:\n"
-        "    exact_int(Fraction(1, 2))\n"
+        "    exact_int(1, 2)\n"
         "except NotIntegralError:\n"
         "    print('raised')\n"
     )

@@ -8,19 +8,48 @@ from youngwalls import wall_tables as wt
 from youngwalls.exact_arith import NotIntegralError, double_factorial, factorial
 
 
-def test_gamma_first_values():
-    assert [cf.gamma(k) for k in range(4)] == [
+def _gamma(k: int) -> Fraction:
+    # gamma_k is entry 0 of the integer row of gamma_{k-i} / i!
+    nums, den = cf._gamma_row(k)
+    return Fraction(nums[0], den)
+
+
+def _alpha(s: int, p: int, q: int) -> Fraction:
+    # the rational coefficient alpha_s(p, q) of the unfolded omega recurrence,
+    # the reference for the integer weights of lemma28_rhs
+    if p < 1 or q < 1:
+        raise ValueError(f"need p, q >= 1, got ({p}, {q})")
+    if s - q - 2 * p + 2 < 0 or s - 1 + q - p < 0:
+        raise ValueError(f"alpha out of domain at ({s}, {p}, {q})")
+    sign = -1 if (q - p + 1) % 2 else 1
+    return Fraction(
+        sign * factorial(s - 1 + q - p),
+        factorial(s - q - 2 * p + 2) * factorial(q - 1) * 2 ** (q - 1) * factorial(p - 1),
+    )
+
+
+def test_gamma_first_values(monkeypatch):
+    # a negative index is rejected, never served the row cached last: with
+    # the caches filled past row 5, then cut back to their seed rows
+    cf.delta_row(5)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            cf.delta_row(-1)
+        with pytest.raises(ValueError):
+            cf.gamma_dfact_terms(2, -1)
+        monkeypatch.setattr(cf, "_GAMMA_ROWS", cf._GAMMA_ROWS[:1])
+        monkeypatch.setattr(cf, "_DELTA_ROWS", cf._DELTA_ROWS[:1])
+    assert [_gamma(k) for k in range(4)] == [
         Fraction(1),
         Fraction(-1),
         Fraction(1, 6),
         Fraction(17, 48),
     ]
-    with pytest.raises(ValueError):
-        cf.gamma(-1)
 
 
 def test_delta_values():
-    assert [cf.delta(j) for j in range(4)] == [
+    nums, den = cf.delta_row(3)
+    assert [Fraction(c, den) for c in nums] == [
         Fraction(1),
         Fraction(-1),
         Fraction(1, 3),
@@ -43,18 +72,18 @@ def test_gamma_matches_the_fraction_recursion():
             for i in range(1, j + 1)
         )
         ref.append(-acc / double_factorial(3 * j - 3))
-    assert [cf.gamma(k) for k in range(61)] == ref
+    assert [_gamma(k) for k in range(61)] == ref
 
 
 def test_integer_rows_restate_the_weights():
     for k in range(12):
         nums, den = cf._gamma_row(k)
         assert isinstance(nums, tuple)
-        weights = [cf.gamma(k - i) / factorial(i) for i in range(k + 1)]
+        weights = [_gamma(k - i) / factorial(i) for i in range(k + 1)]
         assert [Fraction(c, den) for c in nums] == weights
         nums, den = cf.delta_row(k)
         assert isinstance(nums, tuple)
-        assert [Fraction(c, den) for c in nums] == [cf.delta(i) for i in range(k + 1)]
+        assert [Fraction(c, den) for c in nums] == [factorial(i) * _gamma(i) for i in range(k + 1)]
 
 
 def test_closed_forms_far_row():
@@ -204,13 +233,17 @@ def test_omega_init_layers_check_every_seed(monkeypatch):
 
 
 def test_alpha_fixtures_and_domain():
-    assert cf.alpha(1, 1, 1) == -1
-    assert cf.alpha(2, 1, 1) == -1
-    assert cf.alpha(2, 1, 2) == 1
+    assert _alpha(1, 1, 1) == -1
+    assert _alpha(2, 1, 1) == -1
+    assert _alpha(2, 1, 2) == 1
     with pytest.raises(ValueError):
-        cf.alpha(1, 0, 1)
+        _alpha(1, 0, 1)
     with pytest.raises(ValueError):
-        cf.alpha(1, 1, 3)  # s - q - 2p + 2 < 0
+        _alpha(1, 1, 3)  # s - q - 2p + 2 < 0
+    # the same fixtures as the integer weights at depth 1, over 1! 2^1
+    first, second = cf._lemma28_weights(1)
+    assert [(p, q, Fraction(w, 2)) for p, q, w in (*first, *second)] == [
+        (1, 1, -1), (1, 1, -1), (1, 2, 1)]
 
 
 def test_lemma28_sum_vanishes():
@@ -241,17 +274,13 @@ def test_lemma28_weights_are_scaled_alphas():
             ]
             for p, q, w in block:
                 assert type(w) is int, (s, t, p, q)
-                assert w == cf.alpha(t, p, q) * factorial(s) * 2**s, (s, t, p, q)
+                assert w == _alpha(t, p, q) * factorial(s) * 2**s, (s, t, p, q)
 
 
 def test_lemma28_weights_are_built_without_alpha(monkeypatch):
-    # each weight is one integer division of factorials; alpha stays the
-    # rational reference that the test above compares them with
-    def refused(*args):
-        raise RuntimeError(f"alpha{args} called")
-
+    # each weight is one integer division of factorials; the rational alpha
+    # is only the reference of the tests (_alpha)
     monkeypatch.setattr(cf, "_LEMMA28_WEIGHTS", [])
-    monkeypatch.setattr(cf, "alpha", refused)
     assert cf._lemma28_weights(1) == (((1, 1, -2),), ((1, 1, -2), (1, 2, 2)))
     assert len(cf._lemma28_weights(12)[1]) == 49  # t = 13: q <= 15 - 2p, p <= 7
 
@@ -267,10 +296,10 @@ def test_lemma28_rhs_is_the_alpha_sum():
         for k in range(1, 5):
             for s in range(1, n + 1):
                 want = sum(
-                    cf.alpha(s, p, q) * source(n - s - 1, k + s - p, k + 1 - q)
+                    _alpha(s, p, q) * source(n - s - 1, k + s - p, k + 1 - q)
                     for p in range(1, (s + 1) // 2 + 1) for q in range(1, s + 3 - 2 * p)
                 ) - sum(
-                    cf.alpha(s + 1, p, q) * source(n - s, k + s - p, k + 1 - q)
+                    _alpha(s + 1, p, q) * source(n - s, k + s - p, k + 1 - q)
                     for p in range(1, (s + 2) // 2 + 1) for q in range(1, s + 4 - 2 * p)
                 )
                 assert cf.lemma28_rhs(n, k, s, source) == want * factorial(s) * 2**s, (n, k, s)

@@ -202,8 +202,9 @@ def catalan(n):
 @settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=60))
 def test_a_alt_at_domain_edges(n):
-    assert wt.a_alt(n, 0) == double_factorial(2 * n - 1)
-    assert wt.a_alt(n, n) == wt.a_rec(n, n)
+    columns = list(wt.a_alt_columns(n))
+    assert columns[0][n] == double_factorial(2 * n - 1)
+    assert columns[n][n] == wt.a_rec(n, n)
 
 
 @settings(max_examples=30)
