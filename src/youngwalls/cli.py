@@ -46,9 +46,11 @@ Cell = tuple[tuple[int, ...], int]
 # table command
 
 
-def _table_rows(args: argparse.Namespace) -> Iterator[list[Cell]]:
+def _table_rows(args: argparse.Namespace, one: object = None) -> Iterator[list[Cell]]:
     """The cells of a `table` request, one list per row n, each computed
-    when it is read.  Every usage error is raised here, before any row."""
+    when it is read; the rows of a, b, tc and u are walked in the ring of
+    ``one`` (see ``wall_tables.walk``).  Every usage error is raised here,
+    before any row."""
     seq, nmax = args.seq, args.nmax
     sliced = args.k is not None or args.diag
     if args.k is not None and args.diag:
@@ -68,7 +70,7 @@ def _table_rows(args: argparse.Namespace) -> Iterator[list[Cell]]:
         if first > nmax:
             reach = " reaches the slice" if sliced else ""
             raise _Usage(f"no row of {seq} with n <= {nmax}{reach}")
-        rows = _two_index_rows(args, first)
+        rows = _two_index_rows(args, first, one)
     elif sliced:
         raise _Usage("slices are only available for 2-index sequences")
     elif seq == "b3":
@@ -90,17 +92,19 @@ def _table_rows(args: argparse.Namespace) -> Iterator[list[Cell]]:
     return rows
 
 
-def _cell_readers(seq: str, nmax: int, width: int) -> Iterator[tuple[int, Callable[[int], int]]]:
+def _cell_readers(seq: str, nmax: int, width: int,
+                  one: object) -> Iterator[tuple[int, Callable[[int], int]]]:
     """(n, cell) for the rows n <= nmax of a 2-index sequence, where cell(k)
-    is its value at (n, k) for k <= width.  a, b, u and tc read row streams,
-    keeping one row; f and ftilde are closed forms, computed cell by cell."""
+    is its value at (n, k) for k <= width.  a, b, u and tc read row streams
+    walked in the ring of ``one``, keeping one row; f and ftilde are closed
+    forms, computed cell by cell."""
     if seq in ("a", "b", "u"):
-        rows = {"a": wall_tables.a_rows, "b": wall_tables.b_rows, "u": poset_lab.u_rows}[seq](width)
-        for n, row in zip(range(nmax + 1), rows):
+        rows = {"a": wall_tables.a_rows, "b": wall_tables.b_rows, "u": poset_lab.u_rows}[seq]
+        for n, row in zip(range(nmax + 1), rows(width, one)):
             yield n, row.__getitem__
     elif seq == "tc":
         # row n of tc reads row n - 1 of a, one product per cell read
-        for n, row in zip(range(1, nmax + 1), wall_tables.a_rows(width)):
+        for n, row in zip(range(1, nmax + 1), wall_tables.a_rows(width, one)):
             yield n, lambda k, n=n, row=row: tree_child.tc_from_a(n, k, row[k])
     else:
         fn = poset_lab.f_closed if seq == "f" else poset_lab.ftilde
@@ -108,14 +112,14 @@ def _cell_readers(seq: str, nmax: int, width: int) -> Iterator[tuple[int, Callab
             yield n, partial(fn, n)
 
 
-def _two_index_rows(args: argparse.Namespace, first: int) -> Iterator[list[Cell]]:
+def _two_index_rows(args: argparse.Namespace, first: int, one: object) -> Iterator[list[Cell]]:
     """Rows first..nmax of a 2-index table: the slice cell (n,) of each, or
     its cells (n, k) for k up to the end of the row or --kmax."""
     if args.k is not None:
         width = args.k
     else:
         width = args.kmax if args.kmax is not None else args.nmax
-    for n, cell in _cell_readers(args.seq, args.nmax, width):
+    for n, cell in _cell_readers(args.seq, args.nmax, width, one):
         if n < first:
             continue
         if args.k is not None or args.diag:
@@ -149,8 +153,32 @@ def _render_rows(args: argparse.Namespace, rows: Iterator[list[Cell]], out: Text
             out.write("".join(sep.join(map(str, (*idx, v))) + "\n" for idx, v in row))
 
 
+# the tables walked in decimal.Decimal: str of an int takes time quadratic
+# in its digits (CPython <= 3.11), str of a Decimal linear time
+DECIMAL_SEQS = ("a", "b", "tc", "u")
+
+
 def run_table(args: argparse.Namespace, out: TextIOBase) -> int:
-    _render_rows(args, _table_rows(args), out)
+    if args.seq not in DECIMAL_SEQS:
+        _render_rows(args, _table_rows(args), out)
+        return EXIT_OK
+    import decimal  # only these tables pay for it
+
+    # the steps only add, multiply and divide (by exact_int's divmod)
+    # integers, so nothing rounds; if something did, it raises instead of
+    # printing.  A true division that does not end would ask for MAX_PREC
+    # digits of memory: no step makes one
+    exact = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+               decimal.DivisionByZero, decimal.Overflow],
+    )
+    try:
+        with decimal.localcontext(exact):
+            _render_rows(args, _table_rows(args, decimal.Decimal(1)), out)
+    except decimal.DecimalException as exc:
+        print(f"error: decimal arithmetic signalled {type(exc).__name__}", file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_OK
 
 
@@ -712,5 +740,20 @@ def main(argv: list[str] | None = None, out: TextIOBase | None = None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+def entry() -> None:
+    """The `walls` script and ``python -m youngwalls.cli``: run ``main``,
+    flush the standard streams and end the process with main's exit code.
+    It never returns: ``os._exit`` skips the interpreter's teardown, which
+    unloads every module and costs a cold request several milliseconds.
+    A flush that fails (the reader has gone) exits 1, as in ``main``."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            code = EXIT_FAIL
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

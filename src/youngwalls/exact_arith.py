@@ -61,7 +61,9 @@ def binomial(n: int, k: int) -> Nat:
 
 
 def exact_int(num: int, den: int, where: object = None) -> Nat:
-    """num / den as an int, raising NotIntegralError unless it is one.
+    """num / den as an int, raising NotIntegralError unless it is one.  The
+    quotient is in the ring of ``num``: a ``decimal.Decimal`` num, whose
+    divmod is exact, gives a Decimal.
 
     Every integrality and divisibility invariant goes through here, so the
     check also runs under ``python -O``.  ``where`` names the cell in the

@@ -20,11 +20,14 @@ reads it).  A reader of a range walks once; a point read (``a_rec``,
 ``b``, ``b3``, ``omega``) walks to its cell and keeps nothing.
 The rows of ``b`` come from its own two-term recurrence, O(w) cells per
 row like ``a``, not from the b3 layers; the checks compare the two.
+``a_rows`` and ``b_rows`` can also walk their rows in another ring, given
+by its unit: ``cli`` prints deep tables from rows of ``decimal.Decimal``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from collections.abc import Callable, Iterator
 from functools import partial
@@ -33,18 +36,26 @@ from . import closed_forms
 from .exact_arith import Nat, exact_int, factorial
 
 
-def walk(step: Callable[[list, list | None, int, int], None], width: int) -> Iterator[list]:
+def walk(step: Callable[[list, list | None, int, int], None], width: int,
+         one: object = None) -> Iterator[list]:
     """Rows 0, 1, 2, ... of a one-step recurrence, in order, without end,
     keeping only the previous row.
 
     ``step(row, prev, i, width)`` fills the empty list ``row`` as row i
     through column min(i, width) (row i ends at column i), reading only
     row i itself and row i - 1 (``prev``, None for i = 0) no further than
-    column min(width, i - 1)."""
+    column min(width, i - 1).
+
+    ``one`` is the unit of the ring the rows are walked in, when it is not
+    int (``decimal.Decimal(1)``, say): row 0, as ``step`` fills it, is
+    scaled by it, and a step that builds each later cell from row 0 by
+    ints, +, * and checked division walks every row in that ring."""
     prev = None
     for i in itertools.count():
         row: list = []
         step(row, prev, i, width)
+        if prev is None and one is not None:
+            row = [one * v for v in row]
         yield row
         prev = row
 
@@ -55,10 +66,11 @@ def _a_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
         row.append(row[k - 1] + (2 * n + k - 1) * (prev[k] if k < n else 0))
 
 
-def a_rows(width: int) -> Iterator[list[Nat]]:
+def a_rows(width: int, one: object = None) -> Iterator[list[Nat]]:
     """Rows a(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end,
-    walked once: only the previous row is kept."""
-    return walk(_a_row, width)
+    walked once, in the ring of ``one`` (see ``walk``): only the previous
+    row is kept."""
+    return walk(_a_row, width, one)
 
 
 def _b_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
@@ -107,11 +119,11 @@ def b3_layers(width: int, mmax: int | None = None) -> Iterator[list[list[Nat]]]:
     return walk(partial(_b3_layer, mmax=mmax), width)
 
 
-def b_rows(width: int) -> Iterator[list[Nat]]:
+def b_rows(width: int, one: object = None) -> Iterator[list[Nat]]:
     """Rows b(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end,
-    walked once by the two-term recurrence of ``b``: only the previous row
-    is kept."""
-    return walk(_b_row, width)
+    walked once by the two-term recurrence of ``b``, in the ring of ``one``
+    (see ``walk``): only the previous row is kept."""
+    return walk(_b_row, width, one)
 
 
 def _omega_layer(layer: list[list[int]], prev: list[list[int]] | None, s: int, width: int,
@@ -119,21 +131,21 @@ def _omega_layer(layer: list[list[int]], prev: list[list[int]] | None, s: int, w
     """Layer s = n + m of omega, stored by k: layer[k] lists omega(n, s-n, k)
     for n = 0..min(s, s + 1 - k, nmax), k = 0..min(s + 1, width).  Cell
     (n, m) reads (n-1, m+1) from this layer and (n-2, m+1) from layer s - 1,
-    so each column is one pass down n.  Column k starts at seeds[k] =
-    omega(0, s, k)."""
+    so each column is one pass down n: column k starts at seeds[k] =
+    omega(0, s, k), and cell n subtracts
+
+        (s-n-k+2) left[n-1] + below[n-2]
+
+    from cell n - 1, where left is column k - 1 of this layer (no term for
+    k = 0) and below is column k of layer s - 1 (no term for n = 1)."""
     top_n = s if nmax is None else min(s, nmax)
     for k in range(min(s + 1, width) + 1):
-        v = seeds[k]
-        col = [v]
-        left = layer[k - 1] if k else None
-        below = prev[k] if prev is not None and k < len(prev) else None
-        for n in range(1, min(top_n, s + 1 - k) + 1):
-            if left is not None:
-                v -= (s - n - k + 2) * left[n - 1]
-            if n >= 2:
-                v -= below[n - 2]
-            col.append(v)
-        layer.append(col)
+        depth = min(top_n, s + 1 - k)
+        steps = itertools.islice(itertools.chain((0,), prev[k] if depth > 1 else ()), depth)
+        if k:
+            lefts = map(operator.mul, range(s - k + 1, s - k + 1 - depth, -1), layer[k - 1])
+            steps = map(operator.add, lefts, steps)
+        layer.append(list(itertools.accumulate(steps, operator.sub, initial=seeds[k])))
 
 
 def omega_layers(width: int, nmax: int | None = None) -> Iterator[list[list[Nat]]]:

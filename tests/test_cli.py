@@ -1,3 +1,4 @@
+import decimal
 import functools
 import importlib
 import io
@@ -18,7 +19,7 @@ import pytest
 
 import youngwalls
 from youngwalls import cli, closed_forms, poset_lab, tree_child, wall_tables
-from youngwalls.exact_arith import NotIntegralError, binomial
+from youngwalls.exact_arith import NotIntegralError, binomial, exact_int
 
 from conftest import TABLE_A, TABLE_B
 
@@ -204,6 +205,48 @@ def test_table_omega_deep_column():
     assert code == 0
     # omega(n, 0, 0) = b3_hook(n, 0) = 1
     assert text.splitlines() == [f"{n},0,0,1" for n in range(1201)]
+
+
+@pytest.mark.parametrize("option", [[], ["--kmax", "3"], ["--k", "2"], ["--diag"]],
+                         ids=lambda o: " ".join(o) or "full")
+@pytest.mark.parametrize("seq", cli.DECIMAL_SEQS)
+def test_decimal_route_matches_the_int_route(seq, option, monkeypatch, capsys):
+    # the same request rendered from rows walked in int, byte for byte, also
+    # where it is a usage error (tc has no diagonal, a b-file needs a slice)
+    for fmt in ("csv", "text", "json", "bfile"):
+        for nmax in (0, 1, 5, 12):
+            argv = ["table", "--seq", seq, "--nmax", str(nmax), *option, "--format", fmt]
+            with monkeypatch.context() as m:
+                m.setattr(cli, "DECIMAL_SEQS", ())
+                by_int = (*run_cli(*argv), capsys.readouterr().err)
+            assert (*run_cli(*argv), capsys.readouterr().err) == by_int, argv
+    if seq == "tc" and option == ["--diag"]:
+        return
+    # and the decimal route is the one taken
+    args = cli._parser().parse_args(["table", "--seq", seq, "--nmax", "12", *option])
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        *_, (_, last) = itertools.chain.from_iterable(cli._table_rows(args, decimal.Decimal(1)))
+    assert isinstance(last, decimal.Decimal)
+
+
+@pytest.mark.parametrize("seq", ["a", "tc"])
+def test_deep_decimal_column_matches_str_of_int(seq):
+    # every line of the k = 2 column to n = 1500 (4328 digits at the end)
+    # against str of an int walk
+    code, text = run_cli("table", "--seq", seq, "--nmax", "1500", "--k", "2", "--format", "bfile")
+    assert code == 0
+    rows = zip(range(1501), wall_tables.a_rows(2))
+    if seq == "a":
+        want = [(n, row[2]) for n, row in rows if n >= 2]
+    else:  # tc(n, 2) reads a(n - 1, 2)
+        want = [(n + 1, tree_child.tc_from_a(n + 1, 2, row[2])) for n, row in rows if 2 <= n < 1500]
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert text.splitlines() == [f"{n} {v}" for n, v in want]
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 TABLE_OPTIONS = ([], ["--k", "1"], ["--k", "4"], ["--diag"], ["--kmax", "2"], ["--mmax", "1"])
@@ -862,10 +905,20 @@ def test_unintegral_omega_seed_exits_1(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: value at ('omega_init', 1, 2) is not an integer\n"
 
 
+def _python_env():
+    """The environment of a `python` on src/ whose standard streams are
+    buffered, as they are by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(SRC)}
+
+
+def _python(*args, **kwargs):
+    return subprocess.run([sys.executable, *args], capture_output=True, env=_python_env(), **kwargs)
+
+
 def _bare_python(*args):
     """A fresh `python -S` (no site, so no .pth import hides a regression) on src/."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    return subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True, env=env)
+    return _python("-S", *args, text=True)
 
 
 def test_import_loads_no_network_modules():
@@ -933,49 +986,96 @@ INTEGER_REQUESTS = [
 
 
 @functools.cache
-def _rational_requests() -> frozenset[str]:
-    """The requests of INTEGER_REQUESTS that fail or load fractions, decimal or
-    numbers.  They run in order in one fresh process, which stops at the first
-    such request; a new process takes up the requests after it."""
+def _rational_modules() -> dict[str, frozenset[str]]:
+    """For each request of INTEGER_REQUESTS that fails or loads fractions,
+    decimal or numbers: the modules of the three it loaded, and "exit" if it
+    failed.  The requests run in order in one fresh process, which stops at
+    the first such request; a new process takes up the requests after it."""
     snippet = (
         "import io, sys\n"
         "from youngwalls import cli\n"
         "for request in sys.argv[1:]:\n"
         "    code = cli.main(request.split(), out=io.StringIO())\n"
-        "    if code or {'fractions', 'decimal', 'numbers'} & set(sys.modules):\n"
-        "        print(request)\n"
+        "    loaded = {'fractions', 'decimal', 'numbers'} & set(sys.modules)\n"
+        "    if code or loaded:\n"
+        "        print(request, *sorted(loaded), *['exit'] * bool(code), sep='|')\n"
         "        break\n"
     )
-    found, rest = set(), [" ".join(argv) for argv in INTEGER_REQUESTS]
+    found, rest = {}, [" ".join(argv) for argv in INTEGER_REQUESTS]
     while rest:
         proc = _bare_python("-c", snippet, *rest)
         assert proc.returncode == 0, proc.stderr
-        first = proc.stdout.strip()
-        if not first:
+        if not proc.stdout.strip():
             break
-        found.add(first)
+        first, *loaded = proc.stdout.strip().split("|")
+        found[first] = frozenset(loaded)
         rest = rest[rest.index(first) + 1 :]
-    return frozenset(found)
+    return found
 
 
 @pytest.mark.parametrize("argv", INTEGER_REQUESTS, ids=" ".join)
 def test_integer_request_loads_no_rational_module(argv):
-    # no route builds a rational: fractions (and with it decimal and numbers)
-    # is never imported
-    assert " ".join(argv) not in _rational_requests()
+    # no route builds a rational: fractions is never imported.  The tables of
+    # a, b, tc and u are walked in decimal (which imports numbers); no other
+    # request loads either
+    decimal_table = argv[0] == "table" and argv[2] in cli.DECIMAL_SEQS
+    loads = {"decimal", "numbers"} if decimal_table else set()
+    assert _rational_modules().get(" ".join(argv), frozenset()) == loads
+
+
+_B_ROW = wall_tables._b_row
+
+
+def broken_b_row(row, prev, n, width):
+    """Row 4 of b stepped from a row 3 whose Catalan seed is one too large, so
+    the seed 2 (2n-1) b(n-1, 0) / (n+1) = 84 / 5 does not divide."""
+    _B_ROW(row, [prev[0] + 1, *prev[1:]] if n == 4 else prev, n, width)
 
 
 def test_not_integral_maps_to_exit_1(monkeypatch, capsys):
-    # row 4 of b steps from a row 3 whose Catalan seed is one too large, so
-    # the seed 2 (2n-1) b(n-1, 0) / (n+1) = 84 / 5 does not divide
-    step = wall_tables._b_row
-
-    def broken(row, prev, n, width):
-        step(row, [prev[0] + 1, *prev[1:]] if n == 4 else prev, n, width)
-
-    monkeypatch.setattr(wall_tables, "_b_row", broken)
+    monkeypatch.setattr(wall_tables, "_b_row", broken_b_row)
     assert run_cli("verify", "--check", "cor-rec") == (1, "")
     assert capsys.readouterr().err == "error: value at ('b', 4, 0) is not an integer\n"
+
+
+def test_not_integral_decimal_table_maps_to_exit_1(monkeypatch, capsys):
+    # the decimal route checks each division as the int route does, also
+    # with asserts stripped; the complete rows before the failure stay
+    monkeypatch.setattr(wall_tables, "_b_row", broken_b_row)
+    want = (1, grid_csv({n: TABLE_B[n] for n in range(4)}), "error: value at ('b', 4, 0) is not an integer\n")
+    assert (*run_cli("table", "--seq", "b", "--nmax", "6"), capsys.readouterr().err) == want
+    snippet = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import test_cli\n"
+        "from youngwalls import cli, wall_tables\n"
+        "wall_tables._b_row = test_cli.broken_b_row\n"
+        "sys.exit(cli.main(['table', '--seq', 'b', '--nmax', '6']))\n"
+    )
+    proc = _python("-O", "-c", snippet, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+@pytest.mark.parametrize(
+    "broken, signal",
+    [(lambda v: exact_int(v, 0), "InvalidOperation"),
+     (lambda v: (v / 4).to_integral_exact(), "Inexact")],
+    ids=["divided by 0", "rounded"],
+)
+def test_decimal_signal_maps_to_exit_1(broken, signal, monkeypatch, capsys):
+    # a cell a(3, 3) = 106 that a step divides by 0, or rounds from 26.5,
+    # raises; no digit of it is printed
+    step = wall_tables._a_row
+
+    def moved(row, prev, n, width):
+        step(row, prev, n, width)
+        if n == 3:
+            row[-1] = broken(row[-1])
+
+    monkeypatch.setattr(wall_tables, "_a_row", moved)
+    want = (1, grid_csv({n: TABLE_A[n] for n in range(3)}),
+            f"error: decimal arithmetic signalled {signal}\n")
+    assert (*run_cli("table", "--seq", "a", "--nmax", "6"), capsys.readouterr().err) == want
 
 
 @pytest.mark.parametrize(
@@ -1030,6 +1130,39 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "0 1 7 38\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--seq", "a", "--nmax", "1500", "--k", "2", "--format", "bfile"],
+     ["--help"],
+     ["table", "--seq", "a"],
+     ["oracle", "--seq", "a", "--n", "12", "--k", "3"],
+     ["verify", "--check", "all"]],
+    ids=" ".join,
+)
+def test_fast_exit_loses_no_output(argv, capsys):
+    # the process ends without teardown: every byte written must be out first
+    proc = _python("-m", "youngwalls.cli", *argv)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, captured.out.encode(), captured.err.encode())
+
+
+@pytest.mark.parametrize("argv", [["table", "--seq", "a", "--nmax", "300"], ["--help"]],
+                         ids=" ".join)
+def test_closed_stdout_exits_1_in_silence(argv):
+    # main meets the closed pipe while it writes the table; the help text is
+    # still buffered when main returns, and the exit path's flush meets it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "youngwalls.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=_python_env())
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_benchmark_checker_selftest_passes():
