@@ -21,7 +21,6 @@ Integers in JSON are decimal strings so no consumer ever rounds them.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import math
 import os
@@ -29,6 +28,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from io import TextIOBase
+from types import SimpleNamespace
 
 from . import closed_forms, poset_lab, series_engine, tree_child, wall_tables
 from .exact_arith import NotIntegralError, binomial, double_factorial, double_factorials, factorial
@@ -46,7 +46,7 @@ Cell = tuple[tuple[int, ...], int]
 # table command
 
 
-def _table_rows(args: argparse.Namespace, one: object = None) -> Iterator[list[Cell]]:
+def _table_rows(args: SimpleNamespace, one: object = None) -> Iterator[list[Cell]]:
     """The cells of a `table` request, one list per row n, each computed
     when it is read; the rows of a, b, tc and u are walked in the ring of
     ``one`` (see ``wall_tables.walk``).  Every usage error is raised here,
@@ -112,7 +112,7 @@ def _cell_readers(seq: str, nmax: int, width: int,
             yield n, partial(fn, n)
 
 
-def _two_index_rows(args: argparse.Namespace, first: int, one: object) -> Iterator[list[Cell]]:
+def _two_index_rows(args: SimpleNamespace, first: int, one: object) -> Iterator[list[Cell]]:
     """Rows first..nmax of a 2-index table: the slice cell (n,) of each, or
     its cells (n, k) for k up to the end of the row or --kmax."""
     if args.k is not None:
@@ -129,7 +129,7 @@ def _two_index_rows(args: argparse.Namespace, first: int, one: object) -> Iterat
             yield [((n, k), cell(k)) for k in range(min(top, width) + 1)]
 
 
-def _render_rows(args: argparse.Namespace, rows: Iterator[list[Cell]], out: TextIOBase) -> None:
+def _render_rows(args: SimpleNamespace, rows: Iterator[list[Cell]], out: TextIOBase) -> None:
     """Write each row as soon as it is computed: a failure part way leaves
     the complete rows before it on ``out``."""
     fmt = args.format
@@ -158,7 +158,7 @@ def _render_rows(args: argparse.Namespace, rows: Iterator[list[Cell]], out: Text
 DECIMAL_SEQS = ("a", "b", "tc", "u")
 
 
-def run_table(args: argparse.Namespace, out: TextIOBase) -> int:
+def run_table(args: SimpleNamespace, out: TextIOBase) -> int:
     if args.seq not in DECIMAL_SEQS:
         _render_rows(args, _table_rows(args), out)
         return EXIT_OK
@@ -186,7 +186,7 @@ def run_table(args: argparse.Namespace, out: TextIOBase) -> int:
 # series command
 
 
-def run_series(args: argparse.Namespace, out: TextIOBase) -> int:
+def run_series(args: SimpleNamespace, out: TextIOBase) -> int:
     k, order = args.dk, args.order
     if args.method == "recurrence":
         s = series_engine.dk_from_table(k, order)
@@ -202,7 +202,7 @@ def run_series(args: argparse.Namespace, out: TextIOBase) -> int:
 # oracle command
 
 
-def run_oracle(args: argparse.Namespace, out: TextIOBase) -> int:
+def run_oracle(args: SimpleNamespace, out: TextIOBase) -> int:
     seq, n, k, m = args.seq, args.n, args.k, args.m
     if m is not None and seq != "b3":
         raise _Usage(f"--m belongs to oracle --seq b3 only, not {seq}")
@@ -251,7 +251,7 @@ def _fixture_bfile(oeis_id: str) -> str:
     return (resources.files("youngwalls") / "oeis_fixtures" / name).read_text()
 
 
-def run_crosscheck(args: argparse.Namespace, out: TextIOBase) -> int:
+def run_crosscheck(args: SimpleNamespace, out: TextIOBase) -> int:
     if args.map not in OEIS_MAPS:
         raise _Usage(f"unknown map {args.map!r}; choose from {sorted(OEIS_MAPS)}")
     oeis_id, offset, stream = OEIS_MAPS[args.map]
@@ -297,7 +297,7 @@ def _sci_from_log(log_value: float) -> str:
     return f"{mantissa}e{int(exponent):+03d}"
 
 
-def run_asym(args: argparse.Namespace, out: TextIOBase) -> int:
+def run_asym(args: SimpleNamespace, out: TextIOBase) -> int:
     est = tree_child.tc_asym(args.n, args.k)
     if math.isfinite(est):
         shown = f"{est:.6e}"
@@ -611,7 +611,7 @@ CHECKS: dict[str, Check] = {
 }
 
 
-def run_verify(args: argparse.Namespace, out: TextIOBase) -> int:
+def run_verify(args: SimpleNamespace, out: TextIOBase) -> int:
     names = sorted(CHECKS) if args.check == "all" else [args.check]
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
@@ -641,58 +641,118 @@ def run_verify(args: argparse.Namespace, out: TextIOBase) -> int:
 
 
 class _Usage(ValueError):
-    """Command line misuse detected after argparse."""
+    """Command line misuse detected after the flags are read."""
 
 
 def _count(text: str) -> int:
-    """argparse type of every count and bound flag: an integer >= 0."""
+    """The value of every count and bound flag: an integer >= 0."""
     if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+        raise ValueError(f"expected an integer >= 0, got {text!r}")
     return int(text)
 
 
-def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="walls", description=__doc__.split("\n\n")[0])
-    sub = top.add_subparsers(dest="command", required=True)
+REQUIRED = ...  # the default of a flag that must be given
+COUNT, NEEDED = (_count, None, ""), (_count, REQUIRED, "")  # a count or bound flag
+_HELP = ("-h", "--help")
+# command -> (help, {flag: (value, default, help)}), where the value is a
+# type (_count or str), a tuple of choices, or bool for a switch
+COMMANDS: dict[str, tuple[str, dict[str, tuple[object, object, str]]]] = {
+    "table": ("print a counting table", {
+        "--seq": (("a", "b", "b3", "omega", "tc", "f", "ftilde", "u"), REQUIRED, ""),
+        "--nmax": NEEDED, "--kmax": COUNT, "--mmax": COUNT,
+        "--k": (_count, None, "emit the 1-D slice at this k"),
+        "--diag": (bool, False, "emit the diagonal slice"),
+        "--format": (("csv", "text", "json", "bfile"), "csv", "")}),
+    "verify": ("run identity checks", {"--check": (str, REQUIRED, "registry name, or 'all'"),
+                                       "--nmax": COUNT, "--kmax": COUNT, "--order": COUNT}),
+    "series": ("print D_k coefficients", {"--dk": NEEDED, "--order": NEEDED, "--method": (
+        ("recurrence", "closed", "kernel"), "recurrence", "")}),
+    "oracle": ("brute-force comparison", {"--seq": (("a", "b", "b3"), REQUIRED, ""),
+                                          "--n": NEEDED, "--k": NEEDED, "--m": COUNT}),
+    "crosscheck": ("compare a slice against an OEIS b-file", {
+        "--map": (str, REQUIRED, f"one of {sorted(OEIS_MAPS)}"),
+        "--oeis": (str, None, "expected OEIS id (sanity check)"), "--nmax": COUNT,
+        "--offline": (bool, False, "accepted; every crosscheck reads the bundled fixtures")}),
+    "asym": ("asymptotic estimate vs exact count", {"--n": NEEDED, "--k": NEEDED}),
+}
 
-    p = sub.add_parser("table", help="print a counting table")
-    p.add_argument("--seq", required=True, choices=["a", "b", "b3", "omega", "tc", "f", "ftilde", "u"])
-    p.add_argument("--nmax", type=_count, required=True)
-    p.add_argument("--kmax", type=_count)
-    p.add_argument("--mmax", type=_count)
-    p.add_argument("--k", type=_count, help="emit the 1-D slice at this k")
-    p.add_argument("--diag", action="store_true", help="emit the diagonal slice")
-    p.add_argument("--format", default="csv", choices=["csv", "text", "json", "bfile"])
 
-    p = sub.add_parser("verify", help="run identity checks")
-    p.add_argument("--check", required=True, help="registry name, or 'all'")
-    p.add_argument("--nmax", type=_count)
-    p.add_argument("--kmax", type=_count)
-    p.add_argument("--order", type=_count)
+def _exit(command: str | None, error: str = "") -> SystemExit:
+    """Print the help (SystemExit(0)), or the usage and an error to stderr (SystemExit(2))."""
+    if command is None:
+        usage = f"usage: walls [-h] {{{','.join(COMMANDS)}}} ..."
+        about, rows = __doc__.split("\n\n")[0], [(name, h) for name, (h, _) in COMMANDS.items()]
+    else:
+        about, flags = COMMANDS[command]
+        rows = [(f if v is bool else f"{f} {{{','.join(v)}}}" if isinstance(v, tuple)
+                 else f"{f} {f[2:].upper()}", h) for f, (v, _, h) in flags.items()]
+        usage = " ".join([f"usage: walls {command} [-h]", *(form if flags[form.split()[0]][1]
+                          is REQUIRED else f"[{form}]" for form, _ in rows)])
+    if error:
+        prog = f"walls {command}" if command else "walls"
+        print(usage, f"{prog}: error: {error}", sep="\n", file=sys.stderr)
+        return SystemExit(EXIT_USAGE)
+    rows.insert(0, ("-h, --help", "show this help message and exit"))
+    width = max(len(form) for form, _ in rows) + 2
+    print(usage, "", about, "", *(f"  {form:<{width}}{h}".rstrip() for form, h in rows), sep="\n")
+    return SystemExit(EXIT_OK)
 
-    p = sub.add_parser("series", help="print D_k coefficients")
-    p.add_argument("--dk", type=_count, required=True)
-    p.add_argument("--order", type=_count, required=True)
-    p.add_argument("--method", default="recurrence", choices=["recurrence", "closed", "kernel"])
 
-    p = sub.add_parser("oracle", help="brute-force comparison")
-    p.add_argument("--seq", required=True, choices=["a", "b", "b3"])
-    p.add_argument("--n", type=_count, required=True)
-    p.add_argument("--k", type=_count, required=True)
-    p.add_argument("--m", type=_count)
+def _flag(token: str, names: tuple[str, ...]) -> tuple[str, str | None] | None:
+    """What argparse (allow_abbrev) took a token for: None for a value, else
+    the flag of ``names`` it names in full or by a unique prefix ("" for
+    none, as for "--") and its value after "=" (None without "=")."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if token[:2] == "-h" and name != "-h":  # -h with a value glued on
+        return "-h", token[2:]
+    long = token[:2] == "--" and token != "--"  # a long flag's prefix; "--" alone names none
+    hits = [name] if name in names else [f for f in names if long and f.startswith(name)]
+    if len(hits) > 1:
+        raise _exit(None, f"ambiguous option: {token} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], value if eq else None
+    number = token[1:].replace(".", "", 1).isdecimal() and token[-1] != "."
+    return None if number or " " in token else ("", None)
 
-    p = sub.add_parser("crosscheck", help="compare a slice against an OEIS b-file")
-    p.add_argument("--map", required=True, help=f"one of {sorted(OEIS_MAPS)}")
-    p.add_argument("--oeis", help="expected OEIS id (sanity check)")
-    p.add_argument("--nmax", type=_count)
-    p.add_argument("--offline", action="store_true", help="accepted for compatibility; "
-                   "every crosscheck reads the bundled fixtures")
 
-    p = sub.add_parser("asym", help="asymptotic estimate vs exact count")
-    p.add_argument("--n", type=_count, required=True)
-    p.add_argument("--k", type=_count, required=True)
-
-    return top
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command and flag values of argv, read as argparse read them, left
+    to right: -h raises _exit(command), a misuse _exit(command, error); a
+    missing flag, then an unknown flag or stray value, once all are read."""
+    command, flags, values, stray = None, {}, {}, []
+    kinds, i = [_flag(token, _HELP) for token in argv], 0
+    while i < len(argv):
+        token, kind, i = argv[i], kinds[i], i + 1
+        if kind is None and command is None:
+            if token not in COMMANDS:
+                raise _exit(None, f"argument command: invalid choice: {token!r}")
+            command, flags = token, COMMANDS[token][1]
+            values = {flag[2:]: default for flag, (_, default, _) in flags.items()}
+            kinds[i:] = [_flag(t, (*_HELP, *flags)) for t in argv[i:]]  # ambiguity fails first
+        elif kind is None or not kind[0]:
+            stray.append(token)
+        else:
+            (flag, value), form = kind, flags.get(kind[0], (bool,))[0]  # -h is a switch
+            if flag in _HELP or form is bool and value is not None:  # help, or a switch's value
+                raise _exit(command, "" if value is None else f"argument {flag} takes no value")
+            if form is not bool and value is None:
+                if kinds[i:i + 1] != [None]:  # the next token, if any, is no value
+                    raise _exit(command, f"argument {flag}: expected one argument")
+                value, i = argv[i], i + 1
+            if isinstance(form, tuple) and value not in form:
+                raise _exit(command, f"argument {flag}: invalid choice: {value!r}")
+            try:  # True for a switch, else the value, converted by its type
+                values[flag[2:]] = form is bool or (form(value) if callable(form) else value)
+            except ValueError as exc:
+                raise _exit(command, f"argument {flag}: {exc}") from None
+    missing = [flag for flag in flags if values[flag[2:]] is REQUIRED] if command else ["command"]
+    if missing:
+        raise _exit(command, f"the following arguments are required: {', '.join(missing)}")
+    if stray:
+        raise _exit(None, f"unrecognized arguments: {' '.join(stray)}")
+    return SimpleNamespace(command=command, **values)
 
 
 _RUNNERS = {
@@ -708,7 +768,7 @@ _RUNNERS = {
 def main(argv: list[str] | None = None, out: TextIOBase | None = None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # counts run to thousands of digits; lift the decimal conversion limit

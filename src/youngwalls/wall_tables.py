@@ -157,16 +157,17 @@ def omega_layers(width: int, nmax: int | None = None) -> Iterator[list[list[Nat]
 
 def omega_rows(nmax: int, mmax: int, kmax: int) -> Iterator[list[list[Nat]]]:
     """Rows n = 0..nmax of omega, each as row[m][k] = omega(n, m, k) for
-    m <= mmax and k <= min(m + 1, kmax), off one walk up ``omega_layers``.
-    Row n is yielded once layer n + mmax is done, and only the rows not yet
-    finished are held."""
+    m <= mmax and k <= min(m + 1, kmax), off one walk up ``omega_layers``
+    that is no wider than the widest row, mmax + 1.  Row n is yielded once
+    layer n + mmax is done, and only the rows not yet finished are held."""
+    width = min(kmax, mmax + 1)
     rows: deque[list[list[Nat]]] = deque()  # rows max(0, s - mmax)..min(s, nmax)
-    for s, layer in zip(range(nmax + mmax + 1), omega_layers(kmax, nmax)):
+    for s, layer in zip(range(nmax + mmax + 1), omega_layers(width, nmax)):
         if s <= nmax:
             rows.append([])
         first = max(0, s - mmax)
         for n in range(first, min(s, nmax) + 1):
-            rows[n - first].append([col[n] for col in layer[: min(s - n + 1, kmax) + 1]])
+            rows[n - first].append([col[n] for col in layer[: min(s - n + 1, width) + 1]])
         if s >= mmax:
             yield rows.popleft()
 

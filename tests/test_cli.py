@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import decimal
 import functools
 import importlib
@@ -207,6 +209,22 @@ def test_table_omega_deep_column():
     assert text.splitlines() == [f"{n},0,0,1" for n in range(1201)]
 
 
+@pytest.mark.parametrize("mmax", [[], ["--mmax", "0"], ["--mmax", "4"]], ids=" ".join)
+def test_omega_kmax_past_the_widest_row_prints_the_same_off_a_narrow_walk(mmax, monkeypatch):
+    # no cell of omega has k > m + 1, so a --kmax past mmax + 1 prints what
+    # --kmax mmax + 1 prints, and the walk is no wider than that
+    argv = ["table", "--seq", "omega", "--nmax", "2", *mmax, "--kmax"]
+    top = int(mmax[1]) + 1 if mmax else 3
+    want, layers = run_cli(*argv, str(top)), wall_tables.omega_layers
+
+    def narrow(width, *args):
+        assert width <= top, width  # at once, not after a walk 10**6 columns wide
+        return layers(width, *args)
+
+    monkeypatch.setattr(wall_tables, "omega_layers", narrow)
+    assert run_cli(*argv, str(10**6)) == want
+
+
 @pytest.mark.parametrize("option", [[], ["--kmax", "3"], ["--k", "2"], ["--diag"]],
                          ids=lambda o: " ".join(o) or "full")
 @pytest.mark.parametrize("seq", cli.DECIMAL_SEQS)
@@ -223,7 +241,7 @@ def test_decimal_route_matches_the_int_route(seq, option, monkeypatch, capsys):
     if seq == "tc" and option == ["--diag"]:
         return
     # and the decimal route is the one taken
-    args = cli._parser().parse_args(["table", "--seq", seq, "--nmax", "12", *option])
+    args = cli._parse(["table", "--seq", seq, "--nmax", "12", *option])
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         *_, (_, last) = itertools.chain.from_iterable(cli._table_rows(args, decimal.Decimal(1)))
@@ -692,6 +710,155 @@ def test_missing_required_flag_is_usage_error():
     assert code == 2
 
 
+def _argparse_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command line was read with before its flag
+    table: the reference that the table's reader is held to (argparse words
+    a ValueError of the type as its own message, which is not compared)."""
+    count = cli._count
+    top = argparse.ArgumentParser(prog="walls", description=cli.__doc__.split("\n\n")[0])
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("table", help="print a counting table")
+    p.add_argument("--seq", required=True, choices=["a", "b", "b3", "omega", "tc", "f", "ftilde", "u"])
+    p.add_argument("--nmax", type=count, required=True)
+    p.add_argument("--kmax", type=count)
+    p.add_argument("--mmax", type=count)
+    p.add_argument("--k", type=count, help="emit the 1-D slice at this k")
+    p.add_argument("--diag", action="store_true", help="emit the diagonal slice")
+    p.add_argument("--format", default="csv", choices=["csv", "text", "json", "bfile"])
+
+    p = sub.add_parser("verify", help="run identity checks")
+    p.add_argument("--check", required=True, help="registry name, or 'all'")
+    p.add_argument("--nmax", type=count)
+    p.add_argument("--kmax", type=count)
+    p.add_argument("--order", type=count)
+
+    p = sub.add_parser("series", help="print D_k coefficients")
+    p.add_argument("--dk", type=count, required=True)
+    p.add_argument("--order", type=count, required=True)
+    p.add_argument("--method", default="recurrence", choices=["recurrence", "closed", "kernel"])
+
+    p = sub.add_parser("oracle", help="brute-force comparison")
+    p.add_argument("--seq", required=True, choices=["a", "b", "b3"])
+    p.add_argument("--n", type=count, required=True)
+    p.add_argument("--k", type=count, required=True)
+    p.add_argument("--m", type=count)
+
+    p = sub.add_parser("crosscheck", help="compare a slice against an OEIS b-file")
+    p.add_argument("--map", required=True, help=f"one of {sorted(cli.OEIS_MAPS)}")
+    p.add_argument("--oeis", help="expected OEIS id (sanity check)")
+    p.add_argument("--nmax", type=count)
+    p.add_argument("--offline", action="store_true", help="accepted for compatibility; "
+                   "every crosscheck reads the bundled fixtures")
+
+    p = sub.add_parser("asym", help="asymptotic estimate vs exact count")
+    p.add_argument("--n", type=count, required=True)
+    p.add_argument("--k", type=count, required=True)
+
+    return top
+
+
+# a valid value of each kind of flag, for the parity corpus
+_SAMPLE = {"--check": "a-alt", "--map": "b-k0", "--oeis": "A000108"}
+
+
+def _valid_argv(command):
+    """The command with each required flag given a valid value."""
+    argv = [command]
+    for flag, (value, default, _) in cli.COMMANDS[command][1].items():
+        if default is cli.REQUIRED:
+            argv += [flag, value[-1] if isinstance(value, tuple) else _SAMPLE.get(flag, "3")]
+    return argv
+
+
+def _parity_corpus():
+    """argvs for the flag reader and argparse to agree on: for every command,
+    each flag in full, by each unique prefix and in "=" form, repeated, left
+    out, given a bad choice or count, a missing value or an unknown flag;
+    -h first, in the middle and after an error; no command, an unknown one."""
+    yield from ([], ["-h"], ["--help"], ["--he"], ["--help=x"], ["-h", "table"], ["--bogus"],
+                ["--bogus", "-h"], ["frobnicate"], ["frobnicate", "-h"], ["-1"], ["-x", "table"],
+                ["--bogus", "table", "--seq", "a", "--nmax", "3"])
+    for command, (_, flags) in cli.COMMANDS.items():
+        base = _valid_argv(command)
+        yield base
+        yield [command]
+        names = [*flags, "--help"]
+        for flag, (value, default, _) in flags.items():
+            samples = (list(value) if isinstance(value, tuple) else [None] if value is bool
+                       else [_SAMPLE.get(flag, "4")])
+            for sample in samples:
+                given = [flag] if sample is None else [flag, sample]
+                yield [*base, *given]
+                prefixes = [flag[:j] for j in range(3, len(flag))
+                            if [n for n in names if n.startswith(flag[:j])] == [flag]]
+                for prefix in prefixes:
+                    yield [*base, prefix, *given[1:]]
+                    if sample is not None:
+                        yield [*base, f"{prefix}={sample}"]
+                if sample is not None:
+                    yield [*base, f"{flag}={sample}"]
+                    yield [*base, flag, "zzz", *given]
+                    yield [*base, *given, flag, sample]
+                    yield [*base, flag]
+                    yield [*base, flag, "-x"]
+                    yield [*base, flag, "--bogus"]
+                    yield [*base, flag, "-h"]
+                    yield [*base, flag, "-1"]
+                    yield [*base, f"{flag}=-1"]
+                    yield [*base, f"{flag}="]
+                else:
+                    yield [*base, flag, flag]
+                    yield [*base, f"{flag}=1"]
+                    yield [*base, flag, "5"]
+            if default is cli.REQUIRED:
+                i = base.index(flag)
+                without = base[:i] + base[i + 2:]
+                yield without
+                yield [*without, "-h"]
+            if value is cli._count or isinstance(value, tuple):
+                for bad in (["zzz"], ["-1"], ["1.5"], ["-2.5"], [" 1"], ["x", "-h"]):
+                    yield [*base, flag, *bad]
+        yield [command, "-h", *base[1:]]
+        yield [*base[:2], "--help", *base[2:]]
+        yield [*base, "--bogus"]
+        yield [*base, "--bogus", "5"]
+        yield [*base, "--bogus", "-h"]
+        yield [*base, "stray"]
+        yield [*base, "-"]
+        yield [*base, ""]
+        yield [*base, "-x"]
+        yield [*base, "-h"]
+        yield [*base, "--h"]
+        yield [*base, "-h=x"]
+        yield [*base, "--=x"]
+        yield [*base, "--bogus=-h"]
+        yield [*base, "-1"]
+    yield ["crosscheck", "--map", "b-k0", "--o"]
+    yield ["crosscheck", "-h", "--o"]
+    yield ["crosscheck", "--o=x", "-h"]
+
+
+def _outcome(parse, argv):
+    """(exit code, the attribute values) of one parse; None for the values
+    where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return 0, vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, None
+
+
+def test_flag_reader_agrees_with_argparse():
+    # exit codes and values, not messages: argparse words them differently
+    # from one Python version to the next
+    reference = _argparse_parser().parse_args
+    corpus = list(_parity_corpus())
+    assert len(corpus) > 500
+    for argv in corpus:
+        assert _outcome(cli._parse, argv) == _outcome(reference, argv), argv
+
+
 def _move_cached_weight(monkeypatch, rows, row, entry):
     # the gamma and delta caches cut back to their seed rows, restored by
     # monkeypatch; one numerator of row 2 of `rows` moves by its denominator.
@@ -921,10 +1088,15 @@ def _bare_python(*args):
     return _python("-S", *args, text=True)
 
 
+# the modules argparse brought: itself, gettext and, at its first message, locale
+PARSER_MODULES = ("argparse", "gettext", "locale")
+
+
 def test_import_loads_no_network_modules():
     # every cold request pays for the eager import; none of these does any work for it
     unused = ["dataclasses", "inspect", "json", "importlib.resources", "typing",
-              "urllib.request", "http.client", "ssl", "fractions", "decimal", "numbers"]
+              "urllib.request", "http.client", "ssl", "fractions", "decimal", "numbers",
+              *PARSER_MODULES]
     snippet = f"import sys, youngwalls.cli\nprint(sorted(set({unused!r}) & set(sys.modules)))\n"
     proc = _bare_python("-c", snippet)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
@@ -1021,6 +1193,41 @@ def test_integer_request_loads_no_rational_module(argv):
     decimal_table = argv[0] == "table" and argv[2] in cli.DECIMAL_SEQS
     loads = {"decimal", "numbers"} if decimal_table else set()
     assert _rational_modules().get(" ".join(argv), frozenset()) == loads
+
+
+USAGE_ERRORS = [[], ["frobnicate"], ["table", "--seq", "zzz", "--nmax", "3"],
+                ["table", "--seq", "a", "--nmax", "-1"], ["series", "--dk", "1"],
+                ["crosscheck", "--map", "b-k0", "--o"], ["asym", "--n", "3", "--k", "1", "--bogus"]]
+
+
+def test_no_request_loads_the_parser_modules():
+    # every request of INTEGER_REQUESTS, every --help and usage errors, in
+    # one fresh process: none loads what argparse brought
+    requests = [*INTEGER_REQUESTS, ["--help"], *([command, "--help"] for command in cli.COMMANDS),
+                *USAGE_ERRORS]
+    snippet = (
+        "import io, sys\n"
+        "from youngwalls import cli\n"
+        "streams, sys.stdout, sys.stderr = (sys.stdout, sys.stderr), io.StringIO(), io.StringIO()\n"
+        "codes = [cli.main(request.split(), out=io.StringIO()) for request in sys.argv[1:]]\n"
+        "sys.stdout, sys.stderr = streams\n"
+        f"print(codes, sorted(set({PARSER_MODULES!r}) & set(sys.modules)))\n"
+    )
+    proc = _bare_python("-c", snippet, *(" ".join(argv) for argv in requests))
+    codes = [0] * (len(requests) - len(USAGE_ERRORS)) + [2] * len(USAGE_ERRORS)
+    assert (proc.returncode, proc.stdout) == (0, f"{codes} []\n"), proc.stderr
+
+
+def test_help_names_every_command_flag_and_choice(capsys):
+    assert cli.main(["--help"]) == 0
+    words = capsys.readouterr().out.split()
+    assert all(command in words for command in cli.COMMANDS)
+    for command, (_, flags) in cli.COMMANDS.items():
+        assert cli.main([command, "--help"]) == 0
+        words = set(re.split(r"[\s\[\]{},]+", capsys.readouterr().out))
+        for flag, (value, _, _) in flags.items():
+            choices = value if isinstance(value, tuple) else ()
+            assert {flag, *choices} <= words, (command, flag)
 
 
 _B_ROW = wall_tables._b_row
