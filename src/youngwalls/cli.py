@@ -32,7 +32,6 @@ from types import SimpleNamespace
 
 from . import closed_forms, poset_lab, series_engine, tree_child, wall_tables
 from .exact_arith import NotIntegralError, binomial, double_factorial, double_factorials, factorial
-from .record import Record
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -313,7 +312,7 @@ def run_asym(args: SimpleNamespace, out: TextIOBase) -> int:
 # verify command: the identity registry
 
 
-class Check(Record):
+class Check:
     """One identity: ``holds(*cell)`` for every cell of ``cells(**bounds)``.
 
     ``bounds`` are the defaults that ``--nmax``, ``--kmax`` and ``--order``
@@ -324,11 +323,20 @@ class Check(Record):
     """
 
     __slots__ = ("summary", "bounds", "domain", "cells", "holds")
-    summary: str
-    bounds: dict[str, int]
-    domain: str
-    cells: Callable[..., Iterable[tuple[int, ...]]]
-    holds: Callable[..., bool]
+
+    def __init__(
+        self,
+        summary: str,
+        bounds: dict[str, int],
+        domain: str,
+        cells: Callable[..., Iterable[tuple[int, ...]]],
+        holds: Callable[..., bool],
+    ) -> None:
+        self.summary = summary
+        self.bounds = bounds
+        self.domain = domain
+        self.cells = cells
+        self.holds = holds
 
     def run(self, **overrides: int | None) -> tuple[bool | None, str]:
         """Visit the cells in order and stop at the first that fails.

@@ -22,7 +22,6 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from . import wall_tables
 from .exact_arith import Nat, binomial, exact_int, factorial
-from .record import Record
 
 CAPACITY = 24
 
@@ -31,7 +30,7 @@ class CapacityError(ValueError):
     """Raised when a poset is too large for exhaustive extension counting."""
 
 
-class Poset(Record):
+class Poset:
     """Poset on labels 0..size-1 given by its covers (s, t) meaning s < t.
 
     Duplicate covers are merged into one.  Validation rejects out-of-range
@@ -44,10 +43,8 @@ class Poset(Record):
     covers: tuple[tuple[int, int], ...]
 
     def __init__(self, size: int, covers: Iterable[tuple[int, int]] = ()) -> None:
-        super().__init__(size, tuple(sorted(set(map(tuple, covers)))))
-        self._validate()
-
-    def _validate(self) -> None:
+        self.size = size
+        self.covers = tuple(sorted(set(map(tuple, covers))))
         if self.size < 0:
             raise ValueError("negative size")
         for s, t in self.covers:
@@ -69,8 +66,8 @@ class Poset(Record):
 
 def _down_sets(p: Poset) -> list[int] | None:
     """below[v], the bitmask of the elements strictly below v, for every v,
-    by one Kahn-order pass over the covers; None on a cycle (only _validate
-    meets one)."""
+    by one Kahn-order pass over the covers; None on a cycle (only Poset's
+    constructor meets one)."""
     succ: list[list[int]] = [[] for _ in range(p.size)]
     indeg = [0] * p.size
     for s, t in p.covers:
@@ -325,7 +322,7 @@ def b_monster(n: int, k: int, rows: Sequence[Sequence[int]]) -> Nat:
 # tableau posets (brute-force oracles)
 
 
-class WallShape(Record):
+class WallShape:
     """Three-row diagram with optional walls and removed cells.
 
     rows gives the lengths (bottom, middle, top) and must be weakly
@@ -335,9 +332,6 @@ class WallShape(Record):
     """
 
     __slots__ = ("rows", "walls", "removed")
-    rows: tuple[int, int, int]
-    walls: frozenset[tuple[int, int]]
-    removed: frozenset[tuple[int, int]]
 
     def __init__(
         self,
@@ -345,7 +339,9 @@ class WallShape(Record):
         walls: frozenset[tuple[int, int]] = frozenset(),
         removed: frozenset[tuple[int, int]] = frozenset(),
     ) -> None:
-        super().__init__(rows, walls, removed)
+        self.rows = rows
+        self.walls = walls
+        self.removed = removed
         bottom, middle, top = self.rows
         if not bottom >= middle >= top >= 0:
             raise ValueError(f"row lengths must decrease upward: {self.rows}")

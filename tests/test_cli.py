@@ -497,6 +497,12 @@ def test_check_stops_at_first_failing_cell():
     assert one_index.run(top=4) == (True, "i <= 4")
 
 
+def test_check_keeps_its_fields_in_slots():
+    assert not hasattr(cli.CHECKS["catalan-base"], "__dict__")
+    with pytest.raises(TypeError):
+        cli.Check("too few fields", {})
+
+
 def _move_a_alt_cells(monkeypatch, moved):
     # the columns that the a-alt check reads, with a(n, k) moved by 1 where moved(n, k)
     columns = wall_tables.a_alt_columns
