@@ -47,7 +47,7 @@ Cell = tuple[tuple[int, ...], int]
 
 def _table_rows(args: SimpleNamespace, one: object = None) -> Iterator[list[Cell]]:
     """The cells of a `table` request, one list per row n, each computed
-    when it is read; the rows of a, b, tc and u are walked in the ring of
+    when it is read; the rows of a, b and tc are walked in the ring of
     ``one`` (see ``wall_tables.walk``).  Every usage error is raised here,
     before any row."""
     seq, nmax = args.seq, args.nmax
@@ -94,12 +94,12 @@ def _table_rows(args: SimpleNamespace, one: object = None) -> Iterator[list[Cell
 def _cell_readers(seq: str, nmax: int, width: int,
                   one: object) -> Iterator[tuple[int, Callable[[int], int]]]:
     """(n, cell) for the rows n <= nmax of a 2-index sequence, where cell(k)
-    is its value at (n, k) for k <= width.  a, b, u and tc read row streams
-    walked in the ring of ``one``, keeping one row; f and ftilde are closed
-    forms, computed cell by cell."""
+    is its value at (n, k) for k <= width.  a, b, u and tc read row streams,
+    keeping one row, those of a, b and tc walked in the ring of ``one``, u's
+    in int; f and ftilde are closed forms, computed cell by cell."""
     if seq in ("a", "b", "u"):
         rows = {"a": wall_tables.a_rows, "b": wall_tables.b_rows, "u": poset_lab.u_rows}[seq]
-        for n, row in zip(range(nmax + 1), rows(width, one)):
+        for n, row in zip(range(nmax + 1), rows(width) if seq == "u" else rows(width, one)):
             yield n, row.__getitem__
     elif seq == "tc":
         # row n of tc reads row n - 1 of a, one product per cell read
@@ -152,9 +152,9 @@ def _render_rows(args: SimpleNamespace, rows: Iterator[list[Cell]], out: TextIOB
             out.write("".join(sep.join(map(str, (*idx, v))) + "\n" for idx, v in row))
 
 
-# the tables walked in decimal.Decimal: str of an int takes time quadratic
-# in its digits (CPython <= 3.11), str of a Decimal linear time
-DECIMAL_SEQS = ("a", "b", "tc", "u")
+# the tables walked in decimal.Decimal, whose str takes linear time (int's
+# is quadratic in CPython <= 3.11); u's products of big ints are faster in int
+DECIMAL_SEQS = ("a", "b", "tc")
 
 
 def run_table(args: SimpleNamespace, out: TextIOBase) -> int:

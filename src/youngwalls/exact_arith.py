@@ -50,8 +50,8 @@ def double_factorials(low: int, high: int) -> list[Nat]:
 def binomial(n: int, k: int) -> Nat:
     """Binomial coefficient, zero outside 0 <= k <= n.
 
-    The zero extension is load bearing in the `f-gf` check of cli: its
-    closed form (2k-1)!! C(n+k, 2k) must read f(n, k) = 0 for k > n.
+    It equals math.comb(n, k) for k >= 0, which is already 0 for k > n; the
+    one difference is k < 0, which gives 0 here and raises in math.comb.
     """
     if n < 0:
         raise ValueError(f"binomial needs nonnegative n, got {n}")

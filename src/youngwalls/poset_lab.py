@@ -237,12 +237,11 @@ def _alternating(top: int, n: int, s: int, col: Sequence[int]) -> int:
                for i in range(min(s, n) + 1))
 
 
-def u_rows(width: int, one: object = None) -> Iterator[list[Nat]]:
+def u_rows(width: int) -> Iterator[list[Nat]]:
     """Rows u(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end: row n
-    is the alternating transform of row n of one ``b_rows`` walk, in the ring
-    of ``one`` (see ``wall_tables.walk``)."""
+    is the alternating transform of row n of one ``b_rows`` walk."""
     return ([_alternating(2 * n + k, n, k, row) for k in range(len(row))]
-            for n, row in enumerate(wall_tables.b_rows(width, one)))
+            for n, row in enumerate(wall_tables.b_rows(width)))
 
 
 def u_from_b(n: int, k: int) -> Nat:

@@ -6,19 +6,17 @@ Design notes that the individual docstrings lean on:
 * A series in t is a plain tuple of coefficients (Series): s[n] is the
   coefficient of t^n, up to t-order len(s) - 1.  shift_up keeps the
   length, series_mul truncates to the shorter operand, and dividing by t
-  shifts coefficients down and pads the top with a zero, so a series is
-  trustworthy only up to a caller-tracked margin below its length.
+  drops the constant term, so the quotient is one coefficient shorter.
 * B_k and F_k are tuples of such series (Rows): rows[j][n] is the
   coefficient of x^j t^n, and row j is slice j, the coefficient of x^j.
   The kernel equation (x - x^2 - t) B_k = x F_k - t D_k is solved and
   checked slice by slice, entry by entry: slice 0 is t (D - B_0) and
   slice j >= 1 is B_{j-1} - B_{j-2} - F_{j-1} - t B_j.  bk_solve sets
-  each to zero; kernel_residual returns them on the common rectangle of
-  B and F, with t D kept to D's length as shift_up keeps it.
-* The margin is sharp: at a square working order W slice j of every B_k
-  is exact to t-order W - j, so dk_kernel(k, N) is exact at working order
-  N, while a full rectangle of B_k to x-order Nx and t-order Nt needs
-  W = Nx + Nt followed by truncation.
+  each to zero; kernel_residual returns them slice by slice, each as long
+  as its shortest term, with t D kept to D's length as shift_up keeps it.
+* At working order W, slice j of B_k, and of F_k for k >= 1, holds
+  W - j + 1 exact coefficients, t-orders 0..W - j, so dk_kernel(k, N)
+  works at order N, and an Nx x Nt rectangle of B_k needs W >= Nx + Nt.
 * kernel_levels(W) walks the chain once, each level solved from the one
   before, so levels 0..k cost k + 1 solves and only the current one is
   held.  A level's cost sits in D_k = (x F_k / t)(X_2): subs_x runs
@@ -165,11 +163,11 @@ def dk_closed(k: int, order: int) -> Series:
 
 
 def _divide_t(row: Sequence[int], name: str, k: int, j: int) -> Series:
-    """Slice j of name at kernel level k, divided by t; the top is padded
-    with a zero.  Raises NotIntegralError unless the constant term vanishes."""
+    """Slice j of name at kernel level k, divided by t: one coefficient
+    shorter.  Raises NotIntegralError unless the constant term vanishes."""
     if row[0]:
         raise NotIntegralError(f"kernel level {k}: slice {j} of {name} is not divisible by t")
-    return (*row[1:], 0)
+    return tuple(row[1:])
 
 
 def fk_next(b_prev: Rows, k: int) -> Rows:
@@ -185,8 +183,8 @@ def bk_solve(f_k: Rows, d_k: Series, k: int) -> Rows:
     slice by slice: B_0 = D and B_j = (B_{j-1} - B_{j-2} - F_{j-1}) / t for
     j >= 1.
 
-    Each division is checked exact at the constant term.  With square
-    working order W, slice j of the result is exact to t-order W - j.
+    Each division is checked exact at the constant term and drops it, so
+    slice j holds t-orders 0..W - j of B, W the lower t-order of F_0 and D.
     """
     t_order = min(len(f_k[0]), len(d_k)) - 1
     prev2: Series = (0,) * (t_order + 1)
@@ -232,12 +230,11 @@ def dk_kernel(k: int, order: int) -> Series:
 
 
 def kernel_residual(b_k: Rows, f_k: Rows, d_k: Series) -> Rows:
-    """(x - x^2 - t) B - (x F - t D) on the common rectangle of B and F,
+    """(x - x^2 - t) B - (x F - t D) on the slices that B and F share,
     slice by slice as bk_solve solves it: slice 0 is t (D - B_0), with t D
     at D's own order (its top coefficient falls off, as in shift_up), and
-    slice j >= 1 is B_{j-1} - B_{j-2} - F_{j-1} - t B_j.  Entry (j, n) is
-    trustworthy whenever the inputs are exact at and one step below (j, n);
-    on exact inputs the residual vanishes identically."""
+    slice j >= 1 is B_{j-1} - B_{j-2} - F_{j-1} - t B_j, each as long as its
+    shortest term.  On a level of kernel_levels it vanishes identically."""
     t_order = min(len(b_k[0]), len(f_k[0])) - 1
     zero = (0,) * (t_order + 1)
     t_d = (*shift_up(d_k), *zero)[: t_order + 1]

@@ -1,9 +1,19 @@
 """Counts of tree-child networks with n leaves and k reticulations, tied to
 the wall-tableau tables by tc(n, k) = n!/(n-k)! * a(n-1, k).
 
-Six exact routes are kept deliberately independent so they can be compared,
-plus a float asymptotic evaluated in log space (the counts overflow doubles
-long before the interesting range ends).  The routes with their own
+Six exact routes are kept so they can be compared, plus a float asymptotic
+evaluated in log space (the counts overflow doubles long before the
+interesting range ends).  Two of the six are algebraic rewrites of
+``tc_from_a``:
+
+* ``tc_via_b`` is ``tc_from_a`` under b = a 2^(n-k) / (n-k+1)!, the
+  conjugation of the b and a tables (see ``wall_tables._b_row``);
+* ``tc_closed`` equals ``tc_from_a(n, k, a_closed(n-1, k))`` term by term,
+  because C(k, i) delta_{k-i} = k! gamma_{k-i} / i! and
+  C(n, k) k! = n!/(n-k)!.
+
+So four of the routes are independent: ``tc_from_a`` on the rows of a,
+``tc_rec_rows``, ``tc_sum_rows`` and ``tc_chain``.  The routes with their own
 recurrence stream their rows off ``wall_tables.walk`` (``tc_rec_rows``,
 ``tc_sum_rows``), keeping one.  The routes through the tables are
 formulas in the cells they read: ``tc_from_a`` and ``tc_via_b`` take one

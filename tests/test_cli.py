@@ -1194,7 +1194,7 @@ def _rational_modules() -> dict[str, frozenset[str]]:
 @pytest.mark.parametrize("argv", INTEGER_REQUESTS, ids=" ".join)
 def test_integer_request_loads_no_rational_module(argv):
     # no route builds a rational: fractions is never imported.  The tables of
-    # a, b, tc and u are walked in decimal (which imports numbers); no other
+    # a, b and tc are walked in decimal (which imports numbers); no other
     # request loads either
     decimal_table = argv[0] == "table" and argv[2] in cli.DECIMAL_SEQS
     loads = {"decimal", "numbers"} if decimal_table else set()

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,6 +42,11 @@ def test_binomial_zero_extension():
     assert ea.binomial(0, 0) == 1
     with pytest.raises(ValueError):
         ea.binomial(-1, 0)
+
+
+def test_binomial_is_math_comb_for_nonnegative_k():
+    # k > n is already 0 in math.comb; only k < 0 differs
+    assert all(ea.binomial(n, k) == math.comb(n, k) for n in range(13) for k in range(n + 4))
 
 
 @given(st.integers(min_value=1, max_value=80), st.integers(min_value=-2, max_value=82))

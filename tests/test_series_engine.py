@@ -38,9 +38,9 @@ def test_neg_pow_series_is_the_rational_recurrence_in_integers():
 
 
 def test_divide_t_requires_divisibility():
-    # the one division by t of the kernel chain keeps the row length
-    assert se._divide_t((0, 3, 4), "F_k", 2, 1) == (3, 4, 0)
-    assert se._divide_t([0], "F_k", 2, 1) == (0,)
+    # the one division by t of the kernel chain drops the constant term
+    assert se._divide_t((0, 3, 4), "F_k", 2, 1) == (3, 4)
+    assert se._divide_t([0], "F_k", 2, 1) == ()
     with pytest.raises(NotIntegralError, match="kernel level 2: slice 1 of F_k"):
         se._divide_t((1, 2), "F_k", 2, 1)
 
@@ -202,6 +202,21 @@ def test_kernel_levels_exact_on_triangle(order):
         assert d == se.dk_from_table(k, order)
         for j in range(order + 1):
             assert b[j][: order - j + 1] == table[j][: order - j + 1], (k, j)
+
+
+def test_kernel_levels_store_only_exact_entries():
+    # slice j of B_k, and of F_k for k >= 1, holds t-orders 0..W - j, each
+    # equal to the table: B_k[j][n] = b3(j + n, n, k), F_k = (n + 1 - k) B_{k-1}
+    for order in range(13):
+        tables = se.bk_from_table(5, order, order)
+        triangle = [order - j + 1 for j in range(order + 1)]
+        for k, (f, _, b) in zip(range(6), se.kernel_levels(order)):
+            assert [len(row) for row in b] == triangle, (order, k)
+            assert all(v == tables[k][j][n] for j, row in enumerate(b) for n, v in enumerate(row))
+            if k:
+                assert [len(row) for row in f] == triangle, (order, k)
+                assert all(v == (n + 1 - k) * tables[k - 1][j][n]
+                           for j, row in enumerate(f) for n, v in enumerate(row))
 
 
 def kernel_residual_reference(b, f, d):
