@@ -4,7 +4,8 @@ Subcommands:
 
 * ``table``      print a counting table (grid for 2-index sequences,
                  long form for 3-index ones)
-* ``verify``     run named identity checks from a registry (``--check all``)
+* ``verify``     run named identity checks from the registry of ``checks``
+                 (``--check all``)
 * ``series``     print D_k coefficients by one of the three routes
 * ``oracle``     compare a recurrence value against brute-force enumeration
 * ``crosscheck`` compare a 1-D slice against an OEIS b-file (the bundled
@@ -21,17 +22,16 @@ Integers in JSON are decimal strings so no consumer ever rounds them.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from functools import partial
 from io import TextIOBase
 from types import SimpleNamespace
 
-from . import closed_forms, poset_lab, series_engine, tree_child, wall_tables
-from .exact_arith import NotIntegralError, binomial, double_factorial, double_factorials, factorial
+from . import poset_lab, series_engine, tree_child, wall_tables
+from .exact_arith import NotIntegralError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -309,317 +309,12 @@ def run_asym(args: SimpleNamespace, out: TextIOBase) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify command: the identity registry
-
-
-class Check:
-    """One identity: ``holds(*cell)`` for every cell of ``cells(**bounds)``.
-
-    ``bounds`` are the defaults that ``--nmax``, ``--kmax`` and ``--order``
-    override; ``domain`` is formatted with the bounds in effect.  A cell is
-    a tuple of ints, possibly followed by data that ``cells`` computed for
-    it (a kernel level, rows or a table layer along one walk, a table
-    block); only the ints name the cell in a failure.
-    """
-
-    __slots__ = ("summary", "bounds", "domain", "cells", "holds")
-
-    def __init__(
-        self,
-        summary: str,
-        bounds: dict[str, int],
-        domain: str,
-        cells: Callable[..., Iterable[tuple[int, ...]]],
-        holds: Callable[..., bool],
-    ) -> None:
-        self.summary = summary
-        self.bounds = bounds
-        self.domain = domain
-        self.cells = cells
-        self.holds = holds
-
-    def run(self, **overrides: int | None) -> tuple[bool | None, str]:
-        """Visit the cells in order and stop at the first that fails.
-
-        Returns (False, "fails at (cell)") at the first failing cell, else
-        (True, domain), or (None, domain) when the domain holds no cell.
-        """
-        bounds = dict(self.bounds)
-        bounds.update((b, v) for b, v in overrides.items() if b in bounds and v is not None)
-        visited = 0
-        for cell in self.cells(**bounds):
-            if not self.holds(*cell):
-                where = ", ".join(str(c) for c in cell if type(c) is int)
-                return False, f"fails at ({where})"
-            visited += 1
-        return (True if visited else None), self.domain.format(**bounds)
-
-
-def _upto(top: int, start: int = 0) -> Iterator[tuple[int]]:
-    """One-index cells (i,) for start <= i <= top."""
-    return ((i,) for i in range(start, top + 1))
-
-
-def _b3_walk(nmax: int, width: int) -> Iterator[tuple[int, list[list[int]]]]:
-    """(n, layer n of b3, clipped at k <= width) for n <= nmax, off one walk."""
-    return zip(range(nmax + 1), wall_tables.b3_layers(width))
-
-
-def _omega_block(nmax: int, mmax: int, kmax: int) -> Callable[[int, int, int], int]:
-    """omega(n, m, k) off one omega_rows block, 0 outside the domain of omega."""
-    rows = list(wall_tables.omega_rows(nmax, mmax, kmax))
-    return lambda n, m, k: rows[n][m][k] if n >= 0 and 0 <= k <= m + 1 else 0
-
-
-def _sharing(data: object, cells: Iterable[tuple]) -> Iterator[tuple]:
-    """Each cell followed by data computed once for all of them."""
-    return ((*cell, data) for cell in cells)
-
-
-def _rect(nmax: int, kmax: int) -> Iterator[tuple[int, int]]:
-    """(n, k) for 1 <= n <= nmax and 1 <= k <= kmax, row by row."""
-    return ((n, k) for n in range(1, nmax + 1) for k in range(1, kmax + 1))
-
-
-def _walk(kmax: int, order: int, start: int = 0, scale: int = 2) -> Iterator[tuple]:
-    """(k, order, F_k, D_k, B_k) for start <= k <= kmax, along one kernel
-    walk at working order scale * order that holds only the current level."""
-    levels = series_engine.kernel_levels(scale * order)
-    # zip stops at range's end, so no level past kmax is solved
-    for k, level in zip(range(kmax + 1), levels):
-        if k >= start:
-            yield (k, order, *level)
-
-
-def _on_walks(summary: str, nmax: int, walks: Callable[[int], Iterable[tuple]],
-              holds: Callable[..., bool], start: int = 0) -> Check:
-    """``holds(n, k, *rows)`` for start <= n <= nmax and k <= n, row by row,
-    where rows is row n of each walk that ``walks(nmax)`` zips: every table
-    the check reads is walked once."""
-
-    def cells(nmax: int) -> Iterator[tuple]:
-        for n, rows in zip(range(nmax + 1), walks(nmax)):
-            if n >= start:
-                yield from ((n, k, *rows) for k in range(n + 1))
-
-    return Check(summary, {"nmax": nmax}, "n <= {nmax}", cells, holds)
-
-
-def _kept(rows: Iterable[list[int]]) -> Iterator[list[list[int]]]:
-    """Rows 0..n of a walk at step n, in one list that grows by a row a step."""
-    kept: list[list[int]] = []
-    for row in rows:
-        kept.append(row)
-        yield kept
-
-
-def _dk_threeway(k: int, order: int, _f, kernel, _b) -> bool:
-    return series_engine.dk_from_table(k, order) == series_engine.dk_closed(k, order) == kernel
-
-
-def _gamma_sum(k: int) -> bool:
-    """sum_i gamma_{k-i} / i! (3k+i-3)!! = 0, times k! D_k: with delta_j =
-    j! gamma_j = N_j / D_k, it is sum_i C(k, i) N_{k-i} (3k+i-3)!! = 0."""
-    nums, _ = closed_forms.delta_row(k)
-    dfact = double_factorials(3 * k - 3, 4 * k - 3)
-    c, total = 1, 0
-    for i in range(k + 1):
-        total += c * nums[k - i] * dfact[i]
-        c = c * (k - i) // (i + 1)
-    return total == 0
-
-
-def _delta_rec(i: int) -> bool:
-    """delta_i (3i-3)!! = -sum_{j=1}^{i} C(i, j) (3i+j-3)!! delta_{i-j}, times
-    D_i: on the numerators N_j of delta_row(i), with (3i+j-3)!! off one run."""
-    nums, _ = closed_forms.delta_row(i)
-    dfact = double_factorials(3 * i - 3, 4 * i - 3)
-    c, rhs = 1, 0
-    for j in range(1, i + 1):
-        c = c * (i - j + 1) // j  # C(i, j)
-        rhs -= c * dfact[j] * nums[i - j]
-    return nums[i] * dfact[0] == rhs
-
-
-def _stock_series(order: int) -> bool:
-    """Half-power square, central binomials, Catalan equation, kernel root."""
-    mul, shift_up = series_engine.series_mul, series_engine.shift_up
-    half = series_engine.neg_half_pow_series(1, order)
-    c = series_engine.catalan_series(order)
-    x2 = series_engine.x2_series(order)
-    t = shift_up((1,) + (0,) * order)
-    return (
-        mul(half, half) == series_engine.neg_half_pow_series(2, order)
-        and all(c_n == binomial(2 * n, n) for n, c_n in enumerate(half))
-        and (1, *shift_up(mul(c, c))[1:]) == c  # C = 1 + t C^2
-        and mul(x2, x2) == tuple(x - y for x, y in zip(x2, t))  # X_2^2 = X_2 - t
-    )
-
-
-def _kernel_residual(k: int, order: int, f, d, b) -> bool:
-    res = series_engine.kernel_residual(b, f, d)
-    return not any(any(row[: order + 1]) for row in res[: order + 1])
-
-
-def _b0_hook(nmax: int) -> bool:
-    _, _, b0 = series_engine.kernel_chain(0, 2 * nmax)
-    square = range(nmax + 1)
-    return all(b0[j][m] == wall_tables.b3_hook(m + j, m) for j in square for m in square)
-
-
-def _tc_routes(n: int, k: int, a: list[list[int]], b: list[int], rec: list[int],
-               sums: list[int]) -> bool:
-    """a holds rows 0..n-1 of a, b is row n-1 of b, rec and sums row n of tc."""
-    tc = tree_child
-    values = [tc.tc_from_a(n, k, a[n - 1][k]), tc.tc_via_b(n, k, b[k]), rec[k], sums[k],
-              tc.tc_closed(n, k)]
-    return len(set(values)) == 1 and (k == 0 or tc.tc_chain(k, n - k - 1, a) == values[0])
-
-
-CHECKS: dict[str, Check] = {
-    "main-identity": _on_walks(
-        "2^(n-k) a(n,k) = (n-k+1)! b(n,k)", 30,
-        lambda nmax: zip(wall_tables.a_rows(nmax), wall_tables.b_rows(nmax)),
-        lambda n, k, a, b: 2 ** (n - k) * a[k] == factorial(n - k + 1) * b[k],
-    ),
-    "a-alt": _on_walks(
-        "column expansion matches the one-step recurrence", 20,
-        lambda nmax: zip(wall_tables.a_rows(nmax),
-                         itertools.repeat(list(wall_tables.a_alt_columns(nmax)))),
-        lambda n, k, a, cols: cols[k][n] == a[k],
-    ),
-    "catalan-base": Check(
-        "b3(n,n,0) is Catalan", {"nmax": 30}, "n <= {nmax}",
-        lambda nmax: _b3_walk(nmax, 0),
-        lambda n, layer: layer[n][0] == binomial(2 * n, n) // (n + 1),
-    ),
-    "hook-base": Check(
-        "b3(n,m,0) matches the ballot closed form", {"nmax": 15}, "n <= {nmax}",
-        lambda nmax: ((n, m, layer) for n, layer in _b3_walk(nmax, 0) for m in range(n + 1)),
-        lambda n, m, layer: layer[m][0] == wall_tables.b3_hook(n, m),
-    ),
-    "omega-bridge": Check(
-        "omega(n,m,k) = b3(n+m,m,k)", {"nmax": 14}, "n + m <= {nmax}, k <= m + 1",
-        lambda nmax: (
-            (s - m, m, k, omega, b3)
-            for (s, b3), omega in zip(_b3_walk(nmax, nmax), wall_tables.omega_layers(nmax + 1))
-            for m in range(s, -1, -1) for k in range(m + 2)
-        ),
-        lambda n, m, k, omega, b3: omega[k][n] == (b3[m][k] if k <= m else 0),
-    ),
-    "omega-vanishing": Check(
-        "omega(n,k-1,k) = 0", {"nmax": 10, "kmax": 6}, "n <= {nmax}, k <= {kmax}",
-        lambda nmax, kmax: _sharing(_omega_block(nmax, kmax, kmax),
-                                    ((n, k) for k in range(1, kmax + 1) for n in range(nmax + 1))),
-        lambda n, k, omega: omega(n, k - 1, k) == 0,
-    ),
-    "omega-init-vanishing": Check(
-        "seed row vanishes at k = m+1", {"kmax": 8}, "k <= {kmax}", lambda kmax: _upto(kmax, 1),
-        lambda k: closed_forms.omega_init(k - 1, k) == 0,
-    ),
-    "cor-rec": _on_walks(
-        "integer two-term recurrence of b matches the b3 diagonal", 20,
-        lambda nmax: zip(wall_tables.b_rows(nmax), wall_tables.b3_layers(nmax)),
-        lambda n, k, b, layer: b[k] == layer[n][k],
-    ),
-    "closed-a": _on_walks(
-        "gamma closed form matches a", 25, lambda nmax: zip(wall_tables.a_rows(nmax)),
-        lambda n, k, a: closed_forms.a_closed(n, k) == a[k],
-    ),
-    "closed-b": _on_walks(
-        "gamma closed form matches b", 25, lambda nmax: zip(wall_tables.b_rows(nmax)),
-        lambda n, k, b: closed_forms.b_closed(n, k) == b[k],
-    ),
-    "gamma-sum": Check(
-        "defining gamma sum telescopes to zero", {"kmax": 40}, "k <= {kmax}",
-        lambda kmax: _upto(kmax, 1), _gamma_sum,
-    ),
-    "delta-rec": Check(
-        "delta recursion consistent with k! gamma_k", {"kmax": 20}, "i <= {kmax}",
-        lambda kmax: _upto(kmax, 1), _delta_rec,
-    ),
-    "lemma28": Check(
-        "unfolded boundary sum vanishes", {"nmax": 8, "kmax": 5},
-        "n <= {nmax}, k <= {kmax}, all s",
-        lambda nmax, kmax: _sharing(
-            _omega_block(nmax, nmax + kmax, kmax),  # the sums read n' < n, m' < n + k only
-            ((n, k, s) for n, k in _rect(nmax, kmax) for s in range(1, n + 1))),
-        lambda n, k, s, omega: closed_forms.lemma28_rhs(n, k, s, omega) == 0,
-    ),
-    "lemma29": Check(
-        "closing double-factorial identity", {"nmax": 8, "kmax": 6},
-        "n <= {nmax}, k <= {kmax}, i <= k",
-        lambda nmax, kmax: ((n, k, i) for n, k in _rect(nmax, kmax) for i in range(k + 1)),
-        lambda n, k, i: closed_forms.lemma29_check(n, k, i),
-    ),
-    "stock-series": Check(
-        "Catalan / kernel-root / power sanity", {"order": 30}, "order {order}",
-        lambda order: [(order,)], _stock_series,
-    ),
-    "dk-threeway": Check(
-        "table, closed and kernel D_k agree", {"kmax": 8, "order": 20},
-        "k <= {kmax}, order {order}", partial(_walk, start=1, scale=1), _dk_threeway,
-    ),
-    "kernel-residual": Check(
-        "(x - x^2 - t) B = x F - t D exactly", {"kmax": 5, "order": 12},
-        "k <= {kmax}, rectangle {order} x {order}", _walk, _kernel_residual,
-    ),
-    "bk-rect": Check(
-        "kernel B_k rectangle matches the table", {"kmax": 5, "order": 12},
-        "k <= {kmax}, rectangle {order} x {order}",
-        lambda kmax, order: _sharing(series_engine.bk_from_table(kmax, order, order),
-                                     _walk(kmax, order)),
-        lambda k, order, f, d, b, bk: tuple(r[: order + 1] for r in b[: order + 1]) == bk[k],
-    ),
-    "b0-hook": Check(
-        "wall-free B_0 entries are ballot numbers", {"nmax": 12}, "rectangle {nmax} x {nmax}",
-        lambda nmax: [(nmax,)], _b0_hook,
-    ),
-    "f-rec": Check(
-        "pendant-family recurrence", {"nmax": 12}, "n <= {nmax}",
-        lambda nmax: ((n, k) for n in range(1, nmax + 1) for k in range(1, n + 1)),
-        lambda n, k: poset_lab.f_closed(n, k)
-        == poset_lab.f_closed(n - 1, k) + (n + k - 1) * poset_lab.f_closed(n - 1, k - 1),
-    ),
-    "f-gf": Check(
-        "pendant-family generating function", {"kmax": 6, "order": 12},
-        "k <= {kmax}, n <= {order}",
-        lambda kmax, order: ((n, k) for k in range(kmax + 1) for n in range(order + 1)),
-        lambda n, k: poset_lab.f_closed(n, k)
-        == double_factorial(2 * k - 1) * binomial(n + k, 2 * k),
-    ),
-    "bu-roundtrip": _on_walks(
-        "alternating transforms invert", 8,
-        lambda nmax: zip(wall_tables.b_rows(nmax), poset_lab.u_rows(nmax)),
-        lambda n, k, b, u: poset_lab.b_from_u(n, k, u) == b[k],
-    ),
-    "b12": _on_walks(
-        "binomial f minus r reproduces b", 8,
-        lambda nmax: zip(wall_tables.b_rows(nmax), _kept(poset_lab.u_rows(nmax))),
-        lambda n, k, b, u: binomial(2 * n + k, n) * poset_lab.f_closed(n, k)
-        - poset_lab.r_sum(n, k, u) == b[k],
-        start=1,
-    ),
-    "monster": _on_walks(
-        "grand recurrence reproduces b", 12, lambda nmax: zip(_kept(wall_tables.b_rows(nmax))),
-        lambda n, k, b: poset_lab.b_monster(n, k, b) == b[n][k], start=1,
-    ),
-    "tc-routes": Check(
-        "six exact tree-child routes agree", {"nmax": 15}, "n <= {nmax}, six routes",
-        lambda nmax: ((n, k, *rows) for n, *rows in zip(
-            range(1, nmax + 1), _kept(wall_tables.a_rows(nmax)), wall_tables.b_rows(nmax),
-            tree_child.tc_rec_rows(nmax), tree_child.tc_sum_rows(nmax),
-        ) for k in range(n)), _tc_routes,
-    ),
-    "tc-dfact": Check(
-        "tc(n,0) = (2n-3)!!", {"nmax": 15}, "n <= {nmax}",
-        lambda nmax: zip(range(1, nmax + 1), wall_tables.a_rows(0)),
-        lambda n, a: tree_child.tc_from_a(n, 0, a[0]) == double_factorial(2 * n - 3),
-    ),
-}
+# verify command
 
 
 def run_verify(args: SimpleNamespace, out: TextIOBase) -> int:
+    from .checks import CHECKS  # only verify loads the registry
+
     names = sorted(CHECKS) if args.check == "all" else [args.check]
     unknown = [n for n in names if n not in CHECKS]
     if unknown:

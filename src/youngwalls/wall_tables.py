@@ -84,10 +84,10 @@ def _b_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
     This step is _a_row's conjugate: put b = a 2^(n-k) / (n-k+1)! into the
     recurrence and multiply by (n-k)! / 2^(n-k+1), or into the seed and
     multiply by (n+1)! / 2^n, and _a_row's recurrence and seed come out
-    term for term.  So the identity 2^(n-k) a = (n-k+1)! b, which the
-    main-identity check reads off these two steps, holds for any conjugate
-    pair of steps whose b stays integral: it checks the conjugation, not
-    the tableaux."""
+    term for term.  So the identity 2^(n-k) a = (n-k+1)! b, read off these
+    two steps, holds for any conjugate pair of steps whose b stays
+    integral: it checks the conjugation, not the tableaux.  The
+    main-identity check reads b off the b3 diagonal instead."""
     row.append(exact_int(2 * (2 * n - 1) * prev[0], n + 1, ("b", n, 0)) if n else 1)
     for k in range(1, min(n, width) + 1):
         below = prev[k] if k < n else 0

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 from youngwalls import (
+    checks,
     cli,
     closed_forms,
     poset_lab,
@@ -193,7 +194,7 @@ def test_criterion_12_boundary_sum_checks_at_three_times_their_bounds():
     # 4 s when every term was a Fraction
     t0 = time.perf_counter()
     for name in ("lemma28", "lemma29", "gamma-sum"):
-        bounds = {flag: 3 * v for flag, v in cli.CHECKS[name].bounds.items()}
-        ok, _ = cli.CHECKS[name].run(**bounds)
+        bounds = {flag: 3 * v for flag, v in checks.CHECKS[name].bounds.items()}
+        ok, _ = checks.CHECKS[name].run(**bounds)
         assert ok is True, name
     assert time.perf_counter() - t0 < 3.0

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import youngwalls
-from youngwalls import cli, closed_forms, poset_lab, tree_child, wall_tables
+from youngwalls import checks, cli, closed_forms, poset_lab, tree_child, wall_tables
 from youngwalls.exact_arith import NotIntegralError, binomial, exact_int
 
 from conftest import TABLE_A, TABLE_B
@@ -225,9 +225,22 @@ def test_omega_kmax_past_the_widest_row_prints_the_same_off_a_narrow_walk(mmax, 
     assert run_cli(*argv, str(10**6)) == want
 
 
+# the ring each table is walked in: decimal.Decimal, whose str takes linear
+# time, for the tables of a, b and tc; int for the rest
+TABLE_RINGS = {"a": "decimal", "b": "decimal", "tc": "decimal", "u": "int", "f": "int",
+               "ftilde": "int", "b3": "int", "omega": "int"}
+DECIMAL_TABLES = [seq for seq, ring in TABLE_RINGS.items() if ring == "decimal"]
+
+
+def test_decimal_tables_are_the_pinned_ones():
+    # dropping a sequence from cli.DECIMAL_SEQS must fail a test, not drop its cases
+    assert sorted(TABLE_RINGS) == sorted(TABLE_SEQS)
+    assert sorted(cli.DECIMAL_SEQS) == sorted(DECIMAL_TABLES)
+
+
 @pytest.mark.parametrize("option", [[], ["--kmax", "3"], ["--k", "2"], ["--diag"]],
                          ids=lambda o: " ".join(o) or "full")
-@pytest.mark.parametrize("seq", cli.DECIMAL_SEQS)
+@pytest.mark.parametrize("seq", DECIMAL_TABLES)
 def test_decimal_route_matches_the_int_route(seq, option, monkeypatch, capsys):
     # the same request rendered from rows walked in int, byte for byte, also
     # where it is a usage error (tc has no diagonal, a b-file needs a slice)
@@ -473,9 +486,9 @@ def test_verify_unknown_check():
     assert code == 2
 
 
-@pytest.mark.parametrize("name", sorted(cli.CHECKS))
+@pytest.mark.parametrize("name", sorted(checks.CHECKS))
 def test_registry_identity_holds(name):
-    ok, detail = cli.CHECKS[name].run()
+    ok, detail = checks.CHECKS[name].run()
     assert ok, detail
 
 
@@ -487,20 +500,20 @@ def test_check_stops_at_first_failing_cell():
         return (n, k) != (2, 1)
 
     # no table to walk: each row n brings no rows, so the cells are (n, k)
-    check = cli._on_walks("fails once", 4, lambda nmax: itertools.repeat(()), holds)
+    check = checks._on_walks("fails once", 4, lambda nmax: itertools.repeat(()), holds)
     assert check.run() == (False, "fails at (2, 1)")
     assert visited == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
     assert check.run(nmax=1, kmax=7) == (True, "n <= 1")
     assert check.run(nmax=None) == (False, "fails at (2, 1)")
-    one_index = cli.Check("fails at 5", {"top": 9}, "i <= {top}", cli._upto, lambda i: i != 5)
+    one_index = checks.Check("fails at 5", {"top": 9}, "i <= {top}", checks._upto, lambda i: i != 5)
     assert one_index.run() == (False, "fails at (5)")
     assert one_index.run(top=4) == (True, "i <= 4")
 
 
 def test_check_keeps_its_fields_in_slots():
-    assert not hasattr(cli.CHECKS["catalan-base"], "__dict__")
+    assert not hasattr(checks.CHECKS["catalan-base"], "__dict__")
     with pytest.raises(TypeError):
-        cli.Check("too few fields", {})
+        checks.Check("too few fields", {})
 
 
 def _move_a_alt_cells(monkeypatch, moved):
@@ -522,7 +535,7 @@ def test_verify_reports_the_first_failing_cell(monkeypatch):
     code, text = run_cli("verify", "--check", "all", "--nmax", "6", "--kmax", "3", "--order", "8")
     assert code == 1
     lines = text.splitlines()
-    assert [line.split(":")[0] for line in lines] == sorted(cli.CHECKS)
+    assert [line.split(":")[0] for line in lines] == sorted(checks.CHECKS)
     assert [line for line in lines if ": PASS (" not in line] == ["a-alt: FAIL (fails at (3, 2))"]
 
 
@@ -534,21 +547,22 @@ def test_verify_reports_the_first_failing_cell(monkeypatch):
 )
 def test_kernel_check_walks_the_chain_once(argv, levels, monkeypatch):
     # one walk solves each level 0..kmax once
-    bk_solve, solved = cli.series_engine.bk_solve, []
-    monkeypatch.setattr(cli.series_engine, "bk_solve", lambda *a: solved.append(1) or bk_solve(*a))
+    bk_solve, solved = checks.series_engine.bk_solve, []
+    monkeypatch.setattr(checks.series_engine, "bk_solve",
+                        lambda *a: solved.append(1) or bk_solve(*a))
     assert run_cli("verify", "--check", *argv)[0] == 0
     assert len(solved) == levels
 
 
 def test_kernel_check_failure_names_the_level(monkeypatch):
     # the table's level 3 replaced by its level 4
-    bk_from_table = cli.series_engine.bk_from_table
+    bk_from_table = checks.series_engine.bk_from_table
 
     def moved(kmax, x, t):
         levels = bk_from_table(kmax, x, t)
         return (*levels[:3], levels[4], *levels[4:])
 
-    monkeypatch.setattr(cli.series_engine, "bk_from_table", moved)
+    monkeypatch.setattr(checks.series_engine, "bk_from_table", moved)
     code, text = run_cli("verify", "--check", "bk-rect", "--kmax", "5", "--order", "6")
     assert (code, text) == (1, "bk-rect: FAIL (fails at (3, 6))\n")
 
@@ -586,9 +600,9 @@ def test_verify_all_lists_every_registered_check():
     )
     assert code == 0
     lines = text.strip().splitlines()
-    assert len(lines) == len(cli.CHECKS)
+    assert len(lines) == len(checks.CHECKS)
     assert all(": PASS (" in line for line in lines)
-    assert [line.split(":")[0] for line in lines] == sorted(cli.CHECKS)
+    assert [line.split(":")[0] for line in lines] == sorted(checks.CHECKS)
 
 
 def test_verify_zero_cell_domain_is_empty_not_pass(monkeypatch):
@@ -597,7 +611,7 @@ def test_verify_zero_cell_domain_is_empty_not_pass(monkeypatch):
     code, text = run_cli("verify", "--check", "all", "--nmax", "0")
     assert code == 2
     lines = text.splitlines()
-    assert [line.split(":")[0] for line in lines] == sorted(cli.CHECKS)
+    assert [line.split(":")[0] for line in lines] == sorted(checks.CHECKS)
     empty = [line.split(":")[0] for line in lines if ": EMPTY (" in line]
     assert empty == ["b12", "f-rec", "lemma28", "lemma29", "monster", "tc-dfact", "tc-routes"]
     assert all(": PASS (" in line for line in lines if line.split(":")[0] not in empty)
@@ -611,7 +625,7 @@ def test_readme_lists_every_registered_check():
     section = readme.split("### `verify`", 1)[1].split("\n### ", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
-    assert sorted(names) == sorted(cli.CHECKS)
+    assert sorted(names) == sorted(checks.CHECKS)
     assert len(names) == len(set(names))
 
 
@@ -958,6 +972,7 @@ def test_b_cell_moved_below_width_fails_monster():
 @pytest.mark.parametrize(
     "argv, text",
     [(["verify", "--check", "cor-rec"], "cor-rec: FAIL (fails at (3, 0))\n"),
+     (["verify", "--check", "main-identity"], "main-identity: FAIL (fails at (3, 0))\n"),
      (["verify", "--check", "catalan-base"], "catalan-base: FAIL (fails at (3))\n"),
      (["crosscheck", "--map", "b-k0"], "A000108 <-> b-k0: mismatch at n=3: ours=6 oeis=5\n"),
      (["verify", "--check", "hook-base"], "hook-base: FAIL (fails at (3, 3))\n"),
@@ -965,7 +980,8 @@ def test_b_cell_moved_below_width_fails_monster():
      (["verify", "--check", "bk-rect"], "bk-rect: FAIL (fails at (0, 12))\n"),
      (["oracle", "--seq", "b3", "--n", "3", "--m", "3", "--k", "0"],
       "brute=5 table=6 disagree\n")],
-    ids=["cor-rec", "catalan-base", "b-k0", "hook-base", "omega-bridge", "bk-rect", "oracle"],
+    ids=["cor-rec", "main-identity", "catalan-base", "b-k0", "hook-base", "omega-bridge", "bk-rect",
+         "oracle"],
 )
 def test_moved_b3_cell_fails_the_checks_of_the_b3_diagonal(argv, text, monkeypatch):
     # b3(3, 3, 0) = 5 moved to 6 when it is appended, in every walk up the b3
@@ -1050,7 +1066,7 @@ def test_omega_walks_take_their_seeds_from_the_seed_layers(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("check", ["cor-rec", "main-identity", "closed-b", "b12", "monster"])
+@pytest.mark.parametrize("check", ["cor-rec", "closed-b", "b12", "monster"])
 def test_moved_b_cell_fails_the_checks_of_b(check, monkeypatch):
     # b(3, 3) moved when the two-term step appends it; no later row is read
     step = wall_tables._b_row
@@ -1062,6 +1078,31 @@ def test_moved_b_cell_fails_the_checks_of_b(check, monkeypatch):
 
     monkeypatch.setattr(wall_tables, "_b_row", moved)
     assert run_cli("verify", "--check", check) == (1, f"{check}: FAIL (fails at (3, 3))\n")
+
+
+def test_conjugate_pair_of_recurrences_fails_main_identity(monkeypatch):
+    # a(n,k) = 2 a(n,k-1) + (2n+k-1) a(n-1,k) and the step of b conjugate to
+    # it: the identity holds between the two wrong tables, so main-identity
+    # must read b off the b3 diagonal to see the change
+    def a_row(row, prev, n, width):
+        row.append(prev[0] * (2 * n - 1) if n else 1)
+        for k in range(1, min(n, width) + 1):
+            row.append(2 * row[k - 1] + (2 * n + k - 1) * (prev[k] if k < n else 0))
+
+    def b_row(row, prev, n, width):
+        row.append(exact_int(2 * (2 * n - 1) * prev[0], n + 1) if n else 1)
+        for k in range(1, min(n, width) + 1):
+            below = prev[k] if k < n else 0
+            rhs = 2 * (n - k + 2) * (n - k + 1) * row[k - 1] + 4 * (2 * n + k - 1) * below
+            row.append(exact_int(rhs, 2 * (n - k + 1)))
+
+    monkeypatch.setattr(wall_tables, "_a_row", a_row)
+    monkeypatch.setattr(wall_tables, "_b_row", b_row)
+    rows = zip(range(31), wall_tables.a_rows(30), wall_tables.b_rows(30))
+    assert all(2 ** (n - k) * a[k] == math.factorial(n - k + 1) * b[k]
+               for n, a, b in rows for k in range(n + 1))
+    assert run_cli("verify", "--check", "main-identity") == (
+        1, "main-identity: FAIL (fails at (1, 1))\n")
 
 
 def test_unintegral_closed_dk_weight_exits_1(monkeypatch, capsys):
@@ -1155,7 +1196,7 @@ INTEGER_REQUESTS = [
     *(["table", "--seq", seq, "--nmax", "6"] for seq in TABLE_SEQS),
     *(["series", "--dk", "2", "--order", "8", "--method", m]
       for m in ("recurrence", "closed", "kernel")),
-    *(["verify", "--check", name] for name in [*cli.CHECKS, "all"]),
+    *(["verify", "--check", name] for name in [*checks.CHECKS, "all"]),
     *(["crosscheck", "--map", name] for name in cli.OEIS_MAPS),
     *(["oracle", "--seq", seq, "--n", "3", "--k", "1", *(["--m", "2"] if seq == "b3" else [])]
       for seq in ("a", "b", "b3")),
@@ -1196,7 +1237,7 @@ def test_integer_request_loads_no_rational_module(argv):
     # no route builds a rational: fractions is never imported.  The tables of
     # a, b and tc are walked in decimal (which imports numbers); no other
     # request loads either
-    decimal_table = argv[0] == "table" and argv[2] in cli.DECIMAL_SEQS
+    decimal_table = argv[0] == "table" and TABLE_RINGS[argv[2]] == "decimal"
     loads = {"decimal", "numbers"} if decimal_table else set()
     assert _rational_modules().get(" ".join(argv), frozenset()) == loads
 
@@ -1222,6 +1263,30 @@ def test_no_request_loads_the_parser_modules():
     proc = _bare_python("-c", snippet, *(" ".join(argv) for argv in requests))
     codes = [0] * (len(requests) - len(USAGE_ERRORS)) + [2] * len(USAGE_ERRORS)
     assert (proc.returncode, proc.stdout) == (0, f"{codes} []\n"), proc.stderr
+
+
+def test_only_verify_loads_the_check_registry():
+    # in one fresh process, youngwalls.checks is dropped from sys.modules
+    # before each request: every verify request loads it again, and none of
+    # the other requests, no --help and no usage error loads it
+    requests = [*INTEGER_REQUESTS, ["--help"], *([command, "--help"] for command in cli.COMMANDS),
+                *USAGE_ERRORS]
+    snippet = (
+        "import io, sys\n"
+        "from youngwalls import cli\n"
+        "streams, sys.stdout, sys.stderr = (sys.stdout, sys.stderr), io.StringIO(), io.StringIO()\n"
+        "loaded = []\n"
+        "for request in sys.argv[1:]:\n"
+        "    sys.modules.pop('youngwalls.checks', None)\n"
+        "    cli.main(request.split(), out=io.StringIO())\n"
+        "    loaded.append('youngwalls.checks' in sys.modules)\n"
+        "sys.stdout, sys.stderr = streams\n"
+        "print(loaded)\n"
+    )
+    proc = _bare_python("-c", snippet, *(" ".join(argv) for argv in requests))
+    verify = [argv[:1] == ["verify"] and argv[1:2] != ["--help"] for argv in requests]
+    assert (proc.returncode, proc.stdout) == (0, f"{verify}\n"), proc.stderr
+    assert sum(verify) == len(checks.CHECKS) + 1
 
 
 def test_help_names_every_command_flag_and_choice(capsys):
@@ -1298,13 +1363,13 @@ def test_decimal_signal_maps_to_exit_1(broken, signal, monkeypatch, capsys):
 )
 def test_failed_kernel_division_exits_1(argv, monkeypatch, capsys):
     # a slice that is not divisible by t breaks an identity: exit 1, not 2
-    fk_next = cli.series_engine.fk_next
+    fk_next = checks.series_engine.fk_next
 
     def broken(b_prev, k):
         f = fk_next(b_prev, k)
         return ((f[0][0] + 1, *f[0][1:]), *f[1:])
 
-    monkeypatch.setattr(cli.series_engine, "fk_next", broken)
+    monkeypatch.setattr(checks.series_engine, "fk_next", broken)
     assert run_cli(*argv) == (1, "")
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -1330,7 +1395,7 @@ def test_invariants_checked_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == sorted(cli.CHECKS)
+    assert [line.split(":")[0] for line in lines] == sorted(checks.CHECKS)
     assert all(": PASS (" in line for line in lines)
 
 
