@@ -228,9 +228,10 @@ CHECKS: dict[str, Check] = {
         "gamma closed form matches a", 25, lambda nmax: zip(wall_tables.a_rows(nmax)),
         lambda n, k, a: closed_forms.a_closed(n, k) == a[k],
     ),
-    "closed-b": _on_walks(
-        "gamma closed form matches b", 25, lambda nmax: zip(wall_tables.b_rows(nmax)),
-        lambda n, k, b: closed_forms.b_closed(n, k) == b[k],
+    "closed-b": _on_walks(  # b off the b3 diagonal: b_closed is a_closed's conjugate
+        "gamma closed form matches the b3 diagonal", 25,
+        lambda nmax: zip(wall_tables.b3_layers(nmax)),
+        lambda n, k, layer: closed_forms.b_closed(n, k) == layer[n][k],
     ),
     "gamma-sum": Check(
         "defining gamma sum telescopes to zero", {"kmax": 40}, "k <= {kmax}",

@@ -16,6 +16,7 @@ n! (4k-3-i)!!, where every term is an integer.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterator
 from itertools import count
 
@@ -118,16 +119,10 @@ def omega_init(m: int, k: int) -> Nat:
     """
     if m < 0 or not 0 <= k <= m + 1:
         raise ValueError(f"need m >= 0 and 0 <= k <= m+1, got ({m}, {k})")
-    return _omega_seed(m, k, double_factorials(2 * m + k - 1, 2 * m + 2 * k - 1),
-                       factorial(m - k + 1))
-
-
-def _omega_seed(m: int, k: int, dfact: list[int], fact: int) -> Nat:
-    """omega_init(m, k) from dfact[i] = (2m+k+i-1)!! for i = 0..k and
-    fact = (m-k+1)!."""
     nums, den = _gamma_row(k)
+    dfact = double_factorials(2 * m + k - 1, 2 * m + 2 * k - 1)
     total = sum(c * d for c, d in zip(nums, dfact))
-    return exact_int(total << (m - k + 1), 2 * den * fact, ("omega_init", m, k))
+    return exact_int(total << (m - k + 1), 2 * den * factorial(m - k + 1), ("omega_init", m, k))
 
 
 def omega_init_layers(width: int) -> Iterator[list[Nat]]:
@@ -135,20 +130,38 @@ def omega_init_layers(width: int) -> Iterator[list[Nat]]:
     layer s = 0, 1, 2, ...
 
     Every column of layer s reads a slice of one window, with w = width,
-    run[j] = (2s+j-1)!! for j = 0..2w+1 (column k reads run[k:2k+1]),
-    and facts[k] = (s-k+1)! for k <= min(s + 1, width).  From layer s to
-    s + 1 the window drops its two lowest entries and gains
-    (2s+2w+1)!! = (2s+2w-1)!! (2s+2w+1) and (2s+2w+2)!! = (2s+2w)!! (2s+2w+2)
-    on top, and (s+2)! goes in front of facts: three multiplications per
-    layer.  Every seed is checked by its own exact_int, as in omega_init.
+
+        run[j] = (2s+j-1)!! 2^s / s!   for j = 0..2w+1
+
+    (column k reads run[k:2k+1]).  Each entry is an integer: C(2s, s) times
+    odd factors for even j, 2^(2s+t) (s+t)! / s! for j = 2t + 1; so the
+    window holds values the size of the seeds, not of (2s+2w)!!.  With
+    dot = sum_i gamma_{k-i} / i! run[k+i] over the denominator den of
+    _gamma_row(k), the seed is
+
+        omega_init(s, k) = dot s! / ((s-k+1)! 2^k den),
+
+    where s! / (s-k+1)! = s (s-1) ... (s-k+2) is a product of k - 1 small
+    factors for k >= 1; at k = 0 the seed is the Catalan number
+    run[0] / (s+1) = C(2s, s) / (s+1).  From layer s to s + 1 the
+    window drops its two lowest entries, gains run[2w] (2s+2w+1) and
+    run[2w+1] (2s+2w+2) on top, and every entry is doubled and divided by
+    s + 1.  Every seed and every slid entry is checked by its own exact_int.
     """
     run = double_factorials(-1, 2 * width)
-    facts = [factorial(1 - k) for k in range(min(1, width) + 1)]
     for s in count():
-        yield [_omega_seed(s, k, run[k:2 * k + 1], fact) for k, fact in enumerate(facts)]
+        seeds = [exact_int(run[0], s + 1, ("omega_init", s, 0))]  # gamma_0 = 1
+        fall = 1  # s! / (s-k+1)!
+        for k in range(1, min(s + 1, width) + 1):
+            nums, den = _gamma_row(k)
+            dot = sum(map(operator.mul, nums, run[k:2 * k + 1]))
+            seeds.append(exact_int(dot * fall, den << k, ("omega_init", s, k)))
+            fall *= s - k + 1
+        yield seeds
         top = 2 * s + 2 * width
-        run = [*run[2:], run[-2] * (top + 1), run[-1] * (top + 2)]
-        facts = [facts[0] * (s + 2), *facts[:width]]
+        where = ("omega_init_layers", s + 1)
+        run = [exact_int(v << 1, s + 1, where)
+               for v in (*run[2:], run[-2] * (top + 1), run[-1] * (top + 2))]
 
 
 def _lemma28_weights(s: int) -> tuple[_AlphaBlock, _AlphaBlock]:

@@ -973,6 +973,7 @@ def test_b_cell_moved_below_width_fails_monster():
     "argv, text",
     [(["verify", "--check", "cor-rec"], "cor-rec: FAIL (fails at (3, 0))\n"),
      (["verify", "--check", "main-identity"], "main-identity: FAIL (fails at (3, 0))\n"),
+     (["verify", "--check", "closed-b"], "closed-b: FAIL (fails at (3, 0))\n"),
      (["verify", "--check", "catalan-base"], "catalan-base: FAIL (fails at (3))\n"),
      (["crosscheck", "--map", "b-k0"], "A000108 <-> b-k0: mismatch at n=3: ours=6 oeis=5\n"),
      (["verify", "--check", "hook-base"], "hook-base: FAIL (fails at (3, 3))\n"),
@@ -980,8 +981,8 @@ def test_b_cell_moved_below_width_fails_monster():
      (["verify", "--check", "bk-rect"], "bk-rect: FAIL (fails at (0, 12))\n"),
      (["oracle", "--seq", "b3", "--n", "3", "--m", "3", "--k", "0"],
       "brute=5 table=6 disagree\n")],
-    ids=["cor-rec", "main-identity", "catalan-base", "b-k0", "hook-base", "omega-bridge", "bk-rect",
-         "oracle"],
+    ids=["cor-rec", "main-identity", "closed-b", "catalan-base", "b-k0", "hook-base",
+         "omega-bridge", "bk-rect", "oracle"],
 )
 def test_moved_b3_cell_fails_the_checks_of_the_b3_diagonal(argv, text, monkeypatch):
     # b3(3, 3, 0) = 5 moved to 6 when it is appended, in every walk up the b3
@@ -1066,7 +1067,29 @@ def test_omega_walks_take_their_seeds_from_the_seed_layers(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("check", ["cor-rec", "closed-b", "b12", "monster"])
+@pytest.mark.parametrize("entry", [0, 1, 2, 5, 16, 31])
+def test_moved_seed_window_entry_fails_omega_bridge(entry, monkeypatch, capsys):
+    # one entry of the first seed window, (j-1)!! for j = 0..31, moved by 1:
+    # a seed comes out wrong, or a seed or a slid entry fails its checked
+    # division
+    dfacts = closed_forms.double_factorials
+
+    def moved(low, high):
+        run = dfacts(low, high)
+        if low == -1:
+            run[entry] += 1
+        return run
+
+    monkeypatch.setattr(closed_forms, "double_factorials", moved)
+    code, text = run_cli("verify", "--check", "omega-bridge")
+    err = capsys.readouterr().err
+    failed = re.fullmatch(r"omega-bridge: FAIL \(fails at \(\d+, \d+, \d+\)\)\n", text)
+    unintegral = re.fullmatch(
+        r"error: value at \(('omega_init', \d+|'omega_init_layers'), \d+\) is not an integer\n", err)
+    assert code == 1 and ((failed and not err) or (unintegral and not text)), (text, err)
+
+
+@pytest.mark.parametrize("check", ["cor-rec", "b12", "monster"])
 def test_moved_b_cell_fails_the_checks_of_b(check, monkeypatch):
     # b(3, 3) moved when the two-term step appends it; no later row is read
     step = wall_tables._b_row

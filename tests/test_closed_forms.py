@@ -203,11 +203,17 @@ def test_omega_init_is_the_integer_b_closed():
                 assert seed == cf.b_closed(m, k), (m, k)
 
 
-@pytest.mark.parametrize("width", [0, 1, 4, 12])
+@pytest.mark.parametrize("width", [0, 1, 2, 4, 5, 12, 40])
 def test_omega_init_layers_carry_the_seeds(width):
     layers = cf.omega_init_layers(width)
-    for s, seeds in zip(range(25), layers):
+    for s, seeds in zip(range(61), layers):
         assert seeds == [cf.omega_init(s, k) for k in range(min(s + 1, width) + 1)], s
+
+
+def test_omega_init_layers_carry_a_deep_seed_column():
+    # 1300 slides of the window, each entry divided by s + 1
+    for s, seeds in zip(range(1301), cf.omega_init_layers(0)):
+        assert seeds == [cf.omega_init(s, 0)], s
 
 
 def test_omega_init_layers_slide_one_window():

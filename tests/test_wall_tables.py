@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -193,6 +194,35 @@ def test_omega_block_matches_omega(nmax, mmax, kmax):
         [[wt.omega(n, m, k) for k in range(min(m + 1, kmax) + 1)] for m in range(mmax + 1)]
         for n in range(nmax + 1)
     ]
+
+
+def test_omega_walk_holds_about_one_layer():
+    # each step pops the cells of the layer below as it reads them: a step
+    # that kept layer s - 1 whole while it built layer s peaked near two
+    # layers on this column
+    last = next(itertools.islice(wt.omega_layers(0, 1200), 1200, None))
+    layer_bytes = sum(sys.getsizeof(v) for column in last for v in column)
+    tracemalloc.start()
+    try:
+        for _ in wt.omega_rows(1200, 0, 0):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * layer_bytes, peak / layer_bytes
+
+
+def test_omega_layer_kept_past_the_next_step_reads_empty():
+    layers = wt.omega_layers(2)
+    for _ in range(4):
+        layer = next(layers)
+    assert [list(column) for column in layer] == [
+        [wt.omega(n, 3 - n, k) for n in range(min(3, 4 - k) + 1)] for k in range(3)
+    ]
+    next(layers)
+    for column in layer:
+        with pytest.raises(IndexError):
+            column[0]
 
 
 def catalan(n):
