@@ -8,37 +8,34 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterable, Iterator
-from functools import partial
 
 from . import closed_forms, poset_lab, series_engine, tree_child, wall_tables
 from .exact_arith import binomial, double_factorial, double_factorials, factorial
 
 
 class Check:
-    """One identity: ``holds(*cell)`` for every cell of ``cells(**bounds)``.
+    """One identity, checked cell by cell: ``cells(**bounds)`` yields
+    (cell, holds) in order, where cell is a tuple of ints that names the
+    cell in a failure and holds is whether the identity holds there.
 
     ``bounds`` are the defaults that ``--nmax``, ``--kmax`` and ``--order``
-    override; ``domain`` is formatted with the bounds in effect.  A cell is
-    a tuple of ints, possibly followed by data that ``cells`` computed for
-    it (a kernel level, rows or a table layer along one walk, a table
-    block); only the ints name the cell in a failure.
+    override; ``domain`` is formatted with the bounds in effect.  A table
+    that several cells read is a local of the generator, walked once.
     """
 
-    __slots__ = ("summary", "bounds", "domain", "cells", "holds")
+    __slots__ = ("summary", "bounds", "domain", "cells")
 
     def __init__(
         self,
         summary: str,
         bounds: dict[str, int],
         domain: str,
-        cells: Callable[..., Iterable[tuple[int, ...]]],
-        holds: Callable[..., bool],
+        cells: Callable[..., Iterable[tuple[tuple[int, ...], bool]]],
     ) -> None:
         self.summary = summary
         self.bounds = bounds
         self.domain = domain
         self.cells = cells
-        self.holds = holds
 
     def run(self, **overrides: int | None) -> tuple[bool | None, str]:
         """Visit the cells in order and stop at the first that fails.
@@ -49,17 +46,11 @@ class Check:
         bounds = dict(self.bounds)
         bounds.update((b, v) for b, v in overrides.items() if b in bounds and v is not None)
         visited = 0
-        for cell in self.cells(**bounds):
-            if not self.holds(*cell):
-                where = ", ".join(str(c) for c in cell if type(c) is int)
-                return False, f"fails at ({where})"
+        for cell, holds in self.cells(**bounds):
+            if not holds:
+                return False, f"fails at ({', '.join(map(str, cell))})"
             visited += 1
         return (True if visited else None), self.domain.format(**bounds)
-
-
-def _upto(top: int, start: int = 0) -> Iterator[tuple[int]]:
-    """One-index cells (i,) for start <= i <= top."""
-    return ((i,) for i in range(start, top + 1))
 
 
 def _b3_walk(nmax: int, width: int) -> Iterator[tuple[int, list[list[int]]]]:
@@ -73,24 +64,11 @@ def _omega_block(nmax: int, mmax: int, kmax: int) -> Callable[[int, int, int], i
     return lambda n, m, k: rows[n][m][k] if n >= 0 and 0 <= k <= m + 1 else 0
 
 
-def _sharing(data: object, cells: Iterable[tuple]) -> Iterator[tuple]:
-    """Each cell followed by data computed once for all of them."""
-    return ((*cell, data) for cell in cells)
-
-
-def _rect(nmax: int, kmax: int) -> Iterator[tuple[int, int]]:
-    """(n, k) for 1 <= n <= nmax and 1 <= k <= kmax, row by row."""
-    return ((n, k) for n in range(1, nmax + 1) for k in range(1, kmax + 1))
-
-
-def _walk(kmax: int, order: int, start: int = 0, scale: int = 2) -> Iterator[tuple]:
-    """(k, order, F_k, D_k, B_k) for start <= k <= kmax, along one kernel
-    walk at working order scale * order that holds only the current level."""
-    levels = series_engine.kernel_levels(scale * order)
+def _walk(kmax: int, order: int, scale: int = 2) -> Iterator[tuple[int, tuple]]:
+    """(k, (F_k, D_k, B_k)) for k <= kmax, along one kernel walk at working
+    order scale * order that holds only the current level."""
     # zip stops at range's end, so no level past kmax is solved
-    for k, level in zip(range(kmax + 1), levels):
-        if k >= start:
-            yield (k, order, *level)
+    return zip(range(kmax + 1), series_engine.kernel_levels(scale * order))
 
 
 def _on_walks(summary: str, nmax: int, walks: Callable[[int], Iterable[tuple]],
@@ -99,12 +77,12 @@ def _on_walks(summary: str, nmax: int, walks: Callable[[int], Iterable[tuple]],
     where rows is row n of each walk that ``walks(nmax)`` zips: every table
     the check reads is walked once."""
 
-    def cells(nmax: int) -> Iterator[tuple]:
+    def cells(nmax: int) -> Iterator[tuple[tuple[int, int], bool]]:
         for n, rows in zip(range(nmax + 1), walks(nmax)):
             if n >= start:
-                yield from ((n, k, *rows) for k in range(n + 1))
+                yield from (((n, k), holds(n, k, *rows)) for k in range(n + 1))
 
-    return Check(summary, {"nmax": nmax}, "n <= {nmax}", cells, holds)
+    return Check(summary, {"nmax": nmax}, "n <= {nmax}", cells)
 
 
 def _kept(rows: Iterable[list[int]]) -> Iterator[list[list[int]]]:
@@ -115,42 +93,41 @@ def _kept(rows: Iterable[list[int]]) -> Iterator[list[list[int]]]:
         yield kept
 
 
-def _dk_threeway(k: int, order: int, _f, kernel, _b) -> bool:
-    return series_engine.dk_from_table(k, order) == series_engine.dk_closed(k, order) == kernel
+def _omega_vanishing(nmax: int, kmax: int) -> Iterator[tuple[tuple[int, int], bool]]:
+    omega = _omega_block(nmax, kmax, kmax)
+    for k in range(1, kmax + 1):
+        yield from (((n, k), omega(n, k - 1, k) == 0) for n in range(nmax + 1))
 
 
-def _gamma_sum(k: int) -> bool:
-    """sum_i gamma_{k-i} / i! (3k+i-3)!! = 0, times k! D_k: with delta_j =
-    j! gamma_j = N_j / D_k, it is sum_i C(k, i) N_{k-i} (3k+i-3)!! = 0."""
-    nums, _ = closed_forms.delta_row(k)
-    dfact = double_factorials(3 * k - 3, 4 * k - 3)
-    c, total = 1, 0
-    for i in range(k + 1):
-        total += c * nums[k - i] * dfact[i]
-        c = c * (k - i) // (i + 1)
-    return total == 0
+def _gamma_sum(kmax: int) -> Iterator[tuple[tuple[int], bool]]:
+    """sum_i gamma_{k-i} / i! (3k+i-3)!! = 0 for 1 <= k <= kmax, times k! D_k:
+    with delta_j = j! gamma_j = N_j / D_k, sum_i C(k, i) N_{k-i} (3k+i-3)!! = 0,
+    which is the delta recursion with its i = 0 term, delta_k (3k-3)!!, moved."""
+    for k in range(1, kmax + 1):
+        nums, _ = closed_forms.delta_row(k)
+        dfact = double_factorials(3 * k - 3, 4 * k - 3)
+        c, total = 1, 0
+        for i in range(k + 1):
+            total += c * nums[k - i] * dfact[i]
+            c = c * (k - i) // (i + 1)
+        yield (k,), total == 0
 
 
-def _delta_rec(i: int) -> bool:
-    """delta_i (3i-3)!! = -sum_{j=1}^{i} C(i, j) (3i+j-3)!! delta_{i-j}, times
-    D_i: on the numerators N_j of delta_row(i), with (3i+j-3)!! off one run."""
-    nums, _ = closed_forms.delta_row(i)
-    dfact = double_factorials(3 * i - 3, 4 * i - 3)
-    c, rhs = 1, 0
-    for j in range(1, i + 1):
-        c = c * (i - j + 1) // j  # C(i, j)
-        rhs -= c * dfact[j] * nums[i - j]
-    return nums[i] * dfact[0] == rhs
+def _lemma28(nmax: int, kmax: int) -> Iterator[tuple[tuple[int, int, int], bool]]:
+    omega = _omega_block(nmax, nmax + kmax, kmax)  # the sums read n' < n, m' < n + k only
+    for n, k in itertools.product(range(1, nmax + 1), range(1, kmax + 1)):
+        yield from (((n, k, s), closed_forms.lemma28_rhs(n, k, s, omega) == 0)
+                    for s in range(1, n + 1))
 
 
-def _stock_series(order: int) -> bool:
+def _stock_series(order: int) -> Iterator[tuple[tuple[int], bool]]:
     """Half-power square, central binomials, Catalan equation, kernel root."""
     mul, shift_up = series_engine.series_mul, series_engine.shift_up
     half = series_engine.neg_half_pow_series(1, order)
     c = series_engine.catalan_series(order)
     x2 = series_engine.x2_series(order)
     t = shift_up((1,) + (0,) * order)
-    return (
+    yield (order,), (
         mul(half, half) == series_engine.neg_half_pow_series(2, order)
         and all(c_n == binomial(2 * n, n) for n, c_n in enumerate(half))
         and (1, *shift_up(mul(c, c))[1:]) == c  # C = 1 + t C^2
@@ -158,15 +135,29 @@ def _stock_series(order: int) -> bool:
     )
 
 
-def _kernel_residual(k: int, order: int, f, d, b) -> bool:
-    res = series_engine.kernel_residual(b, f, d)
-    return not any(any(row[: order + 1]) for row in res[: order + 1])
+def _dk_threeway(kmax: int, order: int) -> Iterator[tuple[tuple[int, int], bool]]:
+    for k, (_f, kernel, _b) in _walk(kmax, order, scale=1):
+        if k:
+            yield (k, order), (series_engine.dk_from_table(k, order)
+                               == series_engine.dk_closed(k, order) == kernel)
 
 
-def _b0_hook(nmax: int) -> bool:
+def _kernel_residual(kmax: int, order: int) -> Iterator[tuple[tuple[int, int], bool]]:
+    for k, (f, d, b) in _walk(kmax, order):
+        res = series_engine.kernel_residual(b, f, d)
+        yield (k, order), not any(any(row[: order + 1]) for row in res[: order + 1])
+
+
+def _bk_rect(kmax: int, order: int) -> Iterator[tuple[tuple[int, int], bool]]:
+    bk = series_engine.bk_from_table(kmax, order, order)
+    for k, (_f, _d, b) in _walk(kmax, order):
+        yield (k, order), tuple(r[: order + 1] for r in b[: order + 1]) == bk[k]
+
+
+def _b0_hook(nmax: int) -> Iterator[tuple[tuple[int], bool]]:
     _, _, b0 = series_engine.kernel_chain(0, 2 * nmax)
     square = range(nmax + 1)
-    return all(b0[j][m] == wall_tables.b3_hook(m + j, m) for j in square for m in square)
+    yield (nmax,), all(b0[j][m] == wall_tables.b3_hook(m + j, m) for j in square for m in square)
 
 
 def _tc_routes(n: int, k: int, a: list[list[int]], b: list[int], rec: list[int],
@@ -192,32 +183,29 @@ CHECKS: dict[str, Check] = {
     ),
     "catalan-base": Check(
         "b3(n,n,0) is Catalan", {"nmax": 30}, "n <= {nmax}",
-        lambda nmax: _b3_walk(nmax, 0),
-        lambda n, layer: layer[n][0] == binomial(2 * n, n) // (n + 1),
+        lambda nmax: (((n,), layer[n][0] == binomial(2 * n, n) // (n + 1))
+                      for n, layer in _b3_walk(nmax, 0)),
     ),
     "hook-base": Check(
         "b3(n,m,0) matches the ballot closed form", {"nmax": 15}, "n <= {nmax}",
-        lambda nmax: ((n, m, layer) for n, layer in _b3_walk(nmax, 0) for m in range(n + 1)),
-        lambda n, m, layer: layer[m][0] == wall_tables.b3_hook(n, m),
+        lambda nmax: (((n, m), layer[m][0] == wall_tables.b3_hook(n, m))
+                      for n, layer in _b3_walk(nmax, 0) for m in range(n + 1)),
     ),
     "omega-bridge": Check(
         "omega(n,m,k) = b3(n+m,m,k)", {"nmax": 14}, "n + m <= {nmax}, k <= m + 1",
         lambda nmax: (
-            (s - m, m, k, omega, b3)
+            ((s - m, m, k), omega[k][s - m] == (b3[m][k] if k <= m else 0))
             for (s, b3), omega in zip(_b3_walk(nmax, nmax), wall_tables.omega_layers(nmax + 1))
             for m in range(s, -1, -1) for k in range(m + 2)
         ),
-        lambda n, m, k, omega, b3: omega[k][n] == (b3[m][k] if k <= m else 0),
     ),
     "omega-vanishing": Check(
         "omega(n,k-1,k) = 0", {"nmax": 10, "kmax": 6}, "n <= {nmax}, k <= {kmax}",
-        lambda nmax, kmax: _sharing(_omega_block(nmax, kmax, kmax),
-                                    ((n, k) for k in range(1, kmax + 1) for n in range(nmax + 1))),
-        lambda n, k, omega: omega(n, k - 1, k) == 0,
+        _omega_vanishing,
     ),
     "omega-init-vanishing": Check(
-        "seed row vanishes at k = m+1", {"kmax": 8}, "k <= {kmax}", lambda kmax: _upto(kmax, 1),
-        lambda k: closed_forms.omega_init(k - 1, k) == 0,
+        "seed row vanishes at k = m+1", {"kmax": 8}, "k <= {kmax}",
+        lambda kmax: (((k,), closed_forms.omega_init(k - 1, k) == 0) for k in range(1, kmax + 1)),
     ),
     "cor-rec": _on_walks(
         "integer two-term recurrence of b matches the b3 diagonal", 20,
@@ -234,62 +222,53 @@ CHECKS: dict[str, Check] = {
         lambda n, k, layer: closed_forms.b_closed(n, k) == layer[n][k],
     ),
     "gamma-sum": Check(
-        "defining gamma sum telescopes to zero", {"kmax": 40}, "k <= {kmax}",
-        lambda kmax: _upto(kmax, 1), _gamma_sum,
+        "defining gamma sum telescopes to zero", {"kmax": 40}, "k <= {kmax}", _gamma_sum,
     ),
     "delta-rec": Check(
-        "delta recursion consistent with k! gamma_k", {"kmax": 20}, "i <= {kmax}",
-        lambda kmax: _upto(kmax, 1), _delta_rec,
+        "delta recursion consistent with k! gamma_k", {"kmax": 20}, "i <= {kmax}", _gamma_sum,
     ),
     "lemma28": Check(
         "unfolded boundary sum vanishes", {"nmax": 8, "kmax": 5},
-        "n <= {nmax}, k <= {kmax}, all s",
-        lambda nmax, kmax: _sharing(
-            _omega_block(nmax, nmax + kmax, kmax),  # the sums read n' < n, m' < n + k only
-            ((n, k, s) for n, k in _rect(nmax, kmax) for s in range(1, n + 1))),
-        lambda n, k, s, omega: closed_forms.lemma28_rhs(n, k, s, omega) == 0,
+        "n <= {nmax}, k <= {kmax}, all s", _lemma28,
     ),
     "lemma29": Check(
         "closing double-factorial identity", {"nmax": 8, "kmax": 6},
         "n <= {nmax}, k <= {kmax}, i <= k",
-        lambda nmax, kmax: ((n, k, i) for n, k in _rect(nmax, kmax) for i in range(k + 1)),
-        lambda n, k, i: closed_forms.lemma29_check(n, k, i),
+        lambda nmax, kmax: (((n, k, i), closed_forms.lemma29_check(n, k, i))
+                            for n, k in itertools.product(range(1, nmax + 1), range(1, kmax + 1))
+                            for i in range(k + 1)),
     ),
     "stock-series": Check(
-        "Catalan / kernel-root / power sanity", {"order": 30}, "order {order}",
-        lambda order: [(order,)], _stock_series,
+        "Catalan / kernel-root / power sanity", {"order": 30}, "order {order}", _stock_series,
     ),
     "dk-threeway": Check(
         "table, closed and kernel D_k agree", {"kmax": 8, "order": 20},
-        "k <= {kmax}, order {order}", partial(_walk, start=1, scale=1), _dk_threeway,
+        "k <= {kmax}, order {order}", _dk_threeway,
     ),
     "kernel-residual": Check(
         "(x - x^2 - t) B = x F - t D exactly", {"kmax": 5, "order": 12},
-        "k <= {kmax}, rectangle {order} x {order}", _walk, _kernel_residual,
+        "k <= {kmax}, rectangle {order} x {order}", _kernel_residual,
     ),
     "bk-rect": Check(
         "kernel B_k rectangle matches the table", {"kmax": 5, "order": 12},
-        "k <= {kmax}, rectangle {order} x {order}",
-        lambda kmax, order: _sharing(series_engine.bk_from_table(kmax, order, order),
-                                     _walk(kmax, order)),
-        lambda k, order, f, d, b, bk: tuple(r[: order + 1] for r in b[: order + 1]) == bk[k],
+        "k <= {kmax}, rectangle {order} x {order}", _bk_rect,
     ),
     "b0-hook": Check(
         "wall-free B_0 entries are ballot numbers", {"nmax": 12}, "rectangle {nmax} x {nmax}",
-        lambda nmax: [(nmax,)], _b0_hook,
+        _b0_hook,
     ),
     "f-rec": Check(
         "pendant-family recurrence", {"nmax": 12}, "n <= {nmax}",
-        lambda nmax: ((n, k) for n in range(1, nmax + 1) for k in range(1, n + 1)),
-        lambda n, k: poset_lab.f_closed(n, k)
-        == poset_lab.f_closed(n - 1, k) + (n + k - 1) * poset_lab.f_closed(n - 1, k - 1),
+        lambda nmax: (((n, k), poset_lab.f_closed(n, k) == poset_lab.f_closed(n - 1, k)
+                       + (n + k - 1) * poset_lab.f_closed(n - 1, k - 1))
+                      for n in range(1, nmax + 1) for k in range(1, n + 1)),
     ),
     "f-gf": Check(
         "pendant-family generating function", {"kmax": 6, "order": 12},
         "k <= {kmax}, n <= {order}",
-        lambda kmax, order: ((n, k) for k in range(kmax + 1) for n in range(order + 1)),
-        lambda n, k: poset_lab.f_closed(n, k)
-        == double_factorial(2 * k - 1) * binomial(n + k, 2 * k),
+        lambda kmax, order: (((n, k), poset_lab.f_closed(n, k)
+                              == double_factorial(2 * k - 1) * binomial(n + k, 2 * k))
+                             for k in range(kmax + 1) for n in range(order + 1)),
     ),
     "bu-roundtrip": _on_walks(
         "alternating transforms invert", 8,
@@ -309,14 +288,14 @@ CHECKS: dict[str, Check] = {
     ),
     "tc-routes": Check(
         "six exact tree-child routes agree", {"nmax": 15}, "n <= {nmax}, six routes",
-        lambda nmax: ((n, k, *rows) for n, *rows in zip(
+        lambda nmax: (((n, k), _tc_routes(n, k, *rows)) for n, *rows in zip(
             range(1, nmax + 1), _kept(wall_tables.a_rows(nmax)), wall_tables.b_rows(nmax),
             tree_child.tc_rec_rows(nmax), tree_child.tc_sum_rows(nmax),
-        ) for k in range(n)), _tc_routes,
+        ) for k in range(n)),
     ),
     "tc-dfact": Check(
         "tc(n,0) = (2n-3)!!", {"nmax": 15}, "n <= {nmax}",
-        lambda nmax: zip(range(1, nmax + 1), wall_tables.a_rows(0)),
-        lambda n, a: tree_child.tc_from_a(n, 0, a[0]) == double_factorial(2 * n - 3),
+        lambda nmax: (((n,), tree_child.tc_from_a(n, 0, a[0]) == double_factorial(2 * n - 3))
+                      for n, a in zip(range(1, nmax + 1), wall_tables.a_rows(0))),
     ),
 }

@@ -119,10 +119,9 @@ def omega_init(m: int, k: int) -> Nat:
     """
     if m < 0 or not 0 <= k <= m + 1:
         raise ValueError(f"need m >= 0 and 0 <= k <= m+1, got ({m}, {k})")
-    nums, den = _gamma_row(k)
-    dfact = double_factorials(2 * m + k - 1, 2 * m + 2 * k - 1)
-    total = sum(c * d for c, d in zip(nums, dfact))
-    return exact_int(total << (m - k + 1), 2 * den * factorial(m - k + 1), ("omega_init", m, k))
+    terms, den = gamma_dfact_terms(m, k)
+    total = sum(terms) << (m - k + 1)
+    return exact_int(total, 2 * den * factorial(m - k + 1), ("omega_init", m, k))
 
 
 def omega_init_layers(width: int) -> Iterator[list[Nat]]:

@@ -505,9 +505,27 @@ def test_check_stops_at_first_failing_cell():
     assert visited == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
     assert check.run(nmax=1, kmax=7) == (True, "n <= 1")
     assert check.run(nmax=None) == (False, "fails at (2, 1)")
-    one_index = checks.Check("fails at 5", {"top": 9}, "i <= {top}", checks._upto, lambda i: i != 5)
+    visited.clear()
+
+    def cells(top):
+        for i in range(top + 1):
+            visited.append(i)
+            yield (i,), i != 5
+
+    one_index = checks.Check("fails at 5", {"top": 9}, "i <= {top}", cells)
     assert one_index.run() == (False, "fails at (5)")
+    assert visited == [0, 1, 2, 3, 4, 5]
     assert one_index.run(top=4) == (True, "i <= 4")
+
+
+@pytest.mark.parametrize("name", sorted(checks.CHECKS))
+def test_check_yields_int_cells_and_bool_verdicts(name):
+    check = checks.CHECKS[name]
+    for item in check.cells(**check.bounds):
+        assert type(item) is tuple and len(item) == 2, item
+        cell, holds = item
+        assert type(cell) is tuple and all(type(c) is int for c in cell), cell
+        assert type(holds) is bool, cell
 
 
 def test_check_keeps_its_fields_in_slots():
