@@ -287,7 +287,8 @@ CHECKS: dict[str, Check] = {
         lambda n, k, b: poset_lab.b_monster(n, k, b) == b[n][k], start=1,
     ),
     "tc-routes": Check(
-        "six exact tree-child routes agree", {"nmax": 15}, "n <= {nmax}, six routes",
+        "six exact tree-child routes agree", {"nmax": 15},
+        "n <= {nmax}, six routes, four independent",
         lambda nmax: (((n, k), _tc_routes(n, k, *rows)) for n, *rows in zip(
             range(1, nmax + 1), _kept(wall_tables.a_rows(nmax)), wall_tables.b_rows(nmax),
             tree_child.tc_rec_rows(nmax), tree_child.tc_sum_rows(nmax),

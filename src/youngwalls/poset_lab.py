@@ -1,12 +1,14 @@
 """Finite posets, linear-extension counting, and the chain-with-pendants
 families whose extension counts reproduce the wall-tableau tables.
 
-A poset is stored as its cover relation on labels 0..p-1.  One Kahn-order
-pass gives the down-set of every element as a bitmask, and validation, the
-extension count and the hook product all read it.  Counting linear
-extensions walks the lattice of order ideals with a bitmask dynamic
-program, so it is capped at 24 elements; the structured families come with
-closed product formulas that act as independent oracles.
+A poset is stored as its cover relation on labels 0..p-1 and the down-set
+of every element as a bitmask, from the one Kahn-order pass that its
+constructor runs; validation, the extension count and the hook product all
+read those down-sets.  Counting linear extensions walks the lattice of
+order ideals with a bitmask dynamic program, so it is capped at 24
+elements; the structured families come with closed product formulas that
+act as independent oracles.  ``tableau_poset`` builds the poset of a
+three-row diagram from its row lengths, its walls and its removed cells.
 
 The table routes keep no rows: ``u_rows`` streams u off one walk of the b
 rows, a point read ``u_from_b`` walks to its row, and the routes that read
@@ -35,12 +37,14 @@ class Poset:
 
     Duplicate covers are merged into one.  Validation rejects out-of-range
     labels, reflexive covers, cycles, and redundant covers (ones implied by
-    a longer path).
+    a longer path).  below[v] is the bitmask of the elements strictly below
+    v, from the one down-set pass that validation runs.
     """
 
-    __slots__ = ("size", "covers")
+    __slots__ = ("size", "covers", "below")
     size: int
     covers: tuple[tuple[int, int], ...]
+    below: tuple[int, ...]
 
     def __init__(self, size: int, covers: Iterable[tuple[int, int]] = ()) -> None:
         self.size = size
@@ -62,12 +66,13 @@ class Poset:
         for s, t in self.covers:
             if deep[t] >> s & 1:
                 raise ValueError(f"redundant cover {s}>{t}")
+        self.below = tuple(below)
 
 
 def _down_sets(p: Poset) -> list[int] | None:
     """below[v], the bitmask of the elements strictly below v, for every v,
-    by one Kahn-order pass over the covers; None on a cycle (only Poset's
-    constructor meets one)."""
+    by one Kahn-order pass over the covers; None on a cycle.  Only Poset's
+    constructor runs it."""
     succ: list[list[int]] = [[] for _ in range(p.size)]
     indeg = [0] * p.size
     for s, t in p.covers:
@@ -92,7 +97,7 @@ def count_linear_extensions(p: Poset) -> Nat:
     v's down-set."""
     if p.size > CAPACITY:
         raise CapacityError(f"poset has {p.size} elements, capacity is {CAPACITY}")
-    below = _down_sets(p)
+    below = p.below
     level: dict[int, int] = {0: 1}
     for _ in range(p.size):
         nxt: dict[int, int] = {}
@@ -115,7 +120,7 @@ def forest_hook_count(p: Poset) -> Nat:
     # covers are distinct, so a repeated lower end is an element covered twice
     if len({s for s, _ in p.covers}) < len(p.covers):
         raise ValueError("hook product needs out-degree <= 1 everywhere")
-    weight = math.prod(below.bit_count() + 1 for below in _down_sets(p))
+    weight = math.prod(below.bit_count() + 1 for below in p.below)
     return exact_int(factorial(p.size), weight, ("forest_hook_count", p.size))
 
 
@@ -321,57 +326,37 @@ def b_monster(n: int, k: int, rows: Sequence[Sequence[int]]) -> Nat:
 # tableau posets (brute-force oracles)
 
 
-class WallShape:
-    """Three-row diagram with optional walls and removed cells.
+def tableau_poset(
+    rows: tuple[int, int, int],
+    walls: frozenset[tuple[int, int]] = frozenset(),
+    removed: frozenset[tuple[int, int]] = frozenset(),
+) -> Poset:
+    """Order constraints of a filled three-row diagram with walls and
+    removed cells.
 
     rows gives the lengths (bottom, middle, top) and must be weakly
-    decreasing upward.  A wall (r, i) removes the order constraint between
-    cells i and i+1 of row r; a removed cell (r, i) is deleted outright,
-    breaking adjacency.  Removed cells must all sit in one row.
+    decreasing upward.  Cells increase along rows and up columns; a wall
+    (r, i) removes the order constraint between cells i and i+1 of row r,
+    and a removed cell (r, i) is deleted outright, breaking adjacency.
+    Removed cells must all sit in one row.  Labels run bottom row first,
+    left to right.
     """
-
-    __slots__ = ("rows", "walls", "removed")
-
-    def __init__(
-        self,
-        rows: tuple[int, int, int],
-        walls: frozenset[tuple[int, int]] = frozenset(),
-        removed: frozenset[tuple[int, int]] = frozenset(),
-    ) -> None:
-        self.rows = rows
-        self.walls = walls
-        self.removed = removed
-        bottom, middle, top = self.rows
-        if not bottom >= middle >= top >= 0:
-            raise ValueError(f"row lengths must decrease upward: {self.rows}")
-        for r, i in self.walls:
-            if not (0 <= r <= 2 and 0 <= i < self.rows[r] - 1):
-                raise ValueError(f"wall {(r, i)} out of bounds")
-        rows_used = {r for r, _ in self.removed}
-        if len(rows_used) > 1:
-            raise ValueError("removed cells must all lie in a single row")
-        for r, i in self.removed:
-            if not (0 <= r <= 2 and 0 <= i < self.rows[r]):
-                raise ValueError(f"removed cell {(r, i)} out of bounds")
-
-    def present(self) -> list[tuple[int, int]]:
-        return [
-            (r, i)
-            for r in range(3)
-            for i in range(self.rows[r])
-            if (r, i) not in self.removed
-        ]
-
-
-def tableau_poset(shape: WallShape) -> Poset:
-    """Order constraints of a filled diagram: cells increase along rows
-    (unless separated by a wall or by a removed cell) and up columns.
-    Labels run bottom row first, left to right."""
-    cells = shape.present()
+    bottom, middle, top = rows
+    if not bottom >= middle >= top >= 0:
+        raise ValueError(f"row lengths must decrease upward: {rows}")
+    for r, i in walls:
+        if not (0 <= r <= 2 and 0 <= i < rows[r] - 1):
+            raise ValueError(f"wall {(r, i)} out of bounds")
+    if len({r for r, _ in removed}) > 1:
+        raise ValueError("removed cells must all lie in a single row")
+    for r, i in removed:
+        if not (0 <= r <= 2 and 0 <= i < rows[r]):
+            raise ValueError(f"removed cell {(r, i)} out of bounds")
+    cells = [(r, i) for r in range(3) for i in range(rows[r]) if (r, i) not in removed]
     label = {cell: i for i, cell in enumerate(cells)}
     covers = []
     for r, i in cells:
-        if (r, i + 1) in label and (r, i) not in shape.walls:
+        if (r, i + 1) in label and (r, i) not in walls:
             covers.append((label[(r, i)], label[(r, i + 1)]))
         if (r + 1, i) in label:
             covers.append((label[(r, i)], label[(r + 1, i)]))
@@ -384,7 +369,7 @@ def _walled_row_count(rows: tuple[int, int, int], r: int, k: int) -> Nat:
     r's cells (the rest removed)."""
     cells = [(r, i) for i in range(rows[r])]
     walls = frozenset(cells[:-1])  # wall (r, i) separates cells i and i+1
-    return sum(count_linear_extensions(tableau_poset(WallShape(rows, walls, frozenset(gone))))
+    return sum(count_linear_extensions(tableau_poset(rows, walls, frozenset(gone)))
                for gone in itertools.combinations(cells, len(cells) - k))
 
 

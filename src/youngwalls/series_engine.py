@@ -48,12 +48,9 @@ Series = tuple[int, ...]
 Rows = tuple[Series, ...]
 
 
-def shift_up(s: Series, j: int = 1) -> Series:
-    """Multiply by t^j, keeping the length (top terms fall off)."""
-    if j < 0:
-        raise ValueError("shift_up needs j >= 0")
-    n = len(s)
-    return (0,) * min(j, n) + s[: max(n - j, 0)]
+def shift_up(s: Series) -> Series:
+    """Multiply by t, keeping the length (the top term falls off)."""
+    return (0, *s[:-1]) if s else ()
 
 
 def series_mul(a: Series, b: Series) -> Series:

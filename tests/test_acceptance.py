@@ -19,7 +19,7 @@ from youngwalls import (
     tree_child,
     wall_tables,
 )
-from youngwalls.exact_arith import binomial, double_factorial, factorial
+from youngwalls.exact_arith import binomial, double_factorial
 
 from conftest import TABLE_A, TABLE_B
 from test_closed_forms import _a_fixed_k, _b_fixed_k
@@ -42,12 +42,12 @@ def test_criterion_01_reference_tables_cell_for_cell():
 
 
 def test_criterion_02_main_identity_to_n30():
+    # both checks read b off the b3 diagonal, not off b_rows, whose step is
+    # the conjugate of a_rows' step: main-identity ties the diagonal to a,
+    # cor-rec to b_rows
     t0 = time.perf_counter()
-    for n in range(31):
-        for k in range(n + 1):
-            lhs = 2 ** (n - k) * wall_tables.a_rec(n, k)
-            rhs = factorial(n - k + 1) * wall_tables.b(n, k)
-            assert lhs == rhs, (n, k)
+    for name in ("main-identity", "cor-rec"):
+        assert checks.CHECKS[name].run(nmax=30) == (True, "n <= 30"), name
     assert time.perf_counter() - t0 < 5.0
 
 

@@ -625,7 +625,7 @@ def test_verify_all_lists_every_registered_check():
 
 def test_verify_zero_cell_domain_is_empty_not_pass(monkeypatch):
     code, text = run_cli("verify", "--check", "tc-routes", "--nmax", "0")
-    assert (code, text) == (2, "tc-routes: EMPTY (n <= 0, six routes)\n")
+    assert (code, text) == (2, "tc-routes: EMPTY (n <= 0, six routes, four independent)\n")
     code, text = run_cli("verify", "--check", "all", "--nmax", "0")
     assert code == 2
     lines = text.splitlines()

@@ -295,30 +295,47 @@ def test_monster_at_domain_edges(n):
     assert pl.b_monster(n, n, _b_below(n, n)) == wt.b(n, n)
 
 
-def test_poset_and_wallshape_keep_their_fields_in_slots():
-    assert not hasattr(pl.Poset(2, [(0, 1)]), "__dict__")
-    assert not hasattr(pl.WallShape((2, 2, 1)), "__dict__")
+def test_poset_keeps_its_fields_in_slots():
+    p = pl.Poset(3, [(0, 1), (1, 2)])
+    assert not hasattr(p, "__dict__")
+    assert p.below == (0b000, 0b001, 0b011)
 
 
-def test_wallshape_validation():
-    with pytest.raises(ValueError):
-        pl.WallShape((1, 2, 0))
-    with pytest.raises(ValueError):
-        pl.WallShape((3, 2, 1), walls=frozenset({(0, 2)}))
-    with pytest.raises(ValueError):
-        pl.WallShape((3, 2, 1), removed=frozenset({(0, 0), (1, 0)}))
+TABLEAU_REJECTIONS = [
+    ((1, 2, 0), {}, "row lengths must decrease upward: (1, 2, 0)"),
+    ((3, 2, 1), {"walls": frozenset({(0, 2)})}, "wall (0, 2) out of bounds"),
+    ((3, 2, 1), {"removed": frozenset({(0, 0), (1, 0)})},
+     "removed cells must all lie in a single row"),
+    ((3, 2, 1), {"removed": frozenset({(1, 2)})}, "removed cell (1, 2) out of bounds"),
+]
+
+
+def test_tableau_poset_validation():
+    for rows, marks, message in TABLEAU_REJECTIONS:
+        with pytest.raises(ValueError) as err:
+            pl.tableau_poset(rows, **marks)
+        assert str(err.value) == message
 
 
 def test_tableau_poset_plain_shape_is_syt_count():
     # no walls, no removals: standard (2,2,2) filling count
-    shape = pl.WallShape((2, 2, 2))
-    assert pl.count_linear_extensions(pl.tableau_poset(shape)) == 5
+    assert pl.count_linear_extensions(pl.tableau_poset((2, 2, 2))) == 5
 
 
 def test_wall_semantics_on_small_shape():
     # walls in the top row of (2,2,2) lift one constraint: 5 -> 7 fillings
-    shape = pl.WallShape((2, 2, 2), walls=frozenset({(2, 0)}))
-    assert pl.count_linear_extensions(pl.tableau_poset(shape)) == 7
+    walled = pl.tableau_poset((2, 2, 2), walls=frozenset({(2, 0)}))
+    assert pl.count_linear_extensions(walled) == 7
+
+
+def test_brute_oracle_walks_each_poset_once(monkeypatch):
+    # b(4, 2) sums over the C(4, 2) = 6 ways to keep two bottom cells: one
+    # down-set pass per poset, shared by validation and the extension count
+    calls = []
+    down_sets = pl._down_sets
+    monkeypatch.setattr(pl, "_down_sets", lambda p: calls.append(p) or down_sets(p))
+    assert pl.b_brute(4, 2) == wt.b(4, 2)
+    assert len(calls) == 6
 
 
 def test_brute_oracles_small():
