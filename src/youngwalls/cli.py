@@ -384,7 +384,8 @@ def _exit(command: str | None, error: str = "") -> SystemExit:
     """Print the help (SystemExit(0)), or the usage and an error to stderr (SystemExit(2))."""
     if command is None:
         usage = f"usage: walls [-h] {{{','.join(COMMANDS)}}} ..."
-        about, rows = __doc__.split("\n\n")[0], [(name, h) for name, (h, _) in COMMANDS.items()]
+        # a literal, not the module docstring, which python -OO strips
+        about, rows = "Command line front end.", [(name, h) for name, (h, _) in COMMANDS.items()]
     else:
         about, flags = COMMANDS[command]
         rows = [(f if v is bool else f"{f} {{{','.join(v)}}}" if isinstance(v, tuple)

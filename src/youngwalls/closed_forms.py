@@ -2,15 +2,15 @@
 
 Everything here is built from one family of rational coefficients gamma_k,
 held as integer rows over a common denominator: _gamma_row(k) holds
-gamma_{k-i} / i! and delta_row(k) holds delta_j = j! gamma_j.  The k-th
-gamma is fixed by requiring that the double-factorial expansion of a(n, k)
-stays consistent when n shrinks to the degenerate corner, which gives a
-self-referential sum that we simply solve for gamma_k.  a_closed, b_closed
-and omega_init sum in integers over the common denominator of their gamma
-weights, and one exact_int checks that it divides the sum.  lemma28_rhs
-sums in integers over s! 2^s, the common denominator of its alpha weights,
-and returns the sum times s! 2^s; lemma29_check compares both sides times
-n! (4k-3-i)!!, where every term is an integer.
+gamma_{k-i} / i!.  The k-th gamma is fixed by requiring that the
+double-factorial expansion of a(n, k) stays consistent when n shrinks to
+the degenerate corner, which gives a self-referential sum that we simply
+solve for gamma_k.  a_closed and b_closed sum in integers over the common
+denominator of their gamma weights, and one exact_int checks that it
+divides the sum.  lemma28_rhs sums in integers over s! 2^s, the common
+denominator of its alpha weights, and returns the sum times s! 2^s;
+lemma29_check compares both sides times n! (4k-3-i)!!, where every term
+is an integer.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ from .exact_arith import Nat, double_factorial, double_factorials, exact_int, fa
 
 # Per-k rows over their least common denominator, as (numerators, denominator):
 # _GAMMA_ROWS[k] holds gamma_{k-i} / i! for i = 0..k (so gamma_k itself is
-# entry 0), _DELTA_ROWS[k] holds delta_i for i = 0..k.  Rows are tuples, so
-# no caller can alter a cached one.
+# entry 0).  Rows are tuples, so no caller can alter a cached one.
 IntRow = tuple[tuple[int, ...], int]
 _GAMMA_ROWS: list[IntRow] = [((1,), 1)]
-_DELTA_ROWS: list[IntRow] = [((1,), 1)]
 # _LEMMA28_WEIGHTS[s] holds the two blocks of (p, q, weight) of lemma28_rhs at
 # unfolding depth s
 _AlphaBlock = tuple[tuple[int, int, int], ...]
@@ -62,21 +60,6 @@ def _gamma_row(k: int) -> IntRow:
     return _GAMMA_ROWS[k]
 
 
-def delta_row(k: int) -> IntRow:
-    """delta_0..delta_k (delta_j = j! gamma_j, off _gamma_row(j)) as integer
-    numerators N_i over D_k = lcm of their reduced denominators, for k >= 0."""
-    if k < 0:
-        raise ValueError(f"delta undefined for {k}")
-    while len(_DELTA_ROWS) <= k:
-        gammas, gamma_den = _gamma_row(j := len(_DELTA_ROWS))
-        num = factorial(j) * gammas[0]  # delta_j = num / gamma_den
-        prev, den = _DELTA_ROWS[-1]
-        common = math.lcm(den, gamma_den // math.gcd(num, gamma_den))
-        nums = (*(c * (common // den) for c in prev), num * common // gamma_den)
-        _DELTA_ROWS.append((nums, common))
-    return _DELTA_ROWS[k]
-
-
 def gamma_dfact_terms(m: int, k: int) -> tuple[list[int], int]:
     """The terms gamma_{k-i} / i! * (2m+k+i-1)!! for i = 0..k as integer
     numerators over one denominator, that of _gamma_row(k); their sum need
@@ -100,33 +83,23 @@ def a_closed(n: int, k: int) -> Nat:
 
 
 def b_closed(n: int, k: int) -> Nat:
-    """b(n, k) via the same gamma sum scaled by 2^(n-k) / (n-k+1)!, which is
-    the seed omega_init(n, k)."""
+    """b(n, k) via the same gamma sum scaled by 2^(n-k) / (n-k+1)!:
+    sum_{i=0}^{k} gamma_{k-i} / i! * 2^(n-k) / (n-k+1)! * (2n+k+i-1)!!.
+
+    The sum runs in integers over the common denominator of the weights
+    gamma_{k-i} / i! times (n-k+1)!, and one exact_int checks that it
+    divides the sum."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    return omega_init(n, k)
-
-
-def omega_init(m: int, k: int) -> Nat:
-    """Seed row omega(0, m, k) of the omega recurrence:
-    sum_{i=0}^{k} gamma_{k-i} / i! * 2^(m-k) / (m-k+1)! * (2m+k+i-1)!!.
-
-    Equals b(m, k) for k <= m and vanishes identically at k = m + 1 (the
-    gamma recursion is exactly the statement that it does).  The sum runs in
-    integers over the common denominator of the weights gamma_{k-i} / i!
-    times 2 (m-k+1)!, which also covers k = m + 1, and one exact_int checks
-    that it divides the sum.
-    """
-    if m < 0 or not 0 <= k <= m + 1:
-        raise ValueError(f"need m >= 0 and 0 <= k <= m+1, got ({m}, {k})")
-    terms, den = gamma_dfact_terms(m, k)
-    total = sum(terms) << (m - k + 1)
-    return exact_int(total, 2 * den * factorial(m - k + 1), ("omega_init", m, k))
+    terms, den = gamma_dfact_terms(n, k)
+    return exact_int(sum(terms) << (n - k), den * factorial(n - k + 1), ("b_closed", n, k))
 
 
 def omega_init_layers(width: int) -> Iterator[list[Nat]]:
-    """The seeds omega_init(s, k) for k = 0..min(s + 1, width), one list per
-    layer s = 0, 1, 2, ...
+    """The seed row omega(0, s, k) of the omega recurrence for
+    k = 0..min(s + 1, width), one list per layer s = 0, 1, 2, ...  A seed
+    is b_closed(s, k) for k <= s and vanishes at k = s + 1 (the gamma
+    recursion is exactly the statement that it does).
 
     Every column of layer s reads a slice of one window, with w = width,
 
@@ -138,7 +111,7 @@ def omega_init_layers(width: int) -> Iterator[list[Nat]]:
     dot = sum_i gamma_{k-i} / i! run[k+i] over the denominator den of
     _gamma_row(k), the seed is
 
-        omega_init(s, k) = dot s! / ((s-k+1)! 2^k den),
+        omega(0, s, k) = dot s! / ((s-k+1)! 2^k den),
 
     where s! / (s-k+1)! = s (s-1) ... (s-k+2) is a product of k - 1 small
     factors for k >= 1; at k = 0 the seed is the Catalan number

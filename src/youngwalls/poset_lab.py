@@ -11,9 +11,8 @@ act as independent oracles.  ``tableau_poset`` builds the poset of a
 three-row diagram from its row lengths, its walls and its removed cells.
 
 The table routes keep no rows: ``u_rows`` streams u off one walk of the b
-rows, a point read ``u_from_b`` walks to its row, and the routes that read
-many rows (``b_from_u``, ``r_sum``, ``b_monster``) take them from a walk
-that their caller runs.
+rows, and the routes that read many rows (``b_from_u``, ``r_sum``,
+``b_monster``) take them from a walk that their caller runs.
 """
 
 from __future__ import annotations
@@ -249,17 +248,9 @@ def u_rows(width: int) -> Iterator[list[Nat]]:
             for n, row in enumerate(wall_tables.b_rows(width)))
 
 
-def u_from_b(n: int, k: int) -> Nat:
-    """u(n, k), the total extension count of the build_U family, by the
-    alternating binomial transform of row n of b, walked to."""
-    if n < 0 or not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    return _alternating(2 * n + k, n, k, next(itertools.islice(wall_tables.b_rows(k), n, None)))
-
-
 def b_from_u(n: int, k: int, u: Sequence[int]) -> Nat:
     """Inverse transform: b(n, k) from u = u(n, 0..k) by the same
-    alternating pattern.  Round-trips with u_from_b exactly."""
+    alternating pattern.  Round-trips with u_rows exactly."""
     if n < 0 or not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
     return _alternating(2 * n + k, n, k, u)

@@ -1,23 +1,19 @@
 """Counts of tree-child networks with n leaves and k reticulations, tied to
 the wall-tableau tables by tc(n, k) = n!/(n-k)! * a(n-1, k).
 
-Six exact routes are kept so they can be compared, plus a float asymptotic
+Five exact routes are kept so they can be compared, plus a float asymptotic
 evaluated in log space (the counts overflow doubles long before the
-interesting range ends).  Two of the six are algebraic rewrites of
-``tc_from_a``:
-
-* ``tc_via_b`` is ``tc_from_a`` under b = a 2^(n-k) / (n-k+1)!, the
-  conjugation of the b and a tables (see ``wall_tables._b_row``);
-* ``tc_closed`` equals ``tc_from_a(n, k, a_closed(n-1, k))`` term by term,
-  because C(k, i) delta_{k-i} = k! gamma_{k-i} / i! and
-  C(n, k) k! = n!/(n-k)!.
+interesting range ends).  One of the five is an algebraic rewrite of
+``tc_from_a``: ``tc_closed`` equals ``tc_from_a(n, k, a_closed(n-1, k))``
+term by term, because C(k, i) delta_{k-i} = k! gamma_{k-i} / i! and
+C(n, k) k! = n!/(n-k)!.
 
 So four of the routes are independent: ``tc_from_a`` on the rows of a,
 ``tc_rec_rows``, ``tc_sum_rows`` and ``tc_chain``.  The routes with their own
 recurrence stream their rows off ``wall_tables.walk`` (``tc_rec_rows``,
 ``tc_sum_rows``), keeping one.  The routes through the tables are
-formulas in the cells they read: ``tc_from_a`` and ``tc_via_b`` take one
-cell, ``tc_chain`` a column of a off its caller's walk, and the normative
+formulas in the cells they read: ``tc_from_a`` takes one cell,
+``tc_chain`` a column of a off its caller's walk, and the normative
 ``tc`` reads a(n-1, k) by a point read that walks to it.
 """
 
@@ -29,7 +25,7 @@ import operator
 from collections.abc import Iterator, Sequence
 
 from . import closed_forms, wall_tables
-from .exact_arith import Nat, binomial, double_factorials, exact_int, factorial
+from .exact_arith import Nat, binomial, exact_int, factorial
 
 
 def _check_domain(n: int, k: int) -> None:
@@ -46,13 +42,6 @@ def tc(n: int, k: int) -> Nat:
 def tc_from_a(n: int, k: int, a: Nat) -> Nat:
     """The normative formula n!/(n-k)! * a, given a = a(n-1, k)."""
     return math.perm(n, k) * a
-
-
-def tc_via_b(n: int, k: int, b: Nat) -> Nat:
-    """tc(n, k) = n! b / 2^(n-k-1), given b = b(n-1, k); the power of two
-    must divide."""
-    _check_domain(n, k)
-    return exact_int(factorial(n) * b, 2 ** (n - k - 1), ("tc_via_b", n, k))
 
 
 def _tc_rec_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
@@ -135,21 +124,17 @@ def tc_closed(n: int, k: int) -> Nat:
         tc(n, k) = C(n, k) sum_{i=0}^{k} C(k, i) (2n+2k-i-3)!! delta_i
 
     with delta_0 = 1 and
-        delta_i = -sum_{j=1}^{i} C(i, j) (3i+j-3)!!/(3i-3)!! delta_{i-j}.
+        delta_i = -sum_{j=1}^{i} C(i, j) (3i+j-3)!!/(3i-3)!! delta_{i-j},
 
-    The sum runs in integers over the common denominator D_k of
-    delta_0..delta_k (closed_forms.delta_row), and one exact_int checks
-    that D_k divides C(n, k) times it.
+    so delta_j = j! gamma_j.  With C(k, i) delta_{k-i} = k! gamma_{k-i} / i!
+    and C(n, k) k! = n!/(n-k)!, the sum is n!/(n-k)! times the gamma sum
+    closed_forms.gamma_dfact_terms(n-1, k), term by term.  It runs in
+    integers over the denominator of the gamma row, and one exact_int
+    checks that it divides n!/(n-k)! times the sum.
     """
     _check_domain(n, k)
-    nums, den = closed_forms.delta_row(k)
-    # dfact[k - i] = (2n+2k-i-3)!!
-    dfact = double_factorials(2 * n + k - 3, 2 * n + 2 * k - 3)
-    acc, c = 0, 1
-    for i in range(k + 1):
-        acc += c * dfact[k - i] * nums[i]
-        c = c * (k - i) // (i + 1)  # C(k, i+1)
-    return exact_int(acc * binomial(n, k), den, ("tc_closed", n, k))
+    terms, den = closed_forms.gamma_dfact_terms(n - 1, k)
+    return exact_int(math.perm(n, k) * sum(terms), den, ("tc_closed", n, k))
 
 
 def tc_asym_log(n: int, k: int) -> float:

@@ -8,9 +8,9 @@ Four sequences live here:
   m - k top-row cells are removed and the surviving adjacent top cells are
   separated by walls,
 * ``b(n, k) = b3(n, n, k)`` is its diagonal,
-* ``omega(n, m, k)`` is a companion table, seeded by the gamma sum
-  ``closed_forms.omega_init`` (an integer whose divisibility is checked,
-  not assumed), whose value at (n, m, k) equals b3(n + m, m, k).
+* ``omega(n, m, k)`` is a companion table, seeded by the gamma sums of
+  ``closed_forms.omega_init_layers`` (integers whose divisibility is
+  checked, not assumed), whose value at (n, m, k) equals b3(n + m, m, k).
 
 Every table is a list of rows of ints, row i built from row i - 1, with
 no recursion, and is read one way: by a walk up its rows on ``walk``,
@@ -282,8 +282,8 @@ def omega(n: int, m: int, k: int) -> Nat:
                          - (m-k+2) omega(n-1, m+1, k-1)
                          - omega(n-2, m+1, k)
 
-    for n >= 1, seed row omega(0, m, k) = closed_forms.omega_init(m, k) (a
-    closed form checked integral), and omega(-1, m, k) = 0.  Values above
+    for n >= 1, seed row omega(0, m, k) off closed_forms.omega_init_layers
+    (a closed form checked integral), and omega(-1, m, k) = 0.  Values above
     the k = m + 1 layer vanish.  A point read walks to its cell: O((n+m) n k)
     cells, none kept.  A range reader walks ``omega_layers`` once itself.
     """

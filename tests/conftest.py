@@ -2,7 +2,12 @@
 
 The two triangles below are the published reference values the package has
 to reproduce; they were transcribed independently of the code under test.
+``u_literal`` is the alternating transform of b written out term by term,
+the reference for the u rows.
 """
+
+from youngwalls import wall_tables
+from youngwalls.exact_arith import binomial, factorial
 
 TABLE_A = {
     0: [1],
@@ -33,3 +38,12 @@ TC_SPOT = {
     (3, 1): 21,
     (4, 2): 1272,
 }
+
+
+def u_literal(n, k):
+    """u(n, k) as the literal alternating sum over the point reads of b."""
+    return sum(
+        (-1) ** i * binomial(2 * n + k, k - i) * binomial(n - i, k - i)
+        * factorial(k - i) * wall_tables.b(n, i)
+        for i in range(k + 1)
+    )

@@ -59,8 +59,6 @@ def test_criterion_03_omega_bridge_and_vanishing_layers():
     for k in range(1, 7):
         for n in range(11):
             assert wall_tables.omega(n, k - 1, k) == 0, (n, k)
-    for k in range(1, 9):
-        assert closed_forms.omega_init(k - 1, k) == 0, k
 
 
 def test_criterion_04_semi_closed_forms_match_recurrences():
@@ -137,7 +135,7 @@ def test_criterion_08_extension_family_machinery():
                 poset_lab.count_linear_extensions(poset_lab.build_U(n, idx))
                 for idx in itertools.combinations(range(1, n + 1), k)
             )
-            assert u_brute == poset_lab.u_from_b(n, k), (n, k)
+            assert u_brute == next(itertools.islice(poset_lab.u_rows(k), n, None))[k], (n, k)
     for n in range(9):
         for k in range(n + 1):
             u = next(itertools.islice(poset_lab.u_rows(k), n, None))
@@ -158,7 +156,6 @@ def test_criterion_09_tree_child_route_agreement():
     for n in range(1, 16):
         for k in range(n):
             want = tree_child.tc(n, k)
-            assert tree_child.tc_via_b(n, k, wall_tables.b(n - 1, k)) == want, ("via_b", n, k)
             assert rec[n - 1][k] == want, ("rec", n, k)
             assert full[n - 1][k] == want, ("sum", n, k)
             assert tree_child.tc_closed(n, k) == want, ("closed", n, k)

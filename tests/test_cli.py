@@ -23,7 +23,7 @@ import youngwalls
 from youngwalls import checks, cli, closed_forms, poset_lab, tree_child, wall_tables
 from youngwalls.exact_arith import NotIntegralError, binomial, exact_int
 
-from conftest import TABLE_A, TABLE_B
+from conftest import TABLE_A, TABLE_B, u_literal
 
 SRC = Path(__file__).parents[1] / "src"
 
@@ -283,7 +283,7 @@ def test_deep_decimal_column_matches_str_of_int(seq):
 TABLE_OPTIONS = ([], ["--k", "1"], ["--k", "4"], ["--diag"], ["--kmax", "2"], ["--mmax", "1"])
 CELL_FUNCTIONS = {
     "a": wall_tables.a_rec, "b": wall_tables.b, "tc": tree_child.tc, "f": poset_lab.f_closed,
-    "ftilde": poset_lab.ftilde, "u": poset_lab.u_from_b,
+    "ftilde": poset_lab.ftilde, "u": u_literal,
 }
 
 
@@ -625,7 +625,7 @@ def test_verify_all_lists_every_registered_check():
 
 def test_verify_zero_cell_domain_is_empty_not_pass(monkeypatch):
     code, text = run_cli("verify", "--check", "tc-routes", "--nmax", "0")
-    assert (code, text) == (2, "tc-routes: EMPTY (n <= 0, six routes, four independent)\n")
+    assert (code, text) == (2, "tc-routes: EMPTY (n <= 0, five routes, four independent)\n")
     code, text = run_cli("verify", "--check", "all", "--nmax", "0")
     assert code == 2
     lines = text.splitlines()
@@ -898,12 +898,10 @@ def test_flag_reader_agrees_with_argparse():
 
 
 def _move_cached_weight(monkeypatch, rows, row, entry):
-    # the gamma and delta caches cut back to their seed rows, restored by
-    # monkeypatch; one numerator of row 2 of `rows` moves by its denominator.
-    # The delta rows are built from the gammas, so fresh ones read the moved
-    # weights, as does every fresh walk up the omega layers.
-    for name in ("_GAMMA_ROWS", "_DELTA_ROWS"):
-        monkeypatch.setattr(closed_forms, name, getattr(closed_forms, name)[:1])
+    # the gamma cache cut back to its seed row, restored by monkeypatch; one
+    # numerator of row 2 of `rows` moves by its denominator.  Every fresh
+    # walk up the omega layers reads the moved weights.
+    monkeypatch.setattr(closed_forms, rows, getattr(closed_forms, rows)[:1])
     nums, den = row(2)
     wrong = list(nums)
     wrong[entry] += den
@@ -913,11 +911,11 @@ def _move_cached_weight(monkeypatch, rows, row, entry):
 @pytest.mark.parametrize(
     "check, rows, row, entry, cell",
     [("closed-a", "_GAMMA_ROWS", closed_forms._gamma_row, 0, "(2, 2)"),
-     ("tc-routes", "_DELTA_ROWS", closed_forms.delta_row, 1, "(3, 2)"),
+     ("tc-routes", "_GAMMA_ROWS", closed_forms._gamma_row, 1, "(3, 2)"),
      ("dk-threeway", "_GAMMA_ROWS", closed_forms._gamma_row, 1, "(2, 20)"),
      ("omega-bridge", "_GAMMA_ROWS", closed_forms._gamma_row, 1, "(0, 1, 2)"),
      ("gamma-sum", "_GAMMA_ROWS", closed_forms._gamma_row, 0, "(2)"),
-     ("delta-rec", "_DELTA_ROWS", closed_forms.delta_row, 2, "(2)")],
+     ("delta-rec", "_GAMMA_ROWS", closed_forms._gamma_row, 2, "(2)")],
 )
 def test_wrong_cached_weight_fails_the_check(monkeypatch, check, rows, row, entry, cell):
     # the moved numerator keeps the sum integral but wrong
@@ -1044,13 +1042,13 @@ def test_reads_of_every_table_and_route_leave_no_module_state():
     assert wt.omega(5, 4, 2) == wt.b3(9, 4, 2)
     assert list(wt.a_alt_columns(9))[4][9] == wt.a_rec(9, 4) == a[9][4]
     assert wt.b(9, 4) == wt.b3(9, 9, 4) == pl.b_from_u(9, 4, u[9]) == b[9][4]
-    assert pl.u_from_b(9, 4) == u[9][4]
+    assert u_literal(9, 4) == u[9][4]
     assert pl.b_monster(9, 4, b) == pl.b_monster(9, 4, b[:9]) == b[9][4]
     assert binomial(22, 9) * pl.f_closed(9, 4) - pl.r_sum(9, 4, u) == b[9][4]
     rec = next(itertools.islice(tc.tc_rec_rows(4), 8, None))
     full = next(itertools.islice(tc.tc_sum_rows(4), 8, None))
     assert rec[4] == full[4] == tc.tc(9, 4) == tc.tc_closed(9, 4)
-    assert tc.tc(9, 4) == tc.tc_via_b(9, 4, b[8][4]) == tc.tc_chain(4, 4, a)
+    assert tc.tc(9, 4) == tc.tc_chain(4, 4, a)
     assert _module_values(*modules) == before
 
 
@@ -1070,13 +1068,13 @@ def test_moved_tc_row_cell_fails_tc_routes(step, monkeypatch):
 
 def test_omega_walks_take_their_seeds_from_the_seed_layers(monkeypatch):
     # the seed of each layer comes from omega_init_layers, never from a
-    # per-cell omega_init call
+    # per-cell b_closed call
     table = run_cli("table", "--seq", "omega", "--nmax", "6")
 
     def refused(m, k):
-        raise RuntimeError(f"omega_init({m}, {k}) called")
+        raise RuntimeError(f"b_closed({m}, {k}) called")
 
-    monkeypatch.setattr(closed_forms, "omega_init", refused)
+    monkeypatch.setattr(closed_forms, "b_closed", refused)
     assert wall_tables.omega(6, 3, 2) == wall_tables.b3(9, 3, 2) == 16639
     assert run_cli("table", "--seq", "omega", "--nmax", "6") == table
     assert table[0] == 0
@@ -1438,6 +1436,16 @@ def test_invariants_checked_under_optimize():
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == sorted(checks.CHECKS)
     assert all(": PASS (" in line for line in lines)
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 2), (["frobnicate"], 2)])
+def test_top_level_help_and_usage_under_python_OO(argv, code):
+    # -OO strips the docstrings: the help and the usage error read no
+    # docstring, so they print as without it
+    plain = _python("-m", "youngwalls.cli", *argv, text=True)
+    proc = _python("-OO", "-m", "youngwalls.cli", *argv, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, plain.stdout, plain.stderr)
+    assert "Traceback" not in proc.stderr
 
 
 def test_console_entry_point_runs():

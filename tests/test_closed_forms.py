@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -30,15 +31,14 @@ def _alpha(s: int, p: int, q: int) -> Fraction:
 
 def test_gamma_first_values(monkeypatch):
     # a negative index is rejected, never served the row cached last: with
-    # the caches filled past row 5, then cut back to their seed rows
-    cf.delta_row(5)
+    # the cache filled past row 5, then cut back to its seed row
+    cf._gamma_row(5)
     for _ in range(2):
         with pytest.raises(ValueError):
-            cf.delta_row(-1)
+            cf._gamma_row(-1)
         with pytest.raises(ValueError):
             cf.gamma_dfact_terms(2, -1)
         monkeypatch.setattr(cf, "_GAMMA_ROWS", cf._GAMMA_ROWS[:1])
-        monkeypatch.setattr(cf, "_DELTA_ROWS", cf._DELTA_ROWS[:1])
     assert [_gamma(k) for k in range(4)] == [
         Fraction(1),
         Fraction(-1),
@@ -48,8 +48,8 @@ def test_gamma_first_values(monkeypatch):
 
 
 def test_delta_values():
-    nums, den = cf.delta_row(3)
-    assert [Fraction(c, den) for c in nums] == [
+    # delta_j = j! gamma_j, the weights of the delta form of tc_closed
+    assert [factorial(j) * _gamma(j) for j in range(4)] == [
         Fraction(1),
         Fraction(-1),
         Fraction(1, 3),
@@ -81,9 +81,6 @@ def test_integer_rows_restate_the_weights():
         assert isinstance(nums, tuple)
         weights = [_gamma(k - i) / factorial(i) for i in range(k + 1)]
         assert [Fraction(c, den) for c in nums] == weights
-        nums, den = cf.delta_row(k)
-        assert isinstance(nums, tuple)
-        assert [Fraction(c, den) for c in nums] == [factorial(i) * _gamma(i) for i in range(k + 1)]
 
 
 def test_closed_forms_far_row():
@@ -101,8 +98,9 @@ def test_closed_forms_at_domain_edges(n):
     assert cf.a_closed(n, n) == wt.a_rec(n, n)
     assert cf.b_closed(n, 0) == factorial(2 * n) // (factorial(n) * factorial(n + 1))
     assert cf.b_closed(n, n) == wt.b(n, n)
-    assert cf.omega_init(n, n + 1) == 0
-    assert cf.omega_init(n, 0) == Fraction(2**n * double_factorial(2 * n - 1), factorial(n + 1))
+    seeds = next(itertools.islice(cf.omega_init_layers(n + 1), n, None))
+    assert seeds[n + 1] == 0
+    assert seeds[0] == Fraction(2**n * double_factorial(2 * n - 1), factorial(n + 1))
 
 
 def test_a_diag():
@@ -183,44 +181,51 @@ def test_fixed_k_expressions_for_b():
 
 
 def test_omega_init_values_and_vanishing():
-    assert cf.omega_init(0, 0) == 1
-    assert cf.omega_init(1, 0) == 1
-    assert cf.omega_init(1, 1) == 1
-    assert cf.omega_init(2, 1) == 7
-    assert cf.omega_init(3, 0) == 5
+    assert cf.b_closed(0, 0) == 1
+    assert cf.b_closed(1, 0) == 1
+    assert cf.b_closed(1, 1) == 1
+    assert cf.b_closed(2, 1) == 7
+    assert cf.b_closed(3, 0) == 5
     with pytest.raises(ValueError):
-        cf.omega_init(1, 3)
+        cf.b_closed(1, 3)
     with pytest.raises(ValueError):
-        cf.omega_init(-1, 0)
+        cf.b_closed(-1, 0)
+    # the seed omega(0, s, s + 1) vanishes
+    assert [seeds[s + 1] for s, seeds in zip(range(9), cf.omega_init_layers(9))] == [0] * 9
+
+
+def _seed(s, k):
+    # the seed omega(0, s, k): b(s, k) for k <= s, 0 at k = s + 1
+    return cf.b_closed(s, k) if k <= s else 0
 
 
 def test_omega_init_is_the_integer_b_closed():
-    for m in range(31):
-        for k in range(m + 2):
-            seed = cf.omega_init(m, k)
-            assert type(seed) is int, (m, k)
-            if k <= m:
-                assert seed == cf.b_closed(m, k), (m, k)
+    for s, seeds in zip(range(31), cf.omega_init_layers(31)):
+        for k, seed in enumerate(seeds):
+            assert type(seed) is int, (s, k)
+            if k <= s:
+                assert type(cf.b_closed(s, k)) is int, (s, k)
+                assert seed == cf.b_closed(s, k), (s, k)
 
 
 @pytest.mark.parametrize("width", [0, 1, 2, 4, 5, 12, 40])
 def test_omega_init_layers_carry_the_seeds(width):
     layers = cf.omega_init_layers(width)
     for s, seeds in zip(range(61), layers):
-        assert seeds == [cf.omega_init(s, k) for k in range(min(s + 1, width) + 1)], s
+        assert seeds == [_seed(s, k) for k in range(min(s + 1, width) + 1)], s
 
 
 def test_omega_init_layers_carry_a_deep_seed_column():
     # 1300 slides of the window, each entry divided by s + 1
     for s, seeds in zip(range(1301), cf.omega_init_layers(0)):
-        assert seeds == [cf.omega_init(s, 0)], s
+        assert seeds == [cf.b_closed(s, 0)], s
 
 
 def test_omega_init_layers_slide_one_window():
     # widths past s + 1 cover the columns that enter layer by layer; the
     # column k = width reads what was the window's top two entries a layer
     # earlier
-    seeds = {(s, k): cf.omega_init(s, k) for s in range(91) for k in range(min(s + 1, 17) + 1)}
+    seeds = {(s, k): _seed(s, k) for s in range(91) for k in range(min(s + 1, 17) + 1)}
     for width in range(18):
         for s, layer in zip(range(91), cf.omega_init_layers(width)):
             assert layer == [seeds[s, k] for k in range(min(s + 1, width) + 1)], (width, s)

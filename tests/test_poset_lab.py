@@ -9,6 +9,8 @@ from youngwalls import poset_lab as pl
 from youngwalls import wall_tables as wt
 from youngwalls.exact_arith import binomial, factorial
 
+from conftest import u_literal
+
 
 POSET_REJECTIONS = [
     (-1, [], "negative size"),
@@ -188,14 +190,15 @@ def _b_below(n, k):
 
 
 def test_u_family_sums_to_transform():
-    assert pl.u_from_b(2, 1) == 13
+    u = list(itertools.islice(pl.u_rows(5), 6))
+    assert u[2][1] == 13
     for n in range(6):
         for k in range(n + 1):
             brute = sum(
                 pl.count_linear_extensions(pl.build_U(n, idx))
                 for idx in itertools.combinations(range(1, n + 1), k)
             )
-            assert brute == pl.u_from_b(n, k), (n, k)
+            assert brute == u[n][k], (n, k)
 
 
 def test_r_family_brute_matches_formula():
@@ -215,16 +218,9 @@ def test_r_family_brute_matches_formula():
 
 def test_transforms_match_their_literal_sums():
     # the literal sums, references for the shared alternating helper
-    def u_literal(n, k):
-        return sum(
-            (-1) ** i * binomial(2 * n + k, k - i) * binomial(n - i, k - i)
-            * factorial(k - i) * wt.b(n, i)
-            for i in range(k + 1)
-        )
-
-    for n in range(21):
+    for n, u in zip(range(21), pl.u_rows(20)):
         for k in range(n + 1):
-            assert pl.u_from_b(n, k) == u_literal(n, k), (n, k)
+            assert u[k] == u_literal(n, k), (n, k)
     for n in range(1, 11):
         for k in range(n + 1):
             total = 0

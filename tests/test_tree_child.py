@@ -13,8 +13,8 @@ from conftest import TC_SPOT
 
 @pytest.mark.parametrize(
     "fn",
-    [tcn.tc, lambda n, k: tcn.tc_via_b(n, k, 1), tcn.tc_closed],
-    ids=["tc", "tc_via_b", "tc_closed"],
+    [tcn.tc, tcn.tc_closed],
+    ids=["tc", "tc_closed"],
 )
 def test_domain_guards(fn):
     with pytest.raises(ValueError):

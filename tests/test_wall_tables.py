@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from youngwalls import poset_lab, tree_child, wall_tables as wt
 from youngwalls.exact_arith import double_factorial, factorial
 
-from conftest import TABLE_A, TABLE_B
+from conftest import TABLE_A, TABLE_B, u_literal
 
 
 def test_a_matches_reference_triangle():
@@ -90,7 +90,7 @@ def test_omega_seed_and_guards():
     [
         (wt.a_rows, wt.a_rec, 0),
         (wt.b_rows, wt.b, 0),
-        (poset_lab.u_rows, poset_lab.u_from_b, 0),
+        (poset_lab.u_rows, u_literal, 0),
         (tree_child.tc_rec_rows, tree_child.tc, 1),
         (tree_child.tc_sum_rows, tree_child.tc, 1),
     ],
@@ -98,8 +98,9 @@ def test_omega_seed_and_guards():
 )
 @pytest.mark.parametrize("width", [0, 1, 2, 5, 14])
 def test_walk_matches_the_rows_read_cell_by_cell(walk, cell, first, width):
-    # a, b and u against their point reads, each a walk of its own clipped
-    # at its cell, the tc streams against the normative tc;
+    # a and b against their point reads, each a walk of its own clipped at
+    # its cell, u against its literal sum over those of b, the tc streams
+    # against the normative tc;
     # the rows start at n = first and row n ends at column n - first
     for n, row in zip(range(first, 15), walk(width)):
         assert len(row) == min(n - first, width) + 1, n
