@@ -1,6 +1,8 @@
 """Exact enumeration of three-row Young tableaux with walls, their
 generating functions, and tree-child network counts."""
 
+from types import ModuleType as _ModuleType
+
 from .exact_arith import (
     Nat,
     NotIntegralError,
@@ -42,7 +44,6 @@ from .series_engine import (
     dk_from_table,
     dk_kernel,
     fk_next,
-    kernel_chain,
     kernel_levels,
     kernel_residual,
     neg_half_pow_series,
@@ -76,7 +77,6 @@ from .poset_lab import (
 )
 from .tree_child import (
     tc,
-    tc_asym,
     tc_asym_log,
     tc_asym_rel_error,
     tc_chain,
@@ -88,77 +88,8 @@ from .tree_child import (
 
 __version__ = "0.1.0"
 
+# every public binding that is not a module: the names imported above
 __all__ = [
-    "Nat",
-    "NotIntegralError",
-    "binomial",
-    "double_factorial",
-    "double_factorials",
-    "exact_int",
-    "factorial",
-    "a_alt_columns",
-    "a_rec",
-    "a_rows",
-    "b",
-    "b3",
-    "b3_hook",
-    "b3_layers",
-    "b_rows",
-    "omega",
-    "omega_layers",
-    "omega_rows",
-    "IntRow",
-    "a_closed",
-    "b_closed",
-    "gamma_dfact_terms",
-    "lemma28_rhs",
-    "lemma29_check",
-    "omega_init_layers",
-    "Rows",
-    "Series",
-    "bk_from_table",
-    "bk_solve",
-    "catalan_series",
-    "dk_closed",
-    "dk_from_table",
-    "dk_kernel",
-    "fk_next",
-    "kernel_chain",
-    "kernel_levels",
-    "kernel_residual",
-    "neg_half_pow_series",
-    "series_mul",
-    "shift_up",
-    "subs_x",
-    "x2_series",
-    "CAPACITY",
-    "CapacityError",
-    "Poset",
-    "a_brute",
-    "b3_brute",
-    "b_brute",
-    "b_from_u",
-    "b_monster",
-    "build_D",
-    "build_F",
-    "build_Ftilde",
-    "build_R",
-    "build_U",
-    "count_linear_extensions",
-    "f_closed",
-    "f_sum",
-    "forest_hook_count",
-    "ftilde",
-    "r_sum",
-    "tableau_poset",
-    "u_rows",
-    "tc",
-    "tc_asym",
-    "tc_asym_log",
-    "tc_asym_rel_error",
-    "tc_chain",
-    "tc_closed",
-    "tc_from_a",
-    "tc_rec_rows",
-    "tc_sum_rows",
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

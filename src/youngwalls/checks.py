@@ -150,7 +150,7 @@ def _bk_rect(kmax: int, order: int) -> Iterator[tuple[tuple[int, int], bool]]:
 
 
 def _b0_hook(nmax: int) -> Iterator[tuple[tuple[int], bool]]:
-    _, _, b0 = series_engine.kernel_chain(0, 2 * nmax)
+    _, _, b0 = next(series_engine.kernel_levels(2 * nmax))
     square = range(nmax + 1)
     yield (nmax,), all(b0[j][m] == wall_tables.b3_hook(m + j, m) for j in square for m in square)
 

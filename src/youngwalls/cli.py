@@ -191,8 +191,8 @@ def run_series(args: SimpleNamespace, out: TextIOBase) -> int:
         s = series_engine.dk_from_table(k, order)
     elif args.method == "closed":
         s = series_engine.dk_closed(k, order)
-    else:  # kernel; level 0 is the chain's initial condition, served directly
-        s = series_engine.catalan_series(order) if k == 0 else series_engine.dk_kernel(k, order)
+    else:
+        s = series_engine.dk_kernel(k, order)
     print(" ".join(map(str, s)), file=out)
     return EXIT_OK
 
@@ -297,11 +297,11 @@ def _sci_from_log(log_value: float) -> str:
 
 
 def run_asym(args: SimpleNamespace, out: TextIOBase) -> int:
-    est = tree_child.tc_asym(args.n, args.k)
-    if math.isfinite(est):
-        shown = f"{est:.6e}"
-    else:  # the estimate overflows a double long before its log does
-        shown = _sci_from_log(tree_child.tc_asym_log(args.n, args.k))
+    log_est = tree_child.tc_asym_log(args.n, args.k)
+    try:
+        shown = f"{math.exp(log_est):.6e}"
+    except OverflowError:  # the estimate overflows a double long before its log does
+        shown = _sci_from_log(log_est)
     exact = tree_child.tc(args.n, args.k)
     rel = tree_child.tc_asym_rel_error(args.n, args.k, exact)
     print(f"estimate={shown} exact={exact} rel_error={rel:.3e}", file=out)

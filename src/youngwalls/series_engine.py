@@ -212,18 +212,12 @@ def kernel_levels(order: int) -> Iterator[tuple[Rows, Series, Rows]]:
         yield f, d, b
 
 
-def kernel_chain(k: int, order: int) -> tuple[Rows, Series, Rows]:
-    """Level k of kernel_levels(order): (F_k, D_k, B_k)."""
+def dk_kernel(k: int, order: int) -> Series:
+    """D_k(t) of level k of kernel_levels(order); exact to the requested
+    order.  Level 0 is the chain's initial condition D_0 = C(t)."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return next(islice(kernel_levels(order), k, None))
-
-
-def dk_kernel(k: int, order: int) -> Series:
-    """D_k(t) from the kernel chain; exact to the requested order."""
-    if k < 1:
-        raise ValueError(f"kernel D_k needs k >= 1, got {k}")
-    return kernel_chain(k, order)[1]
+    return next(islice(kernel_levels(order), k, None))[1]
 
 
 def kernel_residual(b_k: Rows, f_k: Rows, d_k: Series) -> Rows:

@@ -166,14 +166,6 @@ def tc_asym_log(n: int, k: int) -> float:
     )
 
 
-def tc_asym(n: int, k: int) -> float:
-    """Float asymptotic estimate of tc(n, k); inf when it exceeds doubles."""
-    try:
-        return math.exp(tc_asym_log(n, k))
-    except OverflowError:
-        return math.inf
-
-
 def tc_asym_rel_error(n: int, k: int, exact: Nat) -> float:
     """|estimate/exact - 1| computed entirely in log space, given the exact
     count exact = tc(n, k)."""

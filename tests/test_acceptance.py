@@ -93,8 +93,7 @@ def test_criterion_06_generating_function_three_way_agreement():
     for k in range(1, 9):
         table = series_engine.dk_from_table(k, 20)
         assert table == series_engine.dk_closed(k, 20) == series_engine.dk_kernel(k, 20), k
-    for k in range(6):
-        f, d, b = series_engine.kernel_chain(k, 24)
+    for k, (f, d, b) in zip(range(6), series_engine.kernel_levels(24)):
         res = series_engine.kernel_residual(b, f, d)
         assert all(res[j][n] == 0 for j in range(13) for n in range(13)), k
     pairs = zip(series_engine.neg_half_pow_series(3, 10),

@@ -111,13 +111,20 @@ def test_dk_closed_rejects_zero():
 
 def test_dk_kernel_examples():
     assert se.dk_kernel(2, 5) == (0, 0, 7, 106, 1010, 7740)
+    assert se.dk_kernel(0, 5) == se.catalan_series(5)
     with pytest.raises(ValueError):
-        se.dk_kernel(0, 5)
+        se.dk_kernel(-1, 5)
+
+
+def test_dk_kernel_level_zero_is_the_initial_condition():
+    for k in range(9):
+        assert se.dk_kernel(k, 30) == se.dk_from_table(k, 30), k
+    for n in range(41):
+        assert se.dk_kernel(0, n) == se.catalan_series(n), n
 
 
 def test_kernel_chain_stays_in_integers():
-    for k in range(7):
-        f, d, b = se.kernel_chain(k, 16)
+    for _k, (f, d, b) in zip(range(7), se.kernel_levels(16)):
         assert all(type(c) is int for c in d)
         assert all(type(c) is int for rows in (f, b) for row in rows for c in row)
 
