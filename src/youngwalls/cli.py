@@ -13,10 +13,9 @@ Subcommands:
 * ``asym``       asymptotic estimate vs exact value, log-space error
 
 Exit codes: 0 success, 1 a verification or comparison failed (or a value
-that an identity makes integral came out otherwise, or the reader closed
-standard output before the output was complete), 2 usage error (also
-a flag that does not apply, or bounds that select nothing to check or
-print), 3 capacity exceeded.
+that an identity makes integral came out otherwise, or standard output
+could not be written), 2 usage error (also a flag that does not apply, or
+bounds that select nothing to check or print), 3 capacity exceeded.
 Integers in JSON are decimal strings so no consumer ever rounds them.
 """
 
@@ -72,20 +71,17 @@ def _table_rows(args: SimpleNamespace, one: object = None) -> Iterator[list[Cell
         rows = _two_index_rows(args, first, one)
     elif sliced:
         raise _Usage("slices are only available for 2-index sequences")
-    elif seq == "b3":
-        layers = wall_tables.b3_layers(nmax if args.kmax is None else args.kmax, args.mmax)
-        rows = (
-            [((n, m, k), v) for m, row in enumerate(layer) for k, v in enumerate(row)]
-            for n, layer in zip(range(nmax + 1), layers)
-        )
     else:
-        # omega
-        mmax = args.mmax if args.mmax is not None else nmax
-        kmax = args.kmax if args.kmax is not None else mmax + 1
-        rows = (
-            [((n, m, k), v) for m, cell in enumerate(row) for k, v in enumerate(cell)]
-            for n, row in enumerate(wall_tables.omega_rows(nmax, mmax, kmax))
-        )
+        # (n, grid) with grid[m][k] the value at (n, m, k), in long form
+        if seq == "b3":
+            grids = zip(range(nmax + 1), wall_tables.b3_layers(
+                nmax if args.kmax is None else args.kmax, args.mmax))
+        else:  # omega
+            mmax = args.mmax if args.mmax is not None else nmax
+            kmax = args.kmax if args.kmax is not None else mmax + 1
+            grids = enumerate(wall_tables.omega_rows(nmax, mmax, kmax))
+        rows = ([((n, m, k), v) for m, row in enumerate(grid) for k, v in enumerate(row)]
+                for n, grid in grids)
     if args.format == "bfile" and not sliced:
         raise _Usage("bfile output needs a 1-D slice (--k or --diag)")
     return rows
@@ -357,26 +353,27 @@ def _count(text: str) -> int:
 REQUIRED = ...  # the default of a flag that must be given
 COUNT, NEEDED = (_count, None, ""), (_count, REQUIRED, "")  # a count or bound flag
 _HELP = ("-h", "--help")
-# command -> (help, {flag: (value, default, help)}), where the value is a
-# type (_count or str), a tuple of choices, or bool for a switch
-COMMANDS: dict[str, tuple[str, dict[str, tuple[object, object, str]]]] = {
+# command -> (help, {flag: (value, default, help)}, runner), where the value
+# is a type (_count or str), a tuple of choices, or bool for a switch
+COMMANDS: dict[str, tuple[str, dict[str, tuple[object, object, str]], Callable[..., int]]] = {
     "table": ("print a counting table", {
         "--seq": (("a", "b", "b3", "omega", "tc", "f", "ftilde", "u"), REQUIRED, ""),
         "--nmax": NEEDED, "--kmax": COUNT, "--mmax": COUNT,
         "--k": (_count, None, "emit the 1-D slice at this k"),
         "--diag": (bool, False, "emit the diagonal slice"),
-        "--format": (("csv", "text", "json", "bfile"), "csv", "")}),
+        "--format": (("csv", "text", "json", "bfile"), "csv", "")}, run_table),
     "verify": ("run identity checks", {"--check": (str, REQUIRED, "registry name, or 'all'"),
-                                       "--nmax": COUNT, "--kmax": COUNT, "--order": COUNT}),
+               "--nmax": COUNT, "--kmax": COUNT, "--order": COUNT}, run_verify),
     "series": ("print D_k coefficients", {"--dk": NEEDED, "--order": NEEDED, "--method": (
-        ("recurrence", "closed", "kernel"), "recurrence", "")}),
+        ("recurrence", "closed", "kernel"), "recurrence", "")}, run_series),
     "oracle": ("brute-force comparison", {"--seq": (("a", "b", "b3"), REQUIRED, ""),
-                                          "--n": NEEDED, "--k": NEEDED, "--m": COUNT}),
+                                          "--n": NEEDED, "--k": NEEDED, "--m": COUNT}, run_oracle),
     "crosscheck": ("compare a slice against an OEIS b-file", {
         "--map": (str, REQUIRED, f"one of {sorted(OEIS_MAPS)}"),
         "--oeis": (str, None, "expected OEIS id (sanity check)"), "--nmax": COUNT,
-        "--offline": (bool, False, "accepted; every crosscheck reads the bundled fixtures")}),
-    "asym": ("asymptotic estimate vs exact count", {"--n": NEEDED, "--k": NEEDED}),
+        "--offline": (bool, False, "accepted; every crosscheck reads the bundled fixtures")},
+        run_crosscheck),
+    "asym": ("asymptotic estimate vs exact count", {"--n": NEEDED, "--k": NEEDED}, run_asym),
 }
 
 
@@ -385,9 +382,9 @@ def _exit(command: str | None, error: str = "") -> SystemExit:
     if command is None:
         usage = f"usage: walls [-h] {{{','.join(COMMANDS)}}} ..."
         # a literal, not the module docstring, which python -OO strips
-        about, rows = "Command line front end.", [(name, h) for name, (h, _) in COMMANDS.items()]
+        about, rows = "Command line front end.", [(name, h) for name, (h, *_) in COMMANDS.items()]
     else:
-        about, flags = COMMANDS[command]
+        about, flags, _ = COMMANDS[command]
         rows = [(f if v is bool else f"{f} {{{','.join(v)}}}" if isinstance(v, tuple)
                  else f"{f} {f[2:].upper()}", h) for f, (v, _, h) in flags.items()]
         usage = " ".join([f"usage: walls {command} [-h]", *(form if flags[form.split()[0]][1]
@@ -398,7 +395,8 @@ def _exit(command: str | None, error: str = "") -> SystemExit:
         return SystemExit(EXIT_USAGE)
     rows.insert(0, ("-h, --help", "show this help message and exit"))
     width = max(len(form) for form, _ in rows) + 2
-    print(usage, "", about, "", *(f"  {form:<{width}}{h}".rstrip() for form, h in rows), sep="\n")
+    print(usage, "", about, "", *(f"  {form:<{width}}{h}".rstrip() for form, h in rows), sep="\n",
+          flush=True)  # a failed write shows in main
     return SystemExit(EXIT_OK)
 
 
@@ -459,22 +457,10 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     return SimpleNamespace(command=command, **values)
 
 
-_RUNNERS = {
-    "table": run_table,
-    "verify": run_verify,
-    "series": run_series,
-    "oracle": run_oracle,
-    "crosscheck": run_crosscheck,
-    "asym": run_asym,
-}
-
-
 def main(argv: list[str] | None = None, out: TextIOBase | None = None) -> int:
+    if sys.stdout is None:  # fd 1 was closed: a read-only fd fails each write alike (EBADF)
+        sys.stdout = open(os.open(os.devnull, os.O_RDONLY), "w")
     out = out if out is not None else sys.stdout
-    try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     # counts run to thousands of digits; lift the decimal conversion limit
     # (absent before 3.10.7) for this call only
     get_limit = getattr(sys, "get_int_max_str_digits", None)
@@ -482,13 +468,19 @@ def main(argv: list[str] | None = None, out: TextIOBase | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        code = _RUNNERS[args.command](args, out)
-        out.flush()  # a reader that has gone shows here, not at exit
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        code = COMMANDS[args.command][2](args, out)
+        out.flush()  # a failed write shows here, not at exit
         return code
-    except BrokenPipeError:
-        # the reader closed the pipe early: what is left, also at exit,
-        # goes to os.devnull, and no traceback is printed
-        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+    except SystemExit as exc:  # the help, or a usage error
+        return int(exc.code or 0)
+    except OSError as exc:  # a failed write: what is left, also at exit, goes to os.devnull
+        try:  # a reader that has gone passes in silence
+            if not isinstance(exc, BrokenPipeError):
+                print(f"error: {exc}", file=sys.stderr)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        except OSError:  # stderr fails too, or out has no descriptor (StringIO)
+            pass
         return EXIT_FAIL
     except poset_lab.CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)

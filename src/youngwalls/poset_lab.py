@@ -34,10 +34,10 @@ class CapacityError(ValueError):
 class Poset:
     """Poset on labels 0..size-1 given by its covers (s, t) meaning s < t.
 
-    Duplicate covers are merged into one.  Validation rejects out-of-range
-    labels, reflexive covers, cycles, and redundant covers (ones implied by
-    a longer path).  below[v] is the bitmask of the elements strictly below
-    v, from the one down-set pass that validation runs.
+    Duplicate covers are merged into one.  The constructor validates in its
+    one Kahn pass over the covers, which also fills below[v], the bitmask of
+    the elements strictly below v: it rejects out-of-range labels, reflexive
+    covers, cycles, and redundant covers (ones implied by a longer path).
     """
 
     __slots__ = ("size", "covers", "below")
@@ -48,45 +48,36 @@ class Poset:
     def __init__(self, size: int, covers: Iterable[tuple[int, int]] = ()) -> None:
         self.size = size
         self.covers = tuple(sorted(set(map(tuple, covers))))
-        if self.size < 0:
+        if size < 0:
             raise ValueError("negative size")
+        succ: list[list[int]] = [[] for _ in range(size)]
+        indeg = [0] * size
         for s, t in self.covers:
-            if not (0 <= s < self.size and 0 <= t < self.size):
+            if not (0 <= s < size and 0 <= t < size):
                 raise ValueError(f"cover {s}>{t} out of range")
             if s == t:
                 raise ValueError(f"reflexive cover at {s}")
-        below = _down_sets(self)
-        if below is None:
+            succ[s].append(t)
+            indeg[t] += 1
+        # Kahn's pass: ready grows while it is read and ends as a topological
+        # order, so below[v] is complete when v is read; deep[t] is the union
+        # of the down-sets of the elements that t covers
+        below, deep = [0] * size, [0] * size
+        ready = [v for v in range(size) if not indeg[v]]
+        for v in ready:
+            for t in succ[v]:
+                below[t] |= below[v] | 1 << v
+                deep[t] |= below[v]
+                indeg[t] -= 1
+                if not indeg[t]:
+                    ready.append(t)
+        if len(ready) < size:
             raise ValueError("cover relation has a cycle")
         # (s, t) is redundant when s lies below another element that t covers
-        deep = [0] * self.size
-        for u, t in self.covers:
-            deep[t] |= below[u]
         for s, t in self.covers:
             if deep[t] >> s & 1:
                 raise ValueError(f"redundant cover {s}>{t}")
         self.below = tuple(below)
-
-
-def _down_sets(p: Poset) -> list[int] | None:
-    """below[v], the bitmask of the elements strictly below v, for every v,
-    by one Kahn-order pass over the covers; None on a cycle.  Only Poset's
-    constructor runs it."""
-    succ: list[list[int]] = [[] for _ in range(p.size)]
-    indeg = [0] * p.size
-    for s, t in p.covers:
-        succ[s].append(t)
-        indeg[t] += 1
-    below = [0] * p.size
-    ready = [v for v in range(p.size) if not indeg[v]]
-    # ready grows while it is read: it ends as a topological order
-    for v in ready:
-        for t in succ[v]:
-            below[t] |= below[v] | 1 << v
-            indeg[t] -= 1
-            if not indeg[t]:
-                ready.append(t)
-    return below if len(ready) == p.size else None
 
 
 def count_linear_extensions(p: Poset) -> Nat:
@@ -171,13 +162,8 @@ def build_D(n: int, i_set: Sequence[int]) -> Poset:
 
 def build_U(n: int, i_set: Sequence[int]) -> Poset:
     """build_D with the pendant arrows reversed: m_{i_j} < q_j."""
-    idx = _check_index_set(i_set, 1, n)
-    k = len(idx)
-    covers = [(i, i + 1) for i in range(n - 1)]
-    covers += [(n + i, n + i + 1) for i in range(n - 1)]
-    covers += [(i, n + i) for i in range(n)]
-    covers += [(i - 1, 2 * n + j) for j, i in enumerate(idx)]
-    return Poset(2 * n + k, covers)
+    d = build_D(n, i_set)
+    return Poset(d.size, [(t, s) if s >= 2 * n else (s, t) for s, t in d.covers])
 
 
 def build_R(n: int, i_left: Sequence[int], j: int, i_right: Sequence[int]) -> Poset:

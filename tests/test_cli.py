@@ -817,7 +817,7 @@ def _parity_corpus():
     yield from ([], ["-h"], ["--help"], ["--he"], ["--help=x"], ["-h", "table"], ["--bogus"],
                 ["--bogus", "-h"], ["frobnicate"], ["frobnicate", "-h"], ["-1"], ["-x", "table"],
                 ["--bogus", "table", "--seq", "a", "--nmax", "3"])
-    for command, (_, flags) in cli.COMMANDS.items():
+    for command, (_, flags, _) in cli.COMMANDS.items():
         base = _valid_argv(command)
         yield base
         yield [command]
@@ -1204,8 +1204,8 @@ def _public_functions():
 
 def test_annotations_of_main_and_the_runners_resolve():
     # every name an annotation uses is bound in its module, so the hints evaluate
-    runners = [fn for name, fn in vars(cli).items() if name.startswith("run_")]
-    assert len(runners) == len(cli._RUNNERS)
+    runners = {runner for _, _, runner in cli.COMMANDS.values()}
+    assert runners == {fn for name, fn in vars(cli).items() if name.startswith("run_")}
     for fn in [cli.main, *runners]:
         assert typing.get_type_hints(fn)["return"] is int, fn.__name__
     functions = list(_public_functions())
@@ -1332,7 +1332,7 @@ def test_help_names_every_command_flag_and_choice(capsys):
     assert cli.main(["--help"]) == 0
     words = capsys.readouterr().out.split()
     assert all(command in words for command in cli.COMMANDS)
-    for command, (_, flags) in cli.COMMANDS.items():
+    for command, (_, flags, _) in cli.COMMANDS.items():
         assert cli.main([command, "--help"]) == 0
         words = set(re.split(r"[\s\[\]{},]+", capsys.readouterr().out))
         for flag, (value, _, _) in flags.items():
@@ -1490,6 +1490,35 @@ def test_closed_stdout_exits_1_in_silence(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize("redirect", ["> /dev/full", ">&-"], ids=["full", "closed"])
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--seq", "a", "--nmax", "3"], ["table", "--seq", "a", "--nmax", "300"],
+     ["verify", "--check", "closed-a"], ["--help"], ["table", "--help"]],
+    ids=" ".join,
+)
+def test_failed_write_exits_1_with_one_error_line(argv, redirect):
+    # `walls ... > /dev/full` fails with ENOSPC, and with standard output
+    # closed python starts with sys.stdout None: either way one error line
+    # and exit 1, from main's write, its flush or the help
+    proc = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m",
+                           "youngwalls.cli", *argv], capture_output=True, text=True,
+                          env=_python_env())
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert re.fullmatch(r"error: \[Errno \d+\] [^\n]+\n", proc.stderr), proc.stderr
+
+
+def test_failed_write_in_process_keeps_the_stream_without_descriptor(capsys):
+    # a StringIO has no descriptor to send to os.devnull: main still exits 1
+    class Full(io.StringIO):
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    assert cli.main(["table", "--seq", "a", "--nmax", "3"], out=Full()) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
 
 def test_benchmark_checker_selftest_passes():

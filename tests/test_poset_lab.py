@@ -201,6 +201,20 @@ def test_u_family_sums_to_transform():
             assert brute == u[n][k], (n, k)
 
 
+def test_u_family_is_the_d_family_with_its_pendants_turned():
+    # the ladder m_1 < ... < m_n, r_1 < ... < r_n, rungs m_i < r_i, and
+    # m_{i_j} < q_j for the j-th index i_j, written out
+    for n in range(6):
+        for k in range(n + 1):
+            for idx in itertools.combinations(range(1, n + 1), k):
+                ladder = [(i, i + 1) for i in range(n - 1)]
+                ladder += [(n + i, n + i + 1) for i in range(n - 1)]
+                ladder += [(i, n + i) for i in range(n)]
+                ladder += [(i - 1, 2 * n + j) for j, i in enumerate(idx)]
+                u = pl.build_U(n, idx)
+                assert (u.size, u.covers) == (2 * n + k, tuple(sorted(ladder))), (n, idx)
+
+
 def test_r_family_brute_matches_formula():
     for n in range(1, 5):
         for k in range(n + 1):
@@ -326,10 +340,11 @@ def test_wall_semantics_on_small_shape():
 
 def test_brute_oracle_walks_each_poset_once(monkeypatch):
     # b(4, 2) sums over the C(4, 2) = 6 ways to keep two bottom cells: one
-    # down-set pass per poset, shared by validation and the extension count
+    # poset each, whose constructor runs the one down-set pass that
+    # validation and the extension count share
     calls = []
-    down_sets = pl._down_sets
-    monkeypatch.setattr(pl, "_down_sets", lambda p: calls.append(p) or down_sets(p))
+    init = pl.Poset.__init__
+    monkeypatch.setattr(pl.Poset, "__init__", lambda p, *a: calls.append(p) or init(p, *a))
     assert pl.b_brute(4, 2) == wt.b(4, 2)
     assert len(calls) == 6
 
