@@ -1,7 +1,8 @@
 """The `verify` registry: each identity the package proves about its own
 tables, with the cells it visits.  ``CHECKS`` maps a check's name to its
-`Check`; ``cli.run_verify`` imports it when a `verify` request runs, so no
-other request loads this module.
+`Check`, whose ``run`` returns the status word (PASS, FAIL or EMPTY) that
+`verify` prints; ``cli.run_verify`` imports it when a `verify` request
+runs, so no other request loads this module.
 """
 
 from __future__ import annotations
@@ -19,38 +20,37 @@ class Check:
     cell in a failure and holds is whether the identity holds there.
 
     ``bounds`` are the defaults that ``--nmax``, ``--kmax`` and ``--order``
-    override; ``domain`` is formatted with the bounds in effect.  A table
+    override; ``domain`` is formatted with the bounds in effect.  ``run``
+    returns the status word that `verify` prints, with its detail.  A table
     that several cells read is a local of the generator, walked once.
     """
 
-    __slots__ = ("summary", "bounds", "domain", "cells")
+    __slots__ = ("bounds", "domain", "cells")
 
     def __init__(
         self,
-        summary: str,
         bounds: dict[str, int],
         domain: str,
         cells: Callable[..., Iterable[tuple[tuple[int, ...], bool]]],
     ) -> None:
-        self.summary = summary
         self.bounds = bounds
         self.domain = domain
         self.cells = cells
 
-    def run(self, **overrides: int | None) -> tuple[bool | None, str]:
+    def run(self, **overrides: int | None) -> tuple[str, str]:
         """Visit the cells in order and stop at the first that fails.
 
-        Returns (False, "fails at (cell)") at the first failing cell, else
-        (True, domain), or (None, domain) when the domain holds no cell.
+        Returns ("FAIL", "fails at (cell)") at the first failing cell, else
+        ("PASS", domain), or ("EMPTY", domain) when the domain holds no cell.
         """
         bounds = dict(self.bounds)
         bounds.update((b, v) for b, v in overrides.items() if b in bounds and v is not None)
         visited = 0
         for cell, holds in self.cells(**bounds):
             if not holds:
-                return False, f"fails at ({', '.join(map(str, cell))})"
+                return "FAIL", f"fails at ({', '.join(map(str, cell))})"
             visited += 1
-        return (True if visited else None), self.domain.format(**bounds)
+        return ("PASS" if visited else "EMPTY"), self.domain.format(**bounds)
 
 
 def _b3_walk(nmax: int, width: int) -> Iterator[tuple[int, list[list[int]]]]:
@@ -71,7 +71,7 @@ def _walk(kmax: int, order: int, scale: int = 2) -> Iterator[tuple[int, tuple]]:
     return zip(range(kmax + 1), series_engine.kernel_levels(scale * order))
 
 
-def _on_walks(summary: str, nmax: int, walks: Callable[[int], Iterable[tuple]],
+def _on_walks(nmax: int, walks: Callable[[int], Iterable[tuple]],
               holds: Callable[..., bool], start: int = 0) -> Check:
     """``holds(n, k, *rows)`` for start <= n <= nmax and k <= n, row by row,
     where rows is row n of each walk that ``walks(nmax)`` zips: every table
@@ -82,7 +82,7 @@ def _on_walks(summary: str, nmax: int, walks: Callable[[int], Iterable[tuple]],
             if n >= start:
                 yield from (((n, k), holds(n, k, *rows)) for k in range(n + 1))
 
-    return Check(summary, {"nmax": nmax}, "n <= {nmax}", cells)
+    return Check({"nmax": nmax}, "n <= {nmax}", cells)
 
 
 def _kept(rows: Iterable[list[int]]) -> Iterator[list[list[int]]]:
@@ -164,28 +164,28 @@ def _tc_routes(n: int, k: int, a: list[list[int]], rec: list[int], sums: list[in
 
 CHECKS: dict[str, Check] = {
     "main-identity": _on_walks(  # b off the b3 diagonal: b_rows is a_rows' conjugate
-        "2^(n-k) a(n,k) = (n-k+1)! b(n,k)", 30,
+        30,
         lambda nmax: zip(wall_tables.a_rows(nmax), wall_tables.b3_layers(nmax)),
         lambda n, k, a, layer: 2 ** (n - k) * a[k] == factorial(n - k + 1) * layer[n][k],
     ),
     "a-alt": _on_walks(
-        "column expansion matches the one-step recurrence", 20,
+        20,
         lambda nmax: zip(wall_tables.a_rows(nmax),
                          itertools.repeat(list(wall_tables.a_alt_columns(nmax)))),
         lambda n, k, a, cols: cols[k][n] == a[k],
     ),
     "catalan-base": Check(
-        "b3(n,n,0) is Catalan", {"nmax": 30}, "n <= {nmax}",
+        {"nmax": 30}, "n <= {nmax}",
         lambda nmax: (((n,), layer[n][0] == binomial(2 * n, n) // (n + 1))
                       for n, layer in _b3_walk(nmax, 0)),
     ),
     "hook-base": Check(
-        "b3(n,m,0) matches the ballot closed form", {"nmax": 15}, "n <= {nmax}",
+        {"nmax": 15}, "n <= {nmax}",
         lambda nmax: (((n, m), layer[m][0] == wall_tables.b3_hook(n, m))
                       for n, layer in _b3_walk(nmax, 0) for m in range(n + 1)),
     ),
     "omega-bridge": Check(
-        "omega(n,m,k) = b3(n+m,m,k)", {"nmax": 14}, "n + m <= {nmax}, k <= m + 1",
+        {"nmax": 14}, "n + m <= {nmax}, k <= m + 1",
         lambda nmax: (
             ((s - m, m, k), omega[k][s - m] == (b3[m][k] if k <= m else 0))
             for (s, b3), omega in zip(_b3_walk(nmax, nmax), wall_tables.omega_layers(nmax + 1))
@@ -193,93 +193,93 @@ CHECKS: dict[str, Check] = {
         ),
     ),
     "omega-vanishing": Check(
-        "omega(n,k-1,k) = 0", {"nmax": 10, "kmax": 6}, "n <= {nmax}, k <= {kmax}",
+        {"nmax": 10, "kmax": 6}, "n <= {nmax}, k <= {kmax}",
         _omega_vanishing,
     ),
     "omega-init-vanishing": Check(
-        "seed row vanishes at k = m+1", {"kmax": 8}, "k <= {kmax}", _gamma_sum,
+        {"kmax": 8}, "k <= {kmax}", _gamma_sum,
     ),
     "cor-rec": _on_walks(
-        "integer two-term recurrence of b matches the b3 diagonal", 20,
+        20,
         lambda nmax: zip(wall_tables.b_rows(nmax), wall_tables.b3_layers(nmax)),
         lambda n, k, b, layer: b[k] == layer[n][k],
     ),
     "closed-a": _on_walks(
-        "gamma closed form matches a", 25, lambda nmax: zip(wall_tables.a_rows(nmax)),
+        25, lambda nmax: zip(wall_tables.a_rows(nmax)),
         lambda n, k, a: closed_forms.a_closed(n, k) == a[k],
     ),
     "closed-b": _on_walks(  # b off the b3 diagonal: b_closed is a_closed's conjugate
-        "gamma closed form matches the b3 diagonal", 25,
+        25,
         lambda nmax: zip(wall_tables.b3_layers(nmax)),
         lambda n, k, layer: closed_forms.b_closed(n, k) == layer[n][k],
     ),
     "gamma-sum": Check(
-        "defining gamma sum telescopes to zero", {"kmax": 40}, "k <= {kmax}", _gamma_sum,
+        {"kmax": 40}, "k <= {kmax}", _gamma_sum,
     ),
     "delta-rec": Check(
-        "delta recursion consistent with k! gamma_k", {"kmax": 20}, "i <= {kmax}", _gamma_sum,
+        {"kmax": 20}, "i <= {kmax}", _gamma_sum,
     ),
     "lemma28": Check(
-        "unfolded boundary sum vanishes", {"nmax": 8, "kmax": 5},
+        {"nmax": 8, "kmax": 5},
         "n <= {nmax}, k <= {kmax}, all s", _lemma28,
     ),
     "lemma29": Check(
-        "closing double-factorial identity", {"nmax": 8, "kmax": 6},
+        {"nmax": 8, "kmax": 6},
         "n <= {nmax}, k <= {kmax}, i <= k",
         lambda nmax, kmax: (((n, k, i), closed_forms.lemma29_check(n, k, i))
                             for n, k in itertools.product(range(1, nmax + 1), range(1, kmax + 1))
                             for i in range(k + 1)),
     ),
     "stock-series": Check(
-        "Catalan / kernel-root / power sanity", {"order": 30}, "order {order}", _stock_series,
+        {"order": 30}, "order {order}", _stock_series,
     ),
     "dk-threeway": Check(
-        "table, closed and kernel D_k agree", {"kmax": 8, "order": 20},
+        {"kmax": 8, "order": 20},
         "k <= {kmax}, order {order}", _dk_threeway,
     ),
     "kernel-residual": Check(
-        "(x - x^2 - t) B = x F - t D exactly", {"kmax": 5, "order": 12},
+        {"kmax": 5, "order": 12},
         "k <= {kmax}, rectangle {order} x {order}", _kernel_residual,
     ),
     "bk-rect": Check(
-        "kernel B_k rectangle matches the table", {"kmax": 5, "order": 12},
+        {"kmax": 5, "order": 12},
         "k <= {kmax}, rectangle {order} x {order}", _bk_rect,
     ),
     "b0-hook": Check(
-        "wall-free B_0 entries are ballot numbers", {"nmax": 12}, "rectangle {nmax} x {nmax}",
+        {"nmax": 12}, "rectangle {nmax} x {nmax}",
         _b0_hook,
     ),
     "f-rec": Check(
-        "pendant-family recurrence", {"nmax": 12}, "n <= {nmax}",
+        {"nmax": 12}, "n <= {nmax}",
         lambda nmax: (((n, k), poset_lab.f_closed(n, k) == poset_lab.f_closed(n - 1, k)
                        + (n + k - 1) * poset_lab.f_closed(n - 1, k - 1))
                       for n in range(1, nmax + 1) for k in range(1, n + 1)),
     ),
     "f-gf": Check(
-        "pendant-family generating function", {"kmax": 6, "order": 12},
+        {"kmax": 6, "order": 12},
         "k <= {kmax}, n <= {order}",
         lambda kmax, order: (((n, k), poset_lab.f_closed(n, k)
                               == double_factorial(2 * k - 1) * binomial(n + k, 2 * k))
                              for k in range(kmax + 1) for n in range(order + 1)),
     ),
     "bu-roundtrip": _on_walks(
-        "alternating transforms invert", 8,
+        8,
         lambda nmax: zip(wall_tables.b_rows(nmax), poset_lab.u_rows(nmax)),
         lambda n, k, b, u: poset_lab.b_from_u(n, k, u) == b[k],
     ),
     "b12": _on_walks(
-        "binomial f minus r reproduces b", 8,
+        8,
         lambda nmax: zip(wall_tables.b_rows(nmax), _kept(poset_lab.u_rows(nmax))),
         lambda n, k, b, u: binomial(2 * n + k, n) * poset_lab.f_closed(n, k)
         - poset_lab.r_sum(n, k, u) == b[k],
         start=1,
     ),
     "monster": _on_walks(
-        "grand recurrence reproduces b", 12, lambda nmax: zip(_kept(wall_tables.b_rows(nmax))),
+        12, lambda nmax: zip(_kept(wall_tables.b_rows(nmax))),
         lambda n, k, b: poset_lab.b_monster(n, k, b) == b[n][k], start=1,
     ),
     "tc-routes": Check(
-        "five exact tree-child routes agree", {"nmax": 15},
+        {"nmax": 15},
         "n <= {nmax}, five routes, four independent",
         lambda nmax: (((n, k), _tc_routes(n, k, *rows)) for n, *rows in zip(
             range(1, nmax + 1), _kept(wall_tables.a_rows(nmax)),
@@ -287,7 +287,7 @@ CHECKS: dict[str, Check] = {
         ) for k in range(n)),
     ),
     "tc-dfact": Check(
-        "tc(n,0) = (2n-3)!!", {"nmax": 15}, "n <= {nmax}",
+        {"nmax": 15}, "n <= {nmax}",
         lambda nmax: (((n,), tree_child.tc_from_a(n, 0, a[0]) == double_factorial(2 * n - 3))
                       for n, a in zip(range(1, nmax + 1), wall_tables.a_rows(0))),
     ),

@@ -52,25 +52,25 @@ def _table_rows(args: SimpleNamespace, one: object = None) -> Iterator[list[Cell
     seq, nmax = args.seq, args.nmax
     sliced = args.k is not None or args.diag
     if args.k is not None and args.diag:
-        raise _Usage("--k and --diag are mutually exclusive")
+        raise ValueError("--k and --diag are mutually exclusive")
 
     if seq in ("a", "b", "f", "ftilde", "u", "tc"):
         if seq == "tc" and args.diag:
-            raise _Usage("tc has no diagonal: its domain is k <= n-1")
+            raise ValueError("tc has no diagonal: its domain is k <= n-1")
         if args.mmax is not None:
-            raise _Usage(f"--mmax clips the 3-index sequences only, not {seq}")
+            raise ValueError(f"--mmax clips the 3-index sequences only, not {seq}")
         if sliced and args.kmax is not None:
-            raise _Usage("--kmax clips a full table; it does not combine with --k or --diag")
+            raise ValueError("--kmax clips a full table; it does not combine with --k or --diag")
         # row n of tc ends at k = n - 1, and tc and ftilde start at n = 1
         first = 1 if seq in ("ftilde", "tc") else 0
         if args.k is not None:
             first = max(first, args.k + (seq == "tc"))
         if first > nmax:
             reach = " reaches the slice" if sliced else ""
-            raise _Usage(f"no row of {seq} with n <= {nmax}{reach}")
+            raise ValueError(f"no row of {seq} with n <= {nmax}{reach}")
         rows = _two_index_rows(args, first, one)
     elif sliced:
-        raise _Usage("slices are only available for 2-index sequences")
+        raise ValueError("slices are only available for 2-index sequences")
     else:
         # (n, grid) with grid[m][k] the value at (n, m, k), in long form
         if seq == "b3":
@@ -83,7 +83,7 @@ def _table_rows(args: SimpleNamespace, one: object = None) -> Iterator[list[Cell
         rows = ([((n, m, k), v) for m, row in enumerate(grid) for k, v in enumerate(row)]
                 for n, grid in grids)
     if args.format == "bfile" and not sliced:
-        raise _Usage("bfile output needs a 1-D slice (--k or --diag)")
+        raise ValueError("bfile output needs a 1-D slice (--k or --diag)")
     return rows
 
 
@@ -200,14 +200,14 @@ def run_series(args: SimpleNamespace, out: TextIOBase) -> int:
 def run_oracle(args: SimpleNamespace, out: TextIOBase) -> int:
     seq, n, k, m = args.seq, args.n, args.k, args.m
     if m is not None and seq != "b3":
-        raise _Usage(f"--m belongs to oracle --seq b3 only, not {seq}")
+        raise ValueError(f"--m belongs to oracle --seq b3 only, not {seq}")
     if seq == "a":
         brute, fast = poset_lab.a_brute(n, k), wall_tables.a_rec(n, k)
     elif seq == "b":
         brute, fast = poset_lab.b_brute(n, k), wall_tables.b(n, k)
     else:  # b3
         if m is None:
-            raise _Usage("oracle --seq b3 needs --m")
+            raise ValueError("oracle --seq b3 needs --m")
         brute, fast = poset_lab.b3_brute(n, m, k), wall_tables.b3(n, m, k)
     verdict = "agree" if brute == fast else "disagree"
     print(f"brute={brute} table={fast} {verdict}", file=out)
@@ -248,10 +248,10 @@ def _fixture_bfile(oeis_id: str) -> str:
 
 def run_crosscheck(args: SimpleNamespace, out: TextIOBase) -> int:
     if args.map not in OEIS_MAPS:
-        raise _Usage(f"unknown map {args.map!r}; choose from {sorted(OEIS_MAPS)}")
+        raise ValueError(f"unknown map {args.map!r}; choose from {sorted(OEIS_MAPS)}")
     oeis_id, offset, stream = OEIS_MAPS[args.map]
     if args.oeis is not None and args.oeis != oeis_id:
-        raise _Usage(f"map {args.map} is tied to {oeis_id}, not {args.oeis}")
+        raise ValueError(f"map {args.map} is tied to {oeis_id}, not {args.oeis}")
     text = _fixture_bfile(oeis_id)
     cap = args.nmax if args.nmax is not None else 60
     checked = []
@@ -270,7 +270,7 @@ def run_crosscheck(args: SimpleNamespace, out: TextIOBase) -> int:
         checked.append(idx)
     if not checked:
         # a bound that selects no term proved nothing
-        raise _Usage(f"no term of {oeis_id} with {offset} <= n <= {cap}")
+        raise ValueError(f"no term of {oeis_id} with {offset} <= n <= {cap}")
     print(
         f"{oeis_id} <-> {args.map}: n={checked[0]}..{checked[-1]} agree "
         f"({len(checked)} terms, offset {offset})",
@@ -311,22 +311,19 @@ def run_asym(args: SimpleNamespace, out: TextIOBase) -> int:
 def run_verify(args: SimpleNamespace, out: TextIOBase) -> int:
     from .checks import CHECKS  # only verify loads the registry
 
-    names = sorted(CHECKS) if args.check == "all" else [args.check]
-    unknown = [n for n in names if n not in CHECKS]
-    if unknown:
-        raise _Usage(f"unknown check {unknown[0]!r}; choose from {sorted(CHECKS)} or 'all'")
     given = {"nmax": args.nmax, "kmax": args.kmax, "order": args.order}
     if args.check != "all":
+        if args.check not in CHECKS:
+            raise ValueError(f"unknown check {args.check!r}; choose from {sorted(CHECKS)} or 'all'")
         # a named check must take every bound given; "all" applies each where it can
         bounds = CHECKS[args.check].bounds
         unused = [b for b, v in given.items() if v is not None and b not in bounds]
         if unused:
             takes = " and ".join(f"--{b}" for b in bounds)
-            raise _Usage(f"check {args.check} takes no --{unused[0]}, only {takes}")
+            raise ValueError(f"check {args.check} takes no --{unused[0]}, only {takes}")
     statuses = set()
-    for name in names:
-        ok, detail = CHECKS[name].run(**given)
-        status = {True: "PASS", False: "FAIL", None: "EMPTY"}[ok]
+    for name in sorted(CHECKS) if args.check == "all" else [args.check]:
+        status, detail = CHECKS[name].run(**given)
         print(f"{name}: {status} ({detail})", file=out)
         statuses.add(status)
     if "FAIL" in statuses:
@@ -337,10 +334,6 @@ def run_verify(args: SimpleNamespace, out: TextIOBase) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
-
-
-class _Usage(ValueError):
-    """Command line misuse detected after the flags are read."""
 
 
 def _count(text: str) -> int:

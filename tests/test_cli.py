@@ -488,8 +488,8 @@ def test_verify_unknown_check():
 
 @pytest.mark.parametrize("name", sorted(checks.CHECKS))
 def test_registry_identity_holds(name):
-    ok, detail = checks.CHECKS[name].run()
-    assert ok, detail
+    status, detail = checks.CHECKS[name].run()
+    assert status == "PASS", detail
 
 
 def test_check_stops_at_first_failing_cell():
@@ -500,11 +500,14 @@ def test_check_stops_at_first_failing_cell():
         return (n, k) != (2, 1)
 
     # no table to walk: each row n brings no rows, so the cells are (n, k)
-    check = checks._on_walks("fails once", 4, lambda nmax: itertools.repeat(()), holds)
-    assert check.run() == (False, "fails at (2, 1)")
+    check = checks._on_walks(4, lambda nmax: itertools.repeat(()), holds)
+    assert check.run() == ("FAIL", "fails at (2, 1)")
     assert visited == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
-    assert check.run(nmax=1, kmax=7) == (True, "n <= 1")
-    assert check.run(nmax=None) == (False, "fails at (2, 1)")
+    assert check.run(nmax=1, kmax=7) == ("PASS", "n <= 1")
+    assert check.run(nmax=None) == ("FAIL", "fails at (2, 1)")
+    # rows start at n = 1, so nmax = 0 selects no cell
+    empty = checks._on_walks(4, lambda nmax: itertools.repeat(()), holds, start=1)
+    assert empty.run(nmax=0) == ("EMPTY", "n <= 0")
     visited.clear()
 
     def cells(top):
@@ -512,10 +515,10 @@ def test_check_stops_at_first_failing_cell():
             visited.append(i)
             yield (i,), i != 5
 
-    one_index = checks.Check("fails at 5", {"top": 9}, "i <= {top}", cells)
-    assert one_index.run() == (False, "fails at (5)")
+    one_index = checks.Check({"top": 9}, "i <= {top}", cells)
+    assert one_index.run() == ("FAIL", "fails at (5)")
     assert visited == [0, 1, 2, 3, 4, 5]
-    assert one_index.run(top=4) == (True, "i <= 4")
+    assert one_index.run(top=4) == ("PASS", "i <= 4")
 
 
 @pytest.mark.parametrize("name", sorted(checks.CHECKS))
@@ -529,9 +532,10 @@ def test_check_yields_int_cells_and_bool_verdicts(name):
 
 
 def test_check_keeps_its_fields_in_slots():
+    assert checks.Check.__slots__ == ("bounds", "domain", "cells")
     assert not hasattr(checks.CHECKS["catalan-base"], "__dict__")
     with pytest.raises(TypeError):
-        checks.Check("too few fields", {})
+        checks.Check({}, "too few fields")
 
 
 def _move_a_alt_cells(monkeypatch, moved):
