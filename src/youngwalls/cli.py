@@ -299,7 +299,7 @@ def run_asym(args: SimpleNamespace, out: TextIOBase) -> int:
     except OverflowError:  # the estimate overflows a double long before its log does
         shown = _sci_from_log(log_est)
     exact = tree_child.tc(args.n, args.k)
-    rel = tree_child.tc_asym_rel_error(args.n, args.k, exact)
+    rel = tree_child.tc_asym_rel_error(log_est, exact)
     print(f"estimate={shown} exact={exact} rel_error={rel:.3e}", file=out)
     return EXIT_OK
 

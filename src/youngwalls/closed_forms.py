@@ -5,12 +5,12 @@ held as integer rows over a common denominator: _gamma_row(k) holds
 gamma_{k-i} / i!.  The k-th gamma is fixed by requiring that the
 double-factorial expansion of a(n, k) stays consistent when n shrinks to
 the degenerate corner, which gives a self-referential sum that we simply
-solve for gamma_k.  a_closed and b_closed sum in integers over the common
-denominator of their gamma weights, and one exact_int checks that it
-divides the sum.  lemma28_rhs sums in integers over s! 2^s, the common
-denominator of its alpha weights, and returns the sum times s! 2^s;
-lemma29_check compares both sides times n! (4k-3-i)!!, where every term
-is an integer.
+solve for gamma_k.  a_closed sums in integers over the common denominator
+of its gamma weights, and one exact_int checks that it divides the sum;
+b_closed is its Fuchs-Yu conjugate 2^(n-k) a(n, k) / (n-k+1)!.
+lemma28_rhs sums in integers over s! 2^s, the common denominator of its
+alpha weights, and returns the sum times s! 2^s; lemma29_check compares
+both sides times n! (4k-3-i)!!, where every term is an integer.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import operator
 from collections.abc import Callable, Iterator
 from itertools import count
 
-from .exact_arith import Nat, double_factorial, double_factorials, exact_int, factorial
+from .exact_arith import Nat, double_factorials, exact_int, factorial
 
 # Per-k rows over their least common denominator, as (numerators, denominator):
 # _GAMMA_ROWS[k] holds gamma_{k-i} / i! for i = 0..k (so gamma_k itself is
@@ -51,8 +51,8 @@ def _gamma_row(k: int) -> IntRow:
         # entries i >= 1 over den * lcm(1..j), then all over a further (3j-3)!!
         scale = math.lcm(*range(1, j + 1))
         tail = [c * (scale // i) for i, c in enumerate(prev, 1)]
-        inv = double_factorial(3 * j - 3)
-        head = -sum(c * d for c, d in zip(tail, double_factorials(3 * j - 2, 4 * j - 3)))
+        inv, *dfact = double_factorials(3 * j - 3, 4 * j - 3)
+        head = -sum(c * d for c, d in zip(tail, dfact))
         nums = [head, *(c * inv for c in tail)]
         den *= scale * inv
         least = math.gcd(den, *nums)
@@ -83,16 +83,9 @@ def a_closed(n: int, k: int) -> Nat:
 
 
 def b_closed(n: int, k: int) -> Nat:
-    """b(n, k) via the same gamma sum scaled by 2^(n-k) / (n-k+1)!:
-    sum_{i=0}^{k} gamma_{k-i} / i! * 2^(n-k) / (n-k+1)! * (2n+k+i-1)!!.
-
-    The sum runs in integers over the common denominator of the weights
-    gamma_{k-i} / i! times (n-k+1)!, and one exact_int checks that it
-    divides the sum."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    terms, den = gamma_dfact_terms(n, k)
-    return exact_int(sum(terms) << (n - k), den * factorial(n - k + 1), ("b_closed", n, k))
+    """b(n, k) = 2^(n-k) a(n, k) / (n-k+1)!, the Fuchs-Yu conjugate of
+    a_closed; one exact_int checks that the factorial divides."""
+    return exact_int(a_closed(n, k) << (n - k), factorial(n - k + 1), ("b_closed", n, k))
 
 
 def omega_init_layers(width: int) -> Iterator[list[Nat]]:

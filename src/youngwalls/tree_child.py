@@ -4,9 +4,8 @@ the wall-tableau tables by tc(n, k) = n!/(n-k)! * a(n-1, k).
 Five exact routes are kept so they can be compared, plus a float asymptotic
 evaluated in log space (the counts overflow doubles long before the
 interesting range ends).  One of the five is an algebraic rewrite of
-``tc_from_a``: ``tc_closed`` equals ``tc_from_a(n, k, a_closed(n-1, k))``
-term by term, because C(k, i) delta_{k-i} = k! gamma_{k-i} / i! and
-C(n, k) k! = n!/(n-k)!.
+``tc_from_a``: ``tc_closed`` is ``tc_from_a(n, k, a_closed(n-1, k))``, which
+Pons and Batle's delta formula equals term by term.
 
 So four of the routes are independent: ``tc_from_a`` on the rows of a,
 ``tc_rec_rows``, ``tc_sum_rows`` and ``tc_chain``.  The routes with their own
@@ -127,14 +126,11 @@ def tc_closed(n: int, k: int) -> Nat:
         delta_i = -sum_{j=1}^{i} C(i, j) (3i+j-3)!!/(3i-3)!! delta_{i-j},
 
     so delta_j = j! gamma_j.  With C(k, i) delta_{k-i} = k! gamma_{k-i} / i!
-    and C(n, k) k! = n!/(n-k)!, the sum is n!/(n-k)! times the gamma sum
-    closed_forms.gamma_dfact_terms(n-1, k), term by term.  It runs in
-    integers over the denominator of the gamma row, and one exact_int
-    checks that it divides n!/(n-k)! times the sum.
+    and C(n, k) k! = n!/(n-k)!, the sum is n!/(n-k)! times the gamma sum of
+    closed_forms.a_closed(n-1, k), term by term.
     """
     _check_domain(n, k)
-    terms, den = closed_forms.gamma_dfact_terms(n - 1, k)
-    return exact_int(math.perm(n, k) * sum(terms), den, ("tc_closed", n, k))
+    return tc_from_a(n, k, closed_forms.a_closed(n - 1, k))
 
 
 def tc_asym_log(n: int, k: int) -> float:
@@ -166,8 +162,7 @@ def tc_asym_log(n: int, k: int) -> float:
     )
 
 
-def tc_asym_rel_error(n: int, k: int, exact: Nat) -> float:
-    """|estimate/exact - 1| computed entirely in log space, given the exact
-    count exact = tc(n, k)."""
-    log_exact = math.log(exact)
-    return abs(math.expm1(tc_asym_log(n, k) - log_exact))
+def tc_asym_rel_error(log_estimate: float, exact: Nat) -> float:
+    """|estimate/exact - 1| computed entirely in log space, given the log
+    of the estimate that tc_asym_log returned and the exact count."""
+    return abs(math.expm1(log_estimate - math.log(exact)))

@@ -168,7 +168,8 @@ def test_criterion_09_tree_child_route_agreement():
 def test_criterion_10_asymptotic_error_decreases_and_is_small():
     t0 = time.perf_counter()
     for k in range(4):
-        errs = [tree_child.tc_asym_rel_error(n, k, tree_child.tc(n, k)) for n in (50, 100, 200)]
+        errs = [tree_child.tc_asym_rel_error(tree_child.tc_asym_log(n, k), tree_child.tc(n, k))
+                for n in (50, 100, 200)]
         assert errs[0] > errs[1] > errs[2], (k, errs)
         if k == 0:
             assert errs[2] < 1e-3, errs

@@ -742,6 +742,20 @@ def test_asym_finite_estimate_uses_float_format():
     assert cli._sci_from_log(math.log(3e-5)) == "3.000000e-05"
 
 
+def test_asym_evaluates_the_estimate_once(monkeypatch):
+    # the relative error reads the log that the estimate line already holds
+    calls = []
+    log = tree_child.tc_asym_log
+
+    def counting(n, k):
+        calls.append((n, k))
+        return log(n, k)
+
+    monkeypatch.setattr(tree_child, "tc_asym_log", counting)
+    assert run_cli("asym", "--n", "100", "--k", "2")[0] == 0
+    assert calls == [(100, 2)]
+
+
 def test_unknown_command_is_usage_error():
     code, _ = run_cli("frobnicate")
     assert code == 2
@@ -926,6 +940,23 @@ def test_wrong_cached_weight_fails_the_check(monkeypatch, check, rows, row, entr
     _move_cached_weight(monkeypatch, rows, row, entry)
     code, text = run_cli("verify", "--check", check)
     assert (code, text) == (1, f"{check}: FAIL (fails at {cell})\n")
+
+
+@pytest.mark.parametrize(
+    "check, cell",
+    [("closed-a", "(3, 2)"), ("closed-b", "(3, 2)"), ("tc-routes", "(4, 2)")],
+)
+def test_moved_a_closed_fails_every_route_that_scales_it(monkeypatch, check, cell):
+    # a_closed(3, 2) moved by (n-k+1)! = 2, which keeps b_closed(3, 2)
+    # integral: b_closed and tc_closed scale a_closed, so a wrong closed a
+    # reaches closed-b at (3, 2) and tc-routes at tc(4, 2)
+    a_closed = closed_forms.a_closed
+
+    def moved(n, k):
+        return a_closed(n, k) + ((n, k) == (3, 2)) * math.factorial(n - k + 1)
+
+    monkeypatch.setattr(closed_forms, "a_closed", moved)
+    assert run_cli("verify", "--check", check) == (1, f"{check}: FAIL (fails at {cell})\n")
 
 
 def test_moved_omega_cell_fails_lemma28(monkeypatch):

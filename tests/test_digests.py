@@ -17,25 +17,15 @@ import io
 import re
 from pathlib import Path
 
-from youngwalls import cli
+from youngwalls import checks, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = Path(__file__).with_name("output_digests.txt")
 
 TABLE_OPTIONS = ([], ["--k", "0"], ["--k", "3"], ["--diag"], ["--kmax", "2"], ["--mmax", "1"],
                  ["--kmax", "3", "--mmax", "2"], ["--k", "1", "--diag"])
-CHECK_BOUNDS = {
-    "main-identity": ("--nmax",), "a-alt": ("--nmax",), "catalan-base": ("--nmax",),
-    "hook-base": ("--nmax",), "omega-bridge": ("--nmax",),
-    "omega-vanishing": ("--nmax", "--kmax"), "omega-init-vanishing": ("--kmax",),
-    "cor-rec": ("--nmax",), "closed-a": ("--nmax",), "closed-b": ("--nmax",),
-    "gamma-sum": ("--kmax",), "delta-rec": ("--kmax",), "lemma28": ("--nmax", "--kmax"),
-    "lemma29": ("--nmax", "--kmax"), "stock-series": ("--order",),
-    "dk-threeway": ("--kmax", "--order"), "kernel-residual": ("--kmax", "--order"),
-    "bk-rect": ("--kmax", "--order"), "b0-hook": ("--nmax",), "f-rec": ("--nmax",),
-    "f-gf": ("--kmax", "--order"), "bu-roundtrip": ("--nmax",), "b12": ("--nmax",),
-    "monster": ("--nmax",), "tc-routes": ("--nmax",), "tc-dfact": ("--nmax",),
-}
+CHECK_BOUNDS = {name: tuple(f"--{b}" for b in check.bounds)
+                for name, check in checks.CHECKS.items()}
 
 
 def _readme_examples() -> list[list[str]]:

@@ -99,13 +99,13 @@ def test_asym_log_is_finite_where_exp_overflows():
 
 def test_asym_tracks_exact_counts():
     for k in range(4):
-        err = tcn.tc_asym_rel_error(100, k, tcn.tc(100, k))
+        err = tcn.tc_asym_rel_error(tcn.tc_asym_log(100, k), tcn.tc(100, k))
         assert err < 1e-2, (k, err)
 
 
 def test_asym_error_shrinks_with_n():
     for k in range(4):
-        errs = [tcn.tc_asym_rel_error(n, k, tcn.tc(n, k)) for n in (50, 100, 200)]
+        errs = [tcn.tc_asym_rel_error(tcn.tc_asym_log(n, k), tcn.tc(n, k)) for n in (50, 100, 200)]
         assert errs[0] > errs[1] > errs[2], (k, errs)
 
 
