@@ -27,6 +27,7 @@ import sys
 from collections.abc import Callable, Iterator
 from functools import partial
 from io import TextIOBase
+from itertools import count
 from types import SimpleNamespace
 
 from . import poset_lab, series_engine, tree_child, wall_tables
@@ -44,31 +45,39 @@ Cell = tuple[tuple[int, ...], int]
 # table command
 
 
+# the 2-index sequences: seq -> (first row, short), where row n ends at k = n - short.
+# tc(n, k) = n!/(n-k)! a(n-1, k) shifts the domain of a by one row
+TWO_INDEX = {"a": (0, 0), "b": (0, 0), "u": (0, 0), "f": (0, 0), "ftilde": (1, 0), "tc": (1, 1)}
+
+
 def _table_rows(args: SimpleNamespace, one: object = None) -> Iterator[list[Cell]]:
     """The cells of a `table` request, one list per row n, each computed
-    when it is read; the rows of a, b and tc are walked in the ring of
-    ``one`` (see ``wall_tables.walk``).  Every usage error is raised here,
-    before any row."""
+    when it is read (see ``_cell_readers``).  Every usage error is raised
+    here, before any row."""
     seq, nmax = args.seq, args.nmax
     sliced = args.k is not None or args.diag
     if args.k is not None and args.diag:
         raise ValueError("--k and --diag are mutually exclusive")
 
-    if seq in ("a", "b", "f", "ftilde", "u", "tc"):
-        if seq == "tc" and args.diag:
-            raise ValueError("tc has no diagonal: its domain is k <= n-1")
+    if seq in TWO_INDEX:
+        start, short = TWO_INDEX[seq]
+        if short and args.diag:
+            raise ValueError(f"{seq} has no diagonal: its domain is k <= n-1")
         if args.mmax is not None:
             raise ValueError(f"--mmax clips the 3-index sequences only, not {seq}")
         if sliced and args.kmax is not None:
             raise ValueError("--kmax clips a full table; it does not combine with --k or --diag")
-        # row n of tc ends at k = n - 1, and tc and ftilde start at n = 1
-        first = 1 if seq in ("ftilde", "tc") else 0
-        if args.k is not None:
-            first = max(first, args.k + (seq == "tc"))
+        first = start if args.k is None else max(start, args.k + short)
         if first > nmax:
             reach = " reaches the slice" if sliced else ""
             raise ValueError(f"no row of {seq} with n <= {nmax}{reach}")
-        rows = _two_index_rows(args, first, one)
+        width = args.k if args.k is not None else nmax if args.kmax is None else args.kmax
+        readers = zip(range(start, nmax + 1), _cell_readers(seq, width, one))
+        if sliced:  # the slice cell (n,) of each row from the first the slice reaches
+            rows = ([((n,), cell(n if args.diag else args.k))] for n, cell in readers if n >= first)
+        else:  # the cells (n, k) up to the end of the row or --kmax
+            rows = ([((n, k), cell(k)) for k in range(min(n - short, width) + 1)]
+                    for n, cell in readers)
     elif sliced:
         raise ValueError("slices are only available for 2-index sequences")
     else:
@@ -87,41 +96,24 @@ def _table_rows(args: SimpleNamespace, one: object = None) -> Iterator[list[Cell
     return rows
 
 
-def _cell_readers(seq: str, nmax: int, width: int,
-                  one: object) -> Iterator[tuple[int, Callable[[int], int]]]:
-    """(n, cell) for the rows n <= nmax of a 2-index sequence, where cell(k)
-    is its value at (n, k) for k <= width.  a, b, u and tc read row streams,
-    keeping one row, those of a, b and tc walked in the ring of ``one``, u's
-    in int; f and ftilde are closed forms, computed cell by cell."""
+def _cell_readers(seq: str, width: int, one: object) -> Iterator[Callable[[int], int]]:
+    """cell for each row n of a 2-index sequence from its first on, where
+    cell(k) is the value at (n, k) for k <= width.  a, b, u and tc read row
+    streams, keeping one row, those of a, b and tc walked in the ring of
+    ``one``, u's in int; f and ftilde are closed forms, computed cell by cell."""
+    first = TWO_INDEX[seq][0]
     if seq in ("a", "b", "u"):
         rows = {"a": wall_tables.a_rows, "b": wall_tables.b_rows, "u": poset_lab.u_rows}[seq]
-        for n, row in zip(range(nmax + 1), rows(width) if seq == "u" else rows(width, one)):
-            yield n, row.__getitem__
+        for row in rows(width) if seq == "u" else rows(width, one):
+            yield row.__getitem__
     elif seq == "tc":
         # row n of tc reads row n - 1 of a, one product per cell read
-        for n, row in zip(range(1, nmax + 1), wall_tables.a_rows(width, one)):
-            yield n, lambda k, n=n, row=row: tree_child.tc_from_a(n, k, row[k])
+        for n, row in enumerate(wall_tables.a_rows(width, one), first):
+            yield lambda k, n=n, row=row: tree_child.tc_from_a(n, k, row[k])
     else:
         fn = poset_lab.f_closed if seq == "f" else poset_lab.ftilde
-        for n in range(nmax + 1):
-            yield n, partial(fn, n)
-
-
-def _two_index_rows(args: SimpleNamespace, first: int, one: object) -> Iterator[list[Cell]]:
-    """Rows first..nmax of a 2-index table: the slice cell (n,) of each, or
-    its cells (n, k) for k up to the end of the row or --kmax."""
-    if args.k is not None:
-        width = args.k
-    else:
-        width = args.kmax if args.kmax is not None else args.nmax
-    for n, cell in _cell_readers(args.seq, args.nmax, width, one):
-        if n < first:
-            continue
-        if args.k is not None or args.diag:
-            yield [((n,), cell(n if args.diag else args.k))]
-        else:
-            top = n - 1 if args.seq == "tc" else n
-            yield [((n, k), cell(k)) for k in range(min(top, width) + 1)]
+        for n in count(first):
+            yield partial(fn, n)
 
 
 def _render_rows(args: SimpleNamespace, rows: Iterator[list[Cell]], out: TextIOBase) -> None:

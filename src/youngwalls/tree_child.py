@@ -3,17 +3,17 @@ the wall-tableau tables by tc(n, k) = n!/(n-k)! * a(n-1, k).
 
 Five exact routes are kept so they can be compared, plus a float asymptotic
 evaluated in log space (the counts overflow doubles long before the
-interesting range ends).  One of the five is an algebraic rewrite of
-``tc_from_a``: ``tc_closed`` is ``tc_from_a(n, k, a_closed(n-1, k))``, which
-Pons and Batle's delta formula equals term by term.
+interesting range ends).  ``tc_closed`` is ``tc_from_a(n, k, a_closed(n-1,
+k))``, which Pons and Batle's delta formula equals term by term.
 
-So four of the routes are independent: ``tc_from_a`` on the rows of a,
-``tc_rec_rows``, ``tc_sum_rows`` and ``tc_chain``.  The routes with their own
-recurrence stream their rows off ``wall_tables.walk`` (``tc_rec_rows``,
-``tc_sum_rows``), keeping one.  The routes through the tables are
-formulas in the cells they read: ``tc_from_a`` takes one cell,
-``tc_chain`` a column of a off its caller's walk, and the normative
-``tc`` reads a(n-1, k) by a point read that walks to it.
+`tc-routes` compares the other four, which rest on two identities:
+``tc_from_a`` on the rows of a, ``tc_rec_rows`` and ``tc_sum_rows`` are the
+recurrence of a's rows in three forms, and ``tc_chain`` climbs by another.
+The routes with their own recurrence stream their rows off
+``wall_tables.walk`` (``tc_rec_rows``, ``tc_sum_rows``), keeping one.  The
+routes through the tables are formulas in the cells they read: ``tc_from_a``
+takes one cell, ``tc_chain`` a column of a off its caller's walk, and the
+normative ``tc`` reads a(n-1, k) by a point read that walks to it.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ def tc_closed(n: int, k: int) -> Nat:
 
     so delta_j = j! gamma_j.  With C(k, i) delta_{k-i} = k! gamma_{k-i} / i!
     and C(n, k) k! = n!/(n-k)!, the sum is n!/(n-k)! times the gamma sum of
-    closed_forms.a_closed(n-1, k), term by term.
+    closed_forms.a_closed(n-1, k), term by term.  No check reads it: `closed-a`
+    already compares a_closed with the rows of a.
     """
     _check_domain(n, k)
     return tc_from_a(n, k, closed_forms.a_closed(n - 1, k))

@@ -202,6 +202,28 @@ def test_table_prints_integers_past_the_digit_limit():
         sys.set_int_max_str_digits(before)
 
 
+@pytest.mark.parametrize(
+    "seq, flags, module, name, cells",
+    [("f", ["--diag"], poset_lab, "f_closed", 301),
+     ("f", ["--k", "2"], poset_lab, "f_closed", 299),
+     ("ftilde", ["--k", "3"], poset_lab, "ftilde", 298),
+     ("tc", ["--k", "2"], tree_child, "tc_from_a", 298)],
+    ids=["f-diag", "f-k2", "ftilde-k3", "tc-k2"],
+)
+def test_slice_computes_one_value_per_printed_cell(seq, flags, module, name, cells, monkeypatch):
+    # a reader that computed whole rows would call the route for every cell
+    # of each row, not only for the one the slice prints
+    route, calls = getattr(module, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return route(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    code, text = run_cli("table", "--seq", seq, "--nmax", "300", *flags, "--format", "bfile")
+    assert (code, len(text.splitlines()), len(calls)) == (0, cells, cells)
+
+
 def test_table_omega_deep_column():
     code, text = run_cli("table", "--seq", "omega", "--nmax", "1200", "--mmax", "0", "--kmax", "0")
     assert code == 0
@@ -629,7 +651,7 @@ def test_verify_all_lists_every_registered_check():
 
 def test_verify_zero_cell_domain_is_empty_not_pass(monkeypatch):
     code, text = run_cli("verify", "--check", "tc-routes", "--nmax", "0")
-    assert (code, text) == (2, "tc-routes: EMPTY (n <= 0, five routes, four independent)\n")
+    assert (code, text) == (2, "tc-routes: EMPTY (n <= 0, four routes, two identities)\n")
     code, text = run_cli("verify", "--check", "all", "--nmax", "0")
     assert code == 2
     lines = text.splitlines()
@@ -929,7 +951,7 @@ def _move_cached_weight(monkeypatch, rows, row, entry):
 @pytest.mark.parametrize(
     "check, rows, row, entry, cell",
     [("closed-a", "_GAMMA_ROWS", closed_forms._gamma_row, 0, "(2, 2)"),
-     ("tc-routes", "_GAMMA_ROWS", closed_forms._gamma_row, 1, "(3, 2)"),
+     ("closed-a", "_GAMMA_ROWS", closed_forms._gamma_row, 1, "(2, 2)"),
      ("dk-threeway", "_GAMMA_ROWS", closed_forms._gamma_row, 1, "(2, 20)"),
      ("omega-bridge", "_GAMMA_ROWS", closed_forms._gamma_row, 1, "(0, 1, 2)"),
      ("gamma-sum", "_GAMMA_ROWS", closed_forms._gamma_row, 0, "(2)"),
@@ -942,21 +964,28 @@ def test_wrong_cached_weight_fails_the_check(monkeypatch, check, rows, row, entr
     assert (code, text) == (1, f"{check}: FAIL (fails at {cell})\n")
 
 
-@pytest.mark.parametrize(
-    "check, cell",
-    [("closed-a", "(3, 2)"), ("closed-b", "(3, 2)"), ("tc-routes", "(4, 2)")],
-)
-def test_moved_a_closed_fails_every_route_that_scales_it(monkeypatch, check, cell):
-    # a_closed(3, 2) moved by (n-k+1)! = 2, which keeps b_closed(3, 2)
-    # integral: b_closed and tc_closed scale a_closed, so a wrong closed a
-    # reaches closed-b at (3, 2) and tc-routes at tc(4, 2)
+def _move_a_closed(monkeypatch):
+    # a_closed(3, 2) moved by (n-k+1)! = 2, which keeps b_closed(3, 2) integral
     a_closed = closed_forms.a_closed
 
     def moved(n, k):
         return a_closed(n, k) + ((n, k) == (3, 2)) * math.factorial(n - k + 1)
 
     monkeypatch.setattr(closed_forms, "a_closed", moved)
+
+
+@pytest.mark.parametrize("check, cell", [("closed-a", "(3, 2)"), ("closed-b", "(3, 2)")])
+def test_moved_a_closed_fails_every_route_that_scales_it(monkeypatch, check, cell):
+    # b_closed scales a_closed, so a wrong closed a reaches closed-b at (3, 2)
+    _move_a_closed(monkeypatch)
     assert run_cli("verify", "--check", check) == (1, f"{check}: FAIL (fails at {cell})\n")
+
+
+def test_moved_a_closed_moves_tc_closed(monkeypatch):
+    # tc_closed scales a_closed(n-1, k) by n!/(n-k)!; no check reads it, as
+    # closed-a already compares a_closed with the rows of a
+    _move_a_closed(monkeypatch)
+    assert tree_child.tc_closed(4, 2) - tree_child.tc(4, 2) == math.perm(4, 2) * 2
 
 
 def test_moved_omega_cell_fails_lemma28(monkeypatch):
@@ -1122,7 +1151,7 @@ def test_omega_walks_take_their_seeds_from_the_seed_layers(monkeypatch):
 def test_moved_seed_window_entry_fails_omega_bridge(entry, monkeypatch, capsys):
     # one entry of the first seed window, (j-1)!! for j = 0..31, moved by 1:
     # a seed comes out wrong, or a seed or a slid entry fails its checked
-    # division
+    # division; either way the check prints its FAIL line
     dfacts = closed_forms.double_factorials
 
     def moved(low, high):
@@ -1134,10 +1163,10 @@ def test_moved_seed_window_entry_fails_omega_bridge(entry, monkeypatch, capsys):
     monkeypatch.setattr(closed_forms, "double_factorials", moved)
     code, text = run_cli("verify", "--check", "omega-bridge")
     err = capsys.readouterr().err
-    failed = re.fullmatch(r"omega-bridge: FAIL \(fails at \(\d+, \d+, \d+\)\)\n", text)
-    unintegral = re.fullmatch(
-        r"error: value at \(('omega_init', \d+|'omega_init_layers'), \d+\) is not an integer\n", err)
-    assert code == 1 and ((failed and not err) or (unintegral and not text)), (text, err)
+    failed = re.fullmatch(r"omega-bridge: FAIL \((fails at \(\d+, \d+, \d+\)|value at "
+                          r"\(('omega_init', \d+|'omega_init_layers'), \d+\) "
+                          r"is not an integer)\)\n", text)
+    assert code == 1 and failed and not err, (text, err)
 
 
 @pytest.mark.parametrize("check", ["cor-rec", "b12", "monster"])
@@ -1182,15 +1211,36 @@ def test_conjugate_pair_of_recurrences_fails_main_identity(monkeypatch):
 def test_unintegral_closed_dk_weight_exits_1(monkeypatch, capsys):
     # gamma_2 moved by 1: the k = 2 coefficient of t^1 is off by 3/2
     _move_cached_weight(monkeypatch, "_GAMMA_ROWS", closed_forms._gamma_row, 0)
-    assert run_cli("verify", "--check", "dk-threeway") == (1, "")
-    assert capsys.readouterr().err == "error: value at ('dk_closed', 2, 1) is not an integer\n"
+    assert run_cli("verify", "--check", "dk-threeway") == (
+        1, "dk-threeway: FAIL (value at ('dk_closed', 2, 1) is not an integer)\n")
+    assert capsys.readouterr().err == ""
 
 
 def test_unintegral_omega_seed_exits_1(monkeypatch, capsys):
     # gamma_2 moved by 1: the seed omega(0, 1, 2) is off by 1/2
     _move_cached_weight(monkeypatch, "_GAMMA_ROWS", closed_forms._gamma_row, 0)
-    assert run_cli("verify", "--check", "omega-bridge") == (1, "")
-    assert capsys.readouterr().err == "error: value at ('omega_init', 1, 2) is not an integer\n"
+    assert run_cli("verify", "--check", "omega-bridge") == (
+        1, "omega-bridge: FAIL (value at ('omega_init', 1, 2) is not an integer)\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_check_that_raises_leaves_the_checks_after_it_running(monkeypatch, capsys):
+    # entry 1 of gamma row 3 moved by its denominator (the rows above it are
+    # solved from the moved row): four checks meet a checked division that
+    # fails, five a wrong value, and every check prints its line
+    monkeypatch.setattr(closed_forms, "_GAMMA_ROWS", closed_forms._GAMMA_ROWS[:1])
+    nums, den = closed_forms._gamma_row(3)
+    closed_forms._GAMMA_ROWS[3] = ((nums[0], nums[1] + den, *nums[2:]), den)
+    code, text = run_cli("verify", "--check", "all")
+    assert (code, capsys.readouterr().err) == (1, "")
+    lines = text.splitlines()
+    assert [line.split(":")[0] for line in lines] == sorted(checks.CHECKS)
+    failed = [line.split(":")[0] for line in lines if ": FAIL (" in line]
+    assert failed == ["closed-a", "closed-b", "delta-rec", "dk-threeway", "gamma-sum", "lemma28",
+                      "omega-bridge", "omega-init-vanishing", "omega-vanishing"]
+    unintegral = [line.split(":")[0] for line in lines if "is not an integer)" in line]
+    assert unintegral == ["dk-threeway", "lemma28", "omega-bridge", "omega-vanishing"]
+    assert all(": PASS (" in line for line in lines if line.split(":")[0] not in failed)
 
 
 def _python_env():
@@ -1386,8 +1436,25 @@ def broken_b_row(row, prev, n, width):
 
 def test_not_integral_maps_to_exit_1(monkeypatch, capsys):
     monkeypatch.setattr(wall_tables, "_b_row", broken_b_row)
-    assert run_cli("verify", "--check", "cor-rec") == (1, "")
-    assert capsys.readouterr().err == "error: value at ('b', 4, 0) is not an integer\n"
+    assert run_cli("verify", "--check", "cor-rec") == (
+        1, "cor-rec: FAIL (value at ('b', 4, 0) is not an integer)\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_check_that_raises_prints_its_fail_line_under_optimize():
+    # the checked division that fails is the check's FAIL, also with asserts
+    # stripped, and nothing goes to stderr
+    snippet = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import test_cli\n"
+        "from youngwalls import cli, wall_tables\n"
+        "wall_tables._b_row = test_cli.broken_b_row\n"
+        "sys.exit(cli.main(['verify', '--check', 'cor-rec']))\n"
+    )
+    proc = _python("-O", "-c", snippet, text=True)
+    want = (1, "cor-rec: FAIL (value at ('b', 4, 0) is not an integer)\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
 def test_not_integral_decimal_table_maps_to_exit_1(monkeypatch, capsys):
@@ -1436,7 +1503,8 @@ def test_decimal_signal_maps_to_exit_1(broken, signal, monkeypatch, capsys):
      ["verify", "--check", "kernel-residual"]],
 )
 def test_failed_kernel_division_exits_1(argv, monkeypatch, capsys):
-    # a slice that is not divisible by t breaks an identity: exit 1, not 2
+    # a slice that is not divisible by t breaks an identity: exit 1, not 2;
+    # a check prints it as its FAIL line, series as an error
     fk_next = checks.series_engine.fk_next
 
     def broken(b_prev, k):
@@ -1444,8 +1512,13 @@ def test_failed_kernel_division_exits_1(argv, monkeypatch, capsys):
         return ((f[0][0] + 1, *f[0][1:]), *f[1:])
 
     monkeypatch.setattr(checks.series_engine, "fk_next", broken)
-    assert run_cli(*argv) == (1, "")
-    assert capsys.readouterr().err.startswith("error: ")
+    message = "kernel level 1: slice 0 of F_k is not divisible by t"
+    code, text = run_cli(*argv)
+    err = capsys.readouterr().err
+    if argv[0] == "verify":
+        assert (code, text, err) == (1, f"kernel-residual: FAIL ({message})\n", "")
+    else:
+        assert (code, text, err) == (1, "", f"error: {message}\n")
 
 
 def test_invariants_checked_under_optimize():
