@@ -15,6 +15,7 @@ both sides times n! (4k-3-i)!!, where every term is an integer.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Callable, Iterator
@@ -27,10 +28,8 @@ from .exact_arith import Nat, double_factorials, exact_int, factorial
 # entry 0).  Rows are tuples, so no caller can alter a cached one.
 IntRow = tuple[tuple[int, ...], int]
 _GAMMA_ROWS: list[IntRow] = [((1,), 1)]
-# _LEMMA28_WEIGHTS[s] holds the two blocks of (p, q, weight) of lemma28_rhs at
-# unfolding depth s
+
 _AlphaBlock = tuple[tuple[int, int, int], ...]
-_LEMMA28_WEIGHTS: list[tuple[_AlphaBlock, _AlphaBlock]] = []
 
 
 def _gamma_row(k: int) -> IntRow:
@@ -115,12 +114,12 @@ def omega_init_layers(width: int) -> Iterator[list[Nat]]:
     """
     run = double_factorials(-1, 2 * width)
     for s in count():
-        seeds = [exact_int(run[0], s + 1, ("omega_init", s, 0))]  # gamma_0 = 1
+        seeds = [exact_int(run[0], s + 1, ("omega_init_layers", s, 0))]  # gamma_0 = 1
         fall = 1  # s! / (s-k+1)!
         for k in range(1, min(s + 1, width) + 1):
             nums, den = _gamma_row(k)
             dot = sum(map(operator.mul, nums, run[k:2 * k + 1]))
-            seeds.append(exact_int(dot * fall, den << k, ("omega_init", s, k)))
+            seeds.append(exact_int(dot * fall, den << k, ("omega_init_layers", s, k)))
             fall *= s - k + 1
         yield seeds
         top = 2 * s + 2 * width
@@ -129,6 +128,7 @@ def omega_init_layers(width: int) -> Iterator[list[Nat]]:
                for v in (*run[2:], run[-2] * (top + 1), run[-1] * (top + 2))]
 
 
+@functools.cache
 def _lemma28_weights(s: int) -> tuple[_AlphaBlock, _AlphaBlock]:
     """The alpha weights of lemma28_rhs at unfolding depth s, as (p, q, w)
     with w = alpha_t(p, q) * s! * 2^s, for t = s and for t = s + 1, where
@@ -139,18 +139,15 @@ def _lemma28_weights(s: int) -> tuple[_AlphaBlock, _AlphaBlock]:
     Every w is an integer (checked by its exact_int): the factorials below
     have arguments summing to t - p <= s, and q - 1 <= s.
     """
-    while len(_LEMMA28_WEIGHTS) <= s:
-        u = len(_LEMMA28_WEIGHTS)
-        fact = factorial(u)
-        _LEMMA28_WEIGHTS.append(tuple(
-            tuple((p, q, exact_int(
-                (-1) ** (p + q + 1) * factorial(t - 1 + q - p) * fact << (u - q + 1),
-                factorial(t - q - 2 * p + 2) * factorial(q - 1) * factorial(p - 1),
-                ("lemma28_rhs", t, p, q)))
-                  for p in range(1, (t + 1) // 2 + 1) for q in range(1, t + 2 - 2 * p + 1))
-            for t in (u, u + 1)
-        ))
-    return _LEMMA28_WEIGHTS[s]
+    fact = factorial(s)
+    return tuple(
+        tuple((p, q, exact_int(
+            (-1) ** (p + q + 1) * factorial(t - 1 + q - p) * fact << (s - q + 1),
+            factorial(t - q - 2 * p + 2) * factorial(q - 1) * factorial(p - 1),
+            ("lemma28_rhs", t, p, q)))
+              for p in range(1, (t + 1) // 2 + 1) for q in range(1, t + 2 - 2 * p + 1))
+        for t in (s, s + 1)
+    )
 
 
 def lemma28_rhs(n: int, k: int, s: int, omega_source: Callable[[int, int, int], int]) -> int:

@@ -51,7 +51,7 @@ def _tc_rec_row(row: list[int], prev: list[int] | None, n: int, width: int) -> N
         left = row[k - 1] if k else 0
         below = prev[k] if k < n - 1 else 0
         rhs = (n + 1 - k) * (n - k) * left + n * (2 * n + k - 3) * below
-        row.append(exact_int(rhs, n - k, ("tc_rec", n, k)))
+        row.append(exact_int(rhs, n - k, ("tc_rec_rows", n, k)))
 
 
 def tc_rec_rows(width: int) -> Iterator[list[Nat]]:
@@ -77,7 +77,7 @@ def _tc_sum_row(row: list[int], prev: list[int] | None, n: int, width: int) -> N
         # tc(n-1, i) vanishes at i = n-1, so the sum stops at n-2
         if k <= n - 2:
             rhs += n * (2 * n + k - 3) * fact[n - 1 - k - low] * prev[k]
-        row.append(exact_int(rhs, fact[n - k - low], ("tc_sum", n, k)))
+        row.append(exact_int(rhs, fact[n - k - low], ("tc_sum_rows", n, k)))
 
 
 def tc_sum_rows(width: int) -> Iterator[list[Nat]]:

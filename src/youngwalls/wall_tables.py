@@ -14,9 +14,8 @@ Four sequences live here:
 
 Every table is a list of rows of ints, row i built from row i - 1, with
 no recursion, and is read one way: by a walk up its rows on ``walk``,
-which keeps row i - 1 only until row i is built (the omega step empties
-layer s - 1 as it reads it, so its walk holds about one layer).  The
-streams are ``a_rows``, ``b_rows``, ``a_alt_columns``, ``b3_layers`` and
+which keeps row i - 1 only until row i is built.  The streams are
+``a_rows``, ``b_rows``, ``a_alt_columns``, ``b3_layers`` and
 ``omega_layers`` (``omega_rows`` reads it).  A reader of a range walks
 once; a point read (``a_rec``, ``b``, ``b3``, ``omega``) walks to its cell
 and keeps nothing.
@@ -42,8 +41,7 @@ def walk(step: Callable[[list, list | None, int, int], None], width: int,
          one: object = None) -> Iterator[list]:
     """Rows 0, 1, 2, ... of a one-step recurrence, in order, without end.
     The walk keeps row i - 1 until row i is built, so it holds two rows at
-    its peak, unless the step empties row i - 1 as it reads it (the omega
-    step pops each cell of the layer below).
+    its peak.
 
     ``step(row, prev, i, width)`` fills the empty list ``row`` as row i
     through column min(i, width) (row i ends at column i), reading only
@@ -138,7 +136,7 @@ def b_rows(width: int, one: object = None) -> Iterator[list[Nat]]:
     return walk(_b_row, width, one)
 
 
-def _omega_layer(layer: list[deque[int]], prev: list[deque[int]] | None, s: int, width: int,
+def _omega_layer(layer: list[list[int]], prev: list[list[int]] | None, s: int, width: int,
                  seeds: list[int], nmax: int | None = None) -> None:
     """Layer s = n + m of omega, stored by k: layer[k] lists omega(n, s-n, k)
     for n = 0..min(s, s + 1 - k, nmax), k = 0..min(s + 1, width).  Cell
@@ -149,32 +147,20 @@ def _omega_layer(layer: list[deque[int]], prev: list[deque[int]] | None, s: int,
         (s-n-k+2) left[n-1] + below[n-2]
 
     from cell n - 1, where left is column k - 1 of this layer (no term for
-    k = 0) and below is column k of layer s - 1 (no term for n = 1).
-
-    The columns are deques, and each below term is popped off layer s - 1
-    as the pass reads it; what the pass does not read is cleared at the
-    end.  So a cell of layer s - 1 is freed once read, the walk holds about
-    one layer, not two, and layer s - 1 is left empty."""
+    k = 0) and below is column k of layer s - 1 (no term for n = 1)."""
     top_n = s if nmax is None else min(s, nmax)
     for k in range(min(s + 1, width) + 1):
         depth = min(top_n, s + 1 - k)
-        below = map(deque.popleft, itertools.repeat(prev[k], depth - 1)) if depth > 1 else ()
-        steps = itertools.chain((0,), below)
+        steps = itertools.chain((0,), prev[k][: depth - 1] if depth > 1 else ())
         if k:
             lefts = map(operator.mul, range(s - k + 1, s - k + 1 - depth, -1), layer[k - 1])
             steps = map(operator.add, lefts, steps)
-        layer.append(deque(itertools.accumulate(steps, operator.sub, initial=seeds[k])))
-    for column in prev or ():
-        column.clear()
+        layer.append(list(itertools.accumulate(steps, operator.sub, initial=seeds[k])))
 
 
-def omega_layers(width: int, nmax: int | None = None) -> Iterator[list[deque[Nat]]]:
+def omega_layers(width: int, nmax: int | None = None) -> Iterator[list[list[Nat]]]:
     """Layers s = n + m = 0, 1, 2, ... of omega as ``_omega_layer`` stores
-    them; the seeds come from ``closed_forms.omega_init_layers``.
-
-    Read layer s before asking for layer s + 1: the step to s + 1 pops the
-    cells of layer s as it reads them, so a layer kept longer reads empty
-    (``IndexError``), never shifted values."""
+    them; the seeds come from ``closed_forms.omega_init_layers``."""
     seeds = closed_forms.omega_init_layers(width)
     return walk(lambda *step_args: _omega_layer(*step_args, next(seeds), nmax), width)
 

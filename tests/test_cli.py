@@ -1130,6 +1130,20 @@ def test_moved_tc_row_cell_fails_tc_routes(step, monkeypatch):
     assert run_cli("verify", "--check", "tc-routes") == (1, "tc-routes: FAIL (fails at (6, 3))\n")
 
 
+def test_unintegral_tc_rec_cell_names_its_route(monkeypatch, capsys):
+    # tc(5, 2) moved by 1 as the step of tc(6, .) reads it: the sum that
+    # 6 - 2 divides moves by 6 (2 * 6 + 2 - 3) = 66, not a multiple of 4
+    original = tree_child._tc_rec_row
+
+    def moved(row, prev, n, width):
+        original(row, [*prev[:2], prev[2] + 1, *prev[3:]] if n == 6 else prev, n, width)
+
+    monkeypatch.setattr(tree_child, "_tc_rec_row", moved)
+    assert run_cli("verify", "--check", "tc-routes") == (
+        1, "tc-routes: FAIL (value at ('tc_rec_rows', 6, 2) is not an integer)\n")
+    assert capsys.readouterr().err == ""
+
+
 def test_omega_walks_take_their_seeds_from_the_seed_layers(monkeypatch):
     # the seed of each layer comes from omega_init_layers, never from a
     # per-cell b_closed call
@@ -1164,8 +1178,7 @@ def test_moved_seed_window_entry_fails_omega_bridge(entry, monkeypatch, capsys):
     code, text = run_cli("verify", "--check", "omega-bridge")
     err = capsys.readouterr().err
     failed = re.fullmatch(r"omega-bridge: FAIL \((fails at \(\d+, \d+, \d+\)|value at "
-                          r"\(('omega_init', \d+|'omega_init_layers'), \d+\) "
-                          r"is not an integer)\)\n", text)
+                          r"\('omega_init_layers', \d+(, \d+)?\) is not an integer)\)\n", text)
     assert code == 1 and failed and not err, (text, err)
 
 
@@ -1220,7 +1233,7 @@ def test_unintegral_omega_seed_exits_1(monkeypatch, capsys):
     # gamma_2 moved by 1: the seed omega(0, 1, 2) is off by 1/2
     _move_cached_weight(monkeypatch, "_GAMMA_ROWS", closed_forms._gamma_row, 0)
     assert run_cli("verify", "--check", "omega-bridge") == (
-        1, "omega-bridge: FAIL (value at ('omega_init', 1, 2) is not an integer)\n")
+        1, "omega-bridge: FAIL (value at ('omega_init_layers', 1, 2) is not an integer)\n")
     assert capsys.readouterr().err == ""
 
 

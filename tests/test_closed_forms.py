@@ -239,7 +239,7 @@ def test_omega_init_layers_check_every_seed(monkeypatch):
     rows[2] = ((nums[0] + den, *nums[1:]), den)
     layers = cf.omega_init_layers(2)
     next(layers)
-    with pytest.raises(NotIntegralError, match=r"\('omega_init', 1, 2\)"):
+    with pytest.raises(NotIntegralError, match=r"\('omega_init_layers', 1, 2\)"):
         next(layers)
 
 
@@ -288,10 +288,10 @@ def test_lemma28_weights_are_scaled_alphas():
                 assert w == _alpha(t, p, q) * factorial(s) * 2**s, (s, t, p, q)
 
 
-def test_lemma28_weights_are_built_without_alpha(monkeypatch):
+def test_lemma28_weights_are_built_without_alpha():
     # each weight is one integer division of factorials; the rational alpha
     # is only the reference of the tests (_alpha)
-    monkeypatch.setattr(cf, "_LEMMA28_WEIGHTS", [])
+    cf._lemma28_weights.cache_clear()
     assert cf._lemma28_weights(1) == (((1, 1, -2),), ((1, 1, -2), (1, 2, 2)))
     assert len(cf._lemma28_weights(12)[1]) == 49  # t = 13: q <= 15 - 2p, p <= 7
 

@@ -197,9 +197,9 @@ def test_omega_block_matches_omega(nmax, mmax, kmax):
     ]
 
 
-def test_omega_walk_holds_about_one_layer():
-    # each step pops the cells of the layer below as it reads them: a step
-    # that kept layer s - 1 whole while it built layer s peaked near two
+def test_omega_walk_holds_about_two_layers():
+    # like every walk, the omega walk keeps layer s - 1 whole until layer s
+    # is built; a walk that kept every layer would peak at hundreds of
     # layers on this column
     last = next(itertools.islice(wt.omega_layers(0, 1200), 1200, None))
     layer_bytes = sum(sys.getsizeof(v) for column in last for v in column)
@@ -210,20 +210,18 @@ def test_omega_walk_holds_about_one_layer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4 * layer_bytes, peak / layer_bytes
+    assert peak <= 2.3 * layer_bytes, peak / layer_bytes
 
 
-def test_omega_layer_kept_past_the_next_step_reads_empty():
-    layers = wt.omega_layers(2)
-    for _ in range(4):
-        layer = next(layers)
-    assert [list(column) for column in layer] == [
-        [wt.omega(n, 3 - n, k) for n in range(min(3, 4 - k) + 1)] for k in range(3)
-    ]
-    next(layers)
-    for column in layer:
-        with pytest.raises(IndexError):
-            column[0]
+def test_collected_omega_layers_stay_valid():
+    # a layer kept past the next step keeps its values
+    layers = list(itertools.islice(wt.omega_layers(2), 6))
+    assert all(
+        layer[k][n] == wt.omega(n, s - n, k)
+        for s, layer in enumerate(layers)
+        for k in range(min(s + 1, 2) + 1)
+        for n in range(min(s, s + 1 - k) + 1)
+    )
 
 
 def catalan(n):
