@@ -4,7 +4,6 @@ generating functions, and tree-child network counts."""
 from types import ModuleType as _ModuleType
 
 from .exact_arith import (
-    Nat,
     NotIntegralError,
     binomial,
     double_factorial,

@@ -21,7 +21,7 @@ import operator
 from collections.abc import Callable, Iterator
 from itertools import count
 
-from .exact_arith import Nat, double_factorials, exact_int, factorial
+from .exact_arith import double_factorials, exact_int, factorial
 
 # Per-k rows over their least common denominator, as (numerators, denominator):
 # _GAMMA_ROWS[k] holds gamma_{k-i} / i! for i = 0..k (so gamma_k itself is
@@ -69,7 +69,7 @@ def gamma_dfact_terms(m: int, k: int) -> tuple[list[int], int]:
     return [c * d for c, d in zip(nums, dfact)], den
 
 
-def a_closed(n: int, k: int) -> Nat:
+def a_closed(n: int, k: int) -> int:
     """a(n, k) as a gamma-weighted sum of double factorials:
     sum_{i=0}^{k} gamma_{k-i} / i! * (2n+k+i-1)!!.
 
@@ -81,13 +81,13 @@ def a_closed(n: int, k: int) -> Nat:
     return exact_int(sum(terms), den, ("a_closed", n, k))
 
 
-def b_closed(n: int, k: int) -> Nat:
+def b_closed(n: int, k: int) -> int:
     """b(n, k) = 2^(n-k) a(n, k) / (n-k+1)!, the Fuchs-Yu conjugate of
     a_closed; one exact_int checks that the factorial divides."""
     return exact_int(a_closed(n, k) << (n - k), factorial(n - k + 1), ("b_closed", n, k))
 
 
-def omega_init_layers(width: int) -> Iterator[list[Nat]]:
+def omega_init_layers(width: int) -> Iterator[list[int]]:
     """The seed row omega(0, s, k) of the omega recurrence for
     k = 0..min(s + 1, width), one list per layer s = 0, 1, 2, ...  A seed
     is b_closed(s, k) for k <= s and vanishes at k = s + 1 (the gamma

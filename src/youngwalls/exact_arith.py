@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-Nat = int
-
 
 class NotIntegralError(ArithmeticError):
     """An exact value that an identity makes integral came out otherwise."""
@@ -22,7 +20,7 @@ class NotIntegralError(ArithmeticError):
 factorial = math.factorial
 
 
-def double_factorial(m: int) -> Nat:
+def double_factorial(m: int) -> int:
     """m!! = m (m-2) (m-4) ..., with 0!! = (-1)!! = 1.
 
     Arguments below -1 are rejected on purpose: identities that would need
@@ -38,7 +36,7 @@ def double_factorial(m: int) -> Nat:
     return math.factorial(j) << j
 
 
-def double_factorials(low: int, high: int) -> list[Nat]:
+def double_factorials(low: int, high: int) -> list[int]:
     """[low!!, (low+1)!!, ..., high!!] for -1 <= low <= high, each entry
     past the first two taken from the one two places back."""
     run = [double_factorial(v) for v in range(low, min(low + 2, high + 1))]
@@ -47,7 +45,7 @@ def double_factorials(low: int, high: int) -> list[Nat]:
     return run
 
 
-def binomial(n: int, k: int) -> Nat:
+def binomial(n: int, k: int) -> int:
     """Binomial coefficient, zero outside 0 <= k <= n.
 
     It equals math.comb(n, k) for k >= 0, which is already 0 for k > n; the
@@ -60,7 +58,7 @@ def binomial(n: int, k: int) -> Nat:
     return math.comb(n, k)
 
 
-def exact_int(num: int, den: int, where: object = None) -> Nat:
+def exact_int(num: int, den: int, where: object = None) -> int:
     """num / den as an int, raising NotIntegralError unless it is one.  The
     quotient is in the ring of ``num``: a ``decimal.Decimal`` num, whose
     divmod is exact, gives a Decimal.

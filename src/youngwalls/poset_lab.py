@@ -22,7 +22,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 
 from . import wall_tables
-from .exact_arith import Nat, binomial, exact_int, factorial
+from .exact_arith import binomial, exact_int, factorial
 
 CAPACITY = 24
 
@@ -80,7 +80,7 @@ class Poset:
         self.below = tuple(below)
 
 
-def count_linear_extensions(p: Poset) -> Nat:
+def count_linear_extensions(p: Poset) -> int:
     """Number of linear extensions, by dynamic programming over the lattice
     of order ideals (ideals keyed by bitmask, grouped by popcount level so
     only two levels are alive at a time); an ideal takes v once it holds
@@ -103,7 +103,7 @@ def count_linear_extensions(p: Poset) -> Nat:
     return level[(1 << p.size) - 1]
 
 
-def forest_hook_count(p: Poset) -> Nat:
+def forest_hook_count(p: Poset) -> int:
     """Extension count p! / prod_v w(v) for posets whose Hasse diagram is a
     forest of up-trees (every element covered by at most one other);
     w(v) = number of elements weakly below v.  Rejects anything else."""
@@ -190,7 +190,7 @@ def build_R(n: int, i_left: Sequence[int], j: int, i_right: Sequence[int]) -> Po
 # closed counts for the families and the alternating transforms
 
 
-def f_closed(n: int, k: int) -> Nat:
+def f_closed(n: int, k: int) -> int:
     """f(n, k) = (n-k+1)(n-k+2)...(n+k) / (2^k k!), the extension count of
     build_F summed over all k-subsets; zero when k > n."""
     if n < 0 or k < 0:
@@ -198,7 +198,7 @@ def f_closed(n: int, k: int) -> Nat:
     return exact_int(math.perm(n + k, 2 * k), 2**k * factorial(k), ("f_closed", n, k))
 
 
-def f_sum(n: int, k: int) -> Nat:
+def f_sum(n: int, k: int) -> int:
     """f(n, k) as the literal sum of prod_j (i_j + j - 1) over all index
     sets 1 <= i_1 < ... < i_k <= n; independent route used as an oracle."""
     total = 0
@@ -210,7 +210,7 @@ def f_sum(n: int, k: int) -> Nat:
     return total
 
 
-def ftilde(n: int, k: int) -> Nat:
+def ftilde(n: int, k: int) -> int:
     """Chain-extended analogue C(2n+k-1, n) * f(n, k) for n >= 1."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -227,14 +227,14 @@ def _alternating(top: int, n: int, s: int, col: Sequence[int]) -> int:
                for i in range(min(s, n) + 1))
 
 
-def u_rows(width: int) -> Iterator[list[Nat]]:
+def u_rows(width: int) -> Iterator[list[int]]:
     """Rows u(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end: row n
     is the alternating transform of row n of one ``b_rows`` walk."""
     return ([_alternating(2 * n + k, n, k, row) for k in range(len(row))]
             for n, row in enumerate(wall_tables.b_rows(width)))
 
 
-def b_from_u(n: int, k: int, u: Sequence[int]) -> Nat:
+def b_from_u(n: int, k: int, u: Sequence[int]) -> int:
     """Inverse transform: b(n, k) from u = u(n, 0..k) by the same
     alternating pattern.  Round-trips with u_rows exactly."""
     if n < 0 or not 0 <= k <= n:
@@ -242,7 +242,7 @@ def b_from_u(n: int, k: int, u: Sequence[int]) -> Nat:
     return _alternating(2 * n + k, n, k, u)
 
 
-def r_sum(n: int, k: int, u: Sequence[Sequence[int]]) -> Nat:
+def r_sum(n: int, k: int, u: Sequence[Sequence[int]]) -> int:
     """Total extension count of the build_R family,
 
         r(n, k) = sum_{j=1}^{n} sum_{s} C(2j+k-s-1, j) f(j, k-s)
@@ -263,7 +263,7 @@ def r_sum(n: int, k: int, u: Sequence[Sequence[int]]) -> Nat:
     return total
 
 
-def b_monster(n: int, k: int, rows: Sequence[Sequence[int]]) -> Nat:
+def b_monster(n: int, k: int, rows: Sequence[Sequence[int]]) -> int:
     """b(n, k) from the single grand recurrence
 
         b(n, k) = C(2n+k, n) f(n, k)
@@ -340,7 +340,7 @@ def tableau_poset(
     return Poset(len(cells), covers)
 
 
-def _walled_row_count(rows: tuple[int, int, int], r: int, k: int) -> Nat:
+def _walled_row_count(rows: tuple[int, int, int], r: int, k: int) -> int:
     """Extension counts of the diagram with these row lengths, row r walled
     between every two adjacent cells, summed over the ways to keep k of row
     r's cells (the rest removed)."""
@@ -350,7 +350,7 @@ def _walled_row_count(rows: tuple[int, int, int], r: int, k: int) -> Nat:
                for gone in itertools.combinations(cells, len(cells) - k))
 
 
-def a_brute(n: int, k: int) -> Nat:
+def a_brute(n: int, k: int) -> int:
     """a(n, k) by exhaustive extension counting of the (n, n, k) shape with
     a fully walled bottom row."""
     if not 0 <= k <= n:
@@ -358,7 +358,7 @@ def a_brute(n: int, k: int) -> Nat:
     return _walled_row_count((n, n, k), 0, n)
 
 
-def b_brute(n: int, k: int) -> Nat:
+def b_brute(n: int, k: int) -> int:
     """b(n, k) by summing extension counts of the (n, n, n) shape over all
     ways to keep k bottom-row cells (the rest removed), surviving adjacent
     bottom cells separated by walls."""
@@ -367,7 +367,7 @@ def b_brute(n: int, k: int) -> Nat:
     return _walled_row_count((n, n, n), 0, k)
 
 
-def b3_brute(n: int, m: int, k: int) -> Nat:
+def b3_brute(n: int, m: int, k: int) -> int:
     """b3(n, m, k) likewise for the (n, m, m) shape, removing m - k cells
     from the top row."""
     if not 0 <= k <= m <= n:

@@ -24,7 +24,7 @@ import operator
 from collections.abc import Iterator, Sequence
 
 from . import closed_forms, wall_tables
-from .exact_arith import Nat, binomial, exact_int, factorial
+from .exact_arith import binomial, exact_int, factorial
 
 
 def _check_domain(n: int, k: int) -> None:
@@ -32,13 +32,13 @@ def _check_domain(n: int, k: int) -> None:
         raise ValueError(f"need n >= 1 and 0 <= k <= n-1, got ({n}, {k})")
 
 
-def tc(n: int, k: int) -> Nat:
+def tc(n: int, k: int) -> int:
     """tc(n, k) = n!/(n-k)! * a(n-1, k), the normative route."""
     _check_domain(n, k)
     return tc_from_a(n, k, wall_tables.a_rec(n - 1, k))
 
 
-def tc_from_a(n: int, k: int, a: Nat) -> Nat:
+def tc_from_a(n: int, k: int, a: int) -> int:
     """The normative formula n!/(n-k)! * a, given a = a(n-1, k)."""
     return math.perm(n, k) * a
 
@@ -54,7 +54,7 @@ def _tc_rec_row(row: list[int], prev: list[int] | None, n: int, width: int) -> N
         row.append(exact_int(rhs, n - k, ("tc_rec_rows", n, k)))
 
 
-def tc_rec_rows(width: int) -> Iterator[list[Nat]]:
+def tc_rec_rows(width: int) -> Iterator[list[int]]:
     """Rows tc(n, 0..min(n - 1, width)) for n = 1, 2, 3, ..., without end,
     walked once (one row kept) by the self-contained two-term recurrence
 
@@ -80,7 +80,7 @@ def _tc_sum_row(row: list[int], prev: list[int] | None, n: int, width: int) -> N
         row.append(exact_int(rhs, fact[n - k - low], ("tc_sum_rows", n, k)))
 
 
-def tc_sum_rows(width: int) -> Iterator[list[Nat]]:
+def tc_sum_rows(width: int) -> Iterator[list[int]]:
     """Rows tc(n, 0..min(n - 1, width)) as ``tc_rec_rows``, by the
     self-contained full-history recurrence, each division checked,
 
@@ -88,7 +88,7 @@ def tc_sum_rows(width: int) -> Iterator[list[Nat]]:
     return itertools.islice(wall_tables.walk(_tc_sum_row, width), 1, None)
 
 
-def tc_chain(k: int, m: int, a: Sequence[Sequence[int]]) -> Nat:
+def tc_chain(k: int, m: int, a: Sequence[Sequence[int]]) -> int:
     """tc(k+m+1, k) for k >= 1 by climbing one reticulation level:
 
         sum_{l=0}^{m} (l+2) [prod_{i=l+1}^{m} (1 + k/(i+1)) (2i+3k-1)] tc(k+l+1, k-1)
@@ -117,7 +117,7 @@ def tc_chain(k: int, m: int, a: Sequence[Sequence[int]]) -> Nat:
     return exact_int(total, factorial(m + 1), ("tc_chain", k, m))
 
 
-def tc_closed(n: int, k: int) -> Nat:
+def tc_closed(n: int, k: int) -> int:
     """tc by the delta-weighted double-factorial formula
 
         tc(n, k) = C(n, k) sum_{i=0}^{k} C(k, i) (2n+2k-i-3)!! delta_i
@@ -163,7 +163,7 @@ def tc_asym_log(n: int, k: int) -> float:
     )
 
 
-def tc_asym_rel_error(log_estimate: float, exact: Nat) -> float:
+def tc_asym_rel_error(log_estimate: float, exact: int) -> float:
     """|estimate/exact - 1| computed entirely in log space, given the log
     of the estimate that tc_asym_log returned and the exact count."""
     return abs(math.expm1(log_estimate - math.log(exact)))

@@ -22,7 +22,8 @@ and keeps nothing.
 The rows of ``b`` come from its own two-term recurrence, O(w) cells per
 row like ``a``, not from the b3 layers; the checks compare the two.
 ``a_rows`` and ``b_rows`` can also walk their rows in another ring, given
-by its unit: ``cli`` prints deep tables from rows of ``decimal.Decimal``.
+by its unit: ``cli`` walks every ``a``, ``b`` and ``tc`` table (tc reads
+the rows of a) in ``decimal.Decimal``, whatever its depth.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from collections.abc import Callable, Iterator
 from functools import partial
 
 from . import closed_forms
-from .exact_arith import Nat, exact_int, factorial
+from .exact_arith import exact_int, factorial
 
 
 def walk(step: Callable[[list, list | None, int, int], None], width: int,
@@ -68,7 +69,7 @@ def _a_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
         row.append(row[k - 1] + (2 * n + k - 1) * (prev[k] if k < n else 0))
 
 
-def a_rows(width: int, one: object = None) -> Iterator[list[Nat]]:
+def a_rows(width: int, one: object = None) -> Iterator[list[int]]:
     """Rows a(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end,
     walked once, in the ring of ``one`` (see ``walk``): only the previous
     row is kept."""
@@ -107,29 +108,27 @@ def _b3_layer(
     """Layer n of b3, stored by m: layer[m][k] = b3(n, m, k) for
     m <= min(n, mmax) and k <= min(m, width).  Cell (m, k) reads (m, k-1)
     and (m-1, k) from this layer and (m, k) from layer n - 1, so a row
-    above mmax never feeds one at or below it."""
+    above mmax never feeds one at or below it.  Layer 0 is the seed [[1]]."""
+    if n == 0:
+        layer.append([1])
+        return
     for m in range(n + 1 if mmax is None else min(n, mmax) + 1):
         row: list[int] = []
         layer.append(row)
         for k in range(min(m, width) + 1):
-            if n == 0:
-                row.append(1)
-                continue
             drop_k = (m - k + 1) * row[k - 1] if k else 0
             drop_m = layer[m - 1][k] if k < m else 0
             drop_n = prev[m][k] if m < n else 0
             row.append(drop_k + drop_m + drop_n)
 
 
-def b3_layers(width: int, mmax: int | None = None) -> Iterator[list[list[Nat]]]:
+def b3_layers(width: int, mmax: int | None = None) -> Iterator[list[list[int]]]:
     """Layers n = 0, 1, 2, ... of b3, without end, as ``_b3_layer`` stores
-    them: layer[m][k] = b3(n, m, k) for m <= min(n, mmax) and
-    k <= min(m, width).  Only the previous layer is kept, and no row above
-    mmax is filled."""
+    them.  Only the previous layer is kept, and no row above mmax is filled."""
     return walk(partial(_b3_layer, mmax=mmax), width)
 
 
-def b_rows(width: int, one: object = None) -> Iterator[list[Nat]]:
+def b_rows(width: int, one: object = None) -> Iterator[list[int]]:
     """Rows b(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end,
     walked once by the two-term recurrence of ``b``, in the ring of ``one``
     (see ``walk``): only the previous row is kept."""
@@ -147,31 +146,32 @@ def _omega_layer(layer: list[list[int]], prev: list[list[int]] | None, s: int, w
         (s-n-k+2) left[n-1] + below[n-2]
 
     from cell n - 1, where left is column k - 1 of this layer (no term for
-    k = 0) and below is column k of layer s - 1 (no term for n = 1)."""
+    k = 0) and below is column k of layer s - 1 (no term for n = 1).  A
+    column of depth 0 holds its seed alone."""
     top_n = s if nmax is None else min(s, nmax)
     for k in range(min(s + 1, width) + 1):
         depth = min(top_n, s + 1 - k)
-        steps = itertools.chain((0,), prev[k][: depth - 1] if depth > 1 else ())
+        steps = itertools.chain((0,), prev[k][: depth - 1]) if depth else ()
         if k:
             lefts = map(operator.mul, range(s - k + 1, s - k + 1 - depth, -1), layer[k - 1])
             steps = map(operator.add, lefts, steps)
         layer.append(list(itertools.accumulate(steps, operator.sub, initial=seeds[k])))
 
 
-def omega_layers(width: int, nmax: int | None = None) -> Iterator[list[list[Nat]]]:
+def omega_layers(width: int, nmax: int | None = None) -> Iterator[list[list[int]]]:
     """Layers s = n + m = 0, 1, 2, ... of omega as ``_omega_layer`` stores
     them; the seeds come from ``closed_forms.omega_init_layers``."""
     seeds = closed_forms.omega_init_layers(width)
     return walk(lambda *step_args: _omega_layer(*step_args, next(seeds), nmax), width)
 
 
-def omega_rows(nmax: int, mmax: int, kmax: int) -> Iterator[list[list[Nat]]]:
+def omega_rows(nmax: int, mmax: int, kmax: int) -> Iterator[list[list[int]]]:
     """Rows n = 0..nmax of omega, each as row[m][k] = omega(n, m, k) for
     m <= mmax and k <= min(m + 1, kmax), off one walk up ``omega_layers``
     that is no wider than the widest row, mmax + 1.  Row n is yielded once
     layer n + mmax is done, and only the rows not yet finished are held."""
     width = min(kmax, mmax + 1)
-    rows: deque[list[list[Nat]]] = deque()  # rows max(0, s - mmax)..min(s, nmax)
+    rows: deque[list[list[int]]] = deque()  # rows max(0, s - mmax)..min(s, nmax)
     for s, layer in zip(range(nmax + mmax + 1), omega_layers(width, nmax)):
         if s <= nmax:
             rows.append([])
@@ -182,7 +182,7 @@ def omega_rows(nmax: int, mmax: int, kmax: int) -> Iterator[list[list[Nat]]]:
             yield rows.popleft()
 
 
-def a_rec(n: int, k: int) -> Nat:
+def a_rec(n: int, k: int) -> int:
     """a(n, k) from the one-step recurrence table
 
         a(n, k) = a(n, k-1) + (2n + k - 1) a(n-1, k),   a(n, 0) = (2n-1)!!
@@ -210,7 +210,7 @@ def _a_alt_column(col: list[int], prev: list[int] | None, k: int, depth: int) ->
             col.append(v)
 
 
-def a_alt_columns(depth: int) -> Iterator[list[Nat]]:
+def a_alt_columns(depth: int) -> Iterator[list[int]]:
     """Columns a(0..depth, k), zeros above the diagonal, for k = 0..depth by
     the expansion, independent of the one-step recurrence of ``a_rec``,
 
@@ -220,7 +220,7 @@ def a_alt_columns(depth: int) -> Iterator[list[Nat]]:
     return itertools.islice(walk(_a_alt_column, depth), depth + 1)
 
 
-def b3(n: int, m: int, k: int) -> Nat:
+def b3(n: int, m: int, k: int) -> int:
     """b3(n, m, k) from the three-index recurrence
 
         b3(n, m, k) = (m-k+1) b3(n, m, k-1) + b3(n, m-1, k) + b3(n-1, m, k)
@@ -234,7 +234,7 @@ def b3(n: int, m: int, k: int) -> Nat:
     return next(itertools.islice(b3_layers(k, m), n, None))[m][k]
 
 
-def b(n: int, k: int) -> Nat:
+def b(n: int, k: int) -> int:
     """Two-index b(n, k) = b3(n, n, k) from the integer two-term recurrence
 
         2 (n-k+1) b(n, k) = (n-k+2)(n-k+1) b(n, k-1) + 4 (2n+k-1) b(n-1, k)
@@ -248,7 +248,7 @@ def b(n: int, k: int) -> Nat:
     return next(itertools.islice(b_rows(k), n, None))[k]
 
 
-def b3_hook(n: int, m: int) -> Nat:
+def b3_hook(n: int, m: int) -> int:
     """Wall-free base layer b3(n, m, 0) in closed form,
 
         (n + m)! (n - m + 1) / (m! (n + 1)!)
@@ -260,7 +260,7 @@ def b3_hook(n: int, m: int) -> Nat:
     return exact_int(num, factorial(m) * factorial(n + 1), ("b3_hook", n, m))
 
 
-def omega(n: int, m: int, k: int) -> Nat:
+def omega(n: int, m: int, k: int) -> int:
     """omega(n, m, k), which equals b3(n + m, m, k), from the downward
     recurrence
 

@@ -214,14 +214,19 @@ def test_omega_walk_holds_about_two_layers():
 
 
 def test_collected_omega_layers_stay_valid():
-    # a layer kept past the next step keeps its values
-    layers = list(itertools.islice(wt.omega_layers(2), 6))
-    assert all(
-        layer[k][n] == wt.omega(n, s - n, k)
-        for s, layer in enumerate(layers)
-        for k in range(min(s + 1, 2) + 1)
-        for n in range(min(s, s + 1 - k) + 1)
-    )
+    # a layer kept past the next step keeps its values, and column k of
+    # layer s stores n = 0..min(s, s + 1 - k, nmax) and nothing past it: a
+    # column of depth 0 holds its seed alone
+    for width, nmax in itertools.product((0, 1, 2, 5), (None, 0, 1, 3)):
+        layers = list(itertools.islice(wt.omega_layers(width, nmax), 7))
+        for s, layer in enumerate(layers):
+            top_n = s if nmax is None else min(s, nmax)
+            assert [len(c) for c in layer] == [
+                min(top_n, s + 1 - k) + 1 for k in range(min(s + 1, width) + 1)
+            ], (width, nmax, s)
+            assert all(
+                col[n] == wt.omega(n, s - n, k) for k, col in enumerate(layer) for n in range(len(col))
+            ), (width, nmax, s)
 
 
 def catalan(n):
