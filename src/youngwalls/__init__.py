@@ -48,7 +48,7 @@ from .series_engine import (
     neg_half_pow_series,
     series_mul,
     shift_up,
-    subs_x,
+    subs_x2,
     x2_series,
 )
 from .poset_lab import (

@@ -283,7 +283,7 @@ CHECKS: dict[str, Check] = {
     ),
     "tc-routes": Check(
         {"nmax": 15},
-        "n <= {nmax}, four routes, two identities",
+        "n <= {nmax}, four routes, one recurrence",
         lambda nmax: (((n, k), _tc_routes(n, k, *rows)) for n, *rows in zip(
             range(1, nmax + 1), _kept(wall_tables.a_rows(nmax)),
             tree_child.tc_rec_rows(nmax), tree_child.tc_sum_rows(nmax),

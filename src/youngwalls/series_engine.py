@@ -19,10 +19,9 @@ Design notes that the individual docstrings lean on:
   works at order N, and an Nx x Nt rectangle of B_k needs W >= Nx + Nt.
 * kernel_levels(W) walks the chain once, each level solved from the one
   before, so levels 0..k cost k + 1 solves and only the current one is
-  held.  A level's cost sits in D_k = (x F_k / t)(X_2): subs_x runs
-  Horner's rule trimmed to the triangle that reaches t-order W (about
-  W^3/6 multiply-adds, no powers of X_2); F_k and B_k are one pass over
-  plain rows.
+  held.  Every step of a level is O(W^2): D_k = (x F_k / t)(X_2) is one
+  Horner pass of subs_x2, reduced by X_2^2 = X_2 - t (no powers of X_2),
+  and F_k and B_k are one pass over plain rows.
 * (1 - 4t)^(-p/2) has integer coefficients for every integer p, so
   neg_half_pow_series generates them in Z from p, radical-free.
 * All three routes run in Z, and no function here imports fractions: the
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from itertools import count, islice
-from operator import mul
+from operator import add, mul, sub
 
 from . import wall_tables
 from .closed_forms import gamma_dfact_terms
@@ -58,25 +57,22 @@ def series_mul(a: Series, b: Series) -> Series:
     return tuple(sum(map(mul, a[: m + 1], b[m::-1])) for m in range(min(len(a), len(b))))
 
 
-def subs_x(rows: Rows, inner: Series) -> Series:
-    """Substitute a series with zero constant term for x in the bivariate
-    series rows, collapsing to a series in t: sum_j rows[j](t) * inner(t)^j.
+def subs_x2(rows: Rows) -> Series:
+    """sum_j rows[j](t) X_2(t)^j to the t-order n of slice 0: the small
+    kernel root X_2 = t C(t) substituted for x in the bivariate rows.
 
-    Horner's rule from the top row down, trimmed: inner^j starts at t^j, so
-    the partial sum that inner^j multiplies is needed only to t-order n - j,
-    and rows past n contribute nothing.
+    Horner's rule from the top row down in Z[[t]]/(t^(n+1)), reduced by
+    X_2^2 = X_2 - t: the partial sum is A + B X_2, and each step
+    (A + B X_2) X_2 + row = (row - t B) + (A + B) X_2 is two passes over
+    n + 1 coefficients.  X_2^j starts at t^j, so only t-orders 0..n - j of
+    slice j reach the result: a shorter slice is padded with zeros.
     """
-    if inner[0]:
-        raise ValueError("subs_x needs an inner series with zero constant term")
-    n = min(len(rows[0]), len(inner)) - 1
-    top = min(len(rows) - 1, n)
-    rev = inner[::-1]  # rev[-1 - m] is the coefficient of t^m
-    acc = rows[top][: n - top + 1]
-    for j in range(top - 1, -1, -1):
-        # row j + acc * inner to t-order n - j; term m pairs acc[i] with t^(m - i)
-        row = rows[j]
-        acc = [row[m] + sum(map(mul, acc, rev[-1 - m : -1])) for m in range(n - j + 1)]
-    return tuple(acc)
+    n = len(rows[0]) - 1
+    zero = (0,) * (n + 1)
+    a = b = zero
+    for row in reversed(rows):
+        a, b = tuple(map(sub, (*row, *zero), shift_up(b))), tuple(map(add, a, b))
+    return tuple(map(add, a, series_mul(b, x2_series(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +194,6 @@ def kernel_levels(order: int) -> Iterator[tuple[Rows, Series, Rows]]:
     """Walk the kernel system at square working order, yielding (F_k, D_k,
     B_k) for k = 0, 1, ...  Level 0 is the initial condition F_0 = 1,
     D_0 = C(t); each later level is solved from the one before it."""
-    x2 = x2_series(order)
     zero = (0,) * (order + 1)
     f = ((1, *zero[1:]), *(zero,) * order)
     d = catalan_series(order)
@@ -207,7 +202,7 @@ def kernel_levels(order: int) -> Iterator[tuple[Rows, Series, Rows]]:
     for level in count(1):
         f = fk_next(b, level)
         f_over_t = tuple(_divide_t(row, "F_k", level, j) for j, row in enumerate(f))
-        d = subs_x((zero, *f_over_t), x2)  # (x F / t)(X_2) to order W; zero is the factor x
+        d = subs_x2((zero, *f_over_t))  # (x F / t)(X_2) to order W; zero is the factor x
         b = bk_solve(f, d, level)
         yield f, d, b
 

@@ -6,9 +6,9 @@ evaluated in log space (the counts overflow doubles long before the
 interesting range ends).  ``tc_closed`` is ``tc_from_a(n, k, a_closed(n-1,
 k))``, which Pons and Batle's delta formula equals term by term.
 
-`tc-routes` compares the other four, which rest on two identities:
-``tc_from_a`` on the rows of a, ``tc_rec_rows`` and ``tc_sum_rows`` are the
-recurrence of a's rows in three forms, and ``tc_chain`` climbs by another.
+`tc-routes` compares the other four, which rest on one recurrence, that of
+a's rows: ``tc_from_a`` reads the rows, ``tc_rec_rows`` and ``tc_sum_rows``
+restate it, and ``tc_chain`` unrolls ``tc_rec_rows``' form down column k.
 The routes with their own recurrence stream their rows off
 ``wall_tables.walk`` (``tc_rec_rows``, ``tc_sum_rows``), keeping one.  The
 routes through the tables are formulas in the cells they read: ``tc_from_a``
@@ -89,7 +89,10 @@ def tc_sum_rows(width: int) -> Iterator[list[int]]:
 
 
 def tc_chain(k: int, m: int, a: Sequence[Sequence[int]]) -> int:
-    """tc(k+m+1, k) for k >= 1 by climbing one reticulation level:
+    """tc(k+m+1, k) for k >= 1: the two-term recurrence of tc_rec_rows at
+    n = k+m+1, tc(n, k) = (m+2) tc(n, k-1) + n (3k+2m-1)/(m+1) tc(n-1, k),
+    unrolled down column k from tc(k, k) = 0.  Since (k+i+1)(3k+2i-1)/(i+1)
+    = (1 + k/(i+1)) (2i+3k-1), that is term for term
 
         sum_{l=0}^{m} (l+2) [prod_{i=l+1}^{m} (1 + k/(i+1)) (2i+3k-1)] tc(k+l+1, k-1)
 

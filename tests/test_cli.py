@@ -611,6 +611,18 @@ def test_kernel_check_failure_names_the_level(monkeypatch):
     assert (code, text) == (1, "bk-rect: FAIL (fails at (3, 6))\n")
 
 
+def test_kernel_route_reads_its_root_series(monkeypatch):
+    x2_series = checks.series_engine.x2_series
+
+    def moved(order):
+        x2 = x2_series(order)
+        return (*x2[:3], x2[3] + 1, *x2[4:])
+
+    monkeypatch.setattr(checks.series_engine, "x2_series", moved)
+    code, text = run_cli("verify", "--check", "dk-threeway")
+    assert code == 1 and text.startswith("dk-threeway: FAIL (")
+
+
 # every count or bound flag, by command: a valid argv and the flags to make negative
 NEGATIVE_BOUNDS = {
     **{
@@ -651,7 +663,7 @@ def test_verify_all_lists_every_registered_check():
 
 def test_verify_zero_cell_domain_is_empty_not_pass(monkeypatch):
     code, text = run_cli("verify", "--check", "tc-routes", "--nmax", "0")
-    assert (code, text) == (2, "tc-routes: EMPTY (n <= 0, four routes, two identities)\n")
+    assert (code, text) == (2, "tc-routes: EMPTY (n <= 0, four routes, one recurrence)\n")
     code, text = run_cli("verify", "--check", "all", "--nmax", "0")
     assert code == 2
     lines = text.splitlines()

@@ -116,6 +116,11 @@ def test_dk_kernel_examples():
         se.dk_kernel(-1, 5)
 
 
+def test_dk_kernel_matches_the_table_deep():
+    for k in (1, 8, 12):
+        assert se.dk_kernel(k, 100) == se.dk_from_table(k, 100), k
+
+
 def test_dk_kernel_level_zero_is_the_initial_condition():
     for k in range(9):
         assert se.dk_kernel(k, 30) == se.dk_from_table(k, 30), k
@@ -170,31 +175,28 @@ small_ints = st.integers(min_value=-9, max_value=9)
 
 
 @st.composite
-def xt_and_inner(draw):
-    """Integer rows with x-order below, equal to or above their t-order, and
-    an integer inner series with zero constant term."""
+def xt_rows(draw):
+    """Integer rows with x-order below, equal to or above their t-order."""
     t_order = draw(st.integers(min_value=0, max_value=7))
     x_order = draw(st.sampled_from([max(t_order - 2, 0), t_order, t_order + 3]))
     row = st.lists(small_ints, min_size=t_order + 1, max_size=t_order + 1).map(tuple)
-    rows = draw(st.lists(row, min_size=x_order + 1, max_size=x_order + 1).map(tuple))
-    inner_order = draw(st.integers(min_value=0, max_value=9))
-    tail = draw(st.lists(small_ints, min_size=inner_order, max_size=inner_order))
-    return rows, (0, *tail)
+    return draw(st.lists(row, min_size=x_order + 1, max_size=x_order + 1).map(tuple))
 
 
 @settings(max_examples=80)
-@given(xt_and_inner())
-def test_subs_x_matches_defining_sum(case):
-    rows, inner = case
-    assert se.subs_x(rows, inner) == subs_x_reference(rows, inner)
+@given(xt_rows())
+def test_subs_x2_matches_defining_sum(rows):
+    assert se.subs_x2(rows) == subs_x_reference(rows, se.x2_series(len(rows[0]) - 1))
 
 
-@settings(max_examples=20)
-@given(xt_and_inner(), st.integers(min_value=1, max_value=9))
-def test_subs_x_rejects_nonzero_constant_term(case, c0):
-    rows, inner = case
-    with pytest.raises(ValueError):
-        se.subs_x(rows, (c0, *inner[1:]))
+@settings(max_examples=40)
+@given(xt_rows())
+def test_subs_x2_reads_slice_j_to_t_order_n_minus_j(rows):
+    # cut to the kernel's shape, slice j holding n - j + 1 coefficients as
+    # x F_k / t does, the rows substitute to the same series
+    n = len(rows[0]) - 1
+    shaped = tuple(row[: n - j + 1] for j, row in enumerate(rows[: n + 1]))
+    assert se.subs_x2(shaped) == se.subs_x2(rows)
 
 
 @settings(max_examples=15, deadline=None)
