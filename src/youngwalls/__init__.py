@@ -78,11 +78,9 @@ from .tree_child import (
     tc,
     tc_asym_log,
     tc_asym_rel_error,
-    tc_chain,
     tc_closed,
     tc_from_a,
     tc_rec_rows,
-    tc_sum_rows,
 )
 
 __version__ = "0.1.0"

@@ -1,30 +1,28 @@
 """Counts of tree-child networks with n leaves and k reticulations, tied to
 the wall-tableau tables by tc(n, k) = n!/(n-k)! * a(n-1, k).
 
-Five exact routes are kept so they can be compared, plus a float asymptotic
-evaluated in log space (the counts overflow doubles long before the
-interesting range ends).  ``tc_closed`` is ``tc_from_a(n, k, a_closed(n-1,
-k))``, which Pons and Batle's delta formula equals term by term.
+Three exact routes are kept, plus a float asymptotic evaluated in log space
+(the counts overflow doubles long before the interesting range ends).
+``tc_from_a`` is the normative formula in one cell of a; the normative
+``tc`` applies it to a point read of a(n-1, k) that walks to it.
+``tc_rec_rows`` streams tc's own two-term recurrence off
+``wall_tables.walk``, keeping one row.  ``tc_closed`` is ``tc_from_a(n, k,
+a_closed(n-1, k))``, which Pons and Batle's delta formula equals term by
+term.
 
-`tc-routes` compares the other four, which rest on one recurrence, that of
-a's rows: ``tc_from_a`` reads the rows, ``tc_rec_rows`` and ``tc_sum_rows``
-restate it, and ``tc_chain`` unrolls ``tc_rec_rows``' form down column k.
-The routes with their own recurrence stream their rows off
-``wall_tables.walk`` (``tc_rec_rows``, ``tc_sum_rows``), keeping one.  The
-routes through the tables are formulas in the cells they read: ``tc_from_a``
-takes one cell, ``tc_chain`` a column of a off its caller's walk, and the
-normative ``tc`` reads a(n-1, k) by a point read that walks to it.
+`tc-routes` compares ``tc_from_a`` on the rows of a with ``tc_rec_rows``:
+two routes, one recurrence, for tc_rec_rows' recurrence is that of a's rows
+under the formula.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from . import closed_forms, wall_tables
-from .exact_arith import binomial, exact_int, factorial
+from .exact_arith import binomial, exact_int
 
 
 def _check_domain(n: int, k: int) -> None:
@@ -62,62 +60,6 @@ def tc_rec_rows(width: int) -> Iterator[list[int]]:
 
     from tc(1, 0) = 1, with tc(i, -1) = tc(i, i) = 0; each division checked."""
     return itertools.islice(wall_tables.walk(_tc_rec_row, width), 1, None)
-
-
-def _tc_sum_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
-    if n == 1:
-        row.append(1)
-        return
-    top = min(n - 1, width)
-    # fact[v - low] = v! for the arguments the row needs, low <= v <= n
-    low = n - 1 - top
-    fact = list(itertools.accumulate(range(low + 1, n + 1), operator.mul, initial=factorial(low)))
-    rhs = 0
-    for k in range(top + 1):
-        # tc(n-1, i) vanishes at i = n-1, so the sum stops at n-2
-        if k <= n - 2:
-            rhs += n * (2 * n + k - 3) * fact[n - 1 - k - low] * prev[k]
-        row.append(exact_int(rhs, fact[n - k - low], ("tc_sum_rows", n, k)))
-
-
-def tc_sum_rows(width: int) -> Iterator[list[int]]:
-    """Rows tc(n, 0..min(n - 1, width)) as ``tc_rec_rows``, by the
-    self-contained full-history recurrence, each division checked,
-
-        (n-k)! tc(n, k) = sum_{i=0}^{k} n (2n+i-3) (n-1-i)! tc(n-1, i)."""
-    return itertools.islice(wall_tables.walk(_tc_sum_row, width), 1, None)
-
-
-def tc_chain(k: int, m: int, a: Sequence[Sequence[int]]) -> int:
-    """tc(k+m+1, k) for k >= 1: the two-term recurrence of tc_rec_rows at
-    n = k+m+1, tc(n, k) = (m+2) tc(n, k-1) + n (3k+2m-1)/(m+1) tc(n-1, k),
-    unrolled down column k from tc(k, k) = 0.  Since (k+i+1)(3k+2i-1)/(i+1)
-    = (1 + k/(i+1)) (2i+3k-1), that is term for term
-
-        sum_{l=0}^{m} (l+2) [prod_{i=l+1}^{m} (1 + k/(i+1)) (2i+3k-1)] tc(k+l+1, k-1)
-
-    where the lower-level values come from the normative formula
-    tc(n, k-1) = n!/(n-k+1)! a(n-1, k-1), written inline, so the route
-    stays independent of tc_closed and the row streams.  The sum runs in
-    integers over the common denominator (m+1)!, with
-    prod (1 + k/(i+1)) = prod (i+1+k) * (l+1)!/(m+1)!; since
-    (l+2) (l+1)! perm(k+l+1, k-1) = (k+l+1)!, term l is
-    num_l (k+l+1)! a(k+l, k-1).  The sum is checked divisible at the end.
-    It reads a(k+l, k-1) as a[k+l][k-1] for l <= m, rows of a that the
-    caller walked.
-    """
-    if k < 1 or m < 0:
-        raise ValueError(f"need k >= 1 and m >= 0, got ({k}, {m})")
-    total = 0
-    num = 1
-    fact = factorial(k + m + 1)
-    # walk l downward so the product over i = l+1..m grows one factor at a
-    # time and fact = (k+l+1)! shrinks one factor at a time
-    for ell in range(m, -1, -1):
-        total += num * fact * a[k + ell][k - 1]
-        num *= (ell + 1 + k) * (2 * ell + 3 * k - 1)
-        fact //= k + ell + 1
-    return exact_int(total, factorial(m + 1), ("tc_chain", k, m))
 
 
 def tc_closed(n: int, k: int) -> int:

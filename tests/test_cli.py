@@ -404,11 +404,12 @@ class _Sink:
 @pytest.mark.parametrize(
     "argv",
     [["table", "--seq", "tc", "--nmax", "1500", "--k", "2", "--format", "bfile"],
-     ["table", "--seq", "a", "--nmax", "200", "--format", "json"]],
+     ["table", "--seq", "a", "--nmax", "200", "--format", "json"],
+     ["verify", "--check", "tc-routes", "--nmax", "200"]],
 )
 def test_table_memory_stays_at_one_row(argv):
-    # a table that keeps every cell, or its whole JSON document, peaks at
-    # several MB on these requests
+    # a table that keeps every cell, or its whole JSON document, or a check
+    # that keeps every row of a, peaks at several MB on these requests
     tracemalloc.start()
     try:
         code = cli.main(argv, out=_Sink())
@@ -663,7 +664,7 @@ def test_verify_all_lists_every_registered_check():
 
 def test_verify_zero_cell_domain_is_empty_not_pass(monkeypatch):
     code, text = run_cli("verify", "--check", "tc-routes", "--nmax", "0")
-    assert (code, text) == (2, "tc-routes: EMPTY (n <= 0, four routes, one recurrence)\n")
+    assert (code, text) == (2, "tc-routes: EMPTY (n <= 0, two routes, one recurrence)\n")
     code, text = run_cli("verify", "--check", "all", "--nmax", "0")
     assert code == 2
     lines = text.splitlines()
@@ -1122,24 +1123,47 @@ def test_reads_of_every_table_and_route_leave_no_module_state():
     assert pl.b_monster(9, 4, b) == pl.b_monster(9, 4, b[:9]) == b[9][4]
     assert binomial(22, 9) * pl.f_closed(9, 4) - pl.r_sum(9, 4, u) == b[9][4]
     rec = next(itertools.islice(tc.tc_rec_rows(4), 8, None))
-    full = next(itertools.islice(tc.tc_sum_rows(4), 8, None))
-    assert rec[4] == full[4] == tc.tc(9, 4) == tc.tc_closed(9, 4)
-    assert tc.tc(9, 4) == tc.tc_chain(4, 4, a)
+    assert rec[4] == tc.tc(9, 4) == tc.tc_closed(9, 4) == tc.tc_from_a(9, 4, a[8][4])
     assert _module_values(*modules) == before
 
 
-@pytest.mark.parametrize("step", ["_tc_rec_row", "_tc_sum_row"])
-def test_moved_tc_row_cell_fails_tc_routes(step, monkeypatch):
-    # tc(6, 3) moved when the step of one route appends it
-    original = getattr(tree_child, step)
+@pytest.mark.parametrize(
+    "module, step, row_n",
+    [(tree_child, "_tc_rec_row", 6), (wall_tables, "_a_row", 5)],
+    ids=["_tc_rec_row", "_a_row"],
+)
+def test_moved_tc_row_cell_fails_tc_routes(module, step, row_n, monkeypatch):
+    # tc(6, 3), or the a(5, 3) that tc_from_a scales to it, moved when the
+    # step of one route appends it
+    original = getattr(module, step)
 
     def moved(row, prev, n, width):
         original(row, prev, n, width)
-        if n == 6 and len(row) > 3:
+        if n == row_n and len(row) > 3:
             row[3] += 1
 
-    monkeypatch.setattr(tree_child, step, moved)
+    monkeypatch.setattr(module, step, moved)
     assert run_cli("verify", "--check", "tc-routes") == (1, "tc-routes: FAIL (fails at (6, 3))\n")
+
+
+def test_moved_tc_from_a_value_fails_tc_routes(monkeypatch):
+    formula = tree_child.tc_from_a
+    monkeypatch.setattr(tree_child, "tc_from_a",
+                        lambda n, k, a: formula(n, k, a) + ((n, k) == (6, 3)))
+    assert run_cli("verify", "--check", "tc-routes") == (1, "tc-routes: FAIL (fails at (6, 3))\n")
+
+
+def test_tc_routes_steps_each_row_of_a_once(monkeypatch):
+    # tc(n, .) reads row n - 1 of one walk of a, as the tc table does
+    step, stepped = wall_tables._a_row, []
+
+    def counting_row(row, prev, n, width):
+        stepped.append(n)
+        step(row, prev, n, width)
+
+    monkeypatch.setattr(wall_tables, "_a_row", counting_row)
+    assert run_cli("verify", "--check", "tc-routes", "--nmax", "30")[0] == 0
+    assert stepped == list(range(30))
 
 
 def test_unintegral_tc_rec_cell_names_its_route(monkeypatch, capsys):

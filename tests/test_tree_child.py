@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from youngwalls import tree_child as tcn
-from youngwalls import wall_tables as wt
 from youngwalls.exact_arith import double_factorial
 
 from conftest import TC_SPOT
@@ -37,8 +36,7 @@ def test_spot_values():
 
 def test_self_contained_routes_deep_column():
     # depth 1500 raised RecursionError when the routes recursed
-    rec, full = _cell(tcn.tc_rec_rows, 1500, 2), _cell(tcn.tc_sum_rows, 1500, 2)
-    assert rec == full == tcn.tc(1500, 2)
+    assert _cell(tcn.tc_rec_rows, 1500, 2) == tcn.tc(1500, 2)
 
 
 def test_closed_route_far_rows():
@@ -57,30 +55,9 @@ def test_closed_route_at_domain_edges(n):
 
 @settings(max_examples=30)
 @given(st.integers(min_value=1, max_value=60))
-def test_rec_and_sum_routes_at_domain_edges(n):
-    for rows in (tcn.tc_rec_rows, tcn.tc_sum_rows):
-        assert _cell(rows, n, 0) == double_factorial(2 * n - 3), rows.__name__
-        assert _cell(rows, n, n - 1) == tcn.tc(n, n - 1), rows.__name__
-
-
-def _a_upto(top, width):
-    # rows a(n, 0..min(n, width)) for n <= top, off one walk
-    return list(itertools.islice(wt.a_rows(width), top + 1))
-
-
-@settings(max_examples=30)
-@given(st.integers(min_value=1, max_value=60))
-def test_chain_route_at_its_first_row(k):
-    assert tcn.tc_chain(k, 0, _a_upto(k, k - 1)) == tcn.tc(k + 1, k)
-
-
-def test_chain_entry_points():
-    assert tcn.tc_chain(1, 0, _a_upto(1, 0)) == 2
-    assert tcn.tc_chain(1, 1, _a_upto(2, 0)) == 21
-    with pytest.raises(ValueError):
-        tcn.tc_chain(0, 3, _a_upto(3, 0))
-    with pytest.raises(ValueError):
-        tcn.tc_chain(2, -1, _a_upto(2, 1))
+def test_rec_route_at_domain_edges(n):
+    assert _cell(tcn.tc_rec_rows, n, 0) == double_factorial(2 * n - 3)
+    assert _cell(tcn.tc_rec_rows, n, n - 1) == tcn.tc(n, n - 1)
 
 
 @settings(max_examples=40)

@@ -92,9 +92,8 @@ def test_omega_seed_and_guards():
         (wt.b_rows, wt.b, 0),
         (poset_lab.u_rows, u_literal, 0),
         (tree_child.tc_rec_rows, tree_child.tc, 1),
-        (tree_child.tc_sum_rows, tree_child.tc, 1),
     ],
-    ids=["a", "b", "u", "tc_rec", "tc_sum"],
+    ids=["a", "b", "u", "tc_rec"],
 )
 @pytest.mark.parametrize("width", [0, 1, 2, 5, 14])
 def test_walk_matches_the_rows_read_cell_by_cell(walk, cell, first, width):
