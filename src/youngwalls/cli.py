@@ -27,7 +27,7 @@ import sys
 from collections.abc import Callable, Iterator
 from functools import partial
 from io import TextIOBase
-from itertools import count
+from itertools import count, islice
 from types import SimpleNamespace
 
 from . import poset_lab, series_engine, tree_child, wall_tables
@@ -244,28 +244,22 @@ def run_crosscheck(args: SimpleNamespace, out: TextIOBase) -> int:
     oeis_id, offset, stream = OEIS_MAPS[args.map]
     if args.oeis is not None and args.oeis != oeis_id:
         raise ValueError(f"map {args.map} is tied to {oeis_id}, not {args.oeis}")
-    text = _fixture_bfile(oeis_id)
     cap = args.nmax if args.nmax is not None else 60
-    checked = []
-    values, ours = stream(cap), []  # read as far as the terms compared
-    for idx, val in parse_bfile(text):
-        if idx < offset or idx > cap:
-            continue
-        while len(ours) <= idx:
-            ours.append(next(values))
-        if ours[idx] != val:
+    terms = {idx: val for idx, val in parse_bfile(_fixture_bfile(oeis_id)) if offset <= idx <= cap}
+    if not terms:
+        # a bound that selects no term proved nothing
+        raise ValueError(f"no term of {oeis_id} with {offset} <= n <= {cap}")
+    # the walk ends at the first mismatch, else at the largest index compared
+    for idx, ours in enumerate(islice(stream(cap), max(terms) + 1)):
+        if idx in terms and ours != terms[idx]:
             print(
-                f"{oeis_id} <-> {args.map}: mismatch at n={idx}: ours={ours[idx]} oeis={val}",
+                f"{oeis_id} <-> {args.map}: mismatch at n={idx}: ours={ours} oeis={terms[idx]}",
                 file=out,
             )
             return EXIT_FAIL
-        checked.append(idx)
-    if not checked:
-        # a bound that selects no term proved nothing
-        raise ValueError(f"no term of {oeis_id} with {offset} <= n <= {cap}")
     print(
-        f"{oeis_id} <-> {args.map}: n={checked[0]}..{checked[-1]} agree "
-        f"({len(checked)} terms, offset {offset})",
+        f"{oeis_id} <-> {args.map}: n={min(terms)}..{max(terms)} agree "
+        f"({len(terms)} terms, offset {offset})",
         file=out,
     )
     return EXIT_OK
@@ -362,8 +356,9 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple[object, object, str]], Callable[.
 }
 
 
-def _exit(command: str | None, error: str = "") -> SystemExit:
-    """Print the help (SystemExit(0)), or the usage and an error to stderr (SystemExit(2))."""
+def _exit(command: str | None, error: str = "", out: TextIOBase | None = None) -> SystemExit:
+    """Print the help to ``out`` (SystemExit(0)), or the usage and an error
+    to stderr (SystemExit(2))."""
     if command is None:
         usage = f"usage: walls [-h] {{{','.join(COMMANDS)}}} ..."
         # a literal, not the module docstring, which python -OO strips
@@ -381,7 +376,7 @@ def _exit(command: str | None, error: str = "") -> SystemExit:
     rows.insert(0, ("-h, --help", "show this help message and exit"))
     width = max(len(form) for form, _ in rows) + 2
     print(usage, "", about, "", *(f"  {form:<{width}}{h}".rstrip() for form, h in rows), sep="\n",
-          flush=True)  # a failed write shows in main
+          file=out, flush=True)  # a failed write shows in main
     return SystemExit(EXIT_OK)
 
 
@@ -404,10 +399,11 @@ def _flag(token: str, names: tuple[str, ...]) -> tuple[str, str | None] | None:
     return None if number or " " in token else ("", None)
 
 
-def _parse(argv: list[str]) -> SimpleNamespace:
+def _parse(argv: list[str], out: TextIOBase | None = None) -> SimpleNamespace:
     """The command and flag values of argv, read as argparse read them, left
-    to right: -h raises _exit(command), a misuse _exit(command, error); a
-    missing flag, then an unknown flag or stray value, once all are read."""
+    to right: -h raises _exit(command) with the help on ``out`` (None for
+    sys.stdout), a misuse _exit(command, error); a missing flag, then an
+    unknown flag or stray value, once all are read."""
     command, flags, values, stray = None, {}, {}, []
     kinds, i = [_flag(token, _HELP) for token in argv], 0
     while i < len(argv):
@@ -423,7 +419,8 @@ def _parse(argv: list[str]) -> SimpleNamespace:
         else:
             (flag, value), form = kind, flags.get(kind[0], (bool,))[0]  # -h is a switch
             if flag in _HELP or form is bool and value is not None:  # help, or a switch's value
-                raise _exit(command, "" if value is None else f"argument {flag} takes no value")
+                error = "" if value is None else f"argument {flag} takes no value"
+                raise _exit(command, error, out)
             if form is not bool and value is None:
                 if kinds[i:i + 1] != [None]:  # the next token, if any, is no value
                     raise _exit(command, f"argument {flag}: expected one argument")
@@ -453,7 +450,7 @@ def main(argv: list[str] | None = None, out: TextIOBase | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
+        args = _parse(sys.argv[1:] if argv is None else argv, out)
         code = COMMANDS[args.command][2](args, out)
         out.flush()  # a failed write shows here, not at exit
         return code

@@ -377,9 +377,8 @@ def test_table_matches_the_cell_functions(seq, option, capsys):
             assert got == reference_table(seq, nmax, fmt, **kwargs), argv
 
 
-def test_tc_table_stores_no_row_of_a(monkeypatch):
-    # the rows of a that tc reads come off one walk: each row is stepped
-    # once, never again for a cell read
+def _stepped_rows_of_a(monkeypatch):
+    # the n of every row of a that a walk steps, in order
     step, stepped = wall_tables._a_row, []
 
     def counting_row(row, prev, n, width):
@@ -387,6 +386,13 @@ def test_tc_table_stores_no_row_of_a(monkeypatch):
         step(row, prev, n, width)
 
     monkeypatch.setattr(wall_tables, "_a_row", counting_row)
+    return stepped
+
+
+def test_tc_table_stores_no_row_of_a(monkeypatch):
+    # the rows of a that tc reads come off one walk: each row is stepped
+    # once, never again for a cell read
+    stepped = _stepped_rows_of_a(monkeypatch)
     assert run_cli("table", "--seq", "tc", "--nmax", "50", "--k", "2")[0] == 0
     assert stepped == list(range(50))
 
@@ -729,6 +735,37 @@ def test_crosscheck_reads_one_walk_not_point_reads(monkeypatch):
     assert run_cli("crosscheck", "--map", "b-k0", "--offline") == (
         0, "A000108 <-> b-k0: n=0..15 agree (16 terms, offset 0)\n"
     )
+
+
+@pytest.mark.parametrize("bound, last", [([], 6), (["--nmax", "5"], 5)], ids=["60", "5"])
+def test_crosscheck_walks_no_row_past_the_largest_index_compared(monkeypatch, bound, last):
+    # the b-file of A213863 ends at n = 6, inside the default --nmax of 60
+    stepped = _stepped_rows_of_a(monkeypatch)
+    assert run_cli("crosscheck", "--map", "a-diag", *bound) == (
+        0, f"A213863 <-> a-diag: n=0..{last} agree ({last + 1} terms, offset 0)\n"
+    )
+    assert stepped == list(range(last + 1))
+
+
+def test_crosscheck_walks_no_row_past_the_first_mismatch(monkeypatch):
+    # the b-file term at n = 3 moved by 1: a(3, 3) = 106 is the first term to differ
+    stepped = _stepped_rows_of_a(monkeypatch)
+    fixture = cli._fixture_bfile
+    monkeypatch.setattr(cli, "_fixture_bfile", lambda oeis_id: "".join(
+        f"{n} {v + (n == 3)}\n" for n, v in cli.parse_bfile(fixture(oeis_id))))
+    assert run_cli("crosscheck", "--map", "a-diag") == (
+        1, "A213863 <-> a-diag: mismatch at n=3: ours=106 oeis=107\n"
+    )
+    assert stepped == list(range(4))
+
+
+@pytest.mark.parametrize("map_name", sorted(cli.OEIS_MAPS))
+def test_bundled_bfile_indices_rise_from_the_map_offset(map_name):
+    # crosscheck keys the terms by index: a repeated index would hide a term
+    oeis_id, offset, _ = cli.OEIS_MAPS[map_name]
+    indices = [n for n, _ in cli.parse_bfile(cli._fixture_bfile(oeis_id))]
+    assert indices[0] == offset
+    assert all(n < later for n, later in zip(indices, indices[1:]))
 
 
 def test_crosscheck_id_mismatch():
@@ -1155,13 +1192,7 @@ def test_moved_tc_from_a_value_fails_tc_routes(monkeypatch):
 
 def test_tc_routes_steps_each_row_of_a_once(monkeypatch):
     # tc(n, .) reads row n - 1 of one walk of a, as the tc table does
-    step, stepped = wall_tables._a_row, []
-
-    def counting_row(row, prev, n, width):
-        stepped.append(n)
-        step(row, prev, n, width)
-
-    monkeypatch.setattr(wall_tables, "_a_row", counting_row)
+    stepped = _stepped_rows_of_a(monkeypatch)
     assert run_cli("verify", "--check", "tc-routes", "--nmax", "30")[0] == 0
     assert stepped == list(range(30))
 
@@ -1472,6 +1503,17 @@ def test_help_names_every_command_flag_and_choice(capsys):
         for flag, (value, _, _) in flags.items():
             choices = value if isinstance(value, tuple) else ()
             assert {flag, *choices} <= words, (command, flag)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["table", "-h"]])
+def test_help_goes_to_the_stream_main_was_given(argv, capsys):
+    # the help that `walls` prints lands in the caller's stream, and none of
+    # it on the process's stdout; usage errors stay on stderr
+    assert cli.main(argv) == 0
+    help_text = capsys.readouterr().out
+    assert help_text.startswith("usage: walls ")
+    assert run_cli(*argv) == (0, help_text)
+    assert capsys.readouterr() == ("", "")
 
 
 _B_ROW = wall_tables._b_row
