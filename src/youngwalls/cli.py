@@ -50,7 +50,7 @@ Cell = tuple[tuple[int, ...], int]
 TWO_INDEX = {"a": (0, 0), "b": (0, 0), "u": (0, 0), "f": (0, 0), "ftilde": (1, 0), "tc": (1, 1)}
 
 
-def _table_rows(args: SimpleNamespace, one: object = None) -> Iterator[list[Cell]]:
+def _table_rows(args: SimpleNamespace, one: object = 1) -> Iterator[list[Cell]]:
     """The cells of a `table` request, one list per row n, each computed
     when it is read (see ``_cell_readers``).  Every usage error is raised
     here, before any row."""
@@ -380,19 +380,21 @@ def _exit(command: str | None, error: str = "", out: TextIOBase | None = None) -
     return SystemExit(EXIT_OK)
 
 
-def _flag(token: str, names: tuple[str, ...]) -> tuple[str, str | None] | None:
-    """What argparse (allow_abbrev) took a token for: None for a value, else
-    the flag of ``names`` it names in full or by a unique prefix ("" for
+def _flag(token: str, command: str | None = None) -> tuple[str, str | None] | None:
+    """What argparse (allow_abbrev) took a token after ``command`` (None
+    before one) for: None for a value, else the flag of -h, --help and the
+    command's flags that it names in full or by a unique prefix ("" for
     none, as for "--") and its value after "=" (None without "=")."""
     if token[:1] != "-" or token == "-":
         return None
+    names = (*_HELP, *COMMANDS[command][1]) if command else _HELP
     name, eq, value = token.partition("=")
     if token[:2] == "-h" and name != "-h":  # -h with a value glued on
         return "-h", token[2:]
     long = token[:2] == "--" and token != "--"  # a long flag's prefix; "--" alone names none
     hits = [name] if name in names else [f for f in names if long and f.startswith(name)]
     if len(hits) > 1:
-        raise _exit(None, f"ambiguous option: {token} could match {', '.join(hits)}")
+        raise _exit(command, f"ambiguous option: {token} could match {', '.join(hits)}")
     if hits:
         return hits[0], value if eq else None
     number = token[1:].replace(".", "", 1).isdecimal() and token[-1] != "."
@@ -405,7 +407,7 @@ def _parse(argv: list[str], out: TextIOBase | None = None) -> SimpleNamespace:
     sys.stdout), a misuse _exit(command, error); a missing flag, then an
     unknown flag or stray value, once all are read."""
     command, flags, values, stray = None, {}, {}, []
-    kinds, i = [_flag(token, _HELP) for token in argv], 0
+    kinds, i = [_flag(token) for token in argv], 0
     while i < len(argv):
         token, kind, i = argv[i], kinds[i], i + 1
         if kind is None and command is None:
@@ -413,7 +415,7 @@ def _parse(argv: list[str], out: TextIOBase | None = None) -> SimpleNamespace:
                 raise _exit(None, f"argument command: invalid choice: {token!r}")
             command, flags = token, COMMANDS[token][1]
             values = {flag[2:]: default for flag, (_, default, _) in flags.items()}
-            kinds[i:] = [_flag(t, (*_HELP, *flags)) for t in argv[i:]]  # ambiguity fails first
+            kinds[i:] = [_flag(t, command) for t in argv[i:]]  # ambiguity fails first
         elif kind is None or not kind[0]:
             stray.append(token)
         else:

@@ -17,7 +17,6 @@ under the formula.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 
@@ -41,15 +40,14 @@ def tc_from_a(n: int, k: int, a: int) -> int:
     return math.perm(n, k) * a
 
 
-def _tc_rec_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
-    if n == 1:
-        row.append(1)
-        return
+def _tc_rec_row(prev: list[int], n: int, width: int) -> list[int]:
+    row: list[int] = []
     for k in range(min(n - 1, width) + 1):
         left = row[k - 1] if k else 0
         below = prev[k] if k < n - 1 else 0
         rhs = (n + 1 - k) * (n - k) * left + n * (2 * n + k - 3) * below
         row.append(exact_int(rhs, n - k, ("tc_rec_rows", n, k)))
+    return row
 
 
 def tc_rec_rows(width: int) -> Iterator[list[int]]:
@@ -58,8 +56,9 @@ def tc_rec_rows(width: int) -> Iterator[list[int]]:
 
         (n-k) tc(n, k) = (n+1-k)(n-k) tc(n, k-1) + n (2n+k-3) tc(n-1, k)
 
-    from tc(1, 0) = 1, with tc(i, -1) = tc(i, i) = 0; each division checked."""
-    return itertools.islice(wall_tables.walk(_tc_rec_row, width), 1, None)
+    from the seed row tc(1, 0) = 1, with tc(i, -1) = tc(i, i) = 0; each
+    division checked."""
+    return wall_tables.walk(_tc_rec_row, (1,), width, start=2)
 
 
 def tc_closed(n: int, k: int) -> int:

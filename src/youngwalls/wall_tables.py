@@ -21,9 +21,10 @@ once; a point read (``a_rec``, ``b``, ``b3``, ``omega``) walks to its cell
 and keeps nothing.
 The rows of ``b`` come from its own two-term recurrence, O(w) cells per
 row like ``a``, not from the b3 layers; the checks compare the two.
-``a_rows`` and ``b_rows`` can also walk their rows in another ring, given
-by its unit: ``cli`` walks every ``a``, ``b`` and ``tc`` table (tc reads
-the rows of a) in ``decimal.Decimal``, whatever its depth.
+Each stream names its seed, row 0, and a step builds rows 1, 2, ... only.
+``a_rows`` and ``b_rows`` walk their rows in the ring of their seed
+[one]: ``cli`` walks every ``a``, ``b`` and ``tc`` table (tc reads the
+rows of a) in ``decimal.Decimal``, whatever its depth.
 """
 
 from __future__ import annotations
@@ -31,52 +32,44 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from functools import partial
 
 from . import closed_forms
 from .exact_arith import exact_int, factorial
 
 
-def walk(step: Callable[[list, list | None, int, int], None], width: int,
-         one: object = None) -> Iterator[list]:
-    """Rows 0, 1, 2, ... of a one-step recurrence, in order, without end.
-    The walk keeps row i - 1 until row i is built, so it holds two rows at
-    its peak.
+def walk(step: Callable[..., list], first: Sequence, width: int, start: int = 1) -> Iterator[list]:
+    """Row ``start - 1``, the seed ``first`` as a list, then rows start,
+    start + 1, ... of a one-step recurrence, in order, without end.  The
+    walk keeps row i - 1 until row i is built, so it holds two rows at its
+    peak.  A caller outside this module passes its seed as a tuple, so that
+    a call's arguments stay hashable for a profiler that keys calls by them.
 
-    ``step(row, prev, i, width)`` fills the empty list ``row`` as row i
-    through column min(i, width) (row i ends at column i), reading only
-    row i itself and row i - 1 (``prev``, None for i = 0) no further than
-    column min(width, i - 1).
-
-    ``one`` is the unit of the ring the rows are walked in, when it is not
-    int (``decimal.Decimal(1)``, say): row 0, as ``step`` fills it, is
-    scaled by it, and a step that builds each later cell from row 0 by
-    ints, +, * and checked division walks every row in that ring."""
-    prev = None
-    for i in itertools.count():
-        row: list = []
-        step(row, prev, i, width)
-        if prev is None and one is not None:
-            row = [one * v for v in row]
-        yield row
-        prev = row
+    ``step(prev, i, width=width)`` returns row i through column
+    min(i, width), reading row i - 1 (``prev``) no further than column
+    min(width, i - 1).  A step that builds each cell from the seed's by
+    ints, +, * and checked division walks every row in the seed's ring:
+    ``decimal.Decimal``, say, for a seed of Decimals."""
+    return itertools.accumulate(itertools.count(start), partial(step, width=width),
+                                initial=list(first))
 
 
-def _a_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
-    row.append(prev[0] * (2 * n - 1) if n else 1)
+def _a_row(prev: list[int], n: int, width: int) -> list[int]:
+    row = [prev[0] * (2 * n - 1)]
     for k in range(1, min(n, width) + 1):
         row.append(row[k - 1] + (2 * n + k - 1) * (prev[k] if k < n else 0))
+    return row
 
 
-def a_rows(width: int, one: object = None) -> Iterator[list[int]]:
+def a_rows(width: int, one: object = 1) -> Iterator[list[int]]:
     """Rows a(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end,
-    walked once, in the ring of ``one`` (see ``walk``): only the previous
-    row is kept."""
-    return walk(_a_row, width, one)
+    walked once from the seed [one], in its ring (see ``walk``): only the
+    previous row is kept."""
+    return walk(_a_row, [one], width)
 
 
-def _b_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
+def _b_row(prev: list[int], n: int, width: int) -> list[int]:
     """Row n of b from row n - 1: the Catalan seed
     b(n, 0) = 2 (2n-1) b(n-1, 0) / (n+1), then
 
@@ -91,27 +84,21 @@ def _b_row(row: list[int], prev: list[int] | None, n: int, width: int) -> None:
     two steps, holds for any conjugate pair of steps whose b stays
     integral: it checks the conjugation, not the tableaux.  The
     main-identity check reads b off the b3 diagonal instead."""
-    row.append(exact_int(2 * (2 * n - 1) * prev[0], n + 1, ("b", n, 0)) if n else 1)
+    row = [exact_int(2 * (2 * n - 1) * prev[0], n + 1, ("b", n, 0))]
     for k in range(1, min(n, width) + 1):
         below = prev[k] if k < n else 0
         rhs = (n - k + 2) * (n - k + 1) * row[k - 1] + 4 * (2 * n + k - 1) * below
         row.append(exact_int(rhs, 2 * (n - k + 1), ("b", n, k)))
+    return row
 
 
-def _b3_layer(
-    layer: list[list[int]],
-    prev: list[list[int]] | None,
-    n: int,
-    width: int,
-    mmax: int | None = None,
-) -> None:
+def _b3_layer(prev: list[list[int]], n: int, width: int,
+              mmax: int | None = None) -> list[list[int]]:
     """Layer n of b3, stored by m: layer[m][k] = b3(n, m, k) for
     m <= min(n, mmax) and k <= min(m, width).  Cell (m, k) reads (m, k-1)
     and (m-1, k) from this layer and (m, k) from layer n - 1, so a row
-    above mmax never feeds one at or below it.  Layer 0 is the seed [[1]]."""
-    if n == 0:
-        layer.append([1])
-        return
+    above mmax never feeds one at or below it."""
+    layer: list[list[int]] = []
     for m in range(n + 1 if mmax is None else min(n, mmax) + 1):
         row: list[int] = []
         layer.append(row)
@@ -120,28 +107,30 @@ def _b3_layer(
             drop_m = layer[m - 1][k] if k < m else 0
             drop_n = prev[m][k] if m < n else 0
             row.append(drop_k + drop_m + drop_n)
+    return layer
 
 
 def b3_layers(width: int, mmax: int | None = None) -> Iterator[list[list[int]]]:
-    """Layers n = 0, 1, 2, ... of b3, without end, as ``_b3_layer`` stores
-    them.  Only the previous layer is kept, and no row above mmax is filled."""
-    return walk(partial(_b3_layer, mmax=mmax), width)
+    """Layers n = 0, 1, 2, ... of b3 from the seed layer [[1]], without end,
+    as ``_b3_layer`` stores them.  Only the previous layer is kept, and no
+    row above mmax is filled."""
+    return walk(partial(_b3_layer, mmax=mmax), [[1]], width)
 
 
-def b_rows(width: int, one: object = None) -> Iterator[list[int]]:
+def b_rows(width: int, one: object = 1) -> Iterator[list[int]]:
     """Rows b(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end,
-    walked once by the two-term recurrence of ``b``, in the ring of ``one``
-    (see ``walk``): only the previous row is kept."""
-    return walk(_b_row, width, one)
+    walked once by the two-term recurrence of ``b`` from the seed [one], in
+    its ring (see ``walk``): only the previous row is kept."""
+    return walk(_b_row, [one], width)
 
 
-def _omega_layer(layer: list[list[int]], prev: list[list[int]] | None, s: int, width: int,
-                 seeds: list[int], nmax: int | None = None) -> None:
+def _omega_layer(prev: list[list[int]], s: int, width: int, seeds: Iterator[list[int]],
+                 nmax: int | None = None) -> list[list[int]]:
     """Layer s = n + m of omega, stored by k: layer[k] lists omega(n, s-n, k)
     for n = 0..min(s, s + 1 - k, nmax), k = 0..min(s + 1, width).  Cell
     (n, m) reads (n-1, m+1) from this layer and (n-2, m+1) from layer s - 1,
-    so each column is one pass down n: column k starts at seeds[k] =
-    omega(0, s, k), and cell n subtracts
+    so each column is one pass down n: column k starts at its seed
+    omega(0, s, k), the next of ``seeds``, and cell n subtracts
 
         (s-n-k+2) left[n-1] + below[n-2]
 
@@ -149,20 +138,24 @@ def _omega_layer(layer: list[list[int]], prev: list[list[int]] | None, s: int, w
     k = 0) and below is column k of layer s - 1 (no term for n = 1).  A
     column of depth 0 holds its seed alone."""
     top_n = s if nmax is None else min(s, nmax)
-    for k in range(min(s + 1, width) + 1):
+    layer: list[list[int]] = []
+    for k, seed in enumerate(next(seeds)):
         depth = min(top_n, s + 1 - k)
         steps = itertools.chain((0,), prev[k][: depth - 1]) if depth else ()
         if k:
             lefts = map(operator.mul, range(s - k + 1, s - k + 1 - depth, -1), layer[k - 1])
             steps = map(operator.add, lefts, steps)
-        layer.append(list(itertools.accumulate(steps, operator.sub, initial=seeds[k])))
+        layer.append(list(itertools.accumulate(steps, operator.sub, initial=seed)))
+    return layer
 
 
 def omega_layers(width: int, nmax: int | None = None) -> Iterator[list[list[int]]]:
     """Layers s = n + m = 0, 1, 2, ... of omega as ``_omega_layer`` stores
-    them; the seeds come from ``closed_forms.omega_init_layers``."""
+    them; the seeds come from ``closed_forms.omega_init_layers``, and layer
+    0 is its seed row, one column of depth 0 for each k <= min(1, width)."""
     seeds = closed_forms.omega_init_layers(width)
-    return walk(lambda *step_args: _omega_layer(*step_args, next(seeds), nmax), width)
+    first = [[seed] for seed in next(seeds)]
+    return walk(partial(_omega_layer, seeds=seeds, nmax=nmax), first, width)
 
 
 def omega_rows(nmax: int, mmax: int, kmax: int) -> Iterator[list[list[int]]]:
@@ -195,19 +188,16 @@ def a_rec(n: int, k: int) -> int:
     return next(itertools.islice(a_rows(k), n, None))[k]
 
 
-def _a_alt_column(col: list[int], prev: list[int] | None, k: int, depth: int) -> None:
-    for n in range(depth + 1):
-        if n < k:
-            col.append(0)
-        elif k == 0:
-            col.append(col[n - 1] * (2 * n - 1) if n else 1)
-        else:
-            v = prev[n]
-            prod = 1
-            for i in range(n - 1, k - 1, -1):
-                prod *= 2 * i + k + 1
-                v += prod * prev[i]
-            col.append(v)
+def _a_alt_column(prev: list[int], k: int, width: int) -> list[int]:
+    col = [0] * k
+    for n in range(k, width + 1):
+        v = prev[n]
+        prod = 1
+        for i in range(n - 1, k - 1, -1):
+            prod *= 2 * i + k + 1
+            v += prod * prev[i]
+        col.append(v)
+    return col
 
 
 def a_alt_columns(depth: int) -> Iterator[list[int]]:
@@ -216,8 +206,10 @@ def a_alt_columns(depth: int) -> Iterator[list[int]]:
 
         a(n, k) = a(n, k-1) + sum_{i=k}^{n-1} (prod_{j=i}^{n-1} (2j+k+1)) a(i, k-1),
 
-    walked once: only the previous column is kept."""
-    return itertools.islice(walk(_a_alt_column, depth), depth + 1)
+    from the seed column a(n, 0) = (2n-1)!!, walked once: only the previous
+    column is kept."""
+    first = list(itertools.accumulate(range(1, 2 * depth, 2), operator.mul, initial=1))
+    return itertools.islice(walk(_a_alt_column, first, depth), depth + 1)
 
 
 def b3(n: int, m: int, k: int) -> int:

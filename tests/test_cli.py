@@ -13,6 +13,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import typing
 from pathlib import Path
@@ -381,9 +382,9 @@ def _stepped_rows_of_a(monkeypatch):
     # the n of every row of a that a walk steps, in order
     step, stepped = wall_tables._a_row, []
 
-    def counting_row(row, prev, n, width):
+    def counting_row(prev, n, width):
         stepped.append(n)
-        step(row, prev, n, width)
+        return step(prev, n, width)
 
     monkeypatch.setattr(wall_tables, "_a_row", counting_row)
     return stepped
@@ -394,7 +395,7 @@ def test_tc_table_stores_no_row_of_a(monkeypatch):
     # once, never again for a cell read
     stepped = _stepped_rows_of_a(monkeypatch)
     assert run_cli("table", "--seq", "tc", "--nmax", "50", "--k", "2")[0] == 0
-    assert stepped == list(range(50))
+    assert stepped == list(range(1, 50))
 
 
 class _Sink:
@@ -744,7 +745,7 @@ def test_crosscheck_walks_no_row_past_the_largest_index_compared(monkeypatch, bo
     assert run_cli("crosscheck", "--map", "a-diag", *bound) == (
         0, f"A213863 <-> a-diag: n=0..{last} agree ({last + 1} terms, offset 0)\n"
     )
-    assert stepped == list(range(last + 1))
+    assert stepped == list(range(1, last + 1))
 
 
 def test_crosscheck_walks_no_row_past_the_first_mismatch(monkeypatch):
@@ -756,7 +757,7 @@ def test_crosscheck_walks_no_row_past_the_first_mismatch(monkeypatch):
     assert run_cli("crosscheck", "--map", "a-diag") == (
         1, "A213863 <-> a-diag: mismatch at n=3: ours=106 oeis=107\n"
     )
-    assert stepped == list(range(4))
+    assert stepped == list(range(1, 4))
 
 
 @pytest.mark.parametrize("map_name", sorted(cli.OEIS_MAPS))
@@ -889,6 +890,10 @@ def _argparse_parser() -> argparse.ArgumentParser:
 # a valid value of each kind of flag, for the parity corpus
 _SAMPLE = {"--check": "a-alt", "--map": "b-k0", "--oeis": "A000108"}
 
+# --o is a prefix of both --oeis and --offline: argparse fails on it before -h
+_AMBIGUOUS = [["crosscheck", "--map", "b-k0", "--o"], ["crosscheck", "-h", "--o"],
+              ["crosscheck", "--o=x", "-h"]]
+
 
 def _valid_argv(command):
     """The command with each required flag given a valid value."""
@@ -962,9 +967,7 @@ def _parity_corpus():
         yield [*base, "--=x"]
         yield [*base, "--bogus=-h"]
         yield [*base, "-1"]
-    yield ["crosscheck", "--map", "b-k0", "--o"]
-    yield ["crosscheck", "-h", "--o"]
-    yield ["crosscheck", "--o=x", "-h"]
+    yield from _AMBIGUOUS
 
 
 def _outcome(parse, argv):
@@ -985,6 +988,26 @@ def test_flag_reader_agrees_with_argparse():
     assert len(corpus) > 500
     for argv in corpus:
         assert _outcome(cli._parse, argv) == _outcome(reference, argv), argv
+
+
+def _usage_error(parse, argv):
+    """(exit code, stderr lines) of a parse that exits."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, err.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("argv", _AMBIGUOUS, ids=" ".join)
+def test_ambiguous_flag_prints_the_usage_of_its_command(argv):
+    # the error is the subparser's: its usage, then argparse's own line
+    code, lines = _usage_error(cli._parse, argv)
+    ref_code, ref_lines = _usage_error(_argparse_parser().parse_args, argv)
+    assert (code, len(lines)) == (ref_code, 2) == (2, 2)
+    assert lines[0].startswith("usage: walls crosscheck [-h] ")
+    assert lines[1] == ref_lines[-1]
+    assert lines[1].startswith("walls crosscheck: error: ambiguous option: --o")
 
 
 def _move_cached_weight(monkeypatch, rows, row, entry):
@@ -1120,11 +1143,11 @@ def test_moved_b3_cell_fails_the_checks_of_the_b3_diagonal(argv, text, monkeypat
     # so the checks of the diagonal must read b3, not b
     step = wall_tables._b3_layer
 
-    def moved(layer, prev, n, width, mmax=None):
-        had = len(layer) > 3
-        step(layer, prev, n, width, mmax)
-        if n == 3 and not had and len(layer) > 3:
+    def moved(prev, n, width, mmax=None):
+        layer = step(prev, n, width, mmax)
+        if n == 3 and len(layer) > 3:
             layer[3][0] += 1
+        return layer
 
     monkeypatch.setattr(wall_tables, "_b3_layer", moved)
     assert run_cli(*argv) == (1, text)
@@ -1174,10 +1197,11 @@ def test_moved_tc_row_cell_fails_tc_routes(module, step, row_n, monkeypatch):
     # step of one route appends it
     original = getattr(module, step)
 
-    def moved(row, prev, n, width):
-        original(row, prev, n, width)
+    def moved(prev, n, width):
+        row = original(prev, n, width)
         if n == row_n and len(row) > 3:
             row[3] += 1
+        return row
 
     monkeypatch.setattr(module, step, moved)
     assert run_cli("verify", "--check", "tc-routes") == (1, "tc-routes: FAIL (fails at (6, 3))\n")
@@ -1194,7 +1218,7 @@ def test_tc_routes_steps_each_row_of_a_once(monkeypatch):
     # tc(n, .) reads row n - 1 of one walk of a, as the tc table does
     stepped = _stepped_rows_of_a(monkeypatch)
     assert run_cli("verify", "--check", "tc-routes", "--nmax", "30")[0] == 0
-    assert stepped == list(range(30))
+    assert stepped == list(range(1, 30))
 
 
 def test_unintegral_tc_rec_cell_names_its_route(monkeypatch, capsys):
@@ -1202,8 +1226,8 @@ def test_unintegral_tc_rec_cell_names_its_route(monkeypatch, capsys):
     # 6 - 2 divides moves by 6 (2 * 6 + 2 - 3) = 66, not a multiple of 4
     original = tree_child._tc_rec_row
 
-    def moved(row, prev, n, width):
-        original(row, [*prev[:2], prev[2] + 1, *prev[3:]] if n == 6 else prev, n, width)
+    def moved(prev, n, width):
+        return original([*prev[:2], prev[2] + 1, *prev[3:]] if n == 6 else prev, n, width)
 
     monkeypatch.setattr(tree_child, "_tc_rec_row", moved)
     assert run_cli("verify", "--check", "tc-routes") == (
@@ -1254,10 +1278,11 @@ def test_moved_b_cell_fails_the_checks_of_b(check, monkeypatch):
     # b(3, 3) moved when the two-term step appends it; no later row is read
     step = wall_tables._b_row
 
-    def moved(row, prev, n, width):
-        step(row, prev, n, width)
+    def moved(prev, n, width):
+        row = step(prev, n, width)
         if n == 3 and len(row) > 3:
             row[3] += 1
+        return row
 
     monkeypatch.setattr(wall_tables, "_b_row", moved)
     assert run_cli("verify", "--check", check) == (1, f"{check}: FAIL (fails at (3, 3))\n")
@@ -1267,17 +1292,19 @@ def test_conjugate_pair_of_recurrences_fails_main_identity(monkeypatch):
     # a(n,k) = 2 a(n,k-1) + (2n+k-1) a(n-1,k) and the step of b conjugate to
     # it: the identity holds between the two wrong tables, so main-identity
     # must read b off the b3 diagonal to see the change
-    def a_row(row, prev, n, width):
-        row.append(prev[0] * (2 * n - 1) if n else 1)
+    def a_row(prev, n, width):
+        row = [prev[0] * (2 * n - 1)]
         for k in range(1, min(n, width) + 1):
             row.append(2 * row[k - 1] + (2 * n + k - 1) * (prev[k] if k < n else 0))
+        return row
 
-    def b_row(row, prev, n, width):
-        row.append(exact_int(2 * (2 * n - 1) * prev[0], n + 1) if n else 1)
+    def b_row(prev, n, width):
+        row = [exact_int(2 * (2 * n - 1) * prev[0], n + 1)]
         for k in range(1, min(n, width) + 1):
             below = prev[k] if k < n else 0
             rhs = 2 * (n - k + 2) * (n - k + 1) * row[k - 1] + 4 * (2 * n + k - 1) * below
             row.append(exact_int(rhs, 2 * (n - k + 1)))
+        return row
 
     monkeypatch.setattr(wall_tables, "_a_row", a_row)
     monkeypatch.setattr(wall_tables, "_b_row", b_row)
@@ -1519,10 +1546,10 @@ def test_help_goes_to_the_stream_main_was_given(argv, capsys):
 _B_ROW = wall_tables._b_row
 
 
-def broken_b_row(row, prev, n, width):
+def broken_b_row(prev, n, width):
     """Row 4 of b stepped from a row 3 whose Catalan seed is one too large, so
     the seed 2 (2n-1) b(n-1, 0) / (n+1) = 84 / 5 does not divide."""
-    _B_ROW(row, [prev[0] + 1, *prev[1:]] if n == 4 else prev, n, width)
+    return _B_ROW([prev[0] + 1, *prev[1:]] if n == 4 else prev, n, width)
 
 
 def test_not_integral_maps_to_exit_1(monkeypatch, capsys):
@@ -1577,10 +1604,11 @@ def test_decimal_signal_maps_to_exit_1(broken, signal, monkeypatch, capsys):
     # raises; no digit of it is printed
     step = wall_tables._a_row
 
-    def moved(row, prev, n, width):
-        step(row, prev, n, width)
+    def moved(prev, n, width):
+        row = step(prev, n, width)
         if n == 3:
             row[-1] = broken(row[-1])
+        return row
 
     monkeypatch.setattr(wall_tables, "_a_row", moved)
     want = (1, grid_csv({n: TABLE_A[n] for n in range(3)}),
@@ -1730,3 +1758,19 @@ def test_benchmark_checker_selftest_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 failure(s)" in proc.stdout
+
+
+def test_traced_launcher_runs_every_check(tmp_path):
+    # the benchmark's tracer wraps every public function of each layer and
+    # keys the calls into wall_tables by their arguments: a call from another
+    # layer that passes a list would fail every traced verify request
+    root = SRC.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(tmp_path / "trace.json"),
+         str(time.monotonic_ns()), "verify", "--check", "all"],
+        capture_output=True, text=True, cwd=root, env=_python_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("PASS") == 26 and "FAIL" not in proc.stdout
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert trace["calls"]["tree_child"] > 0 and trace["calls"]["wall_tables"] > 0

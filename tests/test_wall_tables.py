@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import os
 import subprocess
@@ -148,20 +149,21 @@ def test_b_reads_the_b3_diagonal_in_any_request_order(requests):
 
 
 def test_deep_narrow_b_read_after_a_wide_triangle_walks_narrow():
-    # the triangle leaves no row behind; b(400, 2) must fill rows 0..400 to
-    # column 2 only, each once
+    # the triangle leaves no row behind; b(400, 2) must step rows 1..400 to
+    # column 2 only, each once (row 0 is the seed, not a step)
     for n in range(41):
         for k in range(n + 1):
             assert wt.b(n, k) == _B_REF[n][k]
     step, appended = wt._b_row, []
 
-    def counting_row(row, *args):
-        step(row, *args)
+    def counting_row(prev, n, width):
+        row = step(prev, n, width)
         appended.append(len(row))
+        return row
 
     with mock.patch.object(wt, "_b_row", counting_row):
         wt.b(400, 2)
-    assert sum(appended) == 3 * 401 - 3  # rows 0 and 1 end before column 2
+    assert sum(appended) == 3 * 400 - 1  # row 1 ends before column 2
 
 
 def test_b_triangle_never_holds_the_b3_simplex():
@@ -194,6 +196,43 @@ def test_omega_block_matches_omega(nmax, mmax, kmax):
         [[wt.omega(n, m, k) for k in range(min(m + 1, kmax) + 1)] for m in range(mmax + 1)]
         for n in range(nmax + 1)
     ]
+
+
+# stream(7), the module and name of its step, its seed row and the first
+# index it steps
+_SEEDED_STREAMS = [
+    (wt.a_rows, wt, "_a_row", [1], 1),
+    (wt.b_rows, wt, "_b_row", [1], 1),
+    (wt.b3_layers, wt, "_b3_layer", [[1]], 1),
+    (wt.omega_layers, wt, "_omega_layer", [[1], [0]], 1),  # omega(0, 0, k) for k <= 1
+    (wt.a_alt_columns, wt, "_a_alt_column", [double_factorial(2 * n - 1) for n in range(8)], 1),
+    (tree_child.tc_rec_rows, tree_child, "_tc_rec_row", [1], 2),
+]
+
+
+def test_the_seed_is_the_first_row_and_no_step(monkeypatch):
+    # row 0 of each stream is its seed, read without a step; N rows step
+    # i = start..start + N - 2, each once
+    for stream, module, name, seed, start in _SEEDED_STREAMS:
+        step, stepped = getattr(module, name), []
+
+        def counting(prev, i, width, step=step, stepped=stepped, **kwargs):
+            stepped.append(i)
+            return step(prev, i, width, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, counting)
+            assert (next(stream(7)), stepped) == (seed, []), name
+            assert len(list(itertools.islice(stream(7), 8))) == 8
+            assert stepped == list(range(start, start + 7)), name
+    # a seed of Decimals walks every row of a and b in Decimal, row 0 included
+    exact = decimal.Context(prec=decimal.MAX_PREC, traps=[decimal.Inexact, decimal.Rounded])
+    with decimal.localcontext(exact):
+        for rows, width in itertools.product((wt.a_rows, wt.b_rows), (0, 3, 40)):
+            pairs = zip(range(41), rows(width, decimal.Decimal(1)), rows(width))
+            for n, row, ints in pairs:
+                assert all(type(v) is decimal.Decimal for v in row), (rows, width, n)
+                assert row == ints, (rows, width, n)
 
 
 def test_omega_walk_holds_about_two_layers():
