@@ -23,6 +23,7 @@ from .wall_tables import (
     omega,
     omega_layers,
     omega_rows,
+    tc_rec_rows,
 )
 from .closed_forms import (
     IntRow,
@@ -80,7 +81,6 @@ from .tree_child import (
     tc_asym_rel_error,
     tc_closed,
     tc_from_a,
-    tc_rec_rows,
 )
 
 __version__ = "0.1.0"

@@ -148,7 +148,7 @@ def _kernel_residual(kmax: int, order: int) -> Iterator[tuple[tuple[int, int], b
 
 
 def _bk_rect(kmax: int, order: int) -> Iterator[tuple[tuple[int, int], bool]]:
-    bk = series_engine.bk_from_table(kmax, order, order)
+    bk = series_engine.bk_from_table(kmax, order)
     for k, (_f, _d, b) in _walk(kmax, order):
         yield (k, order), tuple(r[: order + 1] for r in b[: order + 1]) == bk[k]
 
@@ -280,7 +280,7 @@ CHECKS: dict[str, Check] = {
         "n <= {nmax}, two routes, one recurrence",
         lambda nmax: (((n, k), tree_child.tc_from_a(n, k, a[k]) == rec[k])
                       for n, a, rec in zip(range(1, nmax + 1), wall_tables.a_rows(nmax),
-                                           tree_child.tc_rec_rows(nmax))
+                                           wall_tables.tc_rec_rows(nmax))
                       for k in range(n)),
     ),
     "tc-dfact": Check(

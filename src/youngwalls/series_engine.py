@@ -113,13 +113,14 @@ def dk_from_table(k: int, order: int) -> Series:
     return tuple(row[k] if k < len(row) else 0 for row in rows)
 
 
-def bk_from_table(kmax: int, x_order: int, t_order: int) -> tuple[Rows, ...]:
-    """B_0..B_kmax(x, t), entry (j, m) of B_k = b3(m + j, m, k), off one walk."""
+def bk_from_table(kmax: int, order: int) -> tuple[Rows, ...]:
+    """B_0..B_kmax(x, t) to order ``order`` in x and in t, entry (j, m) of
+    B_k = b3(m + j, m, k), off one walk."""
     if kmax < 0:
         raise ValueError(f"need k >= 0, got {kmax}")
-    cells = [[[0] * (t_order + 1) for _ in range(x_order + 1)] for _ in range(kmax + 1)]
-    for n, layer in zip(range(x_order + t_order + 1), wall_tables.b3_layers(kmax, t_order)):
-        for m in range(max(0, n - x_order), min(n, t_order) + 1):
+    cells = [[[0] * (order + 1) for _ in range(order + 1)] for _ in range(kmax + 1)]
+    for n, layer in zip(range(2 * order + 1), wall_tables.b3_layers(kmax, order)):
+        for m in range(max(0, n - order), min(n, order) + 1):
             for k, v in enumerate(layer[m]):
                 cells[k][n - m][m] = v
     return tuple(tuple(map(tuple, b_k)) for b_k in cells)

@@ -1,14 +1,13 @@
 """Counts of tree-child networks with n leaves and k reticulations, tied to
 the wall-tableau tables by tc(n, k) = n!/(n-k)! * a(n-1, k).
 
-Three exact routes are kept, plus a float asymptotic evaluated in log space
+Two exact formulas are kept, plus a float asymptotic evaluated in log space
 (the counts overflow doubles long before the interesting range ends).
 ``tc_from_a`` is the normative formula in one cell of a; the normative
 ``tc`` applies it to a point read of a(n-1, k) that walks to it.
-``tc_rec_rows`` streams tc's own two-term recurrence off
-``wall_tables.walk``, keeping one row.  ``tc_closed`` is ``tc_from_a(n, k,
-a_closed(n-1, k))``, which Pons and Batle's delta formula equals term by
-term.
+``tc_closed`` is ``tc_from_a(n, k, a_closed(n-1, k))``, which Pons and
+Batle's delta formula equals term by term.  tc's own two-term recurrence
+is a table, so ``wall_tables.tc_rec_rows`` steps it.
 
 `tc-routes` compares ``tc_from_a`` on the rows of a with ``tc_rec_rows``:
 two routes, one recurrence, for tc_rec_rows' recurrence is that of a's rows
@@ -18,10 +17,9 @@ under the formula.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 from . import closed_forms, wall_tables
-from .exact_arith import binomial, exact_int
+from .exact_arith import binomial
 
 
 def _check_domain(n: int, k: int) -> None:
@@ -38,27 +36,6 @@ def tc(n: int, k: int) -> int:
 def tc_from_a(n: int, k: int, a: int) -> int:
     """The normative formula n!/(n-k)! * a, given a = a(n-1, k)."""
     return math.perm(n, k) * a
-
-
-def _tc_rec_row(prev: list[int], n: int, width: int) -> list[int]:
-    row: list[int] = []
-    for k in range(min(n - 1, width) + 1):
-        left = row[k - 1] if k else 0
-        below = prev[k] if k < n - 1 else 0
-        rhs = (n + 1 - k) * (n - k) * left + n * (2 * n + k - 3) * below
-        row.append(exact_int(rhs, n - k, ("tc_rec_rows", n, k)))
-    return row
-
-
-def tc_rec_rows(width: int) -> Iterator[list[int]]:
-    """Rows tc(n, 0..min(n - 1, width)) for n = 1, 2, 3, ..., without end,
-    walked once (one row kept) by the self-contained two-term recurrence
-
-        (n-k) tc(n, k) = (n+1-k)(n-k) tc(n, k-1) + n (2n+k-3) tc(n-1, k)
-
-    from the seed row tc(1, 0) = 1, with tc(i, -1) = tc(i, i) = 0; each
-    division checked."""
-    return wall_tables.walk(_tc_rec_row, (1,), width, start=2)
 
 
 def tc_closed(n: int, k: int) -> int:

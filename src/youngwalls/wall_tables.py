@@ -1,6 +1,6 @@
 """Row-by-row recurrence tables for the wall-tableau counting sequences.
 
-Four sequences live here:
+Five sequences live here:
 
 * ``a(n, k)`` counts fillings of the three-row shape (n, n, k) whose bottom
   row carries walls between every pair of adjacent cells,
@@ -10,13 +10,15 @@ Four sequences live here:
 * ``b(n, k) = b3(n, n, k)`` is its diagonal,
 * ``omega(n, m, k)`` is a companion table, seeded by the gamma sums of
   ``closed_forms.omega_init_layers`` (integers whose divisibility is
-  checked, not assumed), whose value at (n, m, k) equals b3(n + m, m, k).
+  checked, not assumed), whose value at (n, m, k) equals b3(n + m, m, k),
+* ``tc(n, k)``, the tree-child counts, by their own two-term recurrence;
+  ``tree_child`` keeps their formulas.
 
 Every table is a list of rows of ints, row i built from row i - 1, with
-no recursion, and is read one way: by a walk up its rows on ``walk``,
+no recursion, and is read one way: by a walk up its rows on ``_walk``,
 which keeps row i - 1 only until row i is built.  The streams are
-``a_rows``, ``b_rows``, ``a_alt_columns``, ``b3_layers`` and
-``omega_layers`` (``omega_rows`` reads it).  A reader of a range walks
+``a_rows``, ``b_rows``, ``tc_rec_rows``, ``a_alt_columns``, ``b3_layers``
+and ``omega_layers`` (``omega_rows`` reads it).  A reader of a range walks
 once; a point read (``a_rec``, ``b``, ``b3``, ``omega``) walks to its cell
 and keeps nothing.
 The rows of ``b`` come from its own two-term recurrence, O(w) cells per
@@ -32,19 +34,17 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import deque
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from functools import partial
 
 from . import closed_forms
 from .exact_arith import exact_int, factorial
 
 
-def walk(step: Callable[..., list], first: Sequence, width: int, start: int = 1) -> Iterator[list]:
-    """Row ``start - 1``, the seed ``first`` as a list, then rows start,
-    start + 1, ... of a one-step recurrence, in order, without end.  The
-    walk keeps row i - 1 until row i is built, so it holds two rows at its
-    peak.  A caller outside this module passes its seed as a tuple, so that
-    a call's arguments stay hashable for a profiler that keys calls by them.
+def _walk(step: Callable[..., list], first: list, width: int, start: int = 1) -> Iterator[list]:
+    """Row ``start - 1``, the seed ``first``, then rows start, start + 1,
+    ... of a one-step recurrence, in order, without end.  The walk keeps
+    row i - 1 until row i is built, so it holds two rows at its peak.
 
     ``step(prev, i, width=width)`` returns row i through column
     min(i, width), reading row i - 1 (``prev``) no further than column
@@ -52,7 +52,7 @@ def walk(step: Callable[..., list], first: Sequence, width: int, start: int = 1)
     ints, +, * and checked division walks every row in the seed's ring:
     ``decimal.Decimal``, say, for a seed of Decimals."""
     return itertools.accumulate(itertools.count(start), partial(step, width=width),
-                                initial=list(first))
+                                initial=first)
 
 
 def _a_row(prev: list[int], n: int, width: int) -> list[int]:
@@ -64,9 +64,9 @@ def _a_row(prev: list[int], n: int, width: int) -> list[int]:
 
 def a_rows(width: int, one: object = 1) -> Iterator[list[int]]:
     """Rows a(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end,
-    walked once from the seed [one], in its ring (see ``walk``): only the
+    walked once from the seed [one], in its ring (see ``_walk``): only the
     previous row is kept."""
-    return walk(_a_row, [one], width)
+    return _walk(_a_row, [one], width)
 
 
 def _b_row(prev: list[int], n: int, width: int) -> list[int]:
@@ -114,14 +114,35 @@ def b3_layers(width: int, mmax: int | None = None) -> Iterator[list[list[int]]]:
     """Layers n = 0, 1, 2, ... of b3 from the seed layer [[1]], without end,
     as ``_b3_layer`` stores them.  Only the previous layer is kept, and no
     row above mmax is filled."""
-    return walk(partial(_b3_layer, mmax=mmax), [[1]], width)
+    return _walk(partial(_b3_layer, mmax=mmax), [[1]], width)
 
 
 def b_rows(width: int, one: object = 1) -> Iterator[list[int]]:
     """Rows b(n, 0..min(n, width)) for n = 0, 1, 2, ..., without end,
     walked once by the two-term recurrence of ``b`` from the seed [one], in
-    its ring (see ``walk``): only the previous row is kept."""
-    return walk(_b_row, [one], width)
+    its ring (see ``_walk``): only the previous row is kept."""
+    return _walk(_b_row, [one], width)
+
+
+def _tc_rec_row(prev: list[int], n: int, width: int) -> list[int]:
+    row: list[int] = []
+    for k in range(min(n - 1, width) + 1):
+        left = row[k - 1] if k else 0
+        below = prev[k] if k < n - 1 else 0
+        rhs = (n + 1 - k) * (n - k) * left + n * (2 * n + k - 3) * below
+        row.append(exact_int(rhs, n - k, ("tc_rec_rows", n, k)))
+    return row
+
+
+def tc_rec_rows(width: int) -> Iterator[list[int]]:
+    """Rows tc(n, 0..min(n - 1, width)) for n = 1, 2, 3, ..., without end,
+    walked once (one row kept) by the self-contained two-term recurrence
+
+        (n-k) tc(n, k) = (n+1-k)(n-k) tc(n, k-1) + n (2n+k-3) tc(n-1, k)
+
+    from the seed row tc(1, 0) = 1, with tc(i, -1) = tc(i, i) = 0; each
+    division checked."""
+    return _walk(_tc_rec_row, [1], width, start=2)
 
 
 def _omega_layer(prev: list[list[int]], s: int, width: int, seeds: Iterator[list[int]],
@@ -155,7 +176,7 @@ def omega_layers(width: int, nmax: int | None = None) -> Iterator[list[list[int]
     0 is its seed row, one column of depth 0 for each k <= min(1, width)."""
     seeds = closed_forms.omega_init_layers(width)
     first = [[seed] for seed in next(seeds)]
-    return walk(partial(_omega_layer, seeds=seeds, nmax=nmax), first, width)
+    return _walk(partial(_omega_layer, seeds=seeds, nmax=nmax), first, width)
 
 
 def omega_rows(nmax: int, mmax: int, kmax: int) -> Iterator[list[list[int]]]:
@@ -209,7 +230,7 @@ def a_alt_columns(depth: int) -> Iterator[list[int]]:
     from the seed column a(n, 0) = (2n-1)!!, walked once: only the previous
     column is kept."""
     first = list(itertools.accumulate(range(1, 2 * depth, 2), operator.mul, initial=1))
-    return itertools.islice(walk(_a_alt_column, first, depth), depth + 1)
+    return itertools.islice(_walk(_a_alt_column, first, depth), depth + 1)
 
 
 def b3(n: int, m: int, k: int) -> int:

@@ -150,7 +150,7 @@ def test_criterion_08_extension_family_machinery():
 
 def test_criterion_09_tree_child_route_agreement():
     # rows n = 1..15 of the self-contained route, off one walk
-    rec = list(itertools.islice(tree_child.tc_rec_rows(14), 15))
+    rec = list(itertools.islice(wall_tables.tc_rec_rows(14), 15))
     for n in range(1, 16):
         for k in range(n):
             want = tree_child.tc(n, k)

@@ -610,8 +610,8 @@ def test_kernel_check_failure_names_the_level(monkeypatch):
     # the table's level 3 replaced by its level 4
     bk_from_table = checks.series_engine.bk_from_table
 
-    def moved(kmax, x, t):
-        levels = bk_from_table(kmax, x, t)
+    def moved(kmax, order):
+        levels = bk_from_table(kmax, order)
         return (*levels[:3], levels[4], *levels[4:])
 
     monkeypatch.setattr(checks.series_engine, "bk_from_table", moved)
@@ -1182,14 +1182,14 @@ def test_reads_of_every_table_and_route_leave_no_module_state():
     assert u_literal(9, 4) == u[9][4]
     assert pl.b_monster(9, 4, b) == pl.b_monster(9, 4, b[:9]) == b[9][4]
     assert binomial(22, 9) * pl.f_closed(9, 4) - pl.r_sum(9, 4, u) == b[9][4]
-    rec = next(itertools.islice(tc.tc_rec_rows(4), 8, None))
+    rec = next(itertools.islice(wt.tc_rec_rows(4), 8, None))
     assert rec[4] == tc.tc(9, 4) == tc.tc_closed(9, 4) == tc.tc_from_a(9, 4, a[8][4])
     assert _module_values(*modules) == before
 
 
 @pytest.mark.parametrize(
     "module, step, row_n",
-    [(tree_child, "_tc_rec_row", 6), (wall_tables, "_a_row", 5)],
+    [(wall_tables, "_tc_rec_row", 6), (wall_tables, "_a_row", 5)],
     ids=["_tc_rec_row", "_a_row"],
 )
 def test_moved_tc_row_cell_fails_tc_routes(module, step, row_n, monkeypatch):
@@ -1224,12 +1224,12 @@ def test_tc_routes_steps_each_row_of_a_once(monkeypatch):
 def test_unintegral_tc_rec_cell_names_its_route(monkeypatch, capsys):
     # tc(5, 2) moved by 1 as the step of tc(6, .) reads it: the sum that
     # 6 - 2 divides moves by 6 (2 * 6 + 2 - 3) = 66, not a multiple of 4
-    original = tree_child._tc_rec_row
+    original = wall_tables._tc_rec_row
 
     def moved(prev, n, width):
         return original([*prev[:2], prev[2] + 1, *prev[3:]] if n == 6 else prev, n, width)
 
-    monkeypatch.setattr(tree_child, "_tc_rec_row", moved)
+    monkeypatch.setattr(wall_tables, "_tc_rec_row", moved)
     assert run_cli("verify", "--check", "tc-routes") == (
         1, "tc-routes: FAIL (value at ('tc_rec_rows', 6, 2) is not an integer)\n")
     assert capsys.readouterr().err == ""
@@ -1774,3 +1774,39 @@ def test_traced_launcher_runs_every_check(tmp_path):
     assert proc.stdout.count("PASS") == 26 and "FAIL" not in proc.stdout
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert trace["calls"]["tree_child"] > 0 and trace["calls"]["wall_tables"] > 0
+
+
+_TRACED_PASS = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer, workloads
+import youngwalls
+from youngwalls import cli
+corpus = [argv for name in ("tables", "series", "verify") for argv in workloads.build(name, 1)]
+def run_all():
+    runs = []
+    for argv in corpus:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv, out)
+        runs.append((code, out.getvalue(), err.getvalue()))
+    return runs
+untraced = run_all()
+modules = {layer: sys.modules["youngwalls." + layer] for layer in tracer.LAYERS}
+tracer.Tracer().install(youngwalls, modules)
+differ = [argv for argv, plain, traced in zip(corpus, untraced, run_all()) if plain != traced]
+print(json.dumps({"argvs": len(corpus), "differ": differ}))
+"""
+
+
+def test_traced_pass_of_every_workload_answers_as_untraced():
+    # every request of one benchmark pass, run through cli.main and run again
+    # with the benchmark's tracer installed: a route that passes another
+    # layer an argument the tracer cannot key, or that the wrappers change,
+    # breaks a traced request that no untraced test reaches
+    root = SRC.parent
+    proc = subprocess.run([sys.executable, "-B", "-c", _TRACED_PASS, str(root / "perfbench")],
+                          capture_output=True, text=True, env=_python_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["argvs"] > 0 and result["differ"] == []

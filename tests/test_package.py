@@ -67,8 +67,6 @@ def test_no_module_reads_a_private_name_of_another_module():
 NOT_REEXPORTED = {
     "cli": "the command line front end: its names serve the walls script",
     "checks": "the verify registry, loaded by verify alone",
-    "wall_tables.walk": "the row walk that the table modules build their streams on; "
-                        "tables are walked through their streams",
 }
 
 

@@ -135,7 +135,7 @@ def test_kernel_chain_stays_in_integers():
 
 
 def test_fk_next_entrywise_rule():
-    b0 = se.bk_from_table(0, 4, 4)[0]
+    b0 = se.bk_from_table(0, 4)[0]
     f1 = se.fk_next(b0, 1)
     for j in range(5):
         for n in range(5):
@@ -150,13 +150,13 @@ def test_bk_solve_checks_divisibility():
 
 
 def test_bk_from_table_rows():
-    levels = se.bk_from_table(2, 3, 5)
+    levels = se.bk_from_table(2, 5)
     b1 = levels[1]
-    assert len(levels) == 3 and len(b1) == 4 and {len(row) for row in b1} == {6}
+    assert len(levels) == 3 and len(b1) == 6 and {len(row) for row in b1} == {6}
     assert b1[0] == (0, 1, 7, 38, 187, 874)
     assert all(
         b_k[j][m] == se.wall_tables.b3(m + j, m, k)
-        for k, b_k in enumerate(levels) for j in range(4) for m in range(6)
+        for k, b_k in enumerate(levels) for j in range(6) for m in range(6)
     )
 
 
@@ -203,7 +203,7 @@ def test_subs_x2_reads_slice_j_to_t_order_n_minus_j(rows):
 @given(st.integers(min_value=0, max_value=14))
 def test_kernel_levels_exact_on_triangle(order):
     # slice j of B_k is exact to t-order W - j; D_k is slice 0
-    tables = se.bk_from_table(6, order, order)
+    tables = se.bk_from_table(6, order)
     for k, (_, d, b), table in zip(range(7), se.kernel_levels(order), tables):
         assert d == se.dk_from_table(k, order)
         for j in range(order + 1):
@@ -214,7 +214,7 @@ def test_kernel_levels_store_only_exact_entries():
     # slice j of B_k, and of F_k for k >= 1, holds t-orders 0..W - j, each
     # equal to the table: B_k[j][n] = b3(j + n, n, k), F_k = (n + 1 - k) B_{k-1}
     for order in range(13):
-        tables = se.bk_from_table(5, order, order)
+        tables = se.bk_from_table(5, order)
         triangle = [order - j + 1 for j in range(order + 1)]
         for k, (f, _, b) in zip(range(6), se.kernel_levels(order)):
             assert [len(row) for row in b] == triangle, (order, k)

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from youngwalls import tree_child as tcn
+from youngwalls import tree_child as tcn, wall_tables
 from youngwalls.exact_arith import double_factorial
 
 from conftest import TC_SPOT
@@ -36,7 +36,7 @@ def test_spot_values():
 
 def test_self_contained_routes_deep_column():
     # depth 1500 raised RecursionError when the routes recursed
-    assert _cell(tcn.tc_rec_rows, 1500, 2) == tcn.tc(1500, 2)
+    assert _cell(wall_tables.tc_rec_rows, 1500, 2) == tcn.tc(1500, 2)
 
 
 def test_closed_route_far_rows():
@@ -56,15 +56,15 @@ def test_closed_route_at_domain_edges(n):
 @settings(max_examples=30)
 @given(st.integers(min_value=1, max_value=60))
 def test_rec_route_at_domain_edges(n):
-    assert _cell(tcn.tc_rec_rows, n, 0) == double_factorial(2 * n - 3)
-    assert _cell(tcn.tc_rec_rows, n, n - 1) == tcn.tc(n, n - 1)
+    assert _cell(wall_tables.tc_rec_rows, n, 0) == double_factorial(2 * n - 3)
+    assert _cell(wall_tables.tc_rec_rows, n, n - 1) == tcn.tc(n, n - 1)
 
 
 @settings(max_examples=40)
 @given(st.integers(min_value=1, max_value=25), st.data())
 def test_rec_route_matches_normative(n, data):
     k = data.draw(st.integers(min_value=0, max_value=n - 1))
-    assert _cell(tcn.tc_rec_rows, n, k) == tcn.tc(n, k)
+    assert _cell(wall_tables.tc_rec_rows, n, k) == tcn.tc(n, k)
 
 
 def test_asym_log_is_finite_where_exp_overflows():

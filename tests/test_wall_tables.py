@@ -92,7 +92,7 @@ def test_omega_seed_and_guards():
         (wt.a_rows, wt.a_rec, 0),
         (wt.b_rows, wt.b, 0),
         (poset_lab.u_rows, u_literal, 0),
-        (tree_child.tc_rec_rows, tree_child.tc, 1),
+        (wt.tc_rec_rows, tree_child.tc, 1),
     ],
     ids=["a", "b", "u", "tc_rec"],
 )
@@ -206,7 +206,7 @@ _SEEDED_STREAMS = [
     (wt.b3_layers, wt, "_b3_layer", [[1]], 1),
     (wt.omega_layers, wt, "_omega_layer", [[1], [0]], 1),  # omega(0, 0, k) for k <= 1
     (wt.a_alt_columns, wt, "_a_alt_column", [double_factorial(2 * n - 1) for n in range(8)], 1),
-    (tree_child.tc_rec_rows, tree_child, "_tc_rec_row", [1], 2),
+    (wt.tc_rec_rows, wt, "_tc_rec_row", [1], 2),
 ]
 
 
