@@ -38,18 +38,15 @@ from .series_engine import (
     Rows,
     Series,
     bk_from_table,
-    bk_solve,
     catalan_series,
     dk_closed,
     dk_from_table,
     dk_kernel,
-    fk_next,
     kernel_levels,
     kernel_residual,
     neg_half_pow_series,
     series_mul,
     shift_up,
-    subs_x2,
     x2_series,
 )
 from .poset_lab import (

@@ -68,7 +68,7 @@ def _omega_block(nmax: int, mmax: int, kmax: int) -> Callable[[int, int, int], i
     return lambda n, m, k: rows[n][m][k] if n >= 0 and 0 <= k <= m + 1 else 0
 
 
-def _walk(kmax: int, order: int, scale: int = 2) -> Iterator[tuple[int, tuple]]:
+def _levels(kmax: int, order: int, scale: int = 2) -> Iterator[tuple[int, tuple]]:
     """(k, (F_k, D_k, B_k)) for k <= kmax, along one kernel walk at working
     order scale * order that holds only the current level."""
     # zip stops at range's end, so no level past kmax is solved
@@ -135,21 +135,21 @@ def _stock_series(order: int) -> Iterator[tuple[tuple[int], bool]]:
 
 
 def _dk_threeway(kmax: int, order: int) -> Iterator[tuple[tuple[int, int], bool]]:
-    for k, (_f, kernel, _b) in _walk(kmax, order, scale=1):
+    for k, (_f, kernel, _b) in _levels(kmax, order, scale=1):
         if k:
             yield (k, order), (series_engine.dk_from_table(k, order)
                                == series_engine.dk_closed(k, order) == kernel)
 
 
 def _kernel_residual(kmax: int, order: int) -> Iterator[tuple[tuple[int, int], bool]]:
-    for k, (f, d, b) in _walk(kmax, order):
+    for k, (f, d, b) in _levels(kmax, order):
         res = series_engine.kernel_residual(b, f, d)
         yield (k, order), not any(any(row[: order + 1]) for row in res[: order + 1])
 
 
 def _bk_rect(kmax: int, order: int) -> Iterator[tuple[tuple[int, int], bool]]:
     bk = series_engine.bk_from_table(kmax, order)
-    for k, (_f, _d, b) in _walk(kmax, order):
+    for k, (_f, _d, b) in _levels(kmax, order):
         yield (k, order), tuple(r[: order + 1] for r in b[: order + 1]) == bk[k]
 
 

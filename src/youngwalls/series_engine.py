@@ -11,17 +11,18 @@ Design notes that the individual docstrings lean on:
   coefficient of x^j t^n, and row j is slice j, the coefficient of x^j.
   The kernel equation (x - x^2 - t) B_k = x F_k - t D_k is solved and
   checked slice by slice, entry by entry: slice 0 is t (D - B_0) and
-  slice j >= 1 is B_{j-1} - B_{j-2} - F_{j-1} - t B_j.  bk_solve sets
+  slice j >= 1 is B_{j-1} - B_{j-2} - F_{j-1} - t B_j.  _bk_solve sets
   each to zero; kernel_residual returns them slice by slice, each as long
   as its shortest term, with t D kept to D's length as shift_up keeps it.
 * At working order W, slice j of B_k, and of F_k for k >= 1, holds
   W - j + 1 exact coefficients, t-orders 0..W - j, so dk_kernel(k, N)
   works at order N, and an Nx x Nt rectangle of B_k needs W >= Nx + Nt.
-* kernel_levels(W) walks the chain once, each level solved from the one
-  before, so levels 0..k cost k + 1 solves and only the current one is
-  held.  Every step of a level is O(W^2): D_k = (x F_k / t)(X_2) is one
-  Horner pass of subs_x2, reduced by X_2^2 = X_2 - t (no powers of X_2),
-  and F_k and B_k are one pass over plain rows.
+* kernel_levels(W) walks the chain once, one itertools.accumulate of
+  _kernel_level from level 0, so levels 0..k cost k + 1 solves and only
+  the current one is held.  Every step of a level is O(W^2):
+  D_k = (x F_k / t)(X_2) is one Horner pass of _subs_x2, reduced by
+  X_2^2 = X_2 - t (no powers of X_2), and F_k and B_k are one pass over
+  plain rows.
 * (1 - 4t)^(-p/2) has integer coefficients for every integer p, so
   neg_half_pow_series generates them in Z from p, radical-free.
 * All three routes run in Z, and no function here imports fractions: the
@@ -34,7 +35,7 @@ Design notes that the individual docstrings lean on:
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import count, islice
+from itertools import accumulate, count, islice
 from operator import add, mul, sub
 
 from . import wall_tables
@@ -57,7 +58,7 @@ def series_mul(a: Series, b: Series) -> Series:
     return tuple(sum(map(mul, a[: m + 1], b[m::-1])) for m in range(min(len(a), len(b))))
 
 
-def subs_x2(rows: Rows) -> Series:
+def _subs_x2(rows: Rows) -> Series:
     """sum_j rows[j](t) X_2(t)^j to the t-order n of slice 0: the small
     kernel root X_2 = t C(t) substituted for x in the bivariate rows.
 
@@ -164,15 +165,13 @@ def _divide_t(row: Sequence[int], name: str, k: int, j: int) -> Series:
     return tuple(row[1:])
 
 
-def fk_next(b_prev: Rows, k: int) -> Rows:
+def _fk_next(b_prev: Rows, k: int) -> Rows:
     """Inhomogeneous term F_k = t dB_{k-1}/dt + (1 - k) B_{k-1}, i.e. the
-    entrywise map (j, n) -> (n + 1 - k) * entry."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    entrywise map (j, n) -> (n + 1 - k) * entry, for k >= 1."""
     return tuple(tuple((n + 1 - k) * v for n, v in enumerate(row)) for row in b_prev)
 
 
-def bk_solve(f_k: Rows, d_k: Series, k: int) -> Rows:
+def _bk_solve(f_k: Rows, d_k: Series, k: int) -> Rows:
     """Solve the kernel equation (1 - x - t/x) B = F - (t/x) D of level k
     slice by slice: B_0 = D and B_j = (B_{j-1} - B_{j-2} - F_{j-1}) / t for
     j >= 1.
@@ -191,21 +190,24 @@ def bk_solve(f_k: Rows, d_k: Series, k: int) -> Rows:
     return tuple(rows)
 
 
+def _kernel_level(prev: tuple[Rows, Series, Rows], level: int) -> tuple[Rows, Series, Rows]:
+    """Level k >= 1 from level k - 1: F_k from B_{k-1}, then
+    D_k = (x F_k / t)(X_2) and B_k, at the working order of D_{k-1}."""
+    f = _fk_next(prev[2], level)
+    f_over_t = tuple(_divide_t(row, "F_k", level, j) for j, row in enumerate(f))
+    d = _subs_x2(((0,) * len(prev[1]), *f_over_t))  # the zero slice is the factor x
+    return f, d, _bk_solve(f, d, level)
+
+
 def kernel_levels(order: int) -> Iterator[tuple[Rows, Series, Rows]]:
     """Walk the kernel system at square working order, yielding (F_k, D_k,
-    B_k) for k = 0, 1, ...  Level 0 is the initial condition F_0 = 1,
-    D_0 = C(t); each later level is solved from the one before it."""
+    B_k) for k = 0, 1, ...  The seed, level 0, is the initial condition
+    F_0 = 1, D_0 = C(t); ``_kernel_level`` solves each later level from the
+    one before it, which alone is kept."""
     zero = (0,) * (order + 1)
     f = ((1, *zero[1:]), *(zero,) * order)
     d = catalan_series(order)
-    b = bk_solve(f, d, 0)
-    yield f, d, b
-    for level in count(1):
-        f = fk_next(b, level)
-        f_over_t = tuple(_divide_t(row, "F_k", level, j) for j, row in enumerate(f))
-        d = subs_x2((zero, *f_over_t))  # (x F / t)(X_2) to order W; zero is the factor x
-        b = bk_solve(f, d, level)
-        yield f, d, b
+    return accumulate(count(1), _kernel_level, initial=(f, d, _bk_solve(f, d, 0)))
 
 
 def dk_kernel(k: int, order: int) -> Series:
@@ -218,7 +220,7 @@ def dk_kernel(k: int, order: int) -> Series:
 
 def kernel_residual(b_k: Rows, f_k: Rows, d_k: Series) -> Rows:
     """(x - x^2 - t) B - (x F - t D) on the slices that B and F share,
-    slice by slice as bk_solve solves it: slice 0 is t (D - B_0), with t D
+    slice by slice as _bk_solve solves it: slice 0 is t (D - B_0), with t D
     at D's own order (its top coefficient falls off, as in shift_up), and
     slice j >= 1 is B_{j-1} - B_{j-2} - F_{j-1} - t B_j, each as long as its
     shortest term.  On a level of kernel_levels it vanishes identically."""

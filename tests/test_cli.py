@@ -599,8 +599,8 @@ def test_verify_reports_the_first_failing_cell(monkeypatch):
 )
 def test_kernel_check_walks_the_chain_once(argv, levels, monkeypatch):
     # one walk solves each level 0..kmax once
-    bk_solve, solved = checks.series_engine.bk_solve, []
-    monkeypatch.setattr(checks.series_engine, "bk_solve",
+    bk_solve, solved = checks.series_engine._bk_solve, []
+    monkeypatch.setattr(checks.series_engine, "_bk_solve",
                         lambda *a: solved.append(1) or bk_solve(*a))
     assert run_cli("verify", "--check", *argv)[0] == 0
     assert len(solved) == levels
@@ -1624,13 +1624,13 @@ def test_decimal_signal_maps_to_exit_1(broken, signal, monkeypatch, capsys):
 def test_failed_kernel_division_exits_1(argv, monkeypatch, capsys):
     # a slice that is not divisible by t breaks an identity: exit 1, not 2;
     # a check prints it as its FAIL line, series as an error
-    fk_next = checks.series_engine.fk_next
+    fk_next = checks.series_engine._fk_next
 
     def broken(b_prev, k):
         f = fk_next(b_prev, k)
         return ((f[0][0] + 1, *f[0][1:]), *f[1:])
 
-    monkeypatch.setattr(checks.series_engine, "fk_next", broken)
+    monkeypatch.setattr(checks.series_engine, "_fk_next", broken)
     message = "kernel level 1: slice 0 of F_k is not divisible by t"
     code, text = run_cli(*argv)
     err = capsys.readouterr().err

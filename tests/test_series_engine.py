@@ -136,7 +136,7 @@ def test_kernel_chain_stays_in_integers():
 
 def test_fk_next_entrywise_rule():
     b0 = se.bk_from_table(0, 4)[0]
-    f1 = se.fk_next(b0, 1)
+    f1 = se._fk_next(b0, 1)
     for j in range(5):
         for n in range(5):
             assert f1[j][n] == n * b0[j][n]
@@ -146,7 +146,7 @@ def test_bk_solve_checks_divisibility():
     bad_f = ((1, 0), (1, 1), (0, 0))  # slice 1 divides; slice 2 keeps a constant term
     d = se.catalan_series(1)
     with pytest.raises(NotIntegralError, match="kernel level 4: slice 2 of"):
-        se.bk_solve(bad_f, d, 4)
+        se._bk_solve(bad_f, d, 4)
 
 
 def test_bk_from_table_rows():
@@ -186,7 +186,7 @@ def xt_rows(draw):
 @settings(max_examples=80)
 @given(xt_rows())
 def test_subs_x2_matches_defining_sum(rows):
-    assert se.subs_x2(rows) == subs_x_reference(rows, se.x2_series(len(rows[0]) - 1))
+    assert se._subs_x2(rows) == subs_x_reference(rows, se.x2_series(len(rows[0]) - 1))
 
 
 @settings(max_examples=40)
@@ -196,7 +196,7 @@ def test_subs_x2_reads_slice_j_to_t_order_n_minus_j(rows):
     # x F_k / t does, the rows substitute to the same series
     n = len(rows[0]) - 1
     shaped = tuple(row[: n - j + 1] for j, row in enumerate(rows[: n + 1]))
-    assert se.subs_x2(shaped) == se.subs_x2(rows)
+    assert se._subs_x2(shaped) == se._subs_x2(rows)
 
 
 @settings(max_examples=15, deadline=None)
