@@ -41,8 +41,11 @@ class Check:
         """Visit the cells in order and stop at the first that fails.
 
         Returns ("FAIL", "fails at (cell)") at the first failing cell, or
-        ("FAIL", message) when a checked division fails on the way, else
-        ("PASS", domain), or ("EMPTY", domain) when the domain holds no cell.
+        ("FAIL", message) when a checked division fails on the way, or
+        ("FAIL", "raised <type> at <module>.<function>: <message>") when any
+        other exception but MemoryError does, naming the innermost frame of
+        the package; else ("PASS", domain), or ("EMPTY", domain) when the
+        domain holds no cell.
         """
         bounds = dict(self.bounds)
         bounds.update((b, v) for b, v in overrides.items() if b in bounds and v is not None)
@@ -54,6 +57,16 @@ class Check:
                 visited += 1
         except NotIntegralError as exc:  # a checked division on the way failed
             return "FAIL", str(exc)
+        except MemoryError:
+            raise
+        except Exception as exc:  # a defect on the way: name where it raised
+            tb = exc.__traceback__
+            while tb is not None:
+                module = tb.tb_frame.f_globals.get("__name__", "")
+                if module.startswith(f"{__package__}."):
+                    where = f"{module.partition('.')[2]}.{tb.tb_frame.f_code.co_name}"
+                tb = tb.tb_next
+            return "FAIL", f"raised {type(exc).__name__} at {where}: {exc}"
         return ("PASS" if visited else "EMPTY"), self.domain.format(**bounds)
 
 

@@ -45,22 +45,32 @@ Cell = tuple[tuple[int, ...], int]
 # table command
 
 
-# the 2-index sequences: seq -> (first row, short), where row n ends at k = n - short.
-# tc(n, k) = n!/(n-k)! a(n-1, k) shifts the domain of a by one row
-TWO_INDEX = {"a": (0, 0), "b": (0, 0), "u": (0, 0), "f": (0, 0), "ftilde": (1, 0), "tc": (1, 1)}
+# the 2-index sequences: seq -> (first row, short, ringed, reader): row n ends
+# at k = n - short, and reader(width, one) yields, for each row n from the first
+# on, cell(k) = the value at (n, k <= width), walked in the ring of one if ringed.
+# A reader looks its functions up when called, so a later wrapper sees each call
+TWO_INDEX: dict[str, tuple[int, int, bool, Callable[[int, object], Iterator[Callable]]]] = {
+    "a": (0, 0, True, lambda width, one: (r.__getitem__ for r in wall_tables.a_rows(width, one))),
+    "b": (0, 0, True, lambda width, one: (r.__getitem__ for r in wall_tables.b_rows(width, one))),
+    "u": (0, 0, False, lambda width, one: (r.__getitem__ for r in poset_lab.u_rows(width))),
+    "f": (0, 0, False, lambda width, one: (partial(poset_lab.f_closed, n) for n in count())),
+    "ftilde": (1, 0, False, lambda width, one: (partial(poset_lab.ftilde, n) for n in count(1))),
+    "tc": (1, 1, True, lambda width, one: (lambda k, n=n, row=row: tree_child.tc_from_a(
+        n, k, row[k]) for n, row in enumerate(wall_tables.a_rows(width, one), 1))),
+}
 
 
 def _table_rows(args: SimpleNamespace, one: object = 1) -> Iterator[list[Cell]]:
     """The cells of a `table` request, one list per row n, each computed
-    when it is read (see ``_cell_readers``).  Every usage error is raised
-    here, before any row."""
+    when it is read (see ``TWO_INDEX``).  Every usage error is raised here,
+    before any row."""
     seq, nmax = args.seq, args.nmax
     sliced = args.k is not None or args.diag
     if args.k is not None and args.diag:
         raise ValueError("--k and --diag are mutually exclusive")
 
     if seq in TWO_INDEX:
-        start, short = TWO_INDEX[seq]
+        start, short, _, reader = TWO_INDEX[seq]
         if short and args.diag:
             raise ValueError(f"{seq} has no diagonal: its domain is k <= n-1")
         if args.mmax is not None:
@@ -72,7 +82,7 @@ def _table_rows(args: SimpleNamespace, one: object = 1) -> Iterator[list[Cell]]:
             reach = " reaches the slice" if sliced else ""
             raise ValueError(f"no row of {seq} with n <= {nmax}{reach}")
         width = args.k if args.k is not None else nmax if args.kmax is None else args.kmax
-        readers = zip(range(start, nmax + 1), _cell_readers(seq, width, one))
+        readers = zip(range(start, nmax + 1), reader(width, one))
         if sliced:  # the slice cell (n,) of each row from the first the slice reaches
             rows = ([((n,), cell(n if args.diag else args.k))] for n, cell in readers if n >= first)
         else:  # the cells (n, k) up to the end of the row or --kmax
@@ -96,26 +106,6 @@ def _table_rows(args: SimpleNamespace, one: object = 1) -> Iterator[list[Cell]]:
     return rows
 
 
-def _cell_readers(seq: str, width: int, one: object) -> Iterator[Callable[[int], int]]:
-    """cell for each row n of a 2-index sequence from its first on, where
-    cell(k) is the value at (n, k) for k <= width.  a, b, u and tc read row
-    streams, keeping one row, those of a, b and tc walked in the ring of
-    ``one``, u's in int; f and ftilde are closed forms, computed cell by cell."""
-    first = TWO_INDEX[seq][0]
-    if seq in ("a", "b", "u"):
-        rows = {"a": wall_tables.a_rows, "b": wall_tables.b_rows, "u": poset_lab.u_rows}[seq]
-        for row in rows(width) if seq == "u" else rows(width, one):
-            yield row.__getitem__
-    elif seq == "tc":
-        # row n of tc reads row n - 1 of a, one product per cell read
-        for n, row in enumerate(wall_tables.a_rows(width, one), first):
-            yield lambda k, n=n, row=row: tree_child.tc_from_a(n, k, row[k])
-    else:
-        fn = poset_lab.f_closed if seq == "f" else poset_lab.ftilde
-        for n in count(first):
-            yield partial(fn, n)
-
-
 def _render_rows(args: SimpleNamespace, rows: Iterator[list[Cell]], out: TextIOBase) -> None:
     """Write each row as soon as it is computed: a failure part way leaves
     the complete rows before it on ``out``."""
@@ -133,33 +123,42 @@ def _render_rows(args: SimpleNamespace, rows: Iterator[list[Cell]], out: TextIOB
     # a b-file is the text form of a slice: "n value" lines
     sep = "," if fmt == "csv" else " "
     for row in rows:
-        if len(row[0][0]) == 2:
-            # grid: one output row per n, cells in k order
+        if len(row[0][0]) == 2:  # grid: one output row per n, cells in k order
             out.write(sep.join(str(v) for _, v in row) + "\n")
         else:
             out.write("".join(sep.join(map(str, (*idx, v))) + "\n" for idx, v in row))
 
 
-# the tables walked in decimal.Decimal, whose str takes linear time (int's
-# is quadratic in CPython <= 3.11); u's products of big ints are faster in int
-DECIMAL_SEQS = ("a", "b", "tc")
+# a ringed table walks in decimal.Decimal (str in linear time; int's is quadratic
+# in CPython <= 3.11) if a bound on its values has this many digits.  Cold CPU,
+# int/Decimal, 2-core Xeon: a --nmax 47 13/15 ms, a --nmax 149 27/25, a --nmax 224
+# --k 2 12/14 (bound 1000 digits), tc --nmax 1500 --k 2 158/32
+DECIMAL_DIGITS = 1000
+
+
+def _walks_in_decimal(args: SimpleNamespace) -> bool:
+    """Whether a `table` request is ringed and may print DECIMAL_DIGITS digits."""
+    if not TWO_INDEX.get(args.seq, (0, 0, False))[2]:
+        return False
+    n = args.nmax
+    k = args.k if args.k is not None else n if args.kmax is None else min(n, args.kmax)
+    # a(n, k) and b(n, k) count fillings of 2n + k cells, so each is at most
+    # (2n+k)!; tc(n, k) = n!/(n-k)! a(n-1, k) <= n^k (2n+k-2)!, with no row 0
+    log_bound = math.lgamma(2 * n + k + 1) if args.seq != "tc" else (
+        n and k * math.log(n) + math.lgamma(2 * n + k - 1))
+    return log_bound >= DECIMAL_DIGITS * math.log(10)
 
 
 def run_table(args: SimpleNamespace, out: TextIOBase) -> int:
-    if args.seq not in DECIMAL_SEQS:
+    if not _walks_in_decimal(args):
         _render_rows(args, _table_rows(args), out)
         return EXIT_OK
-    import decimal  # only these tables pay for it
-
-    # the steps only add, multiply and divide (by exact_int's divmod)
-    # integers, so nothing rounds; if something did, it raises instead of
-    # printing.  A true division that does not end would ask for MAX_PREC
-    # digits of memory: no step makes one
-    exact = decimal.Context(
-        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
-               decimal.DivisionByZero, decimal.Overflow],
-    )
+    import decimal  # only the tables past the bound pay for it
+    # the steps add, multiply and exactly divide integers: nothing rounds, and what
+    # did would raise; none divides truly, which would ask for MAX_PREC digits
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                            traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+                                   decimal.DivisionByZero, decimal.Overflow])
     try:
         with decimal.localcontext(exact):
             _render_rows(args, _table_rows(args, decimal.Decimal(1)), out)

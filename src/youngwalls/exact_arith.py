@@ -61,7 +61,8 @@ def binomial(n: int, k: int) -> int:
 def exact_int(num: int, den: int, where: object = None) -> int:
     """num / den as an int, raising NotIntegralError unless it is one.  The
     quotient is in the ring of ``num``: a ``decimal.Decimal`` num, whose
-    divmod is exact, gives a Decimal.
+    divmod is exact, gives a Decimal, as in the tables of a, b and tc that
+    ``cli`` walks in Decimal past its bound of ``DECIMAL_DIGITS`` digits.
 
     Every integrality and divisibility invariant goes through here, so the
     check also runs under ``python -O``.  ``where`` names the cell in the

@@ -25,8 +25,9 @@ The rows of ``b`` come from its own two-term recurrence, O(w) cells per
 row like ``a``, not from the b3 layers; the checks compare the two.
 Each stream names its seed, row 0, and a step builds rows 1, 2, ... only.
 ``a_rows`` and ``b_rows`` walk their rows in the ring of their seed
-[one]: ``cli`` walks every ``a``, ``b`` and ``tc`` table (tc reads the
-rows of a) in ``decimal.Decimal``, whatever its depth.
+[one]: ``cli`` walks an ``a``, ``b`` or ``tc`` table (tc reads the rows
+of a) in ``decimal.Decimal`` when a bound on its values reaches
+``cli.DECIMAL_DIGITS`` digits, and in int below it.
 """
 
 from __future__ import annotations

@@ -248,36 +248,50 @@ def test_omega_kmax_past_the_widest_row_prints_the_same_off_a_narrow_walk(mmax, 
     assert run_cli(*argv, str(10**6)) == want
 
 
-# the ring each table is walked in: decimal.Decimal, whose str takes linear
-# time, for the tables of a, b and tc; int for the rest
-TABLE_RINGS = {"a": "decimal", "b": "decimal", "tc": "decimal", "u": "int", "f": "int",
+# the ring each table may walk in: any ring for the tables of a, b and tc,
+# whose steps take it from their seed, so cli walks them in decimal.Decimal
+# (whose str takes linear time) past its bound of cli.DECIMAL_DIGITS digits;
+# int for the rest
+TABLE_RINGS = {"a": "any", "b": "any", "tc": "any", "u": "int", "f": "int",
                "ftilde": "int", "b3": "int", "omega": "int"}
-DECIMAL_TABLES = [seq for seq, ring in TABLE_RINGS.items() if ring == "decimal"]
+DECIMAL_TABLES = [seq for seq, ring in TABLE_RINGS.items() if ring == "any"]
 
 
 def test_decimal_tables_are_the_pinned_ones():
-    # dropping a sequence from cli.DECIMAL_SEQS must fail a test, not drop its cases
+    # dropping a ring flag of cli.TWO_INDEX must fail a test, not drop its cases
     assert sorted(TABLE_RINGS) == sorted(TABLE_SEQS)
-    assert sorted(cli.DECIMAL_SEQS) == sorted(DECIMAL_TABLES)
+    ringed = [seq for seq, (_, _, ringed, _) in cli.TWO_INDEX.items() if ringed]
+    assert sorted(ringed) == sorted(DECIMAL_TABLES)
+
+
+def _first_decimal_nmax(argv):
+    """The smallest --nmax at which the request ``table <argv>`` walks in decimal."""
+    return next(n for n in itertools.count()
+                if cli._walks_in_decimal(cli._parse(["table", *argv, "--nmax", str(n)])))
 
 
 @pytest.mark.parametrize("option", [[], ["--kmax", "3"], ["--k", "2"], ["--diag"]],
                          ids=lambda o: " ".join(o) or "full")
 @pytest.mark.parametrize("seq", DECIMAL_TABLES)
 def test_decimal_route_matches_the_int_route(seq, option, monkeypatch, capsys):
-    # the same request rendered from rows walked in int, byte for byte, also
+    # the same request rendered from rows walked in int and in decimal, each
+    # forced by the bound, byte for byte, below the bound and past it, also
     # where it is a usage error (tc has no diagonal, a b-file needs a slice)
+    deep = _first_decimal_nmax(["--seq", seq, *option])
     for fmt in ("csv", "text", "json", "bfile"):
-        for nmax in (0, 1, 5, 12):
+        for nmax in (0, 1, 5, 12, deep):
             argv = ["table", "--seq", seq, "--nmax", str(nmax), *option, "--format", fmt]
-            with monkeypatch.context() as m:
-                m.setattr(cli, "DECIMAL_SEQS", ())
-                by_int = (*run_cli(*argv), capsys.readouterr().err)
-            assert (*run_cli(*argv), capsys.readouterr().err) == by_int, argv
+            by_ring = []
+            for digits in (math.inf, 0):
+                with monkeypatch.context() as m:
+                    m.setattr(cli, "DECIMAL_DIGITS", digits)
+                    by_ring.append((*run_cli(*argv), capsys.readouterr().err))
+            assert by_ring[0] == by_ring[1], argv
+    # the small sizes are below the bound, and the rows past it are Decimals
+    assert 12 < deep
     if seq == "tc" and option == ["--diag"]:
         return
-    # and the decimal route is the one taken
-    args = cli._parse(["table", "--seq", seq, "--nmax", "12", *option])
+    args = cli._parse(["table", "--seq", seq, "--nmax", str(deep), *option])
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         *_, (_, last) = itertools.chain.from_iterable(cli._table_rows(args, decimal.Decimal(1)))
@@ -1466,11 +1480,40 @@ def _rational_modules() -> dict[str, frozenset[str]]:
 @pytest.mark.parametrize("argv", INTEGER_REQUESTS, ids=" ".join)
 def test_integer_request_loads_no_rational_module(argv):
     # no route builds a rational: fractions is never imported.  The tables of
-    # a, b and tc are walked in decimal (which imports numbers); no other
-    # request loads either
-    decimal_table = argv[0] == "table" and TABLE_RINGS[argv[2]] == "decimal"
-    loads = {"decimal", "numbers"} if decimal_table else set()
-    assert _rational_modules().get(" ".join(argv), frozenset()) == loads
+    # a, b and tc may walk in decimal (which imports numbers), but only past
+    # the bound, which none of these reaches; no request loads either
+    if argv[0] == "table" and TABLE_RINGS[argv[2]] == "any":
+        assert not cli._walks_in_decimal(cli._parse(argv))
+    assert _rational_modules().get(" ".join(argv), frozenset()) == frozenset()
+
+
+_PASS_RINGS = """
+import io, json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+from youngwalls import cli
+tables = [argv for argv in workloads.build("tables", 1) if argv[:2] == ["table", "--seq"]]
+loaded = []
+for argv in sorted(tables, key=lambda argv: int(argv[4])):  # the shallow ones first
+    sys.modules.pop("decimal", None)  # so that each request imports it anew
+    cli.main(argv, io.StringIO())
+    loaded.append([argv, sorted({"decimal", "numbers"} & set(sys.modules))])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_deep_tables_of_a_pass_load_decimal():
+    # one bare process runs the table requests of a benchmark pass: the 23
+    # shallow tables of a, b and tc walk in int and load neither decimal nor
+    # numbers; the 3 deep columns (n = 700 and 1500) walk in decimal
+    proc = _bare_python("-B", "-c", _PASS_RINGS, str(SRC.parent / "perfbench"))
+    assert proc.returncode == 0, proc.stderr
+    ringed = [(argv, loaded) for argv, loaded in json.loads(proc.stdout)
+              if TABLE_RINGS[argv[2]] == "any"]
+    deep = [argv for argv, loaded in ringed if int(argv[4]) >= 700]
+    assert (len(ringed), len(deep)) == (26, 3)
+    assert ringed == [(argv, ["decimal", "numbers"] if argv in deep else [])
+                      for argv, _ in ringed]
 
 
 USAGE_ERRORS = [[], ["frobnicate"], ["table", "--seq", "zzz", "--nmax", "3"],
@@ -1575,10 +1618,53 @@ def test_check_that_raises_prints_its_fail_line_under_optimize():
     assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
+_TC_REC_ROW = wall_tables._tc_rec_row
+
+
+def short_tc_rec_row(prev, n, width):
+    """Row 4 of tc's recurrence stepped from a row 3 cut short by its last
+    cell, so the step reads past the end of it."""
+    return _TC_REC_ROW(prev[:-1] if n == 4 else prev, n, width)
+
+
+def test_check_that_raises_any_exception_prints_its_fail_line(monkeypatch, capsys):
+    # an exception inside a check is that check's FAIL line, naming where in
+    # the package it was raised; the other checks run on and pass, and verify
+    # exits 1, also with asserts stripped
+    _, text = run_cli("verify", "--check", "all")
+    assert text.count(": PASS (") == 26
+    fail = "tc-routes: FAIL (raised IndexError at wall_tables._tc_rec_row: list index out of range)"
+    want = (1, re.sub(r"(?m)^tc-routes: .*$", fail, text), "")
+    monkeypatch.setattr(wall_tables, "_tc_rec_row", short_tc_rec_row)
+    assert (*run_cli("verify", "--check", "all"), capsys.readouterr().err) == want
+    snippet = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import test_cli\n"
+        "from youngwalls import cli, wall_tables\n"
+        "wall_tables._tc_rec_row = test_cli.short_tc_rec_row\n"
+        "sys.exit(cli.main(['verify', '--check', 'all']))\n"
+    )
+    proc = _python("-O", "-c", snippet, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+def test_memory_error_in_a_check_propagates(monkeypatch):
+    # running out of memory is no verdict on the identity
+    def exhausted(prev, n, width):
+        raise MemoryError
+
+    monkeypatch.setattr(wall_tables, "_tc_rec_row", exhausted)
+    with pytest.raises(MemoryError):
+        checks.CHECKS["tc-routes"].run()
+
+
 def test_not_integral_decimal_table_maps_to_exit_1(monkeypatch, capsys):
-    # the decimal route checks each division as the int route does, also
-    # with asserts stripped; the complete rows before the failure stay
+    # the decimal route, forced by a bound of 0 digits, checks each division
+    # as the int route does, also with asserts stripped; the complete rows
+    # before the failure stay
     monkeypatch.setattr(wall_tables, "_b_row", broken_b_row)
+    monkeypatch.setattr(cli, "DECIMAL_DIGITS", 0)
     want = (1, grid_csv({n: TABLE_B[n] for n in range(4)}), "error: value at ('b', 4, 0) is not an integer\n")
     assert (*run_cli("table", "--seq", "b", "--nmax", "6"), capsys.readouterr().err) == want
     snippet = (
@@ -1586,7 +1672,7 @@ def test_not_integral_decimal_table_maps_to_exit_1(monkeypatch, capsys):
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
         "import test_cli\n"
         "from youngwalls import cli, wall_tables\n"
-        "wall_tables._b_row = test_cli.broken_b_row\n"
+        "wall_tables._b_row, cli.DECIMAL_DIGITS = test_cli.broken_b_row, 0\n"
         "sys.exit(cli.main(['table', '--seq', 'b', '--nmax', '6']))\n"
     )
     proc = _python("-O", "-c", snippet, text=True)
@@ -1600,9 +1686,11 @@ def test_not_integral_decimal_table_maps_to_exit_1(monkeypatch, capsys):
     ids=["divided by 0", "rounded"],
 )
 def test_decimal_signal_maps_to_exit_1(broken, signal, monkeypatch, capsys):
-    # a cell a(3, 3) = 106 that a step divides by 0, or rounds from 26.5,
-    # raises; no digit of it is printed
+    # in the decimal route, forced by a bound of 0 digits, a cell a(3, 3) =
+    # 106 that a step divides by 0, or rounds from 26.5, raises; no digit of
+    # it is printed
     step = wall_tables._a_row
+    monkeypatch.setattr(cli, "DECIMAL_DIGITS", 0)
 
     def moved(prev, n, width):
         row = step(prev, n, width)
@@ -1774,6 +1862,22 @@ def test_traced_launcher_runs_every_check(tmp_path):
     assert proc.stdout.count("PASS") == 26 and "FAIL" not in proc.stdout
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert trace["calls"]["tree_child"] > 0 and trace["calls"]["wall_tables"] > 0
+
+
+@pytest.mark.parametrize("seq, layers", [("a", ["wall_tables"]), ("u", ["wall_tables", "poset_lab"])])
+def test_traced_table_request_books_its_walk(seq, layers, tmp_path):
+    # the tracer wraps the functions of each layer after import, so a reader of
+    # cli.TWO_INDEX that held a function object from import time would walk
+    # its table unseen
+    root = SRC.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(tmp_path / "trace.json"),
+         str(time.monotonic_ns()), "table", "--seq", seq, "--nmax", "5"],
+        capture_output=True, text=True, cwd=root, env=_python_env(),
+    )
+    assert (proc.returncode, proc.stdout) == run_cli("table", "--seq", seq, "--nmax", "5")
+    calls = json.loads((tmp_path / "trace.json").read_text())["calls"]
+    assert all(calls[layer] > 0 for layer in layers), calls
 
 
 _TRACED_PASS = """
