@@ -186,8 +186,9 @@ CHECKS: dict[str, Check] = {
     ),
     "catalan-base": Check(
         {"nmax": 30}, "n <= {nmax}",
-        lambda nmax: (((n,), layer[n][0] == binomial(2 * n, n) // (n + 1))
-                      for n, layer in _b3_walk(nmax, 0)),
+        lambda nmax: (((n,), layer[n][0] == c_n)
+                      for (n, layer), c_n in zip(_b3_walk(nmax, 0),
+                                                 series_engine.catalan_series(nmax))),
     ),
     "hook-base": Check(
         {"nmax": 15}, "n <= {nmax}",

@@ -231,10 +231,9 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
 
 
 def _fixture_bfile(oeis_id: str) -> str:
-    from importlib import resources  # only crosscheck reads package data
-
-    name = f"b{oeis_id[1:]}.txt"
-    return (resources.files("youngwalls") / "oeis_fixtures" / name).read_text()
+    path = os.path.join(os.path.dirname(__file__), "oeis_fixtures", f"b{oeis_id[1:]}.txt")
+    with open(path, encoding="utf-8") as file:
+        return file.read()
 
 
 def run_crosscheck(args: SimpleNamespace, out: TextIOBase) -> int:

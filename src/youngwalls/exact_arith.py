@@ -19,6 +19,9 @@ class NotIntegralError(ArithmeticError):
 # n! for n >= 0; math.factorial raises ValueError on a negative n
 factorial = math.factorial
 
+# C(n, k), 0 for k > n; math.comb raises ValueError on a negative n or k
+binomial = math.comb
+
 
 def double_factorial(m: int) -> int:
     """m!! = m (m-2) (m-4) ..., with 0!! = (-1)!! = 1.
@@ -43,19 +46,6 @@ def double_factorials(low: int, high: int) -> list[int]:
     for v in range(low + 2, high + 1):
         run.append(run[-2] * v)
     return run
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient, zero outside 0 <= k <= n.
-
-    It equals math.comb(n, k) for k >= 0, which is already 0 for k > n; the
-    one difference is k < 0, which gives 0 here and raises in math.comb.
-    """
-    if n < 0:
-        raise ValueError(f"binomial needs nonnegative n, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def exact_int(num: int, den: int, where: object = None) -> int:

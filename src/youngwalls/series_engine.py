@@ -81,8 +81,9 @@ def _subs_x2(rows: Rows) -> Series:
 
 
 def catalan_series(order: int) -> Series:
-    """C(t) = sum_n C(2n, n)/(n+1) t^n."""
-    return tuple(binomial(2 * n, n) // (n + 1) for n in range(order + 1))
+    """C(t) = sum_n C(2n, n)/(n+1) t^n, each division checked."""
+    return tuple(exact_int(binomial(2 * n, n), n + 1, ("catalan_series", n))
+                 for n in range(order + 1))
 
 
 def x2_series(order: int) -> Series:

@@ -1104,6 +1104,62 @@ def test_moved_double_factorial_fails_lemma29(monkeypatch):
     assert run_cli("verify", "--check", "lemma29") == (1, "lemma29: FAIL (fails at (1, 2, 0))\n")
 
 
+def _omega_bridge_corner(monkeypatch, nmax):
+    # the last seed of layer nmax is omega(0, nmax, nmax + 1), which vanishes
+    layers = closed_forms.omega_init_layers
+
+    def moved(width):
+        for s, seeds in enumerate(layers(width)):
+            if s == nmax:
+                seeds[nmax + 1] += 1
+            yield seeds
+
+    monkeypatch.setattr(closed_forms, "omega_init_layers", moved)
+    return 0, nmax, nmax + 1
+
+
+def _lemma29_corner(monkeypatch, nmax, kmax):
+    check, corner = closed_forms.lemma29_check, (nmax, kmax, kmax)
+    monkeypatch.setattr(closed_forms, "lemma29_check", lambda *cell: cell != corner and check(*cell))
+    return corner
+
+
+def _b0_hook_corner(monkeypatch, nmax):
+    # the square's far corner is B_0's coefficient x^nmax t^nmax = b3(2 nmax, nmax, 0)
+    hook = wall_tables.b3_hook
+    monkeypatch.setattr(wall_tables, "b3_hook",
+                        lambda n, m: hook(n, m) + ((n, m) == (2 * nmax, nmax)))
+    return (nmax,)
+
+
+def _kernel_residual_corner(monkeypatch, kmax, order):
+    # level kmax, the last of the walk, gains a 1 at x^order t^order
+    residual, level = checks.series_engine.kernel_residual, itertools.count()
+
+    def moved(b_k, f_k, d_k):
+        res = residual(b_k, f_k, d_k)
+        if next(level) != kmax:
+            return res
+        row = res[order]
+        return (*res[:order], (*row[:order], row[order] + 1, *row[order + 1:]), *res[order + 1:])
+
+    monkeypatch.setattr(checks.series_engine, "kernel_residual", moved)
+    return kmax, order
+
+
+@pytest.mark.parametrize(
+    "check, corner",
+    [("omega-bridge", _omega_bridge_corner), ("lemma29", _lemma29_corner),
+     ("b0-hook", _b0_hook_corner), ("kernel-residual", _kernel_residual_corner)],
+)
+def test_check_reads_the_far_corner_of_its_domain(check, corner, monkeypatch):
+    # only the domain's last cell is wrong, so a loop or slice that stops one
+    # short of it would PASS
+    cell = corner(monkeypatch, **checks.CHECKS[check].bounds)
+    assert run_cli("verify", "--check", check) == (
+        1, f"{check}: FAIL (fails at ({', '.join(map(str, cell))}))\n")
+
+
 def _b_rows_below(top):
     return list(itertools.islice(wall_tables.b_rows(top), top + 1))
 
@@ -1429,9 +1485,27 @@ def test_annotations_of_main_and_the_runners_resolve():
      ["crosscheck", "--map", "a-diag"]],
 )
 def test_lazy_imports_in_a_fresh_process(argv):
-    # JSON output needs no encoder; the fixture reader imports its module on first use
+    # JSON output needs no encoder; the fixture reader opens its b-file as a plain file
     proc = _bare_python("-m", "youngwalls.cli", *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (*run_cli(*argv), "")
+
+
+def test_crosscheck_loads_no_resource_machinery():
+    # every bundled b-file is read beside cli.py, not through importlib.resources
+    # and the archive and temporary-file modules that it brings
+    snippet = (
+        "import io, sys\n"
+        "from youngwalls import cli\n"
+        "out = io.StringIO()\n"
+        "codes = [cli.main(['crosscheck', '--map', name], out=out) for name in cli.OEIS_MAPS]\n"
+        "loaded = {'importlib.resources', 'pathlib', 'zipfile', 'tempfile'} & set(sys.modules)\n"
+        "print(codes, sorted(loaded))\n"
+        "print(out.getvalue(), end='')\n"
+    )
+    proc = _bare_python("-c", snippet)
+    status, *lines = proc.stdout.splitlines()
+    assert (proc.returncode, status) == (0, f"{[0] * len(cli.OEIS_MAPS)} []"), proc.stderr
+    assert len(lines) == len(cli.OEIS_MAPS) and all(" agree (" in line for line in lines)
 
 
 # one request of each kind, none of which builds a rational: each table, each
@@ -1704,14 +1778,21 @@ def test_decimal_signal_maps_to_exit_1(broken, signal, monkeypatch, capsys):
     assert (*run_cli("table", "--seq", "a", "--nmax", "6"), capsys.readouterr().err) == want
 
 
+def _assert_division_fails(argv, check, message, capsys):
+    """A failed checked division exits 1: verify prints it as the check's
+    FAIL line, any other command as an error on stderr."""
+    code, text = run_cli(*argv)
+    want = (f"{check}: FAIL ({message})\n", "") if argv[0] == "verify" else ("", f"error: {message}\n")
+    assert (code, text, capsys.readouterr().err) == (1, *want)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["series", "--dk", "2", "--order", "6", "--method", "kernel"],
      ["verify", "--check", "kernel-residual"]],
 )
 def test_failed_kernel_division_exits_1(argv, monkeypatch, capsys):
-    # a slice that is not divisible by t breaks an identity: exit 1, not 2;
-    # a check prints it as its FAIL line, series as an error
+    # a slice that is not divisible by t breaks an identity: exit 1, not 2
     fk_next = checks.series_engine._fk_next
 
     def broken(b_prev, k):
@@ -1719,13 +1800,22 @@ def test_failed_kernel_division_exits_1(argv, monkeypatch, capsys):
         return ((f[0][0] + 1, *f[0][1:]), *f[1:])
 
     monkeypatch.setattr(checks.series_engine, "_fk_next", broken)
-    message = "kernel level 1: slice 0 of F_k is not divisible by t"
-    code, text = run_cli(*argv)
-    err = capsys.readouterr().err
-    if argv[0] == "verify":
-        assert (code, text, err) == (1, f"kernel-residual: FAIL ({message})\n", "")
-    else:
-        assert (code, text, err) == (1, "", f"error: {message}\n")
+    _assert_division_fails(argv, "kernel-residual",
+                           "kernel level 1: slice 0 of F_k is not divisible by t", capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["series", "--dk", "0", "--order", "5", "--method", "kernel"],
+     ["verify", "--check", "catalan-base"]],
+)
+def test_inexact_catalan_division_exits_1(argv, monkeypatch, capsys):
+    # C(6, 3) moved to 21: a floor would give C_3 = 21 // 4 = 5 and pass
+    binomial = checks.series_engine.binomial
+    monkeypatch.setattr(checks.series_engine, "binomial",
+                        lambda n, k: binomial(n, k) + ((n, k) == (6, 3)))
+    _assert_division_fails(argv, "catalan-base",
+                           "value at ('catalan_series', 3) is not an integer", capsys)
 
 
 def test_invariants_checked_under_optimize():

@@ -73,7 +73,8 @@ def requests() -> list[list[str]]:
         argvs += [["crosscheck", "--map", name, "--nmax", v] for v in ("0", "1", "5", "40")]
     argvs += [["asym", "--n", str(n), "--k", str(k)] for n in (1, 2, 5, 20, 100) for k in range(4)]
     argvs.append(["asym", "--n", "400", "--k", "60"])  # an estimate past the float range
-    argvs += [[], ["--help"], ["-h"], ["-h", "table"], ["frobnicate"], ["table"],
+    argvs += [[], ["--help"], ["-h"], ["-h", "table"], ["-hx"], ["table", "-hx"],
+              ["frobnicate"], ["table"],
               *([command, "--help"] for command in cli.COMMANDS),
               ["table", "--seq", "a", "--nmax", "-1"], ["table", "--seq", "zzz", "--nmax", "3"],
               ["table", "--seq", "a", "--nm", "3"], ["table", "--seq=a", "--nmax=3"],
